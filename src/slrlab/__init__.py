@@ -11,7 +11,7 @@ comparison, all behind a deterministic CLI.
 
 from .harness import LittleODiagnostic, RateEnvelope, Verdict, envelope, envelope_series, gk_sequence, little_o_diagnostic
 from .lambert import lambert_w0, umslr_case_c_c2
-from .optimizer import StepSizeSchedule, Trajectory, run, split_seed, step_size
+from .optimizer import StepSizeSchedule, Trajectory, run, run_batch, split_seed, step_size
 from .problems import GradientSample, ProblemSpec, make_logreg_nonconvex, make_quadratic, make_rosenbrock
 from .sf import Direction, MomentProfile, SFSpec, moment_profile, sample
 from .stats import ComparisonReport, RunSet, bonferroni, compare, run_multi_seed, welch_t
@@ -50,6 +50,7 @@ __all__ = [
     "make_rosenbrock",
     "moment_profile",
     "run",
+    "run_batch",
     "run_multi_seed",
     "sample",
     "split_seed",

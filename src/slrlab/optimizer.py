@@ -12,13 +12,19 @@ seed are therefore exactly paired across SF arms.  The generator is
 numpy PCG64 seeded through SeedSequence; within-version determinism is
 what the trajectories rely on, and the algorithm tag is recorded on
 every trajectory.
+
+All seeds of a configuration are stepped together (:func:`run_batch`),
+with each seed's randomness drawn in blocks of steps from its own
+streams.  Block draws equal per-step draws bit for bit and every row is
+checked on its own, so a seed's trajectory does not depend on the batch
+it runs in; :func:`run` is the one-seed case.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,10 +136,11 @@ class Trajectory:
 
     Full-objective quantities (loss, gradient norm) are evaluated every
     ``eval_every`` iterations; the running minimum of the squared
-    gradient norm is updated at those eval points only.  ``eta_series``
-    and ``u_series`` cover every executed iteration.  ``u_eval`` holds
-    the draw used at each recorded iterate; its final entry is nan
-    because no step leaves the last iterate.
+    gradient norm is updated at those eval points only.  ``u_series``
+    covers every executed iteration (eta_k follows from the schedule,
+    :func:`step_sizes`).  ``u_eval`` holds the draw used at each
+    recorded iterate; its final entry is nan because no step leaves the
+    last iterate.
     """
 
     eval_points: np.ndarray
@@ -143,7 +150,6 @@ class Trajectory:
     sum_eta: np.ndarray
     eta_eval: np.ndarray
     u_eval: np.ndarray
-    eta_series: np.ndarray
     u_series: np.ndarray
     iterations: int
     eval_every: int
@@ -155,6 +161,14 @@ class Trajectory:
     rng_algorithm: str = RNG_ALGORITHM
     grad_stream_digest: str = ""
     g_series: np.ndarray | None = field(default=None)
+
+
+# Steps whose randomness is drawn in one block.  Block draws equal the
+# per-step draws bit for bit, so the length trades speed for memory and
+# never changes a result; the pre-drawn gradient randomness is further
+# capped at _BLOCK_VALUES doubles per arm.
+BLOCK_STEPS = 1024
+_BLOCK_VALUES = 1 << 17
 
 
 def run(
@@ -172,6 +186,29 @@ def run(
     point) truncates the run and flags the trajectory instead of
     raising.  ``certified`` drops to False if the problem declares a
     domain box and any iterate leaves it, or if the run diverges.
+    This is the one-seed case of :func:`run_batch`.
+    """
+    return run_batch(problem, schedule, sf_spec, iterations, eval_every, x0, seeds=[seed])[0]
+
+
+def run_batch(
+    problem: pb.ProblemSpec,
+    schedule: StepSizeSchedule,
+    sf_spec: sfmod.SFSpec,
+    iterations: int,
+    eval_every: int = 10,
+    x0: np.ndarray | None = None,
+    *,
+    seeds: Sequence[int],
+) -> list[Trajectory]:
+    """Run one configuration under every seed, stepping all seeds together.
+
+    The iterates form an (S, d) array, one row per seed.  Each row draws
+    from its own seed's streams, in blocks of steps, and is checked on
+    its own: a row that diverges stops there and is dropped from the
+    batch while the others go on.  Trajectory s is therefore bitwise
+    the one ``run(..., seed=seeds[s])`` returns, whatever the other
+    seeds are.  ``x0`` (default: ones) must be finite.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -179,100 +216,131 @@ def run(
         raise ValueError("eval_every must be >= 1")
     if iterations % eval_every != 0:
         raise ValueError("eval_every must divide iterations")
-
-    x = np.ones(problem.dim) if x0 is None else np.asarray(x0, dtype=float).copy()
+    x = np.ones(problem.dim) if x0 is None else np.asarray(x0, dtype=float)
     if x.shape != (problem.dim,):
         raise ValueError(f"x0 must have shape ({problem.dim},)")
+    if not np.isfinite(x).all():
+        raise ValueError("x0 must be finite")
+    seeds = [int(s) for s in seeds]
+    if not seeds:
+        raise ValueError("need at least one seed")
 
-    grad_rng = stream_generator(seed, GRAD_STREAM)
-    sf_rng = stream_generator(seed, SF_STREAM)
-    digest = hashlib.sha256()
+    S = len(seeds)
+    n_evals = iterations // eval_every + 1
+    block = max(1, min(BLOCK_STEPS, _BLOCK_VALUES // (S * problem.dim)))
+    grad_rngs = [stream_generator(s, GRAD_STREAM) for s in seeds]
+    sf_rngs = [stream_generator(s, SF_STREAM) for s in seeds]
+    digests = [hashlib.sha256() for _ in seeds]
+    box = problem.domain_box
+    etas = step_sizes(schedule, iterations + 1)
 
-    eval_ks: list[int] = []
-    losses: list[float] = []
-    gnorms: list[float] = []
-    mins: list[float] = []
-    sums: list[float] = []
+    # Per seed: recorded evals, executed steps, truncation point, box status.
+    losses = np.empty((n_evals, S))
+    gnorms = np.empty((n_evals, S))
+    mins = np.empty((n_evals, S))
+    u_series = np.empty((S, iterations))
+    n_rec = np.full(S, n_evals)
+    executed = np.full(S, iterations)
+    truncated_at: list[int | None] = [None] * S
+    certified = np.ones(S, dtype=bool)
 
-    eta_series = np.empty(iterations)
-    u_series = np.empty(iterations)
-    sum_eta = 0.0
-    running_min = np.inf
-    certified = True
-    diverged = False
-    truncated_at: int | None = None
-    executed = 0
+    # The live batch: seed indices, iterates and running minima, and the
+    # current block's draws and step products eta_k * u_k.  ``cols``
+    # addresses the live seeds' columns; a plain slice while all live.
+    live = np.arange(S)
+    cols: slice | np.ndarray = slice(None)
+    X = np.tile(x, (S, 1))
+    running_min = np.full(S, np.inf)
+    draws: np.ndarray | None = None
+    steps = np.empty((S, 0))
 
-    def record(k: int) -> bool:
-        nonlocal running_min, diverged, truncated_at
-        f_val = pb.loss(problem, x) if np.isfinite(x).all() else np.nan
-        if np.isfinite(f_val):
-            g = pb.full_gradient(problem, x)
-            g2 = float(g @ g)
-            running_min = min(running_min, g2)
-        else:
-            g2 = np.nan
-        eval_ks.append(k)
-        losses.append(f_val)
-        gnorms.append(g2)
-        mins.append(running_min)
-        sums.append(sum_eta)
-        if not np.isfinite(f_val) or f_val > LOSS_DIVERGENCE_LIMIT:
-            diverged = True
-            truncated_at = k
-            return False
-        return True
+    def flush(i: int, m: int) -> None:
+        # Feed live row i's first m draws of the block to its seed's digest.
+        if draws is not None and m > 0:
+            digests[live[i]].update(draws[i, :m].astype("<i8").tobytes()
+                                    if draws.dtype.kind == "i" else draws[i, :m].tobytes())
 
-    for k in range(iterations):
-        if k % eval_every == 0 and not record(k):
+    def retire(dead: np.ndarray, k_trunc: int, n_steps: int, n_recorded: int, m: int) -> None:
+        nonlocal live, cols, X, running_min, draws, steps
+        for i in np.flatnonzero(dead):
+            s = live[i]
+            truncated_at[s], executed[s], n_rec[s] = k_trunc, n_steps, n_recorded
+            certified[s] = False
+            flush(i, m)
+        keep = ~dead
+        live, X, running_min, steps = live[keep], X[keep], running_min[keep], steps[keep]
+        draws = None if draws is None else draws[keep]
+        cols = live
+
+    def record(k: int, m: int) -> None:
+        # Eval point k, reached after m steps of the current block.
+        nonlocal running_min
+        e = k // eval_every
+        f = pb.loss_rows(problem, X)
+        g = pb.gradient_rows(problem, X)
+        g2 = pb.row_dot(g, g)
+        ok = np.isfinite(f)
+        if not ok.all():
+            g2[~ok] = np.nan
+        running_min = np.fmin(running_min, g2)
+        losses[e, cols], gnorms[e, cols], mins[e, cols] = f, g2, running_min
+        dead = ~ok | (f > LOSS_DIVERGENCE_LIMIT)
+        if dead.any():
+            retire(dead, k, k, e + 1, m)
+
+    for k0 in range(0, iterations, block):
+        n = min(block, iterations - k0)
+        blocks = [pb.draw_block(problem, grad_rngs[s], n) for s in live]
+        draws = None if blocks[0] is None else np.stack(blocks)
+        u = sfmod.sample_block(sf_spec, k0, n, [sf_rngs[s] for s in live])
+        u_series[cols, k0:k0 + n] = u
+        steps = etas[k0:k0 + n] * u
+        for j in range(n):
+            k = k0 + j
+            if k % eval_every == 0:
+                record(k, j)
+                if not len(live):
+                    break
+            g = pb.stochastic_gradient_rows(problem, X, None if draws is None else draws[:, j])
+            X = X - steps[:, j, None] * g
+            if box is not None and ((X < box[0]).any() or (X > box[1]).any()):
+                certified[live[((X < box[0]) | (X > box[1])).any(axis=1)]] = False
+            if not np.isfinite(X).all():
+                retire(~np.isfinite(X).all(axis=1), k + 1, k + 1, k // eval_every + 1, j + 1)
+                if not len(live):
+                    break
+        for i in range(len(live)):
+            flush(i, n)
+        if not len(live):
             break
-        eta_k = float(step_size(schedule, k))
-        u_k = float(sfmod.sample(sf_spec, k, sf_rng))
-        gs = pb.stochastic_gradient(problem, x, grad_rng)
-        if isinstance(gs.draw, np.ndarray):
-            digest.update(gs.draw.tobytes())
-        elif gs.draw is not None:
-            digest.update(struct.pack("<q", gs.draw))
-        x = sgd_step(x, gs.vector, eta_k, u_k)
-        eta_series[k] = eta_k
-        u_series[k] = u_k
-        sum_eta += eta_k
-        executed = k + 1
-        if problem.domain_box is not None:
-            lo, hi = problem.domain_box
-            if (x < lo).any() or (x > hi).any():
-                certified = False
-        if not np.isfinite(x).all():
-            diverged = True
-            truncated_at = k + 1
-            break
-    else:
-        if not diverged:
-            record(iterations)
+    if len(live):
+        record(iterations, 0)
 
-    if diverged:
-        certified = False
-
-    ks = np.array(eval_ks, dtype=int)
-    eta_eval = np.array([float(step_size(schedule, int(k))) for k in ks])
-    u_eval = np.array([u_series[k] if k < executed else np.nan for k in ks])
-
-    return Trajectory(
-        eval_points=ks,
-        loss=np.array(losses),
-        grad_norm_sq=np.array(gnorms),
-        min_grad_sq=np.array(mins),
-        sum_eta=np.array(sums),
-        eta_eval=eta_eval,
-        u_eval=u_eval,
-        eta_series=eta_series[:executed],
-        u_series=u_series[:executed],
-        iterations=iterations,
-        eval_every=eval_every,
-        seed=int(seed),
-        config_digest=config_digest(problem, schedule, sf_spec, iterations, eval_every),
-        certified=certified,
-        diverged=diverged,
-        truncated_at=truncated_at,
-        grad_stream_digest=digest.hexdigest(),
-    )
+    ks = np.arange(0, iterations + 1, eval_every)
+    sum_eta = np.concatenate(([0.0], np.cumsum(etas[:iterations])))[ks]
+    digest = config_digest(problem, schedule, sf_spec, iterations, eval_every)
+    out = []
+    for s, seed in enumerate(seeds):
+        c, ex = n_rec[s], executed[s]
+        u_eval = np.full(c, np.nan)
+        stepped = ks[:c] < ex
+        u_eval[stepped] = u_series[s, ks[:c][stepped]]
+        out.append(Trajectory(
+            eval_points=ks[:c].copy(),
+            loss=losses[:c, s].copy(),
+            grad_norm_sq=gnorms[:c, s].copy(),
+            min_grad_sq=mins[:c, s].copy(),
+            sum_eta=sum_eta[:c].copy(),
+            eta_eval=etas[ks[:c]],
+            u_eval=u_eval,
+            u_series=u_series[s, :ex],
+            iterations=iterations,
+            eval_every=eval_every,
+            seed=seed,
+            config_digest=digest,
+            certified=bool(certified[s]),
+            diverged=truncated_at[s] is not None,
+            truncated_at=truncated_at[s],
+            grad_stream_digest=digests[s].hexdigest(),
+        ))
+    return out

@@ -191,42 +191,101 @@ def _expit(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def loss(problem: ProblemSpec, x: np.ndarray) -> float:
-    """Full objective value f(x)."""
-    x = _check_x(problem, x)
+def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of a with the same row of b, shape (S,).
+
+    Equal bit for bit to ``np.dot`` on each row pair; ``einsum`` and
+    ``(a * b).sum(axis=1)`` reduce in another order and are not.
+    """
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _penalty_gradient(reg: float, X: np.ndarray) -> np.ndarray:
+    return reg * 2.0 * X / (1.0 + X * X) ** 2
+
+
+# The oracles below work on an (S, d) stack of iterates, one row per
+# seed.  Each row's result is bitwise independent of the other rows and
+# of S, so a batch of runs reproduces each run alone.  The single-point
+# functions further down are their S = 1 case.
+
+
+def loss_rows(problem: ProblemSpec, X: np.ndarray) -> np.ndarray:
+    """Full objective f at each row of X, shape (S,)."""
+    p = problem.payload
     if problem.family == QUADRATIC:
-        eigs = problem.payload["eigs"]
-        return float(0.5 * np.dot(eigs * x, x))
+        return 0.5 * row_dot(p["eigs"] * X, X)
     if problem.family == ROSENBROCK:
-        a, b = x
-        return float((1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2)
+        a, b = X[:, 0], X[:, 1]
+        return (1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2
     if problem.family == LOGREG:
-        X, y, reg = problem.payload["X"], problem.payload["y"], problem.payload["reg"]
-        z = y * (X @ x)
-        data = float(np.logaddexp(0.0, -z).mean())
-        pen = float(reg * np.sum(x * x / (1.0 + x * x)))
-        return data + pen
+        # One data pass per row: a product across rows would round
+        # differently and tie a row's value to S.
+        data, y, reg = p["X"], p["y"], p["reg"]
+        out = np.empty(len(X))
+        for s, x in enumerate(X):
+            z = y * (data @ x)
+            out[s] = float(np.logaddexp(0.0, -z).mean()) + float(reg * np.sum(x * x / (1.0 + x * x)))
+        return out
     raise ValueError(f"unknown family {problem.family!r}")
 
 
-def full_gradient(problem: ProblemSpec, x: np.ndarray) -> np.ndarray:
-    """Exact gradient of the full objective."""
-    x = _check_x(problem, x)
+def gradient_rows(problem: ProblemSpec, X: np.ndarray) -> np.ndarray:
+    """Exact gradient of the full objective at each row of X, shape (S, d)."""
+    p = problem.payload
     if problem.family == QUADRATIC:
-        return problem.payload["eigs"] * x
+        return p["eigs"] * X
     if problem.family == ROSENBROCK:
-        a, b = x
+        a, b = X[:, 0], X[:, 1]
         da = -2.0 * (1.0 - a) - 400.0 * a * (b - a * a)
         db = 200.0 * (b - a * a)
-        return np.array([da, db])
+        return np.stack([da, db], axis=1)
     if problem.family == LOGREG:
-        X, y, reg = problem.payload["X"], problem.payload["y"], problem.payload["reg"]
-        z = y * (X @ x)
-        coeff = -y * _expit(-z)
-        grad = X.T @ coeff / len(y)
-        grad += reg * 2.0 * x / (1.0 + x * x) ** 2
-        return grad
+        data, y, reg = p["X"], p["y"], p["reg"]
+        out = np.empty_like(X)
+        for s, x in enumerate(X):
+            z = y * (data @ x)
+            out[s] = data.T @ (-y * _expit(-z)) / len(y)
+        return out + _penalty_gradient(reg, X)
     raise ValueError(f"unknown family {problem.family!r}")
+
+
+def summand_gradient_rows(problem: ProblemSpec, X: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Gradient of summand idx[s] at row s of X; finite-sum problems only."""
+    if problem.family != LOGREG:
+        raise ValueError("summand_gradient applies to finite-sum problems only")
+    data, y, reg = problem.payload["X"], problem.payload["y"], problem.payload["reg"]
+    rows, yi = data[idx], y[idx]
+    coeff = -yi * _expit(-(yi * row_dot(rows, X)))
+    return coeff[:, None] * rows + _penalty_gradient(reg, X)
+
+
+def draw_block(problem: ProblemSpec, rng: np.random.Generator, n: int) -> np.ndarray | None:
+    """The randomness n successive stochastic gradients consume, drawn at once.
+
+    An (n,) array of summand indices for finite sums, an (n, d) array of
+    additive noise when sigma > 0, None when the gradient is exact.  It
+    equals n single draws bit for bit, however the steps are split into
+    blocks.
+    """
+    if problem.family == LOGREG:
+        return rng.integers(summand_count(problem), size=n)
+    sigma = problem.payload["sigma"]
+    if sigma == 0.0:
+        return None
+    return sigma * rng.standard_normal((n, problem.dim))
+
+
+def stochastic_gradient_rows(problem: ProblemSpec, X: np.ndarray, draws: np.ndarray | None) -> np.ndarray:
+    """Stochastic gradient at each row of X given that row's draw, shape (S, d).
+
+    ``draws`` holds one step of :func:`draw_block` output per row: (S,)
+    summand indices, (S, d) noise, or None.
+    """
+    if problem.family == LOGREG:
+        return summand_gradient_rows(problem, X, draws)
+    g = gradient_rows(problem, X)
+    return g if draws is None else g + draws
 
 
 def summand_count(problem: ProblemSpec) -> int:
@@ -236,17 +295,19 @@ def summand_count(problem: ProblemSpec) -> int:
     return 1
 
 
+def loss(problem: ProblemSpec, x: np.ndarray) -> float:
+    """Full objective value f(x)."""
+    return float(loss_rows(problem, _check_x(problem, x)[None])[0])
+
+
+def full_gradient(problem: ProblemSpec, x: np.ndarray) -> np.ndarray:
+    """Exact gradient of the full objective."""
+    return gradient_rows(problem, _check_x(problem, x)[None])[0]
+
+
 def summand_gradient(problem: ProblemSpec, x: np.ndarray, i: int) -> np.ndarray:
     """Gradient of summand i; finite-sum problems only."""
-    if problem.family != LOGREG:
-        raise ValueError("summand_gradient applies to finite-sum problems only")
-    x = _check_x(problem, x)
-    X, y, reg = problem.payload["X"], problem.payload["y"], problem.payload["reg"]
-    z = y[i] * float(X[i] @ x)
-    coeff = -y[i] * float(_expit(np.array([-z]))[0])
-    grad = coeff * X[i]
-    grad = grad + reg * 2.0 * x / (1.0 + x * x) ** 2
-    return grad
+    return summand_gradient_rows(problem, _check_x(problem, x)[None], np.array([i]))[0]
 
 
 def stochastic_gradient(problem: ProblemSpec, x: np.ndarray, rng: np.random.Generator) -> GradientSample:
@@ -259,12 +320,8 @@ def stochastic_gradient(problem: ProblemSpec, x: np.ndarray, rng: np.random.Gene
     iterates wander.
     """
     x = _check_x(problem, x)
-    if problem.family == LOGREG:
-        i = int(rng.integers(summand_count(problem)))
-        return GradientSample(vector=summand_gradient(problem, x, i), draw=i)
-    sigma = problem.payload["sigma"]
-    g = full_gradient(problem, x)
-    if sigma == 0.0:
-        return GradientSample(vector=g, draw=None)
-    noise = sigma * rng.standard_normal(problem.dim)
-    return GradientSample(vector=g + noise, draw=noise)
+    draws = draw_block(problem, rng, 1)
+    vector = stochastic_gradient_rows(problem, x[None], draws)[0]
+    if draws is None:
+        return GradientSample(vector=vector, draw=None)
+    return GradientSample(vector=vector, draw=int(draws[0]) if problem.family == LOGREG else draws[0])

@@ -96,18 +96,25 @@ def variance(spec: SFSpec, k: int) -> float:
     return (hi - lo) ** 2 / 12.0
 
 
-def sample(spec: SFSpec, k: int, rng: np.random.Generator) -> float:
-    """Draw one realization of u_k.
+def sample_block(spec: SFSpec, k0: int, n: int, rngs: list[np.random.Generator]) -> np.ndarray:
+    """Draws of u_k for k = k0..k0+n-1, one row per generator, shape (len(rngs), n).
 
     The constant family consumes no randomness.  The uniform_root family
-    consumes exactly one double-precision uniform per call, mapped onto
-    the support by inverse transform, so the draw count per iteration is
-    fixed and the return value always lies inside the closed support.
+    consumes one double-precision uniform per draw, mapped onto the
+    support by inverse transform, so each row equals n successive
+    single draws from its generator bit for bit and always lies inside
+    the closed support.  The bounds are the Python floats of
+    :func:`support_bounds`: a numpy array power rounds differently.
     """
     if spec.kind == CONSTANT:
-        return spec.value
-    lo, hi = support_bounds(spec, k)
-    return lo + (hi - lo) * rng.random()
+        return np.full((len(rngs), n), spec.value)
+    lo, hi = np.array([support_bounds(spec, k) for k in range(k0, k0 + n)]).T
+    return lo + (hi - lo) * np.array([rng.random(n) for rng in rngs])
+
+
+def sample(spec: SFSpec, k: int, rng: np.random.Generator) -> float:
+    """Draw one realization of u_k (see :func:`sample_block`)."""
+    return float(sample_block(spec, k, 1, [rng])[0, 0])
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import problems as pb
 from . import sf as sfmod
-from .optimizer import StepSizeSchedule, Trajectory, config_digest, run, split_seed
+from .optimizer import StepSizeSchedule, Trajectory, config_digest, run_batch, split_seed
 
 _BETA_EPS = 1e-14
 _BETA_FPMIN = 1e-300
@@ -199,9 +199,7 @@ def run_multi_seed(
     for k in checkpoints:
         if k % eval_every != 0 or not (0 <= k <= iterations):
             raise ValueError(f"checkpoint {k} is not a valid eval point")
-    trajectories = [
-        run(problem, schedule, sf_spec, iterations, eval_every=eval_every, seed=s) for s in seeds
-    ]
+    trajectories = run_batch(problem, schedule, sf_spec, iterations, eval_every=eval_every, seeds=seeds)
     return RunSet(
         config_digest=config_digest(problem, schedule, sf_spec, iterations, eval_every),
         iterations=iterations,

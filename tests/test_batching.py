@@ -1,0 +1,160 @@
+"""A seed's run does not depend on the batch it is stepped in.
+
+``run_batch`` steps every seed of an arm as one (S, d) array and draws
+randomness in blocks of steps.  Each seed's trajectory must be bitwise
+the one ``run(seed=s)`` gives alone, and the one a plain scalar loop
+gives: one ``sf.sample``, one ``stochastic_gradient`` and one update
+``x - (eta_k * u_k) * g`` per step.  The batches below mix seeds that
+finish, seeds that diverge (by the loss limit at an eval point, or by a
+non-finite iterate) and, on Rosenbrock, seeds that leave the certified
+box.
+"""
+
+import hashlib
+import struct
+
+import numpy as np
+import pytest
+
+from slrlab import optimizer, problems, sf
+from slrlab.optimizer import StepSizeSchedule
+
+pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+
+def scalar_reference(problem, schedule, spec, iterations, eval_every, x0, seed):
+    """One seed, one step at a time: the runner before seeds were batched."""
+    x = np.ones(problem.dim) if x0 is None else np.array(x0, dtype=float)
+    grad_rng = optimizer.stream_generator(seed, optimizer.GRAD_STREAM)
+    sf_rng = optimizer.stream_generator(seed, optimizer.SF_STREAM)
+    digest = hashlib.sha256()
+    rec = {name: [] for name in ("eval_points", "loss", "grad_norm_sq", "min_grad_sq", "sum_eta")}
+    u_series = []
+    sum_eta, running_min = 0.0, np.inf
+    certified, truncated_at = True, None
+    lo, hi = problem.domain_box or (-np.inf, np.inf)
+
+    def record(k):
+        nonlocal running_min, truncated_at
+        f = problems.loss(problem, x)
+        g2 = np.nan
+        if np.isfinite(f):
+            g = problems.full_gradient(problem, x)
+            g2 = float(g @ g)
+            running_min = min(running_min, g2)
+        for name, v in zip(rec, (k, f, g2, running_min, sum_eta)):
+            rec[name].append(v)
+        if not np.isfinite(f) or f > optimizer.LOSS_DIVERGENCE_LIMIT:
+            truncated_at = k
+        return truncated_at is None
+
+    for k in range(iterations):
+        if k % eval_every == 0 and not record(k):
+            break
+        eta_k = optimizer.step_size(schedule, k)
+        u_k = sf.sample(spec, k, sf_rng)
+        gs = problems.stochastic_gradient(problem, x, grad_rng)
+        if isinstance(gs.draw, np.ndarray):
+            digest.update(gs.draw.tobytes())
+        elif gs.draw is not None:
+            digest.update(struct.pack("<q", gs.draw))
+        x = x - (eta_k * u_k) * gs.vector
+        u_series.append(u_k)
+        sum_eta += eta_k
+        if (x < lo).any() or (x > hi).any():
+            certified = False
+        if not np.isfinite(x).all():
+            truncated_at = k + 1
+            break
+    else:
+        record(iterations)
+
+    ks = np.array(rec["eval_points"], dtype=int)
+    u = np.array(u_series, dtype=float)
+    return dict(
+        eval_points=ks,
+        loss=np.array(rec["loss"]),
+        grad_norm_sq=np.array(rec["grad_norm_sq"]),
+        min_grad_sq=np.array(rec["min_grad_sq"]),
+        sum_eta=np.array(rec["sum_eta"]),
+        eta_eval=np.array([optimizer.step_size(schedule, int(k)) for k in ks]),
+        u_eval=np.array([u[k] if k < len(u) else np.nan for k in ks]),
+        u_series=u,
+        seed=seed,
+        certified=certified and truncated_at is None,
+        diverged=truncated_at is not None,
+        truncated_at=truncated_at,
+        grad_stream_digest=digest.hexdigest(),
+    )
+
+
+def assert_bitwise(traj, expected):
+    for name, want in expected.items():
+        got = getattr(traj, name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), f"{name} differs for seed {traj.seed}"
+        else:
+            assert got == want, f"{name} differs for seed {traj.seed}"
+
+
+def outcome(traj):
+    if traj.diverged:
+        return "loss_limit" if traj.eval_points[-1] == traj.truncated_at else "nonfinite_iterate"
+    return "finished" if traj.certified else "left_box"
+
+
+# (problem, schedule, factor, x0, outcomes over seeds 0..7).  The factor's
+# support is wide in the first steps, so whether a seed blows up depends
+# on its draws.
+CASES = {
+    "quadratic": (problems.make_quadratic(dim=3, cond=10.0, sigma=0.1),
+                  StepSizeSchedule("inverse_k", 2.5), sf.uniform_root(0.001, 4.0), None,
+                  {"finished", "loss_limit"}),
+    "rosenbrock": (problems.make_rosenbrock(sigma=0.5),
+                   StepSizeSchedule("inverse_k", 0.01), sf.uniform_root(0.01, 2.0), np.array([-1.2, 1.0]),
+                   {"finished", "left_box", "loss_limit", "nonfinite_iterate"}),
+    "logreg": (problems.make_logreg_nonconvex(n=30, d=3, reg=0.1, seed=1),
+               StepSizeSchedule("inverse_k", 1e13), sf.uniform_root(0.001, 4.0), None,
+               {"finished", "loss_limit"}),
+}
+SEEDS = list(range(8))
+
+
+def check_batch(case, iterations, eval_every):
+    problem, schedule, spec, x0, outcomes = CASES[case]
+    batch = optimizer.run_batch(problem, schedule, spec, iterations, eval_every, x0, seeds=SEEDS)
+    assert [t.seed for t in batch] == SEEDS
+    assert {outcome(t) for t in batch} == outcomes
+    for seed, traj in zip(SEEDS, batch):
+        alone = optimizer.run(problem, schedule, spec, iterations, eval_every, x0, seed=seed)
+        expected = scalar_reference(problem, schedule, spec, iterations, eval_every, x0, seed)
+        assert_bitwise(traj, expected)
+        assert_bitwise(alone, expected)
+        assert traj.config_digest == alone.config_digest
+    return batch
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_batch_matches_single_runs_and_scalar_loop(case):
+    # 2500 steps: two full blocks of the module's length and a partial third.
+    assert 2500 % optimizer.BLOCK_STEPS != 0 and 2500 > 2 * optimizer.BLOCK_STEPS
+    check_batch(case, 2500, 10)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_batch_with_short_blocks_off_the_eval_cadence(case, monkeypatch):
+    # Blocks of 7 steps against evals every 10: the eval points and the
+    # divergences land at every offset inside a block.
+    monkeypatch.setattr(optimizer, "BLOCK_STEPS", 7)
+    check_batch(case, 200, 10)
+
+
+@pytest.mark.parametrize("block", [8, 10])
+def test_divergence_exactly_at_a_block_boundary(block, monkeypatch):
+    # On the Rosenbrock case one seed's iterate turns non-finite at step
+    # 7 (truncated_at 8, the last step of an 8-step block) and another
+    # crosses the loss limit at the eval point k = 10 (the first step of
+    # the second 10-step block).
+    monkeypatch.setattr(optimizer, "BLOCK_STEPS", block)
+    batch = check_batch("rosenbrock", 200, 10)
+    assert block in {t.truncated_at for t in batch}

@@ -338,6 +338,46 @@ def test_cli_compare_and_report(tmp_path):
                         "--out", str(out)]) == 1
 
 
+DIVERGING_ARM = """\
+problem = quadratic
+problem.dim = 4
+problem.cond = 10
+problem.sigma = 0.1
+schedule = inverse_k
+schedule.eta = {eta}
+{sf}
+iterations = 1000
+eval_every = 10
+n_seeds = 4
+master_seed = 0
+"""
+
+
+def test_cli_compare_all_seeds_of_one_arm_diverged_exits_one(tmp_path, capsys):
+    # eta 50 with u = 1 blows up on every seed; u = 0.001 never does.  The
+    # diverged arm hashed only a prefix of each gradient stream, which once
+    # failed the pairing check and exited 2.
+    pa = _write_cfg(tmp_path, DIVERGING_ARM.format(eta=50, sf="sf = constant\nsf.value = 1.0"), "a.txt")
+    pb_ = _write_cfg(tmp_path, DIVERGING_ARM.format(eta=50, sf="sf = constant\nsf.value = 0.001"), "b.txt")
+    assert cli_io.main(["compare", "--config-a", pa, "--config-b", pb_, "--out", str(tmp_path / "cmp")]) == 1
+    assert "fewer than 2 non-diverged runs" in capsys.readouterr().err
+
+
+def test_cli_compare_excludes_seeds_with_a_diverged_arm(tmp_path):
+    # One of four seeds diverges in arm a: its pair is excluded and not
+    # digest-checked, the other three are.
+    pa = _write_cfg(tmp_path, DIVERGING_ARM.format(eta=3, sf="sf = uniform_root\nsf.c1 = 0.01\nsf.c2 = 2.0"), "a.txt")
+    pb_ = _write_cfg(tmp_path, DIVERGING_ARM.format(eta=3, sf="sf = constant\nsf.value = 0.001"), "b.txt")
+    out = tmp_path / "cmp"
+    assert cli_io.main(["compare", "--config-a", pa, "--config-b", pb_, "--out", str(out)]) == 0
+    txt = (out / "report.txt").read_text()
+    assert txt.startswith("paired gradient streams verified identical for 3 of 4 seeds; "
+                          "seeds with a diverged arm are not checked\n")
+    assert "excluded diverged runs: 1 from a, 0 from b" in txt
+    rep = cli_io.read_report(out / "report.csv")
+    assert (rep.n_a, rep.excluded_a, rep.n_b, rep.excluded_b) == (3, 1, 4, 0)
+
+
 def test_cli_envelope_outputs(tmp_path):
     cfg = GOOD_CONFIG.replace("iterations = 100", "iterations = 2000") \
                      .replace("n_seeds = 3", "n_seeds = 2")
