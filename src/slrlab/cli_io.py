@@ -24,7 +24,6 @@ overrides master_seed for every command that runs the optimizer.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -356,21 +355,6 @@ def read_trajectory_csv(path: str | Path) -> dict[str, np.ndarray]:
     out = {n: np.array(v) for n, v in cols.items()}
     out["k"] = out["k"].astype(int)
     return out
-
-
-def write_condition_reports_csv(reports: list[ConditionReport], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["condition", "holds", "first_violation_k", "detail"])
-        for r in reports:
-            w.writerow(
-                [
-                    r.condition_name,
-                    "true" if r.holds else "false",
-                    "" if r.first_violation_k is None else r.first_violation_k,
-                    r.detail,
-                ]
-            )
 
 
 def write_report(report: stats.ComparisonReport, path: str | Path) -> None:
@@ -743,11 +727,14 @@ def _cmd_envelope(args) -> int:
     lines.append(validator.format_reports(
         [validator.acceleration_check(profile, case), validator.increment_check(profile, case)]
     ).rstrip("\n"))
+    k_lo = max(cfg.eval_every, cfg.iterations // 100)
     if traj.diverged:
         lines.append(f"diagnostic = unavailable (run diverged at k={traj.truncated_at})")
+    elif k_lo >= cfg.iterations:
+        lines.append(f"diagnostic = unavailable (window k in [{k_lo}, {cfg.iterations}] is empty: "
+                     f"needs eval_every < iterations)")
     else:
         mask = traj.eval_points >= 1
-        k_lo = max(cfg.eval_every, cfg.iterations // 100)
         diag = harness.little_o_diagnostic(traj.min_grad_sq[mask], env, k_lo, cfg.iterations)
         lines.append(
             f"diagnostic = {diag.verdict.value} | window k in [{diag.k_lo}, {diag.k_hi}] | "

@@ -276,8 +276,7 @@ def run_batch(
         # Eval point k, reached after m steps of the current block.
         nonlocal running_min
         e = k // eval_every
-        f = pb.loss_rows(problem, X)
-        g = pb.gradient_rows(problem, X)
+        f, g = pb.value_and_gradient_rows(problem, X)
         g2 = pb.row_dot(g, g)
         ok = np.isfinite(f)
         if not ok.all():

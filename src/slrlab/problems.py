@@ -182,13 +182,11 @@ def _check_x(problem: ProblemSpec, x: np.ndarray) -> np.ndarray:
 
 
 def _expit(t: np.ndarray) -> np.ndarray:
-    # Overflow-safe logistic function.
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    et = np.exp(t[~pos])
-    out[~pos] = et / (1.0 + et)
-    return out
+    # Overflow-safe logistic function with one exp: exp(-|t|) never
+    # overflows, and the quotient is bitwise 1/(1+exp(-t)) for t >= 0
+    # and exp(t)/(1+exp(t)) for t < 0.
+    e = np.exp(-np.abs(t))
+    return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -206,48 +204,52 @@ def _penalty_gradient(reg: float, X: np.ndarray) -> np.ndarray:
 
 # The oracles below work on an (S, d) stack of iterates, one row per
 # seed.  Each row's result is bitwise independent of the other rows and
-# of S, so a batch of runs reproduces each run alone.  The single-point
-# functions further down are their S = 1 case.
+# of S, so a batch of runs reproduces each run alone.  An eval point
+# takes loss and gradient from one pass (value_and_gradient_rows); the
+# step of an additive-noise family needs the gradient alone
+# (gradient_rows).  The single-point functions further down are their
+# S = 1 case.
 
 
-def loss_rows(problem: ProblemSpec, X: np.ndarray) -> np.ndarray:
-    """Full objective f at each row of X, shape (S,)."""
+def _rosenbrock_gradient(a: np.ndarray, r: np.ndarray) -> np.ndarray:
+    # r = b - a*a, the valley residual.
+    return np.stack([-2.0 * (1.0 - a) - 400.0 * a * r, 200.0 * r], axis=1)
+
+
+def value_and_gradient_rows(problem: ProblemSpec, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full objective f, shape (S,), and its exact gradient, shape (S, d), at each row of X."""
     p = problem.payload
     if problem.family == QUADRATIC:
-        return 0.5 * row_dot(p["eigs"] * X, X)
+        G = p["eigs"] * X
+        return 0.5 * row_dot(G, X), G
     if problem.family == ROSENBROCK:
-        a, b = X[:, 0], X[:, 1]
-        return (1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2
+        a = X[:, 0]
+        r = X[:, 1] - a * a
+        return (1.0 - a) ** 2 + 100.0 * r ** 2, _rosenbrock_gradient(a, r)
     if problem.family == LOGREG:
-        # One data pass per row: a product across rows would round
-        # differently and tie a row's value to S.
+        # One margin z per row feeds both outputs, so each row reads the
+        # data matrix twice: once for z, once for the gradient.  The rows
+        # go one GEMV at a time: a product across rows would round
+        # differently and tie a row's bits to S.
         data, y, reg = p["X"], p["y"], p["reg"]
-        out = np.empty(len(X))
+        f = np.empty(len(X))
+        G = np.empty_like(X)
         for s, x in enumerate(X):
             z = y * (data @ x)
-            out[s] = float(np.logaddexp(0.0, -z).mean()) + float(reg * np.sum(x * x / (1.0 + x * x)))
-        return out
+            f[s] = float(np.logaddexp(0.0, -z).mean()) + float(reg * np.sum(x * x / (1.0 + x * x)))
+            G[s] = data.T @ (-y * _expit(-z)) / len(y)
+        return f, G + _penalty_gradient(reg, X)
     raise ValueError(f"unknown family {problem.family!r}")
 
 
 def gradient_rows(problem: ProblemSpec, X: np.ndarray) -> np.ndarray:
     """Exact gradient of the full objective at each row of X, shape (S, d)."""
-    p = problem.payload
     if problem.family == QUADRATIC:
-        return p["eigs"] * X
+        return problem.payload["eigs"] * X
     if problem.family == ROSENBROCK:
-        a, b = X[:, 0], X[:, 1]
-        da = -2.0 * (1.0 - a) - 400.0 * a * (b - a * a)
-        db = 200.0 * (b - a * a)
-        return np.stack([da, db], axis=1)
-    if problem.family == LOGREG:
-        data, y, reg = p["X"], p["y"], p["reg"]
-        out = np.empty_like(X)
-        for s, x in enumerate(X):
-            z = y * (data @ x)
-            out[s] = data.T @ (-y * _expit(-z)) / len(y)
-        return out + _penalty_gradient(reg, X)
-    raise ValueError(f"unknown family {problem.family!r}")
+        a = X[:, 0]
+        return _rosenbrock_gradient(a, X[:, 1] - a * a)
+    return value_and_gradient_rows(problem, X)[1]
 
 
 def summand_gradient_rows(problem: ProblemSpec, X: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -297,7 +299,7 @@ def summand_count(problem: ProblemSpec) -> int:
 
 def loss(problem: ProblemSpec, x: np.ndarray) -> float:
     """Full objective value f(x)."""
-    return float(loss_rows(problem, _check_x(problem, x)[None])[0])
+    return float(value_and_gradient_rows(problem, _check_x(problem, x)[None])[0][0])
 
 
 def full_gradient(problem: ProblemSpec, x: np.ndarray) -> np.ndarray:

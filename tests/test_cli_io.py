@@ -393,6 +393,18 @@ def test_cli_envelope_outputs(tmp_path):
     assert np.isfinite(cols["envelope_case"][1:]).all()
 
 
+def test_cli_envelope_with_one_eval_interval_reports_diagnostic_unavailable(tmp_path):
+    # eval_every = iterations leaves the diagnostic window [k_lo, k_hi] empty.
+    cfg = GOOD_CONFIG.replace("iterations = 100", "iterations = 10")
+    path = _write_cfg(tmp_path, cfg)
+    out = tmp_path / "env"
+    assert cli_io.main(["envelope", "--config", path, "--out", str(out)]) == 0
+    last = (out / "diagnostic.txt").read_text().splitlines()[-1]
+    assert last == ("diagnostic = unavailable (window k in [10, 10] is empty: "
+                    "needs eval_every < iterations)")
+    assert len(cli_io.read_trajectory_csv(out / "trajectory.csv")["k"]) == 2
+
+
 def test_cli_envelope_case_flag_overrides_config(tmp_path):
     cfg = GOOD_CONFIG.replace("theorem_case = case12\n", "")
     path = _write_cfg(tmp_path, cfg)

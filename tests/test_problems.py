@@ -251,3 +251,95 @@ def test_determinism_across_constructions():
     np.testing.assert_array_equal(a.payload["y"], b.payload["y"])
     c = problems.make_logreg_nonconvex(n=30, d=4, reg=0.1, seed=13)
     assert not np.array_equal(a.payload["X"], c.payload["X"])
+
+
+# Reference copies of the separate loss and gradient oracles and the
+# masked logistic that value_and_gradient_rows and _expit replaced; the
+# fused forms must reproduce them bit for bit.
+def masked_expit(t):
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    et = np.exp(t[~pos])
+    out[~pos] = et / (1.0 + et)
+    return out
+
+
+def reference_loss_rows(pb, X):
+    p = pb.payload
+    if pb.family == problems.QUADRATIC:
+        return 0.5 * problems.row_dot(p["eigs"] * X, X)
+    if pb.family == problems.ROSENBROCK:
+        a, b = X[:, 0], X[:, 1]
+        return (1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2
+    data, y, reg = p["X"], p["y"], p["reg"]
+    out = np.empty(len(X))
+    for s, x in enumerate(X):
+        z = y * (data @ x)
+        out[s] = float(np.logaddexp(0.0, -z).mean()) + float(reg * np.sum(x * x / (1.0 + x * x)))
+    return out
+
+
+def reference_gradient_rows(pb, X):
+    p = pb.payload
+    if pb.family == problems.QUADRATIC:
+        return p["eigs"] * X
+    if pb.family == problems.ROSENBROCK:
+        a, b = X[:, 0], X[:, 1]
+        return np.stack([-2.0 * (1.0 - a) - 400.0 * a * (b - a * a), 200.0 * (b - a * a)], axis=1)
+    data, y, reg = p["X"], p["y"], p["reg"]
+    out = np.empty_like(X)
+    for s, x in enumerate(X):
+        z = y * (data @ x)
+        out[s] = data.T @ (-y * masked_expit(-z)) / len(y)
+    return out + reg * 2.0 * X / (1.0 + X * X) ** 2
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(21)
+    quad = problems.make_quadratic(dim=7, cond=100.0, sigma=0.1)
+    rosen = problems.make_rosenbrock(sigma=0.1)
+    logreg = problems.make_logreg_nonconvex(n=203, d=5, reg=0.05, seed=4)
+    # Logreg rows from tiny to huge: the last rows give margins far
+    # beyond +-700, where exp over- and underflows.
+    scales = np.array([1e-3, 0.3, 1.0, 30.0, 400.0])[:, None]
+    return [
+        (quad, 3.0 * rng.standard_normal((5, 7))),
+        (rosen, 2.5 * rng.standard_normal((5, 2))),
+        (logreg, scales * rng.standard_normal((5, 5))),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3), ids=["quadratic", "rosenbrock", "logreg"])
+def test_value_and_gradient_rows_bitwise_equals_separate_oracles(case):
+    pb, X = _oracle_cases()[case]
+    f, G = problems.value_and_gradient_rows(pb, X)
+    assert f.shape == (5,) and G.shape == (5, pb.dim)
+    np.testing.assert_array_equal(f, reference_loss_rows(pb, X))
+    np.testing.assert_array_equal(G, reference_gradient_rows(pb, X))
+    np.testing.assert_array_equal(problems.gradient_rows(pb, X), G)
+    if pb.family == problems.LOGREG:
+        z = pb.payload["y"] * (pb.payload["X"] @ X[-1])
+        assert np.abs(z).max() > 700.0
+        assert (z > 700.0).any() and (z < -700.0).any()
+    for i, x in enumerate(X):
+        fi, Gi = problems.value_and_gradient_rows(pb, X[i:i + 1])
+        assert fi[0] == f[i]
+        np.testing.assert_array_equal(Gi[0], G[i])
+        assert problems.loss(pb, x) == f[i]
+        np.testing.assert_array_equal(problems.full_gradient(pb, x), G[i])
+
+
+def test_expit_bitwise_equals_masked_reference():
+    edges = np.array([0.0, -0.0, 1e-300, -1e-300, 37.0, -37.0, 700.0, -700.0,
+                      800.0, -800.0, np.inf, -np.inf])
+    got = problems._expit(edges)
+    np.testing.assert_array_equal(got, masked_expit(edges))
+    assert (got[:4] == 0.5).all() and got[-2] == 1.0 and got[-1] == 0.0
+    with_nan = np.array([np.nan, 1.0])
+    assert np.isnan(problems._expit(with_nan)[0])
+    np.testing.assert_array_equal(problems._expit(with_nan), masked_expit(with_nan))
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        t = rng.standard_normal(int(rng.integers(1, 300))) * 10.0 ** rng.uniform(-3, 3)
+        np.testing.assert_array_equal(problems._expit(t), masked_expit(t))
