@@ -305,6 +305,27 @@ def _f17(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+# Rows formatted by one % operation.  Whole columns go through the
+# formatter a chunk at a time, so no per-value Python call is made and
+# the text of a long trajectory is never held at once.
+_FORMAT_CHUNK = 4096
+
+
+def _format_chunks(fmt: str, sep: str, rows: np.ndarray):
+    """Yield each chunk of rows of a 2-d float array as text: ``fmt`` per row, joined by ``sep``.
+
+    ``"%.17g" % v`` is the same text as ``f"{v:.17g}"``, and ``%d`` of
+    an integral float prints the integer.
+    """
+    for i in range(0, len(rows), _FORMAT_CHUNK):
+        chunk = rows[i:i + _FORMAT_CHUNK]
+        yield sep.join([fmt] * len(chunk)) % tuple(chunk.ravel().tolist())
+
+
+class NotTrajectoryCSVError(ValueError):
+    """A CSV whose header is not the trajectory header."""
+
+
 def write_trajectory_csv(traj, path: str | Path, case_env: harness.RateEnvelope | None = None) -> None:
     """Write one trajectory with the fixed 10-column schema."""
     ks = traj.eval_points
@@ -313,46 +334,51 @@ def write_trajectory_csv(traj, path: str | Path, case_env: harness.RateEnvelope 
     env_det[pos] = 1.0 / traj.sum_eta[pos]
     case_vals = np.full(len(ks), np.nan)
     if case_env is not None:
-        lookup = {int(k): float(v) for k, v in zip(case_env.ks, case_env.values)}
-        for i, k in enumerate(ks):
-            if int(k) in lookup:
-                case_vals[i] = lookup[int(k)]
+        # The envelope's value at each recorded k it covers.
+        env_ks, first = np.unique(np.asarray(case_env.ks, dtype=np.int64), return_index=True)
+        hit = np.isin(ks, env_ks)
+        case_vals[hit] = np.asarray(case_env.values, dtype=float)[first][np.searchsorted(env_ks, ks[hit])]
     g_series = traj.g_series if traj.g_series is not None else np.full(len(ks), np.nan)
-    lines = [TRAJECTORY_HEADER]
-    for i, k in enumerate(ks):
-        lines.append(
-            ",".join(
-                [
-                    str(int(k)),
-                    _f17(traj.loss[i]),
-                    _f17(traj.grad_norm_sq[i]),
-                    _f17(traj.min_grad_sq[i]),
-                    _f17(g_series[i]),
-                    _f17(traj.eta_eval[i]),
-                    _f17(traj.u_eval[i]),
-                    _f17(traj.sum_eta[i]),
-                    _f17(env_det[i]),
-                    _f17(case_vals[i]),
-                ]
-            )
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    cols = np.column_stack([ks, traj.loss, traj.grad_norm_sq, traj.min_grad_sq, g_series,
+                            traj.eta_eval, traj.u_eval, traj.sum_eta, env_det, case_vals])
+    with open(path, "w") as fh:
+        fh.write(TRAJECTORY_HEADER + "\n")
+        for text in _format_chunks("%d," + ",".join(["%.17g"] * 9), "\n", cols):
+            fh.write(text + "\n")
 
 
 def read_trajectory_csv(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a trajectory CSV back into column arrays."""
+    """Read a trajectory CSV back into column arrays.
+
+    Raises :class:`NotTrajectoryCSVError` if the header is not the
+    trajectory header, and ValueError naming the file and the first
+    bad row if a row does not hold 10 numbers.
+    """
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != TRAJECTORY_HEADER:
-        raise ValueError(f"{path}: not a trajectory CSV (bad header)")
+        raise NotTrajectoryCSVError(f"{path}: not a trajectory CSV (bad header)")
     names = TRAJECTORY_HEADER.split(",")
-    cols: dict[str, list[float]] = {n: [] for n in names}
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != len(names):
-            raise ValueError(f"{path}: malformed row {line!r}")
-        for n, p in zip(names, parts):
-            cols[n].append(float(p))
-    out = {n: np.array(v) for n, v in cols.items()}
+    body = lines[1:]
+    data = None
+    if body:
+        try:
+            data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if data is None or data.shape != (len(body), len(names)):
+        # An empty body, or a row the one-call parse would not take (or
+        # skipped, as it does blank lines): parse row by row to name it.
+        rows = []
+        for lineno, line in enumerate(body, start=2):
+            try:
+                row = [float(p) for p in line.split(",")]
+            except ValueError:
+                row = []
+            if len(row) != len(names):
+                raise ValueError(f"{path}: line {lineno}: malformed row {line!r}")
+            rows.append(row)
+        data = np.array(rows).reshape(-1, len(names))
+    out = {n: data[:, i].copy() for i, n in enumerate(names)}
     out["k"] = out["k"].astype(int)
     return out
 
@@ -490,6 +516,10 @@ def render_svg(
     Non-finite points (and non-positive ones on log axes) are dropped
     per series.  Output is deterministic for identical inputs.
     """
+    # Imported here: html.entities adds ~0.4 MB and ~2 ms to every command
+    # that imports this module, and only plotting needs it.
+    from html import escape
+
     if not series:
         raise ValueError("render_svg requires at least one series")
 
@@ -521,10 +551,11 @@ def render_svg(
     if y0 == y1:
         y0, y1 = y0 - 1.0, y1 + 1.0
 
-    def px(v: float) -> float:
+    # Pixel coordinates, for a float or a whole array of values.
+    def px(v):
         return _ML + (v - x0) / (x1 - x0) * (_W - _ML - _MR)
 
-    def py(v: float) -> float:
+    def py(v):
         return _H - _MB - (v - y0) / (y1 - y0) * (_H - _MT - _MB)
 
     def tick_label(v: float, log: bool) -> str:
@@ -536,7 +567,7 @@ def render_svg(
     ]
     if title:
         parts.append(
-            f'<text x="{_W / 2:.1f}" y="24" text-anchor="middle" font-family="sans-serif" font-size="15">{title}</text>'
+            f'<text x="{_W / 2:.1f}" y="24" text-anchor="middle" font-family="sans-serif" font-size="15">{escape(title, quote=False)}</text>'
         )
     # Axes box and ticks.
     parts.append(
@@ -559,21 +590,21 @@ def render_svg(
     if xlabel:
         parts.append(
             f'<text x="{(_ML + _W - _MR) / 2:.1f}" y="{_H - 12}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">{xlabel}</text>'
+            f'font-family="sans-serif" font-size="13">{escape(xlabel, quote=False)}</text>'
         )
     if ylabel:
         parts.append(
             f'<text x="16" y="{(_MT + _H - _MB) / 2:.1f}" text-anchor="middle" font-family="sans-serif" '
-            f'font-size="13" transform="rotate(-90 16 {(_MT + _H - _MB) / 2:.1f})">{ylabel}</text>'
+            f'font-size="13" transform="rotate(-90 16 {(_MT + _H - _MB) / 2:.1f})">{escape(ylabel, quote=False)}</text>'
         )
     for i, (name, (xs, ys)) in enumerate(cleaned.items()):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(f"{px(v):.2f},{py(w):.2f}" for v, w in zip(tf(xs, logx), tf(ys, logy)))
+        pts = " ".join(_format_chunks("%.2f,%.2f", " ", np.column_stack([px(tf(xs, logx)), py(tf(ys, logy))])))
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>')
         ly = _MT + 16 + 16 * i
         parts.append(f'<line x1="{_ML + 10}" y1="{ly - 4}" x2="{_ML + 34}" y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
         parts.append(
-            f'<text x="{_ML + 40}" y="{ly}" font-family="sans-serif" font-size="12">{name}</text>'
+            f'<text x="{_ML + 40}" y="{ly}" font-family="sans-serif" font-size="12">{escape(name, quote=False)}</text>'
         )
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")
@@ -592,6 +623,8 @@ def _cmd_validate(args) -> int:
     schedule = build_schedule(cfg)
     sf_spec = build_sf(cfg)
     horizon = min(cfg.iterations, 100_000)
+    if horizon < 2:
+        raise ConfigError(f"validate: iterations must be >= 2 to give a horizon to check (got {cfg.iterations})")
     gating: list[ConditionReport] = list(validator.check_assumption2(schedule, horizon))
     out = [validator.format_reports(gating).rstrip("\n")]
 
@@ -715,8 +748,12 @@ def _cmd_envelope(args) -> int:
     profile = sf.moment_profile(sf_spec, cfg.iterations)
     checks = validator.check_theorem_case(profile, case, problem.B, problem.L, schedule, cfg.iterations)
     certified = all(r.holds for r in checks) and traj.certified
-    env = harness.trajectory_envelope(traj, case, sf_spec, schedule)
-    env.certified = certified
+    # A run that diverged before its first eval point past k = 0 has no
+    # point the envelope is defined at.
+    env = None
+    if (traj.eval_points >= 1).any():
+        env = harness.trajectory_envelope(traj, case, sf_spec, schedule)
+        env.certified = certified
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -753,7 +790,7 @@ def _cmd_plot(args) -> int:
     for f in files:
         try:
             cols = read_trajectory_csv(f)
-        except ValueError:
+        except NotTrajectoryCSVError:
             continue  # not a trajectory file (e.g. report.csv)
         series[f.stem] = (cols["k"].astype(float), cols["min_grad_sq"])
         if first:

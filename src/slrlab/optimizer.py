@@ -15,9 +15,11 @@ every trajectory.
 
 All seeds of a configuration are stepped together (:func:`run_batch`),
 with each seed's randomness drawn in blocks of steps from its own
-streams.  Block draws equal per-step draws bit for bit and every row is
-checked on its own, so a seed's trajectory does not depend on the batch
-it runs in; :func:`run` is the one-seed case.
+streams, and each block's eval points evaluated together.  Block draws
+equal per-step draws bit for bit, the eval oracle's rows are bitwise
+independent of the stack, and every row is checked on its own, so a
+seed's trajectory does not depend on the batch it runs in; :func:`run`
+is the one-seed case.
 """
 
 from __future__ import annotations
@@ -205,8 +207,10 @@ def run_batch(
 
     The iterates form an (S, d) array, one row per seed.  Each row draws
     from its own seed's streams, in blocks of steps, and is checked on
-    its own: a row that diverges stops there and is dropped from the
-    batch while the others go on.  Trajectory s is therefore bitwise
+    its own.  The iterates at a block's eval points are buffered and
+    evaluated in one oracle call after the block's steps.  A row that
+    diverges is truncated at its earliest event and dropped from the
+    batch at the end of the block while the others go on.  Trajectory s is therefore bitwise
     the one ``run(..., seed=seeds[s])`` returns, whatever the other
     seeds are.  ``x0`` (default: ones) must be finite.
     """
@@ -226,8 +230,11 @@ def run_batch(
         raise ValueError("need at least one seed")
 
     S = len(seeds)
+    d = problem.dim
     n_evals = iterations // eval_every + 1
-    block = max(1, min(BLOCK_STEPS, _BLOCK_VALUES // (S * problem.dim)))
+    # A block's eval buffer holds up to block + 1 iterates per row (the
+    # final point rides on the last block); both stay within the cap.
+    block = max(1, min(BLOCK_STEPS, _BLOCK_VALUES // (S * d) - 1))
     grad_rngs = [stream_generator(s, GRAD_STREAM) for s in seeds]
     sf_rngs = [stream_generator(s, SF_STREAM) for s in seeds]
     digests = [hashlib.sha256() for _ in seeds]
@@ -244,76 +251,80 @@ def run_batch(
     truncated_at: list[int | None] = [None] * S
     certified = np.ones(S, dtype=bool)
 
-    # The live batch: seed indices, iterates and running minima, and the
-    # current block's draws and step products eta_k * u_k.  ``cols``
+    # The live batch: seed indices, iterates and running minima.  ``cols``
     # addresses the live seeds' columns; a plain slice while all live.
     live = np.arange(S)
     cols: slice | np.ndarray = slice(None)
     X = np.tile(x, (S, 1))
     running_min = np.full(S, np.inf)
-    draws: np.ndarray | None = None
-    steps = np.empty((S, 0))
-
-    def flush(i: int, m: int) -> None:
-        # Feed live row i's first m draws of the block to its seed's digest.
-        if draws is not None and m > 0:
-            digests[live[i]].update(draws[i, :m].astype("<i8").tobytes()
-                                    if draws.dtype.kind == "i" else draws[i, :m].tobytes())
-
-    def retire(dead: np.ndarray, k_trunc: int, n_steps: int, n_recorded: int, m: int) -> None:
-        nonlocal live, cols, X, running_min, draws, steps
-        for i in np.flatnonzero(dead):
-            s = live[i]
-            truncated_at[s], executed[s], n_rec[s] = k_trunc, n_steps, n_recorded
-            certified[s] = False
-            flush(i, m)
-        keep = ~dead
-        live, X, running_min, steps = live[keep], X[keep], running_min[keep], steps[keep]
-        draws = None if draws is None else draws[keep]
-        cols = live
-
-    def record(k: int, m: int) -> None:
-        # Eval point k, reached after m steps of the current block.
-        nonlocal running_min
-        e = k // eval_every
-        f, g = pb.value_and_gradient_rows(problem, X)
-        g2 = pb.row_dot(g, g)
-        ok = np.isfinite(f)
-        if not ok.all():
-            g2[~ok] = np.nan
-        running_min = np.fmin(running_min, g2)
-        losses[e, cols], gnorms[e, cols], mins[e, cols] = f, g2, running_min
-        dead = ~ok | (f > LOSS_DIVERGENCE_LIMIT)
-        if dead.any():
-            retire(dead, k, k, e + 1, m)
+    never = iterations + 1
 
     for k0 in range(0, iterations, block):
         n = min(block, iterations - k0)
-        blocks = [pb.draw_block(problem, grad_rngs[s], n) for s in live]
-        draws = None if blocks[0] is None else np.stack(blocks)
+        # The per-seed list is dropped once stacked, so only one copy of
+        # the block's draws is held while it steps.
+        draws = [pb.draw_block(problem, grad_rngs[s], n) for s in live]
+        draws = None if draws[0] is None else np.stack(draws)
         u = sfmod.sample_block(sf_spec, k0, n, [sf_rngs[s] for s in live])
         u_series[cols, k0:k0 + n] = u
         steps = etas[k0:k0 + n] * u
-        for j in range(n):
-            k = k0 + j
-            if k % eval_every == 0:
-                record(k, j)
-                if not len(live):
-                    break
-            g = pb.stochastic_gradient_rows(problem, X, None if draws is None else draws[:, j])
-            X = X - steps[:, j, None] * g
-            if box is not None and ((X < box[0]).any() or (X > box[1]).any()):
-                certified[live[((X < box[0]) | (X > box[1])).any(axis=1)]] = False
-            if not np.isfinite(X).all():
-                retire(~np.isfinite(X).all(axis=1), k + 1, k + 1, k // eval_every + 1, j + 1)
-                if not len(live):
-                    break
+        # The block's eval points k0 <= k < k0 + n, plus the final point
+        # on the last block.  Their iterates are buffered as the block
+        # steps and evaluated together after it.
+        last = k0 + n == iterations
+        e0 = -(-k0 // eval_every)
+        e1 = (k0 + n - (not last)) // eval_every + 1
+        E = np.empty((e1 - e0, len(live), d))
+        # First k whose iterate is non-finite, per row.  A row steps on
+        # past its event to the end of the block; that work is discarded.
+        nonfinite_at = np.full(len(live), never)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(n):
+                k = k0 + j
+                if k % eval_every == 0:
+                    E[k // eval_every - e0] = X
+                g = pb.stochastic_gradient_rows(problem, X, None if draws is None else draws[:, j])
+                X = X - steps[:, j, None] * g
+                if box is not None and ((X < box[0]).any() or (X > box[1]).any()):
+                    certified[live[((X < box[0]) | (X > box[1])).any(axis=1)]] = False
+                if not np.isfinite(X).all():
+                    nonfinite_at[~np.isfinite(X).all(axis=1) & (nonfinite_at == never)] = k + 1
+            if last:
+                E[-1] = X
+            # One oracle call for the block's eval points; each row's bits
+            # do not depend on the stack.
+            f, G = pb.value_and_gradient_rows(problem, E.reshape(-1, d))
+            g2 = pb.row_dot(G, G)
+        loss_at = np.full(len(live), never)
+        if e1 > e0:
+            f, g2 = f.reshape(E.shape[:2]), g2.reshape(E.shape[:2])
+            ok = np.isfinite(f)
+            g2[~ok] = np.nan
+            run_mins = np.fmin.accumulate(np.vstack([running_min, g2]), axis=0)[1:]
+            losses[e0:e1, cols], gnorms[e0:e1, cols], mins[e0:e1, cols] = f, g2, run_mins
+            running_min = run_mins[-1]  # carried into the next block
+            over = ~ok | (f > LOSS_DIVERGENCE_LIMIT)
+            hit = over.any(axis=0)
+            loss_at[hit] = eval_every * (e0 + over[:, hit].argmax(axis=0))
+        # A row stops at its earliest event: the first eval over the loss
+        # limit, or the first non-finite iterate, which wins a tie (an
+        # eval at that k is not recorded).
+        stop = np.minimum(nonfinite_at, loss_at)
         for i in range(len(live)):
-            flush(i, n)
-        if not len(live):
-            break
-    if len(live):
-        record(iterations, 0)
+            s, k = live[i], int(stop[i])
+            m = n if k == never else k - k0
+            if draws is not None and m > 0:
+                digests[s].update(draws[i, :m].astype("<i8").tobytes()
+                                  if draws.dtype.kind == "i" else draws[i, :m].tobytes())
+            if k < never:
+                truncated_at[s], executed[s], certified[s] = k, k, False
+                n_rec[s] = (k - 1) // eval_every + 1 if nonfinite_at[i] == k else k // eval_every + 1
+        keep = stop == never
+        if not keep.all():
+            live, X, running_min = live[keep], X[keep], running_min[keep]
+            cols = live
+            if not len(live):
+                break
 
     ks = np.arange(0, iterations + 1, eval_every)
     sum_eta = np.concatenate(([0.0], np.cumsum(etas[:iterations])))[ks]

@@ -120,11 +120,11 @@ CASES = {
 SEEDS = list(range(8))
 
 
-def check_batch(case, iterations, eval_every):
-    problem, schedule, spec, x0, outcomes = CASES[case]
+def check_batch(case, iterations, eval_every, outcomes=None):
+    problem, schedule, spec, x0, case_outcomes = CASES[case]
     batch = optimizer.run_batch(problem, schedule, spec, iterations, eval_every, x0, seeds=SEEDS)
     assert [t.seed for t in batch] == SEEDS
-    assert {outcome(t) for t in batch} == outcomes
+    assert {outcome(t) for t in batch} == (case_outcomes if outcomes is None else outcomes)
     for seed, traj in zip(SEEDS, batch):
         alone = optimizer.run(problem, schedule, spec, iterations, eval_every, x0, seed=seed)
         expected = scalar_reference(problem, schedule, spec, iterations, eval_every, x0, seed)
@@ -158,3 +158,74 @@ def test_divergence_exactly_at_a_block_boundary(block, monkeypatch):
     monkeypatch.setattr(optimizer, "BLOCK_STEPS", block)
     batch = check_batch("rosenbrock", 200, 10)
     assert block in {t.truncated_at for t in batch}
+
+
+def first_events(case, iterations, eval_every, seed):
+    """(first eval k over the loss limit, first k with a non-finite iterate)
+    of a scalar run that never stops; None where there is none."""
+    problem, schedule, spec, x0, _ = CASES[case]
+    x = np.ones(problem.dim) if x0 is None else np.array(x0, dtype=float)
+    grad_rng = optimizer.stream_generator(seed, optimizer.GRAD_STREAM)
+    sf_rng = optimizer.stream_generator(seed, optimizer.SF_STREAM)
+    k_loss = k_nonfinite = None
+    for k in range(iterations + 1):
+        if k_nonfinite is None and not np.isfinite(x).all():
+            k_nonfinite = k
+        if k_loss is None and k % eval_every == 0:
+            f = problems.value_and_gradient_rows(problem, x[None])[0][0]
+            if not f <= optimizer.LOSS_DIVERGENCE_LIMIT:
+                k_loss = k
+        if k == iterations:
+            break
+        u_k = sf.sample_block(spec, k, 1, [sf_rng])[0, 0]
+        g = problems.stochastic_gradient_rows(problem, x[None], problems.draw_block(problem, grad_rng, 1))[0]
+        x = x - (optimizer.step_size(schedule, k) * u_k) * g
+    return k_loss, k_nonfinite
+
+
+@pytest.mark.parametrize("case, outcomes", [
+    ("quadratic", {"finished", "loss_limit"}),
+    ("rosenbrock", {"finished", "left_box", "loss_limit"}),
+    ("logreg", {"finished", "loss_limit"}),
+])
+def test_eval_every_step_with_short_blocks(case, outcomes, monkeypatch):
+    # Every k is an eval point, so a block of 7 steps buffers 7 iterates
+    # (8 on the last block, which carries the final point).
+    monkeypatch.setattr(optimizer, "BLOCK_STEPS", 7)
+    check_batch(case, 200, 1, outcomes)
+
+
+@pytest.mark.parametrize("case", ["quadratic", "logreg"])
+@pytest.mark.parametrize("iterations", [10, 200])
+def test_loss_limit_at_the_last_eval_point_of_a_block(case, iterations, monkeypatch):
+    # Blocks of 11 steps hold the eval points 0 and 10; a seed crosses the
+    # loss limit at k = 10.  With 10 iterations, k = 10 is also the final
+    # point, which the last block evaluates after its steps.
+    monkeypatch.setattr(optimizer, "BLOCK_STEPS", 11)
+    assert any(first_events(case, iterations, 10, s)[0] == 10 for s in SEEDS)
+    batch = check_batch(case, iterations, 10)
+    assert 10 in {t.truncated_at for t in batch if outcome(t) == "loss_limit"}
+
+
+@pytest.mark.parametrize("eval_every, order", [
+    (10, "loss limit first"), (10, "non-finite first"), (8, "tied"), (9, "tied"),
+])
+def test_loss_limit_and_nonfinite_iterate_in_one_block(eval_every, order, monkeypatch):
+    # A seed meets both events inside one 16-step block: the loss limit
+    # at an eval point and a non-finite iterate.  The earlier one stops
+    # the run; on a tie the non-finite iterate wins and that eval is not
+    # recorded.
+    block = 16
+    monkeypatch.setattr(optimizer, "BLOCK_STEPS", block)
+    iterations = 16 * eval_every
+    relation = {"loss limit first": lambda kl, kn: kl < kn,
+                "non-finite first": lambda kl, kn: kn < kl,
+                "tied": lambda kl, kn: kl == kn}[order]
+    events = [first_events("rosenbrock", iterations, eval_every, s) for s in SEEDS]
+    assert any(kl is not None and kn is not None and kl // block == (kn - 1) // block and relation(kl, kn)
+               for kl, kn in events)
+    batch = check_batch("rosenbrock", iterations, eval_every)
+    for (kl, kn), traj in zip(events, batch):
+        if kn is not None and kn <= kl:
+            assert outcome(traj) == "nonfinite_iterate" and traj.truncated_at == kn
+            assert traj.eval_points[-1] < kn

@@ -1,4 +1,7 @@
+import re
+import xml.etree.ElementTree as ET
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -194,6 +197,103 @@ def test_read_trajectory_csv_rejects_foreign_header(tmp_path):
         cli_io.read_trajectory_csv(p)
 
 
+# Values whose text or bits are easy to get wrong: signed zeros, the
+# smallest normal and subnormal doubles, the extremes, inf and nan.
+EDGE_VALUES = [0.0, -0.0, 1e-300, 5e-324, 2.2250738585072014e-308, 1.1125369292536007e-308,
+               np.inf, -np.inf, np.nan, 1e308, -1.7976931348623157e308, 0.1, 1.0 / 3.0, -2.5e-17]
+
+
+def _edge_columns(n, seed=0, limit=np.inf):
+    rng = np.random.default_rng(seed)
+    pool = np.array(EDGE_VALUES + list(rng.standard_normal(6) * 10.0 ** rng.integers(-20, 20, 6)))
+    pool = pool[~(np.abs(pool) > limit)]
+    return lambda: pool[rng.integers(len(pool), size=n)]
+
+
+def _edge_traj(n):
+    col = _edge_columns(n)
+    ks = np.arange(n) * 3
+    traj = SimpleNamespace(eval_points=ks, loss=col(), grad_norm_sq=col(), min_grad_sq=col(), g_series=col(),
+                           eta_eval=col(), u_eval=col(), sum_eta=col())
+    # The envelope covers every other recorded k >= 1, plus ks it does not match.
+    env_ks = np.concatenate([ks[1::2], [10**9]])
+    env = SimpleNamespace(ks=env_ks, values=_edge_columns(len(env_ks), seed=1)())
+    return traj, env
+
+
+def _reference_trajectory_csv(traj, case_env):
+    """The writer before whole-column formatting: one f-string per value."""
+    def f17(x):
+        return f"{float(x):.17g}"
+    ks = traj.eval_points
+    env_det = np.full(len(ks), np.inf)
+    pos = traj.sum_eta > 0
+    env_det[pos] = 1.0 / traj.sum_eta[pos]
+    case_vals = np.full(len(ks), np.nan)
+    lookup = {int(k): float(v) for k, v in zip(case_env.ks, case_env.values)}
+    for i, k in enumerate(ks):
+        if int(k) in lookup:
+            case_vals[i] = lookup[int(k)]
+    lines = [cli_io.TRAJECTORY_HEADER]
+    for i, k in enumerate(ks):
+        lines.append(",".join([str(int(k))] + [f17(c[i]) for c in (
+            traj.loss, traj.grad_norm_sq, traj.min_grad_sq, traj.g_series, traj.eta_eval,
+            traj.u_eval, traj.sum_eta, env_det, case_vals)]))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_read(path):
+    """The reader before the one-call parse: float() per field."""
+    lines = Path(path).read_text().splitlines()
+    names = lines[0].split(",")
+    rows = [[float(p) for p in line.split(",")] for line in lines[1:]]
+    return {n: np.array([r[i] for r in rows]) for i, n in enumerate(names)}
+
+
+# A subnormal sum_eta overflows envelope_det = 1/sum_eta to inf, as it should.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("n", [0, 1, 6, 7, 8, 22])
+def test_trajectory_csv_io_matches_per_value_code(n, tmp_path, monkeypatch):
+    # Chunks of 7 rows: row counts below, at and off a multiple of the chunk.
+    monkeypatch.setattr(cli_io, "_FORMAT_CHUNK", 7)
+    traj, env = _edge_traj(n)
+    p = tmp_path / "t.csv"
+    cli_io.write_trajectory_csv(traj, p, case_env=env)
+    assert p.read_text() == _reference_trajectory_csv(traj, env)
+    got, want = cli_io.read_trajectory_csv(p), _reference_read(p)
+    assert list(got) == list(want)
+    assert got["k"].dtype == int and got["k"].tolist() == want["k"].astype(int).tolist()
+    for name in list(want)[1:]:
+        assert got[name].dtype == np.float64 and got[name].tobytes() == want[name].tobytes(), name
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_trajectory_csv_io_at_the_default_chunk(tmp_path):
+    traj, env = _edge_traj(cli_io._FORMAT_CHUNK + 5)
+    p = tmp_path / "t.csv"
+    cli_io.write_trajectory_csv(traj, p, case_env=env)
+    assert p.read_text() == _reference_trajectory_csv(traj, env)
+    got, want = cli_io.read_trajectory_csv(p), _reference_read(p)
+    for name in list(want)[1:]:
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+@pytest.mark.parametrize("row", ["1,2", "0,1,1,1,1,1,1,1,1,1,1", "0,1,1,1,x,1,1,1,1,1", "", "0,1,1,1,1,1,1,1,1,"])
+def test_read_trajectory_csv_names_the_file_and_the_bad_row(row, tmp_path):
+    good = "0,1,1,1,1,1,1,1,inf,nan"
+    p = tmp_path / "t.csv"
+    p.write_text("\n".join([cli_io.TRAJECTORY_HEADER, good, row, good]) + "\n")
+    with pytest.raises(ValueError, match=f"t.csv: line 3: malformed row {row!r}"):
+        cli_io.read_trajectory_csv(p)
+
+
+def test_read_trajectory_csv_with_no_rows(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_text(cli_io.TRAJECTORY_HEADER + "\n")
+    cols = cli_io.read_trajectory_csv(p)
+    assert all(len(v) == 0 for v in cols.values()) and cols["k"].dtype == int
+
+
 def _small_report():
     pb = problems.make_quadratic(dim=2, cond=10.0, sigma=0.2)
     sched = StepSizeSchedule("inverse_k", 0.2)
@@ -249,6 +349,55 @@ def test_render_svg_drops_nonpositive_on_log_axes(tmp_path):
     with pytest.raises(ValueError):
         cli_io.render_svg({"a": (np.array([-1.0]), np.array([-1.0]))},
                           tmp_path / "neg.svg", logx=True, logy=True)
+
+
+def _reference_points(xs, ys, bounds):
+    """Polyline points before the array form: scalar pixel maps, one f-string per point."""
+    x0, x1, y0, y1 = bounds
+
+    def px(v):
+        return cli_io._ML + (v - x0) / (x1 - x0) * (cli_io._W - cli_io._ML - cli_io._MR)
+
+    def py(v):
+        return cli_io._H - cli_io._MB - (v - y0) / (y1 - y0) * (cli_io._H - cli_io._MT - cli_io._MB)
+
+    return " ".join(f"{px(v):.2f},{py(w):.2f}" for v, w in zip(xs, ys))
+
+
+@pytest.mark.parametrize("n", [1, 6, 7, 8, 22])
+@pytest.mark.parametrize("log", [False, True])
+def test_render_svg_points_match_per_point_code(n, log, tmp_path, monkeypatch):
+    monkeypatch.setattr(cli_io, "_FORMAT_CHUNK", 7)
+    # Two finite points pin the ranges; the rest are edge values, of which
+    # render_svg keeps the finite ones (and the positive ones on log axes).
+    # On linear axes values near the double limit would overflow the range.
+    col = _edge_columns(n + 2, seed=n, limit=np.inf if log else 1e300)
+    series = {}
+    for name in ("a", "b"):
+        xs, ys = col(), col()
+        xs[:2], ys[:2] = [1e-3, 1e3], [1e-6, 1e6]
+        series[name] = (xs, ys)
+    p = tmp_path / "plot.svg"
+    cli_io.render_svg(series, p, logx=log, logy=log)
+    kept = {}
+    for name, (xs, ys) in series.items():
+        keep = np.isfinite(xs) & np.isfinite(ys) & ((xs > 0) & (ys > 0) if log else True)
+        kept[name] = [np.log10(v[keep]) if log else v[keep] for v in (xs, ys)]
+    all_x = np.concatenate([v[0] for v in kept.values()])
+    all_y = np.concatenate([v[1] for v in kept.values()])
+    bounds = (float(all_x.min()), float(all_x.max()), float(all_y.min()), float(all_y.max()))
+    got = re.findall(r'<polyline [^>]* points="([^"]*)"/>', p.read_text())
+    assert got == [_reference_points(xs, ys, bounds) for xs, ys in kept.values()]
+
+
+def test_render_svg_escapes_text(tmp_path):
+    p = tmp_path / "plot.svg"
+    xs = np.array([1.0, 2.0])
+    cli_io.render_svg({"a&b": (xs, xs), "<c>": (xs, xs + 1)}, p,
+                      xlabel="k < n", ylabel="f & g", title="x > y & <z>")
+    root = ET.parse(p).getroot()
+    texts = {t.text for t in root.iter("{http://www.w3.org/2000/svg}text")}
+    assert {"a&b", "<c>", "k < n", "f & g", "x > y & <z>"} <= texts
 
 
 def _write_cfg(tmp_path, text=GOOD_CONFIG, name="cfg.txt"):
@@ -405,6 +554,24 @@ def test_cli_envelope_with_one_eval_interval_reports_diagnostic_unavailable(tmp_
     assert len(cli_io.read_trajectory_csv(out / "trajectory.csv")["k"]) == 2
 
 
+def test_cli_envelope_on_a_run_diverged_before_its_second_eval_point(tmp_path):
+    # eta = 1e300 overflows the iterate at k = 2, before the eval point
+    # k = 10, so only k = 0 is recorded and no envelope point exists.
+    cfg = (GOOD_CONFIG.replace("schedule.eta = 0.1", "schedule.eta = 1e300")
+           .replace("sf = uniform_root\nsf.c1 = 0.3\nsf.c2 = 0.8", "sf = constant\nsf.value = 1.0"))
+    out = tmp_path / "env"
+    assert cli_io.main(["envelope", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    assert "diagnostic = unavailable (run diverged at k=2)" in (out / "diagnostic.txt").read_text()
+    cols = cli_io.read_trajectory_csv(out / "trajectory.csv")
+    assert cols["k"].tolist() == [0] and np.isnan(cols["envelope_case"]).all()
+
+
+def test_cli_validate_with_one_iteration_names_the_key(tmp_path, capsys):
+    cfg = GOOD_CONFIG.replace("iterations = 100", "iterations = 1").replace("eval_every = 10", "eval_every = 1")
+    assert cli_io.main(["validate", "--config", _write_cfg(tmp_path, cfg)]) == 1
+    assert "iterations" in capsys.readouterr().err
+
+
 def test_cli_envelope_case_flag_overrides_config(tmp_path):
     cfg = GOOD_CONFIG.replace("theorem_case = case12\n", "")
     path = _write_cfg(tmp_path, cfg)
@@ -429,6 +596,32 @@ def test_cli_plot_from_directory(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert cli_io.main(["plot", "--in", str(empty), "--out", str(dst)]) == 1
+
+
+def test_cli_plot_fails_on_a_malformed_trajectory_csv(tmp_path, capsys):
+    path = _write_cfg(tmp_path, GOOD_CONFIG.replace("n_seeds = 3", "n_seeds = 2"))
+    out = tmp_path / "runs"
+    assert cli_io.main(["run", "--config", path, "--out", str(out)]) == 0
+    bad = out / "run_seed001.csv"
+    lines = bad.read_text().splitlines()
+    lines[3] += ",1"
+    bad.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli_io.main(["plot", "--in", str(out), "--out", str(tmp_path / "fig.svg")]) == 1
+    err = capsys.readouterr().err
+    assert "run_seed001.csv" in err and "line 4" in err
+    assert not (tmp_path / "fig.svg").exists()
+
+
+def test_cli_plot_escapes_file_names(tmp_path):
+    path = _write_cfg(tmp_path, GOOD_CONFIG.replace("n_seeds = 3", "n_seeds = 1"))
+    out = tmp_path / "runs"
+    assert cli_io.main(["run", "--config", path, "--out", str(out)]) == 0
+    (out / "run_seed000.csv").rename(out / "a&b.csv")
+    dst = tmp_path / "fig.svg"
+    assert cli_io.main(["plot", "--in", str(out), "--out", str(dst)]) == 0
+    root = ET.parse(dst).getroot()
+    assert "a&b" in {t.text for t in root.iter("{http://www.w3.org/2000/svg}text")}
 
 
 def test_cli_usage_errors_exit_two():
