@@ -11,10 +11,10 @@ comparison, all behind a deterministic CLI.
 
 from .harness import LittleODiagnostic, RateEnvelope, Verdict, envelope, envelope_series, gk_sequence, little_o_diagnostic
 from .lambert import lambert_w0, umslr_case_c_c2
-from .optimizer import StepSizeSchedule, Trajectory, run, run_batch, split_seed, step_size
+from .optimizer import StepSizeSchedule, Trajectory, run, run_arms, run_batch, split_seed, step_size
 from .problems import GradientSample, ProblemSpec, make_logreg_nonconvex, make_quadratic, make_rosenbrock
 from .sf import Direction, MomentProfile, SFSpec, moment_profile, sample
-from .stats import ComparisonReport, RunSet, bonferroni, compare, run_multi_seed, welch_t
+from .stats import ComparisonReport, RunSet, bonferroni, compare, run_multi_seed, run_paired, welch_t
 from .validator import ConditionReport, TheoremCase, acceleration_check, check_assumption2, check_theorem_case, classify_prop1
 
 __version__ = "0.1.0"
@@ -50,8 +50,10 @@ __all__ = [
     "make_rosenbrock",
     "moment_profile",
     "run",
+    "run_arms",
     "run_batch",
     "run_multi_seed",
+    "run_paired",
     "sample",
     "split_seed",
     "step_size",

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -551,12 +552,18 @@ def render_svg(
     if y0 == y1:
         y0, y1 = y0 - 1.0, y1 + 1.0
 
+    # A span past the double range (x1 - x0 = inf on a linear axis) is
+    # mapped at half scale, where differences of finite values cannot
+    # overflow; a finite span keeps scale 1.0, which changes no bit.
+    sx = 1.0 if math.isfinite(x1 - x0) else 0.5
+    sy = 1.0 if math.isfinite(y1 - y0) else 0.5
+
     # Pixel coordinates, for a float or a whole array of values.
     def px(v):
-        return _ML + (v - x0) / (x1 - x0) * (_W - _ML - _MR)
+        return _ML + (v * sx - x0 * sx) / (x1 * sx - x0 * sx) * (_W - _ML - _MR)
 
     def py(v):
-        return _H - _MB - (v - y0) / (y1 - y0) * (_H - _MT - _MB)
+        return _H - _MB - (v * sy - y0 * sy) / (y1 * sy - y0 * sy) * (_H - _MT - _MB)
 
     def tick_label(v: float, log: bool) -> str:
         return f"{10.0**v:.3g}" if log else f"{v:.4g}"
@@ -573,14 +580,14 @@ def render_svg(
     parts.append(
         f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" height="{_H - _MT - _MB}" fill="none" stroke="#333"/>'
     )
-    for t in np.linspace(x0, x1, 5):
+    for t in np.linspace(x0 * sx, x1 * sx, 5) / sx:
         xp = px(float(t))
         parts.append(f'<line x1="{xp:.2f}" y1="{_H - _MB}" x2="{xp:.2f}" y2="{_H - _MB + 5}" stroke="#333"/>')
         parts.append(
             f'<text x="{xp:.2f}" y="{_H - _MB + 18}" text-anchor="middle" font-family="sans-serif" font-size="11">'
             f"{tick_label(float(t), logx)}</text>"
         )
-    for t in np.linspace(y0, y1, 5):
+    for t in np.linspace(y0 * sy, y1 * sy, 5) / sy:
         yp = py(float(t))
         parts.append(f'<line x1="{_ML - 5}" y1="{yp:.2f}" x2="{_ML}" y2="{yp:.2f}" stroke="#333"/>')
         parts.append(
@@ -698,18 +705,15 @@ def _cmd_compare(args) -> int:
     problem = build_problem(cfg_a)
     schedule = build_schedule(cfg_a)
     checkpoints = None if cfg_a.checkpoints == "auto" else list(cfg_a.checkpoints)
-    set_a = stats.run_multi_seed(
-        problem, schedule, build_sf(cfg_a), cfg_a.iterations,
+    # Both arms step as one batch on one gradient draw per seed, so the
+    # pairing holds by construction; the digests are still compared as a
+    # guard.  A diverged run stops early and hashes only a prefix of its
+    # stream, so the digests are comparable only where neither arm diverged.
+    set_a, set_b = stats.run_paired(
+        problem, schedule, [build_sf(cfg_a), build_sf(cfg_b)], cfg_a.iterations,
         n_seeds=cfg_a.n_seeds, master_seed=cfg_a.master_seed,
         eval_every=cfg_a.eval_every, checkpoints=checkpoints,
     )
-    set_b = stats.run_multi_seed(
-        problem, schedule, build_sf(cfg_b), cfg_b.iterations,
-        n_seeds=cfg_b.n_seeds, master_seed=cfg_b.master_seed,
-        eval_every=cfg_b.eval_every, checkpoints=checkpoints,
-    )
-    # A diverged run stops early and hashes only a prefix of its stream,
-    # so the digests are comparable only where neither arm diverged.
     pairs = [(ta, tb) for ta, tb in zip(set_a.trajectories, set_b.trajectories)
              if not (ta.diverged or tb.diverged)]
     for ta, tb in pairs:

@@ -13,13 +13,15 @@ numpy PCG64 seeded through SeedSequence; within-version determinism is
 what the trajectories rely on, and the algorithm tag is recorded on
 every trajectory.
 
-All seeds of a configuration are stepped together (:func:`run_batch`),
-with each seed's randomness drawn in blocks of steps from its own
-streams, and each block's eval points evaluated together.  Block draws
-equal per-step draws bit for bit, the eval oracle's rows are bitwise
-independent of the stack, and every row is checked on its own, so a
-seed's trajectory does not depend on the batch it runs in; :func:`run`
-is the one-seed case.
+All seeds of every arm (one SF spec each) are stepped together
+(:func:`run_arms`), with each seed's randomness drawn in blocks of steps
+from its own streams, and each block's eval points evaluated together.
+A seed's gradient draws are drawn once and shared by its row in every
+arm, so paired arms consume the same gradient noise by construction.
+Block draws equal per-step draws bit for bit, the oracles' rows are
+bitwise independent of the stack, and every row is checked on its own,
+so a run does not depend on the batch it runs in; :func:`run_batch` is
+the one-arm case and :func:`run` the one-seed case.
 """
 
 from __future__ import annotations
@@ -168,7 +170,7 @@ class Trajectory:
 # Steps whose randomness is drawn in one block.  Block draws equal the
 # per-step draws bit for bit, so the length trades speed for memory and
 # never changes a result; the pre-drawn gradient randomness is further
-# capped at _BLOCK_VALUES doubles per arm.
+# capped at _BLOCK_VALUES doubles for the whole stack of rows.
 BLOCK_STEPS = 1024
 _BLOCK_VALUES = 1 << 17
 
@@ -203,16 +205,38 @@ def run_batch(
     *,
     seeds: Sequence[int],
 ) -> list[Trajectory]:
-    """Run one configuration under every seed, stepping all seeds together.
+    """Run one configuration under every seed: the one-arm case of :func:`run_arms`."""
+    return run_arms(problem, schedule, [sf_spec], iterations, eval_every, x0, seeds=seeds)[0]
 
-    The iterates form an (S, d) array, one row per seed.  Each row draws
-    from its own seed's streams, in blocks of steps, and is checked on
-    its own.  The iterates at a block's eval points are buffered and
-    evaluated in one oracle call after the block's steps.  A row that
-    diverges is truncated at its earliest event and dropped from the
-    batch at the end of the block while the others go on.  Trajectory s is therefore bitwise
-    the one ``run(..., seed=seeds[s])`` returns, whatever the other
-    seeds are.  ``x0`` (default: ones) must be finite.
+
+def _draw_bytes(draws: np.ndarray) -> bytes:
+    # What the stream digest hashes: indices as little-endian int64.
+    return (draws.astype("<i8") if draws.dtype.kind == "i" else draws).tobytes()
+
+
+def run_arms(
+    problem: pb.ProblemSpec,
+    schedule: StepSizeSchedule,
+    sf_specs: Sequence[sfmod.SFSpec],
+    iterations: int,
+    eval_every: int = 10,
+    x0: np.ndarray | None = None,
+    *,
+    seeds: Sequence[int],
+) -> list[list[Trajectory]]:
+    """Run every arm (one SF spec each) under every seed, all as one stack.
+
+    The iterates form an (A * S, d) array with one row per (arm, seed)
+    pair, arm-major.  Each seed's gradient randomness is drawn once per
+    block of steps and feeds that seed's row in every arm; each row
+    draws its factors from its own SF stream and is checked on its own.
+    The iterates at a block's eval points are buffered and evaluated in
+    one oracle call after the block's steps.  A row that diverges is
+    truncated at its earliest event and dropped from the stack at the
+    end of the block while the others go on.  Trajectory ``[a][s]`` is
+    therefore bitwise the one ``run(..., sf_specs[a], seed=seeds[s])``
+    returns, whatever the other rows are.  ``x0`` (default: ones) must
+    be finite.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -228,46 +252,63 @@ def run_batch(
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ValueError("need at least one seed")
+    sf_specs = list(sf_specs)
+    if not sf_specs:
+        raise ValueError("need at least one SF spec")
 
     S = len(seeds)
+    R = len(sf_specs) * S
     d = problem.dim
     n_evals = iterations // eval_every + 1
     # A block's eval buffer holds up to block + 1 iterates per row (the
     # final point rides on the last block); both stay within the cap.
-    block = max(1, min(BLOCK_STEPS, _BLOCK_VALUES // (S * d) - 1))
+    block = max(1, min(BLOCK_STEPS, _BLOCK_VALUES // (R * d) - 1))
+    seed_of = np.tile(np.arange(S), len(sf_specs))
     grad_rngs = [stream_generator(s, GRAD_STREAM) for s in seeds]
-    sf_rngs = [stream_generator(s, SF_STREAM) for s in seeds]
-    digests = [hashlib.sha256() for _ in seeds]
+    sf_rngs = [stream_generator(seeds[s], SF_STREAM) for s in seed_of]
+    # One digest per seed covers the draws up to the end of the last block
+    # a row of that seed completed; a row that stops inside a block
+    # finishes a copy of it over its own executed prefix.
+    seed_digests = [hashlib.sha256() for _ in seeds]
+    digests: list[str | None] = [None] * R
     box = problem.domain_box
     etas = step_sizes(schedule, iterations + 1)
 
-    # Per seed: recorded evals, executed steps, truncation point, box status.
-    losses = np.empty((n_evals, S))
-    gnorms = np.empty((n_evals, S))
-    mins = np.empty((n_evals, S))
-    u_series = np.empty((S, iterations))
-    n_rec = np.full(S, n_evals)
-    executed = np.full(S, iterations)
-    truncated_at: list[int | None] = [None] * S
-    certified = np.ones(S, dtype=bool)
+    # Per row: recorded evals, executed steps, truncation point, box status.
+    # One row per (arm, seed), so a trajectory's series are views of it.
+    losses = np.empty((R, n_evals))
+    gnorms = np.empty((R, n_evals))
+    mins = np.empty((R, n_evals))
+    u_series = np.empty((R, iterations))
+    n_rec = np.full(R, n_evals)
+    executed = np.full(R, iterations)
+    truncated_at: list[int | None] = [None] * R
+    certified = np.ones(R, dtype=bool)
 
-    # The live batch: seed indices, iterates and running minima.  ``cols``
-    # addresses the live seeds' columns; a plain slice while all live.
-    live = np.arange(S)
-    cols: slice | np.ndarray = slice(None)
-    X = np.tile(x, (S, 1))
-    running_min = np.full(S, np.inf)
+    # The live stack: row indices (sorted, so each arm's rows are one
+    # run), iterates and running minima.  ``rows`` addresses the live
+    # rows; a plain slice while all live.
+    live = np.arange(R)
+    rows: slice | np.ndarray = slice(None)
+    X = np.tile(x, (R, 1))
+    running_min = np.full(R, np.inf)
     never = iterations + 1
 
     for k0 in range(0, iterations, block):
         n = min(block, iterations - k0)
-        # The per-seed list is dropped once stacked, so only one copy of
-        # the block's draws is held while it steps.
-        draws = [pb.draw_block(problem, grad_rngs[s], n) for s in live]
-        draws = None if draws[0] is None else np.stack(draws)
-        u = sfmod.sample_block(sf_spec, k0, n, [sf_rngs[s] for s in live])
-        u_series[cols, k0:k0 + n] = u
-        steps = etas[k0:k0 + n] * u
+        blocks = {s: pb.draw_block(problem, grad_rngs[s], n) for s in set(seed_of[live].tolist())}
+        # Step j's draws for every live row, (n, rows, ...): a seed's block
+        # is repeated for its row in each arm.
+        draws = None
+        if next(iter(blocks.values())) is not None:
+            draws = np.stack([blocks[s] for s in seed_of[live]], axis=1)
+        u = np.empty((len(live), n))
+        edges = np.searchsorted(live, S * np.arange(len(sf_specs) + 1))
+        for spec, lo, hi in zip(sf_specs, edges[:-1], edges[1:]):
+            if hi > lo:
+                u[lo:hi] = sfmod.sample_block(spec, k0, n, [sf_rngs[r] for r in live[lo:hi]])
+        u_series[rows, k0:k0 + n] = u
+        steps = (etas[k0:k0 + n] * u).T[:, :, None]
         # The block's eval points k0 <= k < k0 + n, plus the final point
         # on the last block.  Their iterates are buffered as the block
         # steps and evaluated together after it.
@@ -275,20 +316,33 @@ def run_batch(
         e0 = -(-k0 // eval_every)
         e1 = (k0 + n - (not last)) // eval_every + 1
         E = np.empty((e1 - e0, len(live), d))
-        # First k whose iterate is non-finite, per row.  A row steps on
-        # past its event to the end of the block; that work is discarded.
-        nonfinite_at = np.full(len(live), never)
+        X_start = X
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(n):
                 k = k0 + j
                 if k % eval_every == 0:
                     E[k // eval_every - e0] = X
-                g = pb.stochastic_gradient_rows(problem, X, None if draws is None else draws[:, j])
-                X = X - steps[:, j, None] * g
+                X = X - steps[j] * pb.stochastic_gradient_rows(problem, X, None if draws is None else draws[j])
                 if box is not None and ((X < box[0]).any() or (X > box[1]).any()):
                     certified[live[((X < box[0]) | (X > box[1])).any(axis=1)]] = False
-                if not np.isfinite(X).all():
-                    nonfinite_at[~np.isfinite(X).all(axis=1) & (nonfinite_at == never)] = k + 1
+            # First k whose iterate is non-finite, per row.  A non-finite
+            # entry stays non-finite under x - s * g whatever g is, so a
+            # row finite at the block's end was finite at every step.  The
+            # others are replayed from the block's start on the same draws,
+            # checked every step; the oracles treat each row on its own, so
+            # the replay gives the same bits.  The steps a row took past
+            # its event are discarded.
+            nonfinite_at = np.full(len(live), never)
+            bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+            Y = X_start[bad]
+            for j in range(n):
+                if not len(bad):
+                    break
+                Y = Y - steps[j, bad] * pb.stochastic_gradient_rows(
+                    problem, Y, None if draws is None else draws[j, bad])
+                hit = ~np.isfinite(Y).all(axis=1)
+                nonfinite_at[bad[hit]] = k0 + j + 1
+                bad, Y = bad[~hit], Y[~hit]
             if last:
                 E[-1] = X
             # One oracle call for the block's eval points; each row's bits
@@ -301,7 +355,7 @@ def run_batch(
             ok = np.isfinite(f)
             g2[~ok] = np.nan
             run_mins = np.fmin.accumulate(np.vstack([running_min, g2]), axis=0)[1:]
-            losses[e0:e1, cols], gnorms[e0:e1, cols], mins[e0:e1, cols] = f, g2, run_mins
+            losses[rows, e0:e1], gnorms[rows, e0:e1], mins[rows, e0:e1] = f.T, g2.T, run_mins.T
             running_min = run_mins[-1]  # carried into the next block
             over = ~ok | (f > LOSS_DIVERGENCE_LIMIT)
             hit = over.any(axis=0)
@@ -310,47 +364,53 @@ def run_batch(
         # limit, or the first non-finite iterate, which wins a tie (an
         # eval at that k is not recorded).
         stop = np.minimum(nonfinite_at, loss_at)
-        for i in range(len(live)):
-            s, k = live[i], int(stop[i])
-            m = n if k == never else k - k0
-            if draws is not None and m > 0:
-                digests[s].update(draws[i, :m].astype("<i8").tobytes()
-                                  if draws.dtype.kind == "i" else draws[i, :m].tobytes())
-            if k < never:
-                truncated_at[s], executed[s], certified[s] = k, k, False
-                n_rec[s] = (k - 1) // eval_every + 1 if nonfinite_at[i] == k else k // eval_every + 1
         keep = stop == never
+        for i in np.flatnonzero(~keep):
+            r, k = live[i], int(stop[i])
+            h = seed_digests[seed_of[r]].copy()
+            if draws is not None and k > k0:
+                h.update(_draw_bytes(blocks[seed_of[r]][:k - k0]))
+            digests[r] = h.hexdigest()
+            truncated_at[r], executed[r], certified[r] = k, k, False
+            n_rec[r] = (k - 1) // eval_every + 1 if nonfinite_at[i] == k else k // eval_every + 1
+        if draws is not None:
+            for s in set(seed_of[live[keep]].tolist()):
+                seed_digests[s].update(_draw_bytes(blocks[s]))
         if not keep.all():
             live, X, running_min = live[keep], X[keep], running_min[keep]
-            cols = live
+            rows = live
             if not len(live):
                 break
 
     ks = np.arange(0, iterations + 1, eval_every)
     sum_eta = np.concatenate(([0.0], np.cumsum(etas[:iterations])))[ks]
-    digest = config_digest(problem, schedule, sf_spec, iterations, eval_every)
     out = []
-    for s, seed in enumerate(seeds):
-        c, ex = n_rec[s], executed[s]
-        u_eval = np.full(c, np.nan)
-        stepped = ks[:c] < ex
-        u_eval[stepped] = u_series[s, ks[:c][stepped]]
-        out.append(Trajectory(
-            eval_points=ks[:c].copy(),
-            loss=losses[:c, s].copy(),
-            grad_norm_sq=gnorms[:c, s].copy(),
-            min_grad_sq=mins[:c, s].copy(),
-            sum_eta=sum_eta[:c].copy(),
-            eta_eval=etas[ks[:c]],
-            u_eval=u_eval,
-            u_series=u_series[s, :ex],
-            iterations=iterations,
-            eval_every=eval_every,
-            seed=seed,
-            config_digest=digest,
-            certified=bool(certified[s]),
-            diverged=truncated_at[s] is not None,
-            truncated_at=truncated_at[s],
-            grad_stream_digest=digests[s].hexdigest(),
-        ))
+    for a, sf_spec in enumerate(sf_specs):
+        digest = config_digest(problem, schedule, sf_spec, iterations, eval_every)
+        arm = []
+        for s, seed in enumerate(seeds):
+            r = a * S + s
+            c, ex = n_rec[r], executed[r]
+            u_eval = np.full(c, np.nan)
+            stepped = ks[:c] < ex
+            u_eval[stepped] = u_series[r, ks[:c][stepped]]
+            arm.append(Trajectory(
+                eval_points=ks[:c].copy(),
+                loss=losses[r, :c],
+                grad_norm_sq=gnorms[r, :c],
+                min_grad_sq=mins[r, :c],
+                sum_eta=sum_eta[:c].copy(),
+                eta_eval=etas[ks[:c]],
+                u_eval=u_eval,
+                u_series=u_series[r, :ex],
+                iterations=iterations,
+                eval_every=eval_every,
+                seed=seed,
+                config_digest=digest,
+                certified=bool(certified[r]),
+                diverged=truncated_at[r] is not None,
+                truncated_at=truncated_at[r],
+                grad_stream_digest=digests[r] or seed_digests[s].hexdigest(),
+            ))
+        out.append(arm)
     return out

@@ -96,6 +96,18 @@ def variance(spec: SFSpec, k: int) -> float:
     return (hi - lo) ** 2 / 12.0
 
 
+def _block_bounds(spec: SFSpec, k0: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """uniform_root supports for k = k0..k0+n-1, bitwise :func:`support_bounds`.
+
+    The exponents 1/(k+1) are exact divisions either way; the powers
+    are the scalar ``float.__pow__`` (C ``pow``) mapped over them,
+    because a numpy array power may use a vector routine that rounds
+    differently.
+    """
+    e = (1.0 / np.arange(k0 + 1.0, k0 + n + 1.0)).tolist()
+    return tuple(np.fromiter(map(float(c).__pow__, e), float, n) for c in (spec.c1, spec.c2))
+
+
 def sample_block(spec: SFSpec, k0: int, n: int, rngs: list[np.random.Generator]) -> np.ndarray:
     """Draws of u_k for k = k0..k0+n-1, one row per generator, shape (len(rngs), n).
 
@@ -103,12 +115,11 @@ def sample_block(spec: SFSpec, k0: int, n: int, rngs: list[np.random.Generator])
     consumes one double-precision uniform per draw, mapped onto the
     support by inverse transform, so each row equals n successive
     single draws from its generator bit for bit and always lies inside
-    the closed support.  The bounds are the Python floats of
-    :func:`support_bounds`: a numpy array power rounds differently.
+    the closed support.
     """
     if spec.kind == CONSTANT:
         return np.full((len(rngs), n), spec.value)
-    lo, hi = np.array([support_bounds(spec, k) for k in range(k0, k0 + n)]).T
+    lo, hi = _block_bounds(spec, k0, n)
     return lo + (hi - lo) * np.array([rng.random(n) for rng in rngs])
 
 

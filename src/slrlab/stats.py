@@ -25,7 +25,7 @@ import numpy as np
 
 from . import problems as pb
 from . import sf as sfmod
-from .optimizer import StepSizeSchedule, Trajectory, config_digest, run_batch, split_seed
+from .optimizer import StepSizeSchedule, Trajectory, config_digest, run_arms, split_seed
 
 _BETA_EPS = 1e-14
 _BETA_FPMIN = 1e-300
@@ -184,10 +184,27 @@ def run_multi_seed(
     eval_every: int = 10,
     checkpoints: list[int] | None = None,
 ) -> RunSet:
-    """Run one configuration under n_seeds split seeds.
+    """Run one configuration under n_seeds split seeds: the one-arm case of :func:`run_paired`."""
+    return run_paired(problem, schedule, [sf_spec], iterations, n_seeds, master_seed, eval_every, checkpoints)[0]
 
-    Seed i is split_seed(master_seed, i); the split is collision-checked
-    so the set never silently contains duplicate streams.
+
+def run_paired(
+    problem: pb.ProblemSpec,
+    schedule: StepSizeSchedule,
+    sf_specs: list[sfmod.SFSpec],
+    iterations: int,
+    n_seeds: int = 40,
+    master_seed: int = 0,
+    eval_every: int = 10,
+    checkpoints: list[int] | None = None,
+) -> list[RunSet]:
+    """One run set per SF spec, all under the same n_seeds split seeds.
+
+    The arms step as one batch (:func:`optimizer.run_arms`) on one
+    gradient draw per seed, so seed i sees the same gradient noise in
+    every arm.  Seed i is split_seed(master_seed, i); the split is
+    collision-checked so the set never silently contains duplicate
+    streams.
     """
     if n_seeds < 2:
         raise ValueError("n_seeds must be >= 2")
@@ -199,16 +216,19 @@ def run_multi_seed(
     for k in checkpoints:
         if k % eval_every != 0 or not (0 <= k <= iterations):
             raise ValueError(f"checkpoint {k} is not a valid eval point")
-    trajectories = run_batch(problem, schedule, sf_spec, iterations, eval_every=eval_every, seeds=seeds)
-    return RunSet(
-        config_digest=config_digest(problem, schedule, sf_spec, iterations, eval_every),
-        iterations=iterations,
-        eval_every=eval_every,
-        master_seed=int(master_seed),
-        seeds=seeds,
-        trajectories=trajectories,
-        checkpoints=list(checkpoints),
-    )
+    arms = run_arms(problem, schedule, sf_specs, iterations, eval_every=eval_every, seeds=seeds)
+    return [
+        RunSet(
+            config_digest=config_digest(problem, schedule, sf_spec, iterations, eval_every),
+            iterations=iterations,
+            eval_every=eval_every,
+            master_seed=int(master_seed),
+            seeds=seeds,
+            trajectories=trajectories,
+            checkpoints=list(checkpoints),
+        )
+        for sf_spec, trajectories in zip(sf_specs, arms)
+    ]
 
 
 METRICS = ("loss", "min_grad_sq")

@@ -1,8 +1,10 @@
 """A seed's run does not depend on the batch it is stepped in.
 
-``run_batch`` steps every seed of an arm as one (S, d) array and draws
-randomness in blocks of steps.  Each seed's trajectory must be bitwise
-the one ``run(seed=s)`` gives alone, and the one a plain scalar loop
+``run_arms`` steps every (arm, seed) pair as one row of an array, with
+each seed's gradient randomness drawn once per block of steps and shared
+by its row in every arm; ``run_batch`` is its one-arm case.  Each
+trajectory must be bitwise the one ``run_batch`` gives for its arm
+alone, the one ``run(seed=s)`` gives, and the one a plain scalar loop
 gives: one ``sf.sample``, one ``stochastic_gradient`` and one update
 ``x - (eta_k * u_k) * g`` per step.  The batches below mix seeds that
 finish, seeds that diverge (by the loss limit at an eval point, or by a
@@ -10,6 +12,7 @@ non-finite iterate) and, on Rosenbrock, seeds that leave the certified
 box.
 """
 
+import dataclasses
 import hashlib
 import struct
 
@@ -164,6 +167,11 @@ def first_events(case, iterations, eval_every, seed):
     """(first eval k over the loss limit, first k with a non-finite iterate)
     of a scalar run that never stops; None where there is none."""
     problem, schedule, spec, x0, _ = CASES[case]
+    return events(problem, schedule, spec, x0, iterations, eval_every, seed)
+
+
+def events(problem, schedule, spec, x0, iterations, eval_every, seed):
+    """:func:`first_events` for any configuration."""
     x = np.ones(problem.dim) if x0 is None else np.array(x0, dtype=float)
     grad_rng = optimizer.stream_generator(seed, optimizer.GRAD_STREAM)
     sf_rng = optimizer.stream_generator(seed, optimizer.SF_STREAM)
@@ -229,3 +237,132 @@ def test_loss_limit_and_nonfinite_iterate_in_one_block(eval_every, order, monkey
         if kn is not None and kn <= kl:
             assert outcome(traj) == "nonfinite_iterate" and traj.truncated_at == kn
             assert traj.eval_points[-1] < kn
+
+
+# ---------------------------------------------------------------------------
+# Several arms in one stack
+
+
+def check_arms(problem, schedule, specs, iterations, eval_every, x0=None, seeds=SEEDS):
+    """run_arms against run_batch per arm and the scalar loop per row."""
+    arms = optimizer.run_arms(problem, schedule, specs, iterations, eval_every, x0, seeds=seeds)
+    assert len(arms) == len(specs)
+    for spec, arm in zip(specs, arms):
+        alone = optimizer.run_batch(problem, schedule, spec, iterations, eval_every, x0, seeds=seeds)
+        assert [t.seed for t in arm] == list(seeds)
+        for seed, traj, single in zip(seeds, arm, alone):
+            expected = scalar_reference(problem, schedule, spec, iterations, eval_every, x0, seed)
+            assert_bitwise(traj, expected)
+            assert_bitwise(single, expected)
+            assert traj.config_digest == single.config_digest
+    return arms
+
+
+EXTRA_ARMS = [sf.constant(0.05), sf.uniform_root(0.3, 0.8)]
+
+
+@pytest.mark.parametrize("n_arms", [2, 3])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_arms_match_per_arm_runs_and_scalar_loop(case, n_arms, monkeypatch):
+    # Blocks of 7 steps against evals every 10.  The case's own factor
+    # makes some seeds diverge; the same seeds go on in the other arms.
+    monkeypatch.setattr(optimizer, "BLOCK_STEPS", 7)
+    problem, schedule, spec, x0, outcomes = CASES[case]
+    arms = check_arms(problem, schedule, [spec, *EXTRA_ARMS][:n_arms], 200, 10, x0)
+    assert {outcome(t) for t in arms[0]} == outcomes
+    assert any(a.diverged and not b.diverged for a, b in zip(arms[0], arms[1]))
+
+
+def test_arms_with_full_blocks_and_a_partial_last_block():
+    problem, schedule, spec, x0, _ = CASES["rosenbrock"]
+    check_arms(problem, schedule, [sf.constant(1.0), spec], 2500, 10, x0)
+
+
+def test_compare_config_where_one_arm_diverges():
+    # The config that once made `compare` exit 2: every seed diverges with
+    # the unit factor and none with the factor 0.001.
+    problem = problems.make_quadratic(dim=4, cond=10.0, sigma=0.1)
+    seeds = [optimizer.split_seed(0, i) for i in range(4)]
+    arms = check_arms(problem, StepSizeSchedule("inverse_k", 50.0), [sf.constant(1.0), sf.constant(0.001)],
+                      1000, 10, seeds=seeds)
+    assert all(t.diverged for t in arms[0]) and not any(t.diverged for t in arms[1])
+
+
+@pytest.mark.parametrize("position", ["first", "last"])
+def test_an_arm_in_which_every_seed_diverges(position, monkeypatch):
+    # The arm runs out of rows in the first blocks; the other arms step
+    # on without it, on both sides of it in the stack.
+    monkeypatch.setattr(optimizer, "BLOCK_STEPS", 7)
+    problem, schedule, _, _, _ = CASES["quadratic"]
+    doomed = sf.uniform_root(50.0, 60.0)
+    specs = [doomed, *EXTRA_ARMS] if position == "first" else [*EXTRA_ARMS, doomed]
+    arms = check_arms(problem, schedule, specs, 200, 10)
+    by_spec = dict(zip(specs, arms))
+    assert all(t.diverged and t.truncated_at < 14 for t in by_spec[doomed])
+    assert not any(t.diverged for spec in EXTRA_ARMS for t in by_spec[spec])
+
+
+# A one-dimensional quadratic with unit curvature and x0 = 100: a constant
+# factor u = 10**e (eta = 1) multiplies the iterate by about -10**e per
+# step, so the first non-finite iterate is x_t for the first t with
+# 2 + e * t > 308.25.
+BLOW_UP = (problems.make_quadratic(dim=1, cond=1.0, sigma=0.1), StepSizeSchedule("constant", 1.0),
+           np.array([100.0]))
+BLOW_UP_AT = {1: 307.0, 8: 41.0, 11: 29.0, 14: 22.7}
+
+
+def blow_up_arms():
+    return [sf.constant(10.0 ** e) for e in BLOW_UP_AT.values()] + [sf.constant(0.5)]
+
+
+def test_first_nonfinite_iterate_at_each_offset_of_a_block(monkeypatch):
+    # With 7-step blocks the iterate first turns non-finite at the first
+    # step of the first block (t = 1), the first step of the second (t = 8),
+    # a middle step (t = 11) and its last step (t = 14).  The only eval
+    # points are k = 0 and the final k = 21, so the loss limit plays no part.
+    monkeypatch.setattr(optimizer, "BLOCK_STEPS", 7)
+    problem, schedule, x0 = BLOW_UP
+    specs = blow_up_arms()
+    for t, spec in zip(BLOW_UP_AT, specs):
+        assert events(problem, schedule, spec, x0, 21, 21, 0) == (21, t)
+    arms = check_arms(problem, schedule, specs, 21, 21, x0, seeds=SEEDS[:3])
+    for t, arm in zip(BLOW_UP_AT, arms):
+        assert [(outcome(tr), tr.truncated_at) for tr in arm] == [("nonfinite_iterate", t)] * 3
+    assert not any(tr.diverged for tr in arms[-1])
+
+
+def test_first_nonfinite_iterate_decided_by_each_seeds_own_draws(monkeypatch):
+    # With a noise scale of 1e308 (past what make_quadratic certifies, so
+    # set on the payload) a draw overflows to inf when |xi| > 1.797, and
+    # the iterate turns non-finite at that step: each seed's first event
+    # falls at its own offset of a 7-step block, so a replay that read
+    # another row's draws would find another k.
+    monkeypatch.setattr(optimizer, "BLOCK_STEPS", 7)
+    problem = problems.make_quadratic(dim=1, cond=1.0, sigma=1.0)
+    problem = dataclasses.replace(problem, payload=dict(problem.payload, sigma=1e308))
+    schedule = StepSizeSchedule("constant", 1.0)
+    arms = check_arms(problem, schedule, [sf.constant(1.0), sf.uniform_root(0.3, 0.8)], 21, 21)
+    stops = [t.truncated_at for arm in arms for t in arm]
+    assert all(outcome(t) == "nonfinite_iterate" for arm in arms for t in arm if t.diverged)
+    assert len({k % 7 for k in stops if k is not None}) >= 3
+
+
+@pytest.mark.parametrize("eval_every, scenario", [
+    (7, "loss limit first"), (3, "non-finite first"), (1, "tied"),
+])
+def test_loss_limit_and_nonfinite_iterate_in_one_block_across_arms(eval_every, scenario, monkeypatch):
+    # In 7-step blocks, rows of different arms meet both events in one
+    # block: the loss limit at an eval point and a non-finite iterate.
+    # The earlier one stops the row; on a tie the non-finite iterate wins.
+    monkeypatch.setattr(optimizer, "BLOCK_STEPS", 7)
+    problem, schedule, x0 = BLOW_UP
+    specs = blow_up_arms()
+    arms = check_arms(problem, schedule, specs, 21, eval_every, x0, seeds=SEEDS[:3])
+    in_one_block = set()
+    for spec, arm in zip(specs[:-1], arms):
+        kl, kn = events(problem, schedule, spec, x0, 21, eval_every, 0)
+        if kl // 7 == (kn - 1) // 7:
+            in_one_block.add("tied" if kl == kn else "loss limit first" if kl < kn else "non-finite first")
+        want = ("nonfinite_iterate", kn) if kn <= kl else ("loss_limit", kl)
+        assert {(outcome(t), t.truncated_at) for t in arm} == {want}
+    assert in_one_block == {scenario}

@@ -1,4 +1,6 @@
+import math
 import re
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from types import SimpleNamespace
@@ -352,14 +354,18 @@ def test_render_svg_drops_nonpositive_on_log_axes(tmp_path):
 
 
 def _reference_points(xs, ys, bounds):
-    """Polyline points before the array form: scalar pixel maps, one f-string per point."""
+    """Polyline points before the array form: scalar pixel maps, one f-string per point.
+
+    A span past the double range is mapped at half scale."""
     x0, x1, y0, y1 = bounds
+    sx = 1.0 if math.isfinite(x1 - x0) else 0.5
+    sy = 1.0 if math.isfinite(y1 - y0) else 0.5
 
     def px(v):
-        return cli_io._ML + (v - x0) / (x1 - x0) * (cli_io._W - cli_io._ML - cli_io._MR)
+        return cli_io._ML + (v * sx - x0 * sx) / (x1 * sx - x0 * sx) * (cli_io._W - cli_io._ML - cli_io._MR)
 
     def py(v):
-        return cli_io._H - cli_io._MB - (v - y0) / (y1 - y0) * (cli_io._H - cli_io._MT - cli_io._MB)
+        return cli_io._H - cli_io._MB - (v * sy - y0 * sy) / (y1 * sy - y0 * sy) * (cli_io._H - cli_io._MT - cli_io._MB)
 
     return " ".join(f"{px(v):.2f},{py(w):.2f}" for v, w in zip(xs, ys))
 
@@ -368,17 +374,20 @@ def _reference_points(xs, ys, bounds):
 @pytest.mark.parametrize("log", [False, True])
 def test_render_svg_points_match_per_point_code(n, log, tmp_path, monkeypatch):
     monkeypatch.setattr(cli_io, "_FORMAT_CHUNK", 7)
-    # Two finite points pin the ranges; the rest are edge values, of which
-    # render_svg keeps the finite ones (and the positive ones on log axes).
-    # On linear axes values near the double limit would overflow the range.
-    col = _edge_columns(n + 2, seed=n, limit=np.inf if log else 1e300)
+    # Two finite points pin the ranges; the rest are edge values over the
+    # whole double range, of which render_svg keeps the finite ones (and
+    # the positive ones on log axes).  On linear axes the values near the
+    # double limit make x1 - x0 overflow for most n here.
+    col = _edge_columns(n + 2, seed=n)
     series = {}
     for name in ("a", "b"):
         xs, ys = col(), col()
         xs[:2], ys[:2] = [1e-3, 1e3], [1e-6, 1e6]
         series[name] = (xs, ys)
     p = tmp_path / "plot.svg"
-    cli_io.render_svg(series, p, logx=log, logy=log)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cli_io.render_svg(series, p, logx=log, logy=log)
     kept = {}
     for name, (xs, ys) in series.items():
         keep = np.isfinite(xs) & np.isfinite(ys) & ((xs > 0) & (ys > 0) if log else True)
@@ -388,6 +397,24 @@ def test_render_svg_points_match_per_point_code(n, log, tmp_path, monkeypatch):
     bounds = (float(all_x.min()), float(all_x.max()), float(all_y.min()), float(all_y.max()))
     got = re.findall(r'<polyline [^>]* points="([^"]*)"/>', p.read_text())
     assert got == [_reference_points(xs, ys, bounds) for xs, ys in kept.values()]
+    coords = np.array([float(c) for pts in got for c in re.split("[ ,]", pts)]).reshape(-1, 2)
+    assert ((coords[:, 0] >= cli_io._ML) & (coords[:, 0] <= cli_io._W - cli_io._MR)).all()
+    assert ((coords[:, 1] >= cli_io._MT) & (coords[:, 1] <= cli_io._H - cli_io._MB)).all()
+
+
+def test_render_svg_maps_a_span_past_the_double_range(tmp_path):
+    # -1.797e308 to 1e308 on both linear axes: x1 - x0 overflows, and the
+    # points used to be written as nan,nan with a RuntimeWarning.
+    p = tmp_path / "plot.svg"
+    v = np.array([-1.7976931348623157e308, 0.0, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cli_io.render_svg({"a": (v, v[::-1].copy())}, p)
+    text = p.read_text()
+    assert re.findall(r'points="([^"]*)"', text) == ["72.00,40.00 550.07,192.98 816.00,468.00"]
+    ticks = re.findall(r'font-size="11">([^<]*)</text>', text)
+    assert ticks[0] == ticks[5] == "-1.798e+308" and ticks[4] == ticks[9] == "1e+308"
+    assert all(re.fullmatch(r"-?[0-9.]+(e[+-][0-9]+)?", t) for t in ticks), ticks
 
 
 def test_render_svg_escapes_text(tmp_path):

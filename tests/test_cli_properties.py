@@ -3,20 +3,24 @@
 For every valid config, ``validate``, ``run``, ``envelope`` and ``plot``
 exit 0 or 1, never 2 (2 means a usage error or a fault).  An exit 1
 says why: a condition report with ``holds=no`` on stdout, or an error
-message that names a config key or the cause.
+message that names a config key or the cause.  ``compare`` gets pairs
+of configs that differ only in the sf block, including pairs where one
+arm diverges and the other does not.
 """
 
 import contextlib
+import dataclasses
 import io
 import re
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from slrlab import cli_io
-from slrlab.optimizer import SCHEDULE_FAMILIES
+from slrlab.optimizer import SCHEDULE_FAMILIES, run_batch, split_seed
 from slrlab.validator import TheoremCase
 
 KEYS = ("problem", "schedule", "sf", "iterations", "eval_every", "n_seeds", "master_seed",
@@ -25,6 +29,14 @@ KEYS = ("problem", "schedule", "sf", "iterations", "eval_every", "n_seeds", "mas
 CAUSES = ("diverged", "no trajectory CSVs", "non-degenerate", "no plottable points", "malformed row")
 
 finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def sf_blocks(draw):
+    if draw(st.booleans()):
+        c1 = draw(st.floats(0.01, 2.0, **finite))
+        return "uniform_root", (("c1", c1), ("c2", c1 + draw(st.floats(0.01, 3.0, **finite))))
+    return "constant", (("value", draw(st.floats(0.01, 3.0, **finite))),)
 
 
 @st.composite
@@ -38,11 +50,7 @@ def configs(draw):
     else:
         params = [("n", draw(st.integers(8, 40))), ("d", draw(st.integers(1, 4))),
                   ("reg", draw(st.floats(0.0, 1.0, **finite))), ("seed", draw(st.integers(0, 3)))]
-    if draw(st.booleans()):
-        sf_kind, c1 = "uniform_root", draw(st.floats(0.01, 2.0, **finite))
-        sf_params = [("c1", c1), ("c2", c1 + draw(st.floats(0.01, 3.0, **finite)))]
-    else:
-        sf_kind, sf_params = "constant", [("value", draw(st.floats(0.01, 3.0, **finite)))]
+    sf_kind, sf_params = draw(sf_blocks())
     eval_every = draw(st.integers(1, 20))
     iterations = eval_every * draw(st.integers(1, 200 // eval_every))
     return cli_io.ExperimentConfig(
@@ -51,7 +59,7 @@ def configs(draw):
         schedule_family=draw(st.sampled_from(SCHEDULE_FAMILIES)),
         eta=draw(st.floats(1e-4, 20.0, **finite)),
         sf_kind=sf_kind,
-        sf_params=tuple(sf_params),
+        sf_params=sf_params,
         iterations=iterations,
         eval_every=eval_every,
         n_seeds=draw(st.integers(1, 3)),
@@ -96,3 +104,70 @@ def test_valid_configs_exit_zero_or_one_with_a_reason(cfg):
             assert code in (0, 1), (argv[0], text, stderr)
             if code == 1:
                 assert _says_why(stdout, stderr), (argv[0], text, stdout, stderr)
+
+
+@st.composite
+def compare_pairs(draw):
+    a = dataclasses.replace(draw(configs()), n_seeds=draw(st.integers(2, 4)))
+    # Arm b's factors, scaled down or up so that often one arm diverges
+    # and the other does not.
+    kind, params = draw(sf_blocks())
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e2]))
+    return a, dataclasses.replace(a, sf_kind=kind, sf_params=tuple((k, v * scale) for k, v in params))
+
+
+# The config that once made `compare` exit 2: inverse_k with eta 50 on a
+# quadratic, the unit factor (every seed diverges) against 0.001 (none do).
+ONE_ARM_DIVERGES = cli_io.ExperimentConfig(
+    problem_family="quadratic",
+    problem_params=(("dim", 4), ("cond", 10.0), ("sigma", 0.1)),
+    schedule_family="inverse_k", eta=50.0, sf_kind="constant", sf_params=(("value", 1.0),),
+    iterations=1000, eval_every=10, n_seeds=4,
+)
+# A factor support that is wide in the first steps: some seeds diverge.
+SOME_SEEDS_DIVERGE = dataclasses.replace(
+    ONE_ARM_DIVERGES, eta=2.5, sf_kind="uniform_root", sf_params=(("c1", 0.001), ("c2", 4.0)),
+    iterations=200, n_seeds=4)
+
+
+def _diverged(path):
+    """Per seed, whether the run of the config in ``path`` diverges."""
+    cfg = cli_io.load_config(path)
+    seeds = [split_seed(cfg.master_seed, i) for i in range(cfg.n_seeds)]
+    trajs = run_batch(cli_io.build_problem(cfg), cli_io.build_schedule(cfg), cli_io.build_sf(cfg),
+                      cfg.iterations, cfg.eval_every, seeds=seeds)
+    return [t.diverged for t in trajs]
+
+
+# A noise-free problem gives equal runs per arm: Welch's zero-variance
+# convention applies and warns.
+@pytest.mark.filterwarnings("ignore:welch_t. zero variances")
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(pair=compare_pairs())
+@example(pair=(ONE_ARM_DIVERGES, dataclasses.replace(ONE_ARM_DIVERGES, sf_params=(("value", 0.001),))))
+@example(pair=(dataclasses.replace(ONE_ARM_DIVERGES, sf_params=(("value", 0.001),)), ONE_ARM_DIVERGES))
+@example(pair=(SOME_SEEDS_DIVERGE, dataclasses.replace(SOME_SEEDS_DIVERGE, sf_kind="constant",
+                                                         sf_params=(("value", 0.05),))))
+def test_compare_exits_zero_or_one_and_states_its_pairing(pair):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        paths = [tmp / "a.txt", tmp / "b.txt"]
+        for cfg, path in zip(pair, paths):
+            path.write_text(cli_io.format_config(cfg))
+        code, stdout, stderr = _run(["compare", "--config-a", str(paths[0]), "--config-b", str(paths[1]),
+                                     "--out", str(tmp / "cmp")])
+        div_a, div_b = (_diverged(p) for p in paths)
+    assert code in (0, 1), (pair, stderr)
+    too_few = min(div_a.count(False), div_b.count(False)) < 2
+    assert (code == 1) == too_few, (pair, stdout, stderr)
+    if code == 1:
+        assert stderr.startswith("error: fewer than 2 non-diverged runs"), stderr
+        return
+    # The README's rule: the digests are compared for the seeds where
+    # neither arm diverged, and the first line says for how many.
+    n, checked = len(div_a), sum(not (x or y) for x, y in zip(div_a, div_b))
+    head = ("paired gradient streams verified identical per seed" if checked == n else
+            f"paired gradient streams verified identical for {checked} of {n} seeds; "
+            "seeds with a diverged arm are not checked")
+    assert stdout.splitlines()[0] == head

@@ -78,6 +78,21 @@ def test_moment_identities(c1, width, k):
     assert sf.variance(spec, k) == pytest.approx((hi - lo) ** 2 / 12, rel=1e-15)
 
 
+@pytest.mark.parametrize("k0, n", [(0, 1), (0, 9), (1, 5), (1020, 8), (1023, 2), (2047, 3), (10**6 - 4, 9)])
+@pytest.mark.parametrize("c1, c2", [(0.3, 0.8), (0.001, 4.0), (0.5, 1.3043511789010365), (1.5, 7.25)])
+def test_block_bounds_match_support_bounds_bit_for_bit(k0, n, c1, c2):
+    # Near k = 0, across the edges of 1024-step blocks and near 10**6.
+    spec = sf.uniform_root(c1, c2)
+    lo, hi = sf._block_bounds(spec, k0, n)
+    want = np.array([sf.support_bounds(spec, k) for k in range(k0, k0 + n)]).reshape(n, 2).T
+    assert lo.tobytes() == want[0].tobytes()
+    assert hi.tobytes() == want[1].tobytes()
+    # Drawn one step at a time, a block gives the same bits.
+    block = sf.sample_block(spec, k0, n, [np.random.default_rng(3)])[0]
+    rng = np.random.default_rng(3)
+    assert block.tobytes() == np.array([sf.sample(spec, k, rng) for k in range(k0, k0 + n)]).tobytes()
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         sf.uniform_root(0.8, 0.3)
