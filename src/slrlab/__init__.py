@@ -9,7 +9,7 @@ rate envelopes with a trend diagnostic, and multi-seed statistical
 comparison, all behind a deterministic CLI.
 """
 
-from .harness import LittleODiagnostic, RateEnvelope, Verdict, envelope, envelope_series, gk_sequence, little_o_diagnostic
+from .harness import LittleODiagnostic, RateEnvelope, Verdict, envelope_series, gk_sequence, little_o_diagnostic
 from .lambert import lambert_w0, umslr_case_c_c2
 from .optimizer import StepSizeSchedule, Trajectory, run, run_arms, run_batch, split_seed, step_size
 from .problems import GradientSample, ProblemSpec, make_logreg_nonconvex, make_quadratic, make_rosenbrock
@@ -40,7 +40,6 @@ __all__ = [
     "check_theorem_case",
     "classify_prop1",
     "compare",
-    "envelope",
     "envelope_series",
     "gk_sequence",
     "lambert_w0",

@@ -47,6 +47,12 @@ _PROBLEM_FIELDS: dict[str, dict[str, tuple[type, object]]] = {
     "rosenbrock": {"sigma": (float, 0.0)},
     "logreg": {"n": (int, _REQUIRED), "d": (int, _REQUIRED), "reg": (float, 0.0), "seed": (int, 0)},
 }
+# The field names above are the makers' argument names.
+_PROBLEM_MAKERS = {
+    "quadratic": problems.make_quadratic,
+    "rosenbrock": problems.make_rosenbrock,
+    "logreg": problems.make_logreg_nonconvex,
+}
 _SF_FIELDS: dict[str, dict[str, tuple[type, object]]] = {
     "constant": {"value": (float, _REQUIRED)},
     "uniform_root": {"c1": (float, _REQUIRED), "c2": (float, _REQUIRED)},
@@ -89,9 +95,12 @@ def _parse_scalar(raw: str, typ: type, key: str, line: int):
         except ValueError:
             raise ConfigError(f"line {line}: {key}: expected an integer, got {raw!r}") from None
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"line {line}: {key}: expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"line {line}: {key}: must be finite, got {raw!r}")
+    return value
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -265,12 +274,7 @@ def format_config(cfg: ExperimentConfig) -> str:
 
 
 def build_problem(cfg: ExperimentConfig) -> problems.ProblemSpec:
-    p = dict(cfg.problem_params)
-    if cfg.problem_family == "quadratic":
-        return problems.make_quadratic(p["dim"], p["cond"], p["sigma"], p["seed"])
-    if cfg.problem_family == "rosenbrock":
-        return problems.make_rosenbrock(p["sigma"])
-    return problems.make_logreg_nonconvex(p["n"], p["d"], p["reg"], p["seed"])
+    return _PROBLEM_MAKERS[cfg.problem_family](**dict(cfg.problem_params))
 
 
 def build_schedule(cfg: ExperimentConfig) -> StepSizeSchedule:

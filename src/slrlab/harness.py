@@ -38,7 +38,7 @@ from enum import Enum
 import numpy as np
 
 from . import sf as sfmod
-from .optimizer import StepSizeSchedule, Trajectory, step_size, step_sizes
+from .optimizer import StepSizeSchedule, Trajectory, step_sizes
 from .validator import TheoremCase
 
 
@@ -110,14 +110,6 @@ class RateEnvelope:
     variance: np.ndarray
     sum_eta: np.ndarray
     certified: bool | None = None
-
-
-def envelope(case: TheoremCase, sf_spec: sfmod.SFSpec, schedule: StepSizeSchedule, k: int) -> float:
-    """Envelope value at a single iteration index k >= 1."""
-    if k < 1:
-        raise ValueError("envelope requires k >= 1")
-    env = envelope_series(case, sf_spec, schedule, np.array([k]))
-    return float(env.values[0])
 
 
 def envelope_series(

@@ -293,10 +293,11 @@ def run_arms(
     X = np.tile(x, (R, 1))
     running_min = np.full(R, np.inf)
     never = iterations + 1
+    step_gradient = problem.step_gradient
 
     for k0 in range(0, iterations, block):
         n = min(block, iterations - k0)
-        blocks = {s: pb.draw_block(problem, grad_rngs[s], n) for s in set(seed_of[live].tolist())}
+        blocks = {s: problem.draw_block(grad_rngs[s], n) for s in set(seed_of[live].tolist())}
         # Step j's draws for every live row, (n, rows, ...): a seed's block
         # is repeated for its row in each arm.
         draws = None
@@ -322,7 +323,7 @@ def run_arms(
                 k = k0 + j
                 if k % eval_every == 0:
                     E[k // eval_every - e0] = X
-                X = X - steps[j] * pb.stochastic_gradient_rows(problem, X, None if draws is None else draws[j])
+                X = X - steps[j] * step_gradient(X, None if draws is None else draws[j])
                 if box is not None and ((X < box[0]).any() or (X > box[1]).any()):
                     certified[live[((X < box[0]) | (X > box[1])).any(axis=1)]] = False
             # First k whose iterate is non-finite, per row.  A non-finite
@@ -338,8 +339,7 @@ def run_arms(
             for j in range(n):
                 if not len(bad):
                     break
-                Y = Y - steps[j, bad] * pb.stochastic_gradient_rows(
-                    problem, Y, None if draws is None else draws[j, bad])
+                Y = Y - steps[j, bad] * step_gradient(Y, None if draws is None else draws[j, bad])
                 hit = ~np.isfinite(Y).all(axis=1)
                 nonfinite_at[bad[hit]] = k0 + j + 1
                 bad, Y = bad[~hit], Y[~hit]
@@ -347,7 +347,7 @@ def run_arms(
                 E[-1] = X
             # One oracle call for the block's eval points; each row's bits
             # do not depend on the stack.
-            f, G = pb.value_and_gradient_rows(problem, E.reshape(-1, d))
+            f, G = problem.value_and_gradient(E.reshape(-1, d))
             g2 = pb.row_dot(G, G)
         loss_at = np.full(len(live), never)
         if e1 > e0:

@@ -84,18 +84,6 @@ def support_bounds(spec: SFSpec, k: int) -> tuple[float, float]:
     return spec.c1**e, spec.c2**e
 
 
-def mean(spec: SFSpec, k: int) -> float:
-    """E[u_k]; for uniform_root this is the support midpoint."""
-    lo, hi = support_bounds(spec, k)
-    return 0.5 * (lo + hi)
-
-
-def variance(spec: SFSpec, k: int) -> float:
-    """Var[u_k]; zero for constant, width**2 / 12 for uniform_root."""
-    lo, hi = support_bounds(spec, k)
-    return (hi - lo) ** 2 / 12.0
-
-
 def _block_bounds(spec: SFSpec, k0: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """uniform_root supports for k = k0..k0+n-1, bitwise :func:`support_bounds`.
 

@@ -74,7 +74,7 @@ def _pairwise_report(name: str, series: np.ndarray, want: str, extra: str = "") 
         raise ValueError(want)
     if bad.any():
         k = int(np.argmax(bad)) + 1
-        detail = f"strictly {want} fails at k={k} (value {series[k]!r} after {series[k - 1]!r})"
+        detail = f"strictly {want} fails at k={k} (value {float(series[k])!r} after {float(series[k - 1])!r})"
         if extra:
             detail += "; " + extra
         return ConditionReport(name, False, k, detail)

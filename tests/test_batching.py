@@ -180,13 +180,13 @@ def events(problem, schedule, spec, x0, iterations, eval_every, seed):
         if k_nonfinite is None and not np.isfinite(x).all():
             k_nonfinite = k
         if k_loss is None and k % eval_every == 0:
-            f = problems.value_and_gradient_rows(problem, x[None])[0][0]
+            f = problem.value_and_gradient(x[None])[0][0]
             if not f <= optimizer.LOSS_DIVERGENCE_LIMIT:
                 k_loss = k
         if k == iterations:
             break
         u_k = sf.sample_block(spec, k, 1, [sf_rng])[0, 0]
-        g = problems.stochastic_gradient_rows(problem, x[None], problems.draw_block(problem, grad_rng, 1))[0]
+        g = problem.step_gradient(x[None], problem.draw_block(grad_rng, 1))[0]
         x = x - (optimizer.step_size(schedule, k) * u_k) * g
     return k_loss, k_nonfinite
 
@@ -333,13 +333,13 @@ def test_first_nonfinite_iterate_at_each_offset_of_a_block(monkeypatch):
 
 def test_first_nonfinite_iterate_decided_by_each_seeds_own_draws(monkeypatch):
     # With a noise scale of 1e308 (past what make_quadratic certifies, so
-    # set on the payload) a draw overflows to inf when |xi| > 1.797, and
+    # set on the object) a draw overflows to inf when |xi| > 1.797, and
     # the iterate turns non-finite at that step: each seed's first event
     # falls at its own offset of a 7-step block, so a replay that read
     # another row's draws would find another k.
     monkeypatch.setattr(optimizer, "BLOCK_STEPS", 7)
     problem = problems.make_quadratic(dim=1, cond=1.0, sigma=1.0)
-    problem = dataclasses.replace(problem, payload=dict(problem.payload, sigma=1e308))
+    problem = dataclasses.replace(problem, sigma=1e308)
     schedule = StepSizeSchedule("constant", 1.0)
     arms = check_arms(problem, schedule, [sf.constant(1.0), sf.uniform_root(0.3, 0.8)], 21, 21)
     stops = [t.truncated_at for arm in arms for t in arm]

@@ -599,6 +599,36 @@ def test_cli_validate_with_one_iteration_names_the_key(tmp_path, capsys):
     assert "iterations" in capsys.readouterr().err
 
 
+LOGREG_CONFIG = GOOD_CONFIG.replace(
+    "problem = quadratic\nproblem.dim = 5\nproblem.cond = 10.0\nproblem.sigma = 0.1\n",
+    "problem = logreg\nproblem.n = 20\nproblem.d = 3\nproblem.reg = 0.1\n")
+CONSTANT_SF_CONFIG = GOOD_CONFIG.replace("sf = uniform_root\nsf.c1 = 0.3\nsf.c2 = 0.8\n",
+                                         "sf = constant\nsf.value = 1.0\n")
+
+
+@pytest.mark.parametrize("base, line, raw", [
+    (GOOD_CONFIG, "problem.cond = 10.0", "nan"),
+    (GOOD_CONFIG, "problem.sigma = 0.1", "nan"),
+    (LOGREG_CONFIG, "problem.reg = 0.1", "nan"),
+    (GOOD_CONFIG, "schedule.eta = 0.1", "inf"),
+    (GOOD_CONFIG, "sf.c2 = 0.8", "inf"),
+    (CONSTANT_SF_CONFIG, "sf.value = 1.0", "inf"),
+    (GOOD_CONFIG, "problem.cond = 10.0", "-inf"),
+])
+@pytest.mark.parametrize("command", ["run", "envelope"])
+def test_cli_rejects_non_finite_numbers(tmp_path, capsys, base, line, raw, command):
+    # A range test written as 'x < bound' lets nan through, and inf passes
+    # every lower bound, so the parser itself must reject both, naming the
+    # key, before any run diverges on them.
+    assert line in base
+    key = line.split(" = ")[0]
+    path = _write_cfg(tmp_path, base.replace(line, f"{key} = {raw}"))
+    assert cli_io.main([command, "--config", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert key in err and "finite" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_envelope_case_flag_overrides_config(tmp_path):
     cfg = GOOD_CONFIG.replace("theorem_case = case12\n", "")
     path = _write_cfg(tmp_path, cfg)

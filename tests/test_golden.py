@@ -1,7 +1,8 @@
 """CLI outputs pinned byte for byte.
 
 ``tests/data/golden`` holds small configs and the files the CLI wrote
-for them before the optimizer stepped seeds as one batch.  Rerunning the
+for them before the optimizer stepped seeds as one batch (the Rosenbrock
+run: before each problem family became one class).  Rerunning the
 same commands must reproduce every file exactly: a change that moves a
 single bit of a trajectory, a report or a plot fails here.  The runs are
 small enough that BLAS threading cannot change their bytes.
@@ -12,6 +13,7 @@ directory (with no SLRLAB_SEED set)::
     python -m slrlab.cli_io compare --config-a compare_a.txt --config-b compare_b.txt \\
         --out compare --metric min_grad_sq
     python -m slrlab.cli_io run --config logreg.txt --out run
+    python -m slrlab.cli_io run --config rosenbrock.txt --out rosenbrock
     python -m slrlab.cli_io envelope --config envelope.txt --out envelope
     python -m slrlab.cli_io plot --in envelope --out envelope/plot.svg
 """
@@ -29,6 +31,8 @@ COMMANDS = {
     "compare": [["compare", "--config-a", "compare_a.txt", "--config-b", "compare_b.txt",
                  "--out", "compare", "--metric", "min_grad_sq"]],
     "run": [["run", "--config", "logreg.txt", "--out", "run"]],
+    # Four seeds: one diverges at k = 8, two leave the [-2, 2]^2 box.
+    "rosenbrock": [["run", "--config", "rosenbrock.txt", "--out", "rosenbrock"]],
     "envelope": [["envelope", "--config", "envelope.txt", "--out", "envelope"],
                  ["plot", "--in", "envelope", "--out", "envelope/plot.svg"]],
 }

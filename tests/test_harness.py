@@ -68,7 +68,7 @@ def test_envelope_deterministic_case_is_inverse_sum():
     sched = StepSizeSchedule("inverse_k", 1.0)
     spec = sf.constant(1.0)
     # S_3 = 1 + 1/2 + 1/3
-    val = harness.envelope(TheoremCase.DETERMINISTIC, spec, sched, 3)
+    val = harness.envelope_series(TheoremCase.DETERMINISTIC, spec, sched, [3]).values[0]
     assert val == pytest.approx(1.0 / (1 + 0.5 + 1 / 3), rel=1e-15)
 
 
@@ -90,7 +90,7 @@ def test_envelope_case12_worked_value():
     mean = (lo + hi) / 2
     var = (hi - lo) ** 2 / 12
     expected = (mean - var) / 1.5
-    val = harness.envelope(TheoremCase.CASE_12, spec, sched, 2)
+    val = harness.envelope_series(TheoremCase.CASE_12, spec, sched, [2]).values[0]
     assert val == pytest.approx(expected, rel=1e-15)
     assert val == pytest.approx(0.5288601640300792, rel=1e-12)
 
@@ -110,7 +110,8 @@ def test_envelope_case11b_divides_by_mean():
     k = 5
     prof = sf.moment_profile(spec, k)
     expected = 1.0 / (prof.mean[k] * (0.1 * 5))
-    assert harness.envelope(TheoremCase.CASE_11B, spec, sched, k) == pytest.approx(expected, rel=1e-15)
+    val = harness.envelope_series(TheoremCase.CASE_11B, spec, sched, [k]).values[0]
+    assert val == pytest.approx(expected, rel=1e-15)
 
 
 def test_envelope_case11a_gap_formula():
@@ -121,7 +122,8 @@ def test_envelope_case11a_gap_formula():
     prof = sf.moment_profile(spec, k)
     gap = prof.mean[k] - prof.variance[k]
     expected = 1.0 / (gap * (0.05 * 4))
-    assert harness.envelope(TheoremCase.CASE_11A, spec, sched, k) == pytest.approx(expected, rel=1e-15)
+    val = harness.envelope_series(TheoremCase.CASE_11A, spec, sched, [k]).values[0]
+    assert val == pytest.approx(expected, rel=1e-15)
 
 
 def test_envelope_rejects_nonpositive_gap():
@@ -129,16 +131,16 @@ def test_envelope_rejects_nonpositive_gap():
     spec = sf.uniform_root(0.0001, 100.0)
     sched = StepSizeSchedule("inverse_k", 1.0)
     with pytest.raises(ValueError, match="k="):
-        harness.envelope(TheoremCase.CASE_11A, spec, sched, 1)
+        harness.envelope_series(TheoremCase.CASE_11A, spec, sched, [1])
     with pytest.raises(ValueError, match="k="):
-        harness.envelope(TheoremCase.CASE_12, spec, sched, 1)
+        harness.envelope_series(TheoremCase.CASE_12, spec, sched, [1])
 
 
 def test_envelope_requires_positive_k():
     spec = sf.constant(1.0)
     sched = StepSizeSchedule("inverse_k", 1.0)
     with pytest.raises(ValueError):
-        harness.envelope(TheoremCase.DETERMINISTIC, spec, sched, 0)
+        harness.envelope_series(TheoremCase.DETERMINISTIC, spec, sched, [0])
     with pytest.raises(ValueError):
         harness.envelope_series(TheoremCase.DETERMINISTIC, spec, sched, np.array([0, 1]))
 

@@ -21,18 +21,18 @@ def test_quadratic_constants():
     assert pb.C == pytest.approx(0.5**2 * 2, abs=0)
     assert pb.f_star == 0.0 and pb.f_lower == 0.0
     assert pb.domain_box is None
-    np.testing.assert_allclose(pb.payload["eigs"], [1.0, 10.0])
+    np.testing.assert_allclose(pb.eigs, [1.0, 10.0])
 
 
 def test_quadratic_dim1_uses_cond_as_eigenvalue():
     pb = problems.make_quadratic(dim=1, cond=7.0, sigma=0.0)
-    np.testing.assert_allclose(pb.payload["eigs"], [7.0])
+    np.testing.assert_allclose(pb.eigs, [7.0])
     assert pb.L == 7.0
 
 
 def test_quadratic_eigs_logspaced():
     pb = problems.make_quadratic(dim=4, cond=100.0, sigma=0.0)
-    eigs = pb.payload["eigs"]
+    eigs = pb.eigs
     assert eigs[0] == 1.0 and eigs[-1] == 100.0
     ratios = eigs[1:] / eigs[:-1]
     np.testing.assert_allclose(ratios, ratios[0], rtol=1e-12)
@@ -98,7 +98,7 @@ def test_logreg_gradient_matches_fd():
 
 def test_logreg_constants():
     pb = problems.make_logreg_nonconvex(n=40, d=5, reg=0.1, seed=0)
-    X = pb.payload["X"]
+    X = pb.data
     lam = np.linalg.eigvalsh(X.T @ X / len(X)).max()
     assert pb.L == pytest.approx(lam / 4.0 + 2 * 0.1, rel=1e-12)
     row_max = (X * X).sum(axis=1).max()
@@ -106,7 +106,7 @@ def test_logreg_constants():
     assert pb.C == pytest.approx(2 * row_max + 2 * pen**2, rel=1e-12)
     assert pb.f_star is None
     assert pb.f_lower == 0.0
-    assert set(np.unique(pb.payload["y"])) <= {-1.0, 1.0}
+    assert set(np.unique(pb.y)) <= {-1.0, 1.0}
 
 
 def test_penalty_gradient_max_constant():
@@ -123,9 +123,9 @@ def test_summand_mean_is_full_gradient():
     for _ in range(3):
         x = rng.standard_normal(4)
         acc = np.zeros(4)
-        for i in range(problems.summand_count(pb)):
+        for i in range(len(pb.y)):
             acc += problems.summand_gradient(pb, x, i)
-        acc /= problems.summand_count(pb)
+        acc /= len(pb.y)
         np.testing.assert_allclose(acc, problems.full_gradient(pb, x), atol=1e-12)
 
 
@@ -172,7 +172,7 @@ def test_expected_smoothness_witness():
     # E||g||^2 <= A (f - f*) + B ||grad f||^2 + C at random points
     rng = np.random.default_rng(42)
     pb = problems.make_logreg_nonconvex(n=30, d=4, reg=0.1, seed=9)
-    n = problems.summand_count(pb)
+    n = len(pb.y)
     for _ in range(20):
         x = rng.standard_normal(4) * 2
         second = sum(float(g @ g) for g in
@@ -244,17 +244,29 @@ def test_input_validation():
         problems.summand_gradient(pb, np.ones(2), 5)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("make, name", [
+    (lambda v: problems.make_quadratic(dim=2, cond=v, sigma=0.1), "cond"),
+    (lambda v: problems.make_quadratic(dim=2, cond=10.0, sigma=v), "sigma"),
+    (lambda v: problems.make_rosenbrock(sigma=v), "sigma"),
+    (lambda v: problems.make_logreg_nonconvex(n=10, d=3, reg=v), "reg"),
+], ids=["quadratic-cond", "quadratic-sigma", "rosenbrock-sigma", "logreg-reg"])
+def test_makers_reject_non_finite_arguments(make, name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        make(value)
+
+
 def test_determinism_across_constructions():
     a = problems.make_logreg_nonconvex(n=30, d=4, reg=0.1, seed=12)
     b = problems.make_logreg_nonconvex(n=30, d=4, reg=0.1, seed=12)
-    np.testing.assert_array_equal(a.payload["X"], b.payload["X"])
-    np.testing.assert_array_equal(a.payload["y"], b.payload["y"])
+    np.testing.assert_array_equal(a.data, b.data)
+    np.testing.assert_array_equal(a.y, b.y)
     c = problems.make_logreg_nonconvex(n=30, d=4, reg=0.1, seed=13)
-    assert not np.array_equal(a.payload["X"], c.payload["X"])
+    assert not np.array_equal(a.data, c.data)
 
 
 # Reference copies of the separate loss and gradient oracles and the
-# masked logistic that value_and_gradient_rows and _expit replaced; the
+# masked logistic that value_and_gradient and _expit replaced; the
 # fused forms must reproduce them bit for bit.
 def masked_expit(t):
     out = np.empty_like(t)
@@ -266,13 +278,12 @@ def masked_expit(t):
 
 
 def reference_loss_rows(pb, X):
-    p = pb.payload
-    if pb.family == problems.QUADRATIC:
-        return 0.5 * problems.row_dot(p["eigs"] * X, X)
-    if pb.family == problems.ROSENBROCK:
+    if isinstance(pb, problems.Quadratic):
+        return 0.5 * problems.row_dot(pb.eigs * X, X)
+    if isinstance(pb, problems.Rosenbrock):
         a, b = X[:, 0], X[:, 1]
         return (1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2
-    data, y, reg = p["X"], p["y"], p["reg"]
+    data, y, reg = pb.data, pb.y, pb.reg
     out = np.empty(len(X))
     for s, x in enumerate(X):
         z = y * (data @ x)
@@ -281,13 +292,12 @@ def reference_loss_rows(pb, X):
 
 
 def reference_gradient_rows(pb, X):
-    p = pb.payload
-    if pb.family == problems.QUADRATIC:
-        return p["eigs"] * X
-    if pb.family == problems.ROSENBROCK:
+    if isinstance(pb, problems.Quadratic):
+        return pb.eigs * X
+    if isinstance(pb, problems.Rosenbrock):
         a, b = X[:, 0], X[:, 1]
         return np.stack([-2.0 * (1.0 - a) - 400.0 * a * (b - a * a), 200.0 * (b - a * a)], axis=1)
-    data, y, reg = p["X"], p["y"], p["reg"]
+    data, y, reg = pb.data, pb.y, pb.reg
     out = np.empty_like(X)
     for s, x in enumerate(X):
         z = y * (data @ x)
@@ -313,17 +323,18 @@ def _oracle_cases():
 @pytest.mark.parametrize("case", range(3), ids=["quadratic", "rosenbrock", "logreg"])
 def test_value_and_gradient_rows_bitwise_equals_separate_oracles(case):
     pb, X = _oracle_cases()[case]
-    f, G = problems.value_and_gradient_rows(pb, X)
+    f, G = pb.value_and_gradient(X)
     assert f.shape == (5,) and G.shape == (5, pb.dim)
     np.testing.assert_array_equal(f, reference_loss_rows(pb, X))
     np.testing.assert_array_equal(G, reference_gradient_rows(pb, X))
-    np.testing.assert_array_equal(problems.gradient_rows(pb, X), G)
-    if pb.family == problems.LOGREG:
-        z = pb.payload["y"] * (pb.payload["X"] @ X[-1])
+    if not isinstance(pb, problems.LogReg):
+        np.testing.assert_array_equal(pb.gradient(X), G)
+    else:
+        z = pb.y * (pb.data @ X[-1])
         assert np.abs(z).max() > 700.0
         assert (z > 700.0).any() and (z < -700.0).any()
     for i, x in enumerate(X):
-        fi, Gi = problems.value_and_gradient_rows(pb, X[i:i + 1])
+        fi, Gi = pb.value_and_gradient(X[i:i + 1])
         assert fi[0] == f[i]
         np.testing.assert_array_equal(Gi[0], G[i])
         assert problems.loss(pb, x) == f[i]

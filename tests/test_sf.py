@@ -10,8 +10,9 @@ def test_constant_moments_and_sample():
     spec = sf.constant(2.0)
     rng = np.random.default_rng(0)
     assert sf.support_bounds(spec, 0) == (2.0, 2.0)
-    assert sf.mean(spec, 5) == 2.0
-    assert sf.variance(spec, 5) == 0.0
+    prof = sf.moment_profile(spec, 5)
+    assert prof.mean[5] == 2.0
+    assert prof.variance[5] == 0.0
     assert sf.sample(spec, 3, rng) == 2.0
 
 
@@ -19,16 +20,18 @@ def test_uniform_root_bounds_k0_are_the_roots():
     spec = sf.uniform_root(0.3, 0.8)
     lo, hi = sf.support_bounds(spec, 0)
     assert lo == 0.3 and hi == 0.8
-    assert sf.mean(spec, 0) == pytest.approx(0.55, rel=1e-15)
-    assert sf.variance(spec, 0) == pytest.approx(0.5**2 / 12.0, rel=1e-15)
+    prof = sf.moment_profile(spec, 1)
+    assert prof.mean[0] == pytest.approx(0.55, rel=1e-15)
+    assert prof.variance[0] == pytest.approx(0.5**2 / 12.0, rel=1e-15)
 
 
 def test_uniform_root_closed_forms_at_k1():
     # mean = (sqrt(c1) + sqrt(c2)) / 2, variance = (sqrt(c2) - sqrt(c1))^2 / 12
     spec = sf.uniform_root(0.3, 0.8)
     lo, hi = np.sqrt(0.3), np.sqrt(0.8)
-    assert sf.mean(spec, 1) == pytest.approx((lo + hi) / 2, rel=1e-15)
-    assert sf.variance(spec, 1) == pytest.approx((hi - lo) ** 2 / 12, rel=1e-15)
+    prof = sf.moment_profile(spec, 1)
+    assert prof.mean[1] == pytest.approx((lo + hi) / 2, rel=1e-15)
+    assert prof.variance[1] == pytest.approx((hi - lo) ** 2 / 12, rel=1e-15)
 
 
 def test_moments_match_monte_carlo():
@@ -38,9 +41,10 @@ def test_moments_match_monte_carlo():
     lo, hi = sf.support_bounds(spec, 1)
     draws = lo + (hi - lo) * rng.random(1_000_000)
     se_mean = draws.std(ddof=1) / np.sqrt(len(draws))
-    assert abs(draws.mean() - sf.mean(spec, 1)) < 3 * se_mean
-    assert abs(draws.mean() - sf.mean(spec, 1)) < 1e-3
-    assert abs(draws.var(ddof=1) - sf.variance(spec, 1)) < 1e-3
+    prof = sf.moment_profile(spec, 1)
+    assert abs(draws.mean() - prof.mean[1]) < 3 * se_mean
+    assert abs(draws.mean() - prof.mean[1]) < 1e-3
+    assert abs(draws.var(ddof=1) - prof.variance[1]) < 1e-3
 
 
 def test_sample_uses_one_uniform_and_is_deterministic():
@@ -74,8 +78,9 @@ def test_sample_within_support(c1, width, k, seed):
 def test_moment_identities(c1, width, k):
     spec = sf.uniform_root(c1, c1 + width)
     lo, hi = sf.support_bounds(spec, k)
-    assert sf.mean(spec, k) == pytest.approx((lo + hi) / 2, rel=1e-15)
-    assert sf.variance(spec, k) == pytest.approx((hi - lo) ** 2 / 12, rel=1e-15)
+    prof = sf.moment_profile(spec, max(k, 1))
+    assert prof.mean[k] == pytest.approx((lo + hi) / 2, rel=1e-15)
+    assert prof.variance[k] == pytest.approx((hi - lo) ** 2 / 12, rel=1e-15)
 
 
 @pytest.mark.parametrize("k0, n", [(0, 1), (0, 9), (1, 5), (1020, 8), (1023, 2), (2047, 3), (10**6 - 4, 9)])
@@ -164,7 +169,7 @@ def test_limits_at_k_one_million():
         spec = sf.uniform_root(c1, c2)
         _, hi = sf.support_bounds(spec, 10**6)
         assert abs(hi - 1.0) < 1e-3
-        assert abs(sf.mean(spec, 10**6) - 1.0) < 1e-3
+        assert abs(sf.moment_profile(spec, 10**6).mean[10**6] - 1.0) < 1e-3
 
 
 def test_profile_rejects_degenerate_horizon():

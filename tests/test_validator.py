@@ -57,6 +57,14 @@ def test_assumption2_constant_fails_decrease_and_square_sum():
     assert by["step_ratio_sum_diverges"].holds
 
 
+def test_pairwise_report_prints_plain_floats():
+    # numpy 2 reprs a numpy scalar as np.float64(0.1); the detail must not
+    # depend on the numpy version.
+    rep = _by_name(validator.check_assumption2(StepSizeSchedule("constant", 0.1), 1000))["step_decreasing"]
+    assert "(value 0.1 after 0.1)" in rep.detail
+    assert "np." not in rep.detail
+
+
 def test_assumption2_inverse_sqrt_fails_square_sum_only():
     by = _by_name(validator.check_assumption2(StepSizeSchedule("inverse_sqrt_k", 1.0), 1000))
     assert by["step_decreasing"].holds
