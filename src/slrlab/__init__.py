@@ -11,7 +11,7 @@ comparison, all behind a deterministic CLI.
 
 from .harness import LittleODiagnostic, RateEnvelope, Verdict, envelope_series, gk_sequence, little_o_diagnostic
 from .lambert import lambert_w0, umslr_case_c_c2
-from .optimizer import StepSizeSchedule, Trajectory, run, run_arms, run_batch, split_seed, step_size
+from .optimizer import StepSizeSchedule, Trajectory, run, run_arms, split_seed, step_size
 from .problems import GradientSample, ProblemSpec, make_logreg_nonconvex, make_quadratic, make_rosenbrock
 from .sf import Direction, MomentProfile, SFSpec, moment_profile, sample
 from .stats import ComparisonReport, RunSet, bonferroni, compare, run_multi_seed, run_paired, welch_t
@@ -50,7 +50,6 @@ __all__ = [
     "moment_profile",
     "run",
     "run_arms",
-    "run_batch",
     "run_multi_seed",
     "run_paired",
     "sample",

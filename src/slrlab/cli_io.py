@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness, problems, sf, stats, validator
-from .optimizer import SCHEDULE_FAMILIES, RNG_ALGORITHM, StepSizeSchedule, run, run_batch, split_seed
+from .optimizer import SCHEDULE_FAMILIES, RNG_ALGORITHM, StepSizeSchedule, run, run_arms, split_seed
 from .validator import ConditionReport, TheoremCase
 
 TRAJECTORY_HEADER = "k,loss,grad_norm_sq,min_grad_sq,g_k,eta_k,u_k,sum_eta,envelope_det,envelope_case"
@@ -79,9 +79,6 @@ class ExperimentConfig:
     checkpoints: tuple[int, ...] | str = "auto"
     out_dir: str = "out"
     theorem_case: TheoremCase | None = None
-
-    def problem_param(self, name: str):
-        return dict(self.problem_params)[name]
 
     def sf_param(self, name: str) -> float:
         return dict(self.sf_params)[name]
@@ -197,6 +194,8 @@ def parse_config(text: str) -> ExperimentConfig:
 
     raw, line = need("master_seed")
     master_seed = _parse_scalar(raw, int, "master_seed", line)
+    if master_seed < 0:
+        raise ConfigError(f"line {line}: master_seed: must be >= 0, got {master_seed}")
 
     got = take("checkpoints")
     if got is None or got[0].strip() == "auto":
@@ -298,6 +297,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
             seed = int(env, 10)
         except ValueError:
             raise ConfigError(f"SLRLAB_SEED: expected an integer, got {env!r}") from None
+        if seed < 0:
+            raise ConfigError(f"SLRLAB_SEED: must be >= 0, got {seed}")
         cfg = ExperimentConfig(**{**cfg.__dict__, "master_seed": seed})
     return cfg
 
@@ -392,9 +393,9 @@ def write_report(report: stats.ComparisonReport, path: str | Path) -> None:
     """Comparison report as CSV with '#'-prefixed metadata lines."""
     meta = [
         ("metric", report.metric),
-        ("correction", report.correction),
-        ("fwer", repr(report.fwer)),
-        ("paired", "true" if report.paired else "false"),
+        ("correction", "bonferroni"),
+        ("fwer", repr(stats.FWER)),
+        ("paired", "true"),
         ("n_a", report.n_a),
         ("n_b", report.n_b),
         ("excluded_a", report.excluded_a),
@@ -406,7 +407,6 @@ def write_report(report: stats.ComparisonReport, path: str | Path) -> None:
     lines = [f"# {k} = {v}" for k, v in meta]
     lines.append(REPORT_HEADER)
     for i, k in enumerate(report.checkpoints):
-        wins = "" if report.wins_a is None else str(report.wins_a[i])
         lines.append(
             ",".join(
                 [
@@ -417,7 +417,7 @@ def write_report(report: stats.ComparisonReport, path: str | Path) -> None:
                     _f17(report.df[i]),
                     _f17(report.p[i]),
                     "true" if report.significant[i] else "false",
-                    wins,
+                    str(report.wins_a[i]),
                 ]
             )
         )
@@ -436,7 +436,6 @@ def read_report(path: str | Path) -> stats.ComparisonReport:
     if i >= len(lines) or lines[i] != REPORT_HEADER:
         raise ValueError(f"{path}: not a comparison report CSV")
     checkpoints, mean_a, mean_b, ts, dfs, ps, sig, wins = [], [], [], [], [], [], [], []
-    any_wins = False
     for line in lines[i + 1 :]:
         parts = line.split(",")
         checkpoints.append(int(parts[0]))
@@ -446,14 +445,9 @@ def read_report(path: str | Path) -> stats.ComparisonReport:
         dfs.append(float(parts[4]))
         ps.append(float(parts[5]))
         sig.append(parts[6] == "true")
-        if parts[7] != "":
-            any_wins = True
-            wins.append(int(parts[7]))
+        wins.append(int(parts[7]))
     return stats.ComparisonReport(
         metric=meta["metric"],
-        correction=meta["correction"],
-        fwer=float(meta["fwer"]),
-        paired=meta["paired"] == "true",
         checkpoints=checkpoints,
         mean_a=mean_a,
         mean_b=mean_b,
@@ -461,7 +455,7 @@ def read_report(path: str | Path) -> stats.ComparisonReport:
         df=dfs,
         p=ps,
         significant=sig,
-        wins_a=wins if any_wins else None,
+        wins_a=wins,
         n_a=int(meta["n_a"]),
         n_b=int(meta["n_b"]),
         excluded_a=int(meta["excluded_a"]),
@@ -475,8 +469,7 @@ def read_report(path: str | Path) -> stats.ComparisonReport:
 def report_text(report: stats.ComparisonReport) -> str:
     """Human-readable comparison summary."""
     lines = [
-        f"metric: {report.metric}   correction: {report.correction} (fwer={report.fwer:g})   "
-        f"paired: {'yes' if report.paired else 'no'}",
+        f"metric: {report.metric}   correction: bonferroni (fwer={stats.FWER:g})   paired: yes",
         f"arms: a={report.config_digest_a} (n={report.n_a}, excluded {report.excluded_a})   "
         f"b={report.config_digest_b} (n={report.n_b}, excluded {report.excluded_b})",
     ]
@@ -491,10 +484,9 @@ def report_text(report: stats.ComparisonReport) -> str:
     lines.append("")
     lines.append(f"{'k':>10} {'mean_a':>13} {'mean_b':>13} {'t':>10} {'df':>8} {'p':>12} {'sig':>4} {'wins_a':>7}")
     for i, k in enumerate(report.checkpoints):
-        wins = "-" if report.wins_a is None else str(report.wins_a[i])
         lines.append(
             f"{k:>10d} {report.mean_a[i]:>13.6g} {report.mean_b[i]:>13.6g} {report.t[i]:>10.4g} "
-            f"{report.df[i]:>8.4g} {report.p[i]:>12.6g} {'yes' if report.significant[i] else 'no':>4} {wins:>7}"
+            f"{report.df[i]:>8.4g} {report.p[i]:>12.6g} {'yes' if report.significant[i] else 'no':>4} {report.wins_a[i]:>7}"
         )
     return "\n".join(lines) + "\n"
 
@@ -512,14 +504,12 @@ def render_svg(
     path: str | Path,
     xlabel: str = "",
     ylabel: str = "",
-    logx: bool = False,
-    logy: bool = False,
     title: str | None = None,
 ) -> None:
-    """Render line series to a standalone SVG: one polyline per series.
+    """Render line series on log-log axes to a standalone SVG: one polyline per series.
 
-    Non-finite points (and non-positive ones on log axes) are dropped
-    per series.  Output is deterministic for identical inputs.
+    Points that are not finite and positive are dropped per series.
+    Output is deterministic for identical inputs.
     """
     # Imported here: html.entities adds ~0.4 MB and ~2 ms to every command
     # that imports this module, and only plotting needs it.
@@ -528,27 +518,22 @@ def render_svg(
     if not series:
         raise ValueError("render_svg requires at least one series")
 
-    def tf(vals: np.ndarray, log: bool) -> np.ndarray:
-        return np.log10(vals) if log else vals
-
+    # The log10 of each kept point.  That of a finite positive double lies
+    # in [-323.3, 308.3], so no span below can overflow.
     cleaned: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for name, (xs, ys) in series.items():
         xs = np.asarray(xs, dtype=float)
         ys = np.asarray(ys, dtype=float)
         if xs.shape != ys.shape:
             raise ValueError(f"series {name!r}: x and y lengths differ")
-        keep = np.isfinite(xs) & np.isfinite(ys)
-        if logx:
-            keep &= xs > 0
-        if logy:
-            keep &= ys > 0
+        keep = np.isfinite(xs) & np.isfinite(ys) & (xs > 0) & (ys > 0)
         if keep.sum() >= 1:
-            cleaned[name] = (xs[keep], ys[keep])
+            cleaned[name] = (np.log10(xs[keep]), np.log10(ys[keep]))
     if not cleaned:
         raise ValueError("no plottable points in any series")
 
-    all_x = np.concatenate([tf(v[0], logx) for v in cleaned.values()])
-    all_y = np.concatenate([tf(v[1], logy) for v in cleaned.values()])
+    all_x = np.concatenate([v[0] for v in cleaned.values()])
+    all_y = np.concatenate([v[1] for v in cleaned.values()])
     x0, x1 = float(all_x.min()), float(all_x.max())
     y0, y1 = float(all_y.min()), float(all_y.max())
     if x0 == x1:
@@ -556,21 +541,12 @@ def render_svg(
     if y0 == y1:
         y0, y1 = y0 - 1.0, y1 + 1.0
 
-    # A span past the double range (x1 - x0 = inf on a linear axis) is
-    # mapped at half scale, where differences of finite values cannot
-    # overflow; a finite span keeps scale 1.0, which changes no bit.
-    sx = 1.0 if math.isfinite(x1 - x0) else 0.5
-    sy = 1.0 if math.isfinite(y1 - y0) else 0.5
-
-    # Pixel coordinates, for a float or a whole array of values.
+    # Pixel coordinates, for a float or a whole array of log10 values.
     def px(v):
-        return _ML + (v * sx - x0 * sx) / (x1 * sx - x0 * sx) * (_W - _ML - _MR)
+        return _ML + (v - x0) / (x1 - x0) * (_W - _ML - _MR)
 
     def py(v):
-        return _H - _MB - (v * sy - y0 * sy) / (y1 * sy - y0 * sy) * (_H - _MT - _MB)
-
-    def tick_label(v: float, log: bool) -> str:
-        return f"{10.0**v:.3g}" if log else f"{v:.4g}"
+        return _H - _MB - (v - y0) / (y1 - y0) * (_H - _MT - _MB)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" viewBox="0 0 {_W} {_H}">',
@@ -584,19 +560,19 @@ def render_svg(
     parts.append(
         f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" height="{_H - _MT - _MB}" fill="none" stroke="#333"/>'
     )
-    for t in np.linspace(x0 * sx, x1 * sx, 5) / sx:
+    for t in np.linspace(x0, x1, 5):
         xp = px(float(t))
         parts.append(f'<line x1="{xp:.2f}" y1="{_H - _MB}" x2="{xp:.2f}" y2="{_H - _MB + 5}" stroke="#333"/>')
         parts.append(
             f'<text x="{xp:.2f}" y="{_H - _MB + 18}" text-anchor="middle" font-family="sans-serif" font-size="11">'
-            f"{tick_label(float(t), logx)}</text>"
+            f"{10.0 ** float(t):.3g}</text>"
         )
-    for t in np.linspace(y0 * sy, y1 * sy, 5) / sy:
+    for t in np.linspace(y0, y1, 5):
         yp = py(float(t))
         parts.append(f'<line x1="{_ML - 5}" y1="{yp:.2f}" x2="{_ML}" y2="{yp:.2f}" stroke="#333"/>')
         parts.append(
             f'<text x="{_ML - 8}" y="{yp + 4:.2f}" text-anchor="end" font-family="sans-serif" font-size="11">'
-            f"{tick_label(float(t), logy)}</text>"
+            f"{10.0 ** float(t):.3g}</text>"
         )
     if xlabel:
         parts.append(
@@ -610,7 +586,7 @@ def render_svg(
         )
     for i, (name, (xs, ys)) in enumerate(cleaned.items()):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(_format_chunks("%.2f,%.2f", " ", np.column_stack([px(tf(xs, logx)), py(tf(ys, logy))])))
+        pts = " ".join(_format_chunks("%.2f,%.2f", " ", np.column_stack([px(xs), py(ys)])))
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>')
         ly = _MT + 16 + 16 * i
         parts.append(f'<line x1="{_ML + 10}" y1="{ly - 4}" x2="{_ML + 34}" y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
@@ -664,7 +640,7 @@ def _run_all(cfg: ExperimentConfig):
     schedule = build_schedule(cfg)
     sf_spec = build_sf(cfg)
     seeds = [split_seed(cfg.master_seed, i) for i in range(cfg.n_seeds)]
-    trajs = run_batch(problem, schedule, sf_spec, cfg.iterations, eval_every=cfg.eval_every, seeds=seeds)
+    trajs = run_arms(problem, schedule, [sf_spec], cfg.iterations, eval_every=cfg.eval_every, seeds=seeds)[0]
     for t in trajs:
         harness.attach_gk(t, schedule)
     return problem, schedule, sf_spec, seeds, trajs
@@ -761,7 +737,6 @@ def _cmd_envelope(args) -> int:
     env = None
     if (traj.eval_points >= 1).any():
         env = harness.trajectory_envelope(traj, case, sf_spec, schedule)
-        env.certified = certified
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -809,7 +784,7 @@ def _cmd_plot(args) -> int:
     if not series:
         raise ConfigError(f"plot: no trajectory CSVs found in {in_dir}")
     render_svg(series, args.out, xlabel="iteration k", ylabel="min grad norm^2 / envelope",
-               logx=True, logy=True, title="trajectories and envelopes")
+               title="trajectories and envelopes")
     print(f"wrote {args.out}")
     return 0
 

@@ -109,7 +109,6 @@ class RateEnvelope:
     mean: np.ndarray
     variance: np.ndarray
     sum_eta: np.ndarray
-    certified: bool | None = None
 
 
 def envelope_series(

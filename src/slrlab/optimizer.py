@@ -20,14 +20,15 @@ A seed's gradient draws are drawn once and shared by its row in every
 arm, so paired arms consume the same gradient noise by construction.
 Block draws equal per-step draws bit for bit, the oracles' rows are
 bitwise independent of the stack, and every row is checked on its own,
-so a run does not depend on the batch it runs in; :func:`run_batch` is
-the one-arm case and :func:`run` the one-seed case.
+so a run does not depend on the batch it runs in; :func:`run` is the
+one-arm, one-seed case.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -80,8 +81,9 @@ class StepSizeSchedule:
     def __post_init__(self) -> None:
         if self.family not in SCHEDULE_FAMILIES:
             raise ValueError(f"unknown schedule family: {self.family!r}")
-        if not (self.eta > 0):
-            raise ValueError("eta must be > 0")
+        # Written so that nan and inf fail it too.
+        if not 0.0 < self.eta < math.inf:
+            raise ValueError(f"eta must be finite and > 0, got eta={self.eta!r}")
 
 
 def step_size(schedule: StepSizeSchedule, k: int) -> float:
@@ -190,23 +192,9 @@ def run(
     point) truncates the run and flags the trajectory instead of
     raising.  ``certified`` drops to False if the problem declares a
     domain box and any iterate leaves it, or if the run diverges.
-    This is the one-seed case of :func:`run_batch`.
+    This is the one-arm, one-seed case of :func:`run_arms`.
     """
-    return run_batch(problem, schedule, sf_spec, iterations, eval_every, x0, seeds=[seed])[0]
-
-
-def run_batch(
-    problem: pb.ProblemSpec,
-    schedule: StepSizeSchedule,
-    sf_spec: sfmod.SFSpec,
-    iterations: int,
-    eval_every: int = 10,
-    x0: np.ndarray | None = None,
-    *,
-    seeds: Sequence[int],
-) -> list[Trajectory]:
-    """Run one configuration under every seed: the one-arm case of :func:`run_arms`."""
-    return run_arms(problem, schedule, [sf_spec], iterations, eval_every, x0, seeds=seeds)[0]
+    return run_arms(problem, schedule, [sf_spec], iterations, eval_every, x0, seeds=[seed])[0][0]
 
 
 def _draw_bytes(draws: np.ndarray) -> bytes:
@@ -300,9 +288,7 @@ def run_arms(
         blocks = {s: problem.draw_block(grad_rngs[s], n) for s in set(seed_of[live].tolist())}
         # Step j's draws for every live row, (n, rows, ...): a seed's block
         # is repeated for its row in each arm.
-        draws = None
-        if next(iter(blocks.values())) is not None:
-            draws = np.stack([blocks[s] for s in seed_of[live]], axis=1)
+        draws = np.stack([blocks[s] for s in seed_of[live]], axis=1)
         u = np.empty((len(live), n))
         edges = np.searchsorted(live, S * np.arange(len(sf_specs) + 1))
         for spec, lo, hi in zip(sf_specs, edges[:-1], edges[1:]):
@@ -323,7 +309,7 @@ def run_arms(
                 k = k0 + j
                 if k % eval_every == 0:
                     E[k // eval_every - e0] = X
-                X = X - steps[j] * step_gradient(X, None if draws is None else draws[j])
+                X = X - steps[j] * step_gradient(X, draws[j])
                 if box is not None and ((X < box[0]).any() or (X > box[1]).any()):
                     certified[live[((X < box[0]) | (X > box[1])).any(axis=1)]] = False
             # First k whose iterate is non-finite, per row.  A non-finite
@@ -339,10 +325,11 @@ def run_arms(
             for j in range(n):
                 if not len(bad):
                     break
-                Y = Y - steps[j, bad] * step_gradient(Y, None if draws is None else draws[j, bad])
+                Y = Y - steps[j, bad] * step_gradient(Y, draws[j, bad])
                 hit = ~np.isfinite(Y).all(axis=1)
                 nonfinite_at[bad[hit]] = k0 + j + 1
                 bad, Y = bad[~hit], Y[~hit]
+            del draws  # freed before the eval and the next block's draws
             if last:
                 E[-1] = X
             # One oracle call for the block's eval points; each row's bits
@@ -368,14 +355,13 @@ def run_arms(
         for i in np.flatnonzero(~keep):
             r, k = live[i], int(stop[i])
             h = seed_digests[seed_of[r]].copy()
-            if draws is not None and k > k0:
+            if k > k0:
                 h.update(_draw_bytes(blocks[seed_of[r]][:k - k0]))
             digests[r] = h.hexdigest()
             truncated_at[r], executed[r], certified[r] = k, k, False
             n_rec[r] = (k - 1) // eval_every + 1 if nonfinite_at[i] == k else k // eval_every + 1
-        if draws is not None:
-            for s in set(seed_of[live[keep]].tolist()):
-                seed_digests[s].update(_draw_bytes(blocks[s]))
+        for s in set(seed_of[live[keep]].tolist()):
+            seed_digests[s].update(_draw_bytes(blocks[s]))
         if not keep.all():
             live, X, running_min = live[keep], X[keep], running_min[keep]
             rows = live

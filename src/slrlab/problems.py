@@ -60,15 +60,15 @@ class ProblemSpec:
     # Lower bound on f, used by witnesses when f_star is absent.
     f_lower: float = 0.0
 
-    def draw_block(self, rng: np.random.Generator, n: int) -> np.ndarray | None:
-        """The randomness n successive stochastic gradients consume, drawn at once.
+    def draw_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """The randomness n successive stochastic gradients consume, drawn at once, shape (n, ...).
 
         It equals n single draws bit for bit, however the steps are split
         into blocks, and does not depend on the query points.
         """
         raise NotImplementedError
 
-    def step_gradient(self, X: np.ndarray, draws: np.ndarray | None) -> np.ndarray:
+    def step_gradient(self, X: np.ndarray, draws: np.ndarray) -> np.ndarray:
         """Stochastic gradient at each row of X given that row's draw, shape (S, d).
 
         ``draws`` holds one step of :meth:`draw_block` output per row.
@@ -82,7 +82,7 @@ class ProblemSpec:
 
 @dataclass(eq=False, kw_only=True)
 class _AdditiveNoise(ProblemSpec):
-    """Exact gradient plus N(0, sigma^2 I) noise: the draws are (n, d) noise, or None when sigma = 0.
+    """Exact gradient plus N(0, sigma^2 I) noise: the draws are (n, d) noise, or (n, 0) when sigma = 0.
 
     A subclass gives the exact gradient alone as ``gradient(X)``: a step
     does not need the value.
@@ -90,14 +90,16 @@ class _AdditiveNoise(ProblemSpec):
 
     sigma: float
 
-    def draw_block(self, rng: np.random.Generator, n: int) -> np.ndarray | None:
+    def draw_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        # A noiseless problem consumes no randomness: its (n, 0) draws
+        # hash to nothing and add nothing.
         if self.sigma == 0.0:
-            return None
+            return np.empty((n, 0))
         return self.sigma * rng.standard_normal((n, self.dim))
 
-    def step_gradient(self, X: np.ndarray, draws: np.ndarray | None) -> np.ndarray:
+    def step_gradient(self, X: np.ndarray, draws: np.ndarray) -> np.ndarray:
         g = self.gradient(X)
-        return g if draws is None else g + draws
+        return g if not draws.size else g + draws
 
 
 @dataclass(eq=False, kw_only=True)
@@ -311,13 +313,6 @@ def full_gradient(problem: ProblemSpec, x: np.ndarray) -> np.ndarray:
     return problem.value_and_gradient(_check_x(problem, x)[None])[1][0]
 
 
-def summand_gradient(problem: ProblemSpec, x: np.ndarray, i: int) -> np.ndarray:
-    """Gradient of summand i; finite-sum problems only."""
-    if not isinstance(problem, LogReg):
-        raise ValueError("summand_gradient applies to finite-sum problems only")
-    return problem.step_gradient(_check_x(problem, x)[None], np.array([i]))[0]
-
-
 def stochastic_gradient(problem: ProblemSpec, x: np.ndarray, rng: np.random.Generator) -> GradientSample:
     """One unbiased stochastic gradient at x.
 
@@ -330,6 +325,6 @@ def stochastic_gradient(problem: ProblemSpec, x: np.ndarray, rng: np.random.Gene
     x = _check_x(problem, x)
     draws = problem.draw_block(rng, 1)
     vector = problem.step_gradient(x[None], draws)[0]
-    if draws is None:
+    if not draws.size:
         return GradientSample(vector=vector, draw=None)
     return GradientSample(vector=vector, draw=draws[0] if draws.ndim == 2 else int(draws[0]))

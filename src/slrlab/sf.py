@@ -18,6 +18,7 @@ exact comparisons of closed-form series, which is what
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -50,9 +51,10 @@ class SFSpec:
     c2: float | None = None
 
     def __post_init__(self) -> None:
+        # The range tests are written so that nan and inf fail them too.
         if self.kind == CONSTANT:
-            if self.value is None or not (self.value > 0):
-                raise ValueError("constant SF requires value > 0")
+            if self.value is None or not 0.0 < self.value < math.inf:
+                raise ValueError(f"constant SF requires finite value > 0, got value={self.value!r}")
             if self.c1 is not None or self.c2 is not None:
                 raise ValueError("constant SF takes no c1/c2")
         elif self.kind == UNIFORM_ROOT:
@@ -60,8 +62,8 @@ class SFSpec:
                 raise ValueError("uniform_root SF takes no value")
             if self.c1 is None or self.c2 is None:
                 raise ValueError("uniform_root SF requires c1 and c2")
-            if not (0.0 < self.c1 < self.c2):
-                raise ValueError("uniform_root SF requires 0 < c1 < c2")
+            if not 0.0 < self.c1 < self.c2 < math.inf:
+                raise ValueError(f"uniform_root SF requires 0 < c1 < c2 < inf, got c1={self.c1!r}, c2={self.c2!r}")
         else:
             raise ValueError(f"unknown SF kind: {self.kind!r}")
 

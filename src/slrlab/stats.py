@@ -1,10 +1,11 @@
 """Multi-seed experiments and their statistical comparison.
 
 Two arms are compared checkpoint by checkpoint with Welch's unequal
-variance t-test and a Bonferroni family-wise correction.  Arms built
-from the same master seed share per-seed gradient streams (the SF
-stream is split off separately), so a paired comparison isolates the
-effect of the stochasticity factor.
+variance t-test and a Bonferroni family-wise correction at
+:data:`FWER`.  The comparison is paired: both arms run under the same
+seeds and so share per-seed gradient streams (the SF stream is split
+off separately), which isolates the effect of the stochasticity
+factor.
 
 The two-sided p-value uses the exact identity
 p = I_x(df/2, 1/2) with x = df/(df + t^2), where I is the regularized
@@ -99,12 +100,6 @@ def t_two_sided_p(t: float, df: float) -> float:
     return betainc_reg(0.5 * df, 0.5, x)
 
 
-def t_cdf(t: float, df: float) -> float:
-    """CDF of Student's t with df degrees of freedom."""
-    half_p = 0.5 * t_two_sided_p(t, df)
-    return 1.0 - half_p if t >= 0 else half_p
-
-
 def welch_t(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
     """Welch's t statistic, Welch-Satterthwaite df, two-sided p.
 
@@ -160,11 +155,11 @@ class RunSet:
     checkpoints: list[int]
 
 
-def auto_checkpoints(iterations: int, eval_every: int, n: int = 10) -> list[int]:
-    """n log-spaced eval points in [eval_every, iterations], deduplicated."""
+def auto_checkpoints(iterations: int, eval_every: int) -> list[int]:
+    """10 log-spaced eval points in [eval_every, iterations], deduplicated."""
     if iterations < eval_every:
         raise ValueError("iterations must be >= eval_every")
-    targets = np.logspace(np.log10(eval_every), np.log10(iterations), n)
+    targets = np.logspace(np.log10(eval_every), np.log10(iterations), 10)
     ks = []
     for t in targets:
         k = int(round(t / eval_every)) * eval_every
@@ -232,6 +227,8 @@ def run_paired(
 
 
 METRICS = ("loss", "min_grad_sq")
+# Family-wise error rate of the Bonferroni correction in :func:`compare`.
+FWER = 0.05
 
 
 def _metric_at(traj: Trajectory, metric: str, k: int) -> float:
@@ -243,12 +240,9 @@ def _metric_at(traj: Trajectory, metric: str, k: int) -> float:
 
 @dataclass
 class ComparisonReport:
-    """Checkpointed Welch/Bonferroni comparison of two run sets."""
+    """Checkpointed Welch/Bonferroni comparison of two paired run sets."""
 
     metric: str
-    correction: str
-    fwer: float
-    paired: bool
     checkpoints: list[int]
     mean_a: list[float]
     mean_b: list[float]
@@ -256,7 +250,7 @@ class ComparisonReport:
     df: list[float]
     p: list[float]
     significant: list[bool]
-    wins_a: list[int] | None
+    wins_a: list[int]
     n_a: int
     n_b: int
     excluded_a: int
@@ -266,36 +260,28 @@ class ComparisonReport:
     notes: list[str] = field(default_factory=list)
 
 
-def compare(
-    a: RunSet,
-    b: RunSet,
-    metric: str = "loss",
-    checkpoints: list[int] | None = None,
-    fwer: float = 0.05,
-    paired: bool = True,
-) -> ComparisonReport:
-    """Welch-compare two run sets checkpoint by checkpoint.
+def compare(a: RunSet, b: RunSet, metric: str = "loss") -> ComparisonReport:
+    """Welch-compare two paired run sets at their checkpoints.
 
-    Diverged trajectories are excluded from the tests and counted in
-    the report.  Paired mode additionally requires the two sets to
-    share their seed list, which with the stream design means shared
-    gradient noise.  Direction (who is ahead) is reported via the means
-    and win counts, never gated on.
+    The sets must share their seed list, which with the stream design
+    means shared gradient noise, and their checkpoints.  Diverged
+    trajectories are excluded from the tests and counted in the report.
+    Direction (who is ahead) is reported via the means and win counts,
+    never gated on.
     """
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}")
     if a.iterations != b.iterations or a.eval_every != b.eval_every:
         raise ValueError("run sets must share horizon and eval cadence")
-    if checkpoints is None:
-        if a.checkpoints != b.checkpoints:
-            raise ValueError("run sets disagree on checkpoints; pass them explicitly")
-        checkpoints = list(a.checkpoints)
+    if a.checkpoints != b.checkpoints:
+        raise ValueError("run sets disagree on checkpoints")
+    checkpoints = list(a.checkpoints)
     if len(checkpoints) == 0:
         raise ValueError("need at least one checkpoint")
     for k in checkpoints:
         if k % a.eval_every != 0 or not (0 <= k <= a.iterations):
             raise ValueError(f"checkpoint {k} is not a valid eval point")
-    if paired and a.seeds != b.seeds:
+    if a.seeds != b.seeds:
         raise ValueError("paired comparison requires identical seed lists")
 
     ok_a = [t for t in a.trajectories if not t.diverged]
@@ -309,7 +295,7 @@ def compare(
     if len(ok_a) < 2 or len(ok_b) < 2:
         raise ValueError("fewer than 2 non-diverged runs on one side; nothing to test")
 
-    wins: list[int] | None = [] if paired else None
+    wins: list[int] = []
     mean_a, mean_b, ts, dfs, ps = [], [], [], [], []
     for k in checkpoints:
         xs = np.array([_metric_at(t, metric, k) for t in ok_a])
@@ -320,24 +306,20 @@ def compare(
         ts.append(t_stat)
         dfs.append(df)
         ps.append(p)
-        if paired:
-            pa = {t.seed: _metric_at(t, metric, k) for t in ok_a}
-            pbv = {t.seed: _metric_at(t, metric, k) for t in ok_b}
-            shared = [s for s in a.seeds if s in pa and s in pbv]
-            wins.append(sum(1 for s in shared if pa[s] < pbv[s]))
+        pa = {t.seed: _metric_at(t, metric, k) for t in ok_a}
+        pbv = {t.seed: _metric_at(t, metric, k) for t in ok_b}
+        shared = [s for s in a.seeds if s in pa and s in pbv]
+        wins.append(sum(1 for s in shared if pa[s] < pbv[s]))
 
     return ComparisonReport(
         metric=metric,
-        correction="bonferroni",
-        fwer=float(fwer),
-        paired=paired,
-        checkpoints=list(checkpoints),
+        checkpoints=checkpoints,
         mean_a=mean_a,
         mean_b=mean_b,
         t=ts,
         df=dfs,
         p=ps,
-        significant=bonferroni(ps, fwer),
+        significant=bonferroni(ps, FWER),
         wins_a=wins,
         n_a=len(ok_a),
         n_b=len(ok_b),

@@ -99,7 +99,7 @@ class Prop1Result:
     mean_direction: sfmod.Direction
 
 
-def classify_prop1(c1: float, c2: float, horizon: int = PROP1_HORIZON) -> Prop1Result:
+def classify_prop1(c1: float, c2: float) -> Prop1Result:
     """Analytic regime of a uniform-root (c1, c2) pair.
 
     a: c1 >= 1 and c2 > 1          b: c1 < 1 and c2 <= 1
@@ -107,13 +107,13 @@ def classify_prop1(c1: float, c2: float, horizon: int = PROP1_HORIZON) -> Prop1R
     d: 0 < c1 < 1 and c2 > 1/c1    none: anything else
 
     The mean direction is evaluated numerically from the closed forms
-    over the horizon rather than inferred from the label; the two are
-    reported side by side so disagreements stay visible.
+    over PROP1_HORIZON steps rather than inferred from the label; the
+    two are reported side by side so disagreements stay visible.
     """
     if not (0.0 < c1 < c2):
         raise ValueError("classify_prop1 requires 0 < c1 < c2")
     spec = sfmod.uniform_root(c1, c2)
-    direction = sfmod.moment_profile(spec, horizon).mean_direction
+    direction = sfmod.moment_profile(spec, PROP1_HORIZON).mean_direction
     if c1 >= 1.0 and c2 > 1.0:
         label = "a"
     elif c1 < 1.0 and c2 <= 1.0:

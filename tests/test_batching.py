@@ -2,11 +2,11 @@
 
 ``run_arms`` steps every (arm, seed) pair as one row of an array, with
 each seed's gradient randomness drawn once per block of steps and shared
-by its row in every arm; ``run_batch`` is its one-arm case.  Each
-trajectory must be bitwise the one ``run_batch`` gives for its arm
-alone, the one ``run(seed=s)`` gives, and the one a plain scalar loop
-gives: one ``sf.sample``, one ``stochastic_gradient`` and one update
-``x - (eta_k * u_k) * g`` per step.  The batches below mix seeds that
+by its row in every arm.  Each trajectory must be bitwise the one
+``run_arms`` gives for its arm alone, the one ``run(seed=s)`` gives, and
+the one a plain scalar loop gives: one ``sf.sample``, one
+``stochastic_gradient`` and one update ``x - (eta_k * u_k) * g`` per
+step.  The batches below mix seeds that
 finish, seeds that diverge (by the loss limit at an eval point, or by a
 non-finite iterate) and, on Rosenbrock, seeds that leave the certified
 box.
@@ -113,6 +113,9 @@ CASES = {
     "quadratic": (problems.make_quadratic(dim=3, cond=10.0, sigma=0.1),
                   StepSizeSchedule("inverse_k", 2.5), sf.uniform_root(0.001, 4.0), None,
                   {"finished", "loss_limit"}),
+    "quadratic_noiseless": (problems.make_quadratic(dim=3, cond=10.0, sigma=0.0),
+                            StepSizeSchedule("inverse_k", 2.5), sf.uniform_root(0.001, 4.0), None,
+                            {"finished", "loss_limit"}),
     "rosenbrock": (problems.make_rosenbrock(sigma=0.5),
                    StepSizeSchedule("inverse_k", 0.01), sf.uniform_root(0.01, 2.0), np.array([-1.2, 1.0]),
                    {"finished", "left_box", "loss_limit", "nonfinite_iterate"}),
@@ -125,7 +128,7 @@ SEEDS = list(range(8))
 
 def check_batch(case, iterations, eval_every, outcomes=None):
     problem, schedule, spec, x0, case_outcomes = CASES[case]
-    batch = optimizer.run_batch(problem, schedule, spec, iterations, eval_every, x0, seeds=SEEDS)
+    batch = optimizer.run_arms(problem, schedule, [spec], iterations, eval_every, x0, seeds=SEEDS)[0]
     assert [t.seed for t in batch] == SEEDS
     assert {outcome(t) for t in batch} == (case_outcomes if outcomes is None else outcomes)
     for seed, traj in zip(SEEDS, batch):
@@ -244,11 +247,11 @@ def test_loss_limit_and_nonfinite_iterate_in_one_block(eval_every, order, monkey
 
 
 def check_arms(problem, schedule, specs, iterations, eval_every, x0=None, seeds=SEEDS):
-    """run_arms against run_batch per arm and the scalar loop per row."""
+    """run_arms against run_arms per arm and the scalar loop per row."""
     arms = optimizer.run_arms(problem, schedule, specs, iterations, eval_every, x0, seeds=seeds)
     assert len(arms) == len(specs)
     for spec, arm in zip(specs, arms):
-        alone = optimizer.run_batch(problem, schedule, spec, iterations, eval_every, x0, seeds=seeds)
+        alone = optimizer.run_arms(problem, schedule, [spec], iterations, eval_every, x0, seeds=seeds)[0]
         assert [t.seed for t in arm] == list(seeds)
         for seed, traj, single in zip(seeds, arm, alone):
             expected = scalar_reference(problem, schedule, spec, iterations, eval_every, x0, seed)

@@ -1,4 +1,3 @@
-import math
 import re
 import warnings
 import xml.etree.ElementTree as ET
@@ -34,8 +33,8 @@ theorem_case = case12
 def test_parse_good_config():
     cfg = cli_io.parse_config(GOOD_CONFIG)
     assert cfg.problem_family == "quadratic"
-    assert cfg.problem_param("dim") == 5
-    assert cfg.problem_param("sigma") == 0.1
+    assert dict(cfg.problem_params)["dim"] == 5
+    assert dict(cfg.problem_params)["sigma"] == 0.1
     assert cfg.schedule_family == "inverse_k" and cfg.eta == 0.1
     assert cfg.sf_kind == "uniform_root"
     assert cfg.sf_param("c1") == 0.3 and cfg.sf_param("c2") == 0.8
@@ -64,7 +63,7 @@ master_seed = 0
     assert cfg.checkpoints == "auto"
     assert cfg.out_dir == "out"
     assert cfg.theorem_case is None
-    assert cfg.problem_param("sigma") == 0.0  # omitted optional problem field
+    assert dict(cfg.problem_params)["sigma"] == 0.0  # omitted optional problem field
 
 
 def test_comments_and_blank_lines_ignored():
@@ -330,54 +329,47 @@ def test_render_svg_one_polyline_per_series(tmp_path):
     xs = np.array([1.0, 10.0])
     cli_io.render_svg({"alpha": (xs, np.array([1.0, 2.0])),
                        "beta": (xs, np.array([3.0, 4.0]))},
-                      p, xlabel="k", ylabel="v", logx=True)
+                      p, xlabel="k", ylabel="v")
     body = p.read_text()
     assert body.count("<polyline") == 2
     assert body.count("</svg>") == 1
     assert "alpha" in body and "beta" in body
     cli_io.render_svg({"alpha": (xs, np.array([1.0, 2.0])),
                        "beta": (xs, np.array([3.0, 4.0]))},
-                      tmp_path / "again.svg", xlabel="k", ylabel="v", logx=True)
+                      tmp_path / "again.svg", xlabel="k", ylabel="v")
     assert (tmp_path / "again.svg").read_bytes() == p.read_bytes()
 
 
 def test_render_svg_drops_nonpositive_on_log_axes(tmp_path):
     p = tmp_path / "plot.svg"
     xs = np.array([0.0, 1.0, 10.0])
-    cli_io.render_svg({"a": (xs, np.array([0.5, 1.0, 2.0]))}, p, logx=True, logy=True)
+    cli_io.render_svg({"a": (xs, np.array([0.5, 1.0, 2.0]))}, p)
     assert p.read_text().count("<polyline") == 1
     with pytest.raises(ValueError):
         cli_io.render_svg({}, tmp_path / "empty.svg")
     with pytest.raises(ValueError):
         cli_io.render_svg({"a": (np.array([-1.0]), np.array([-1.0]))},
-                          tmp_path / "neg.svg", logx=True, logy=True)
+                          tmp_path / "neg.svg")
 
 
 def _reference_points(xs, ys, bounds):
-    """Polyline points before the array form: scalar pixel maps, one f-string per point.
-
-    A span past the double range is mapped at half scale."""
+    """Polyline points before the array form: scalar pixel maps, one f-string per point."""
     x0, x1, y0, y1 = bounds
-    sx = 1.0 if math.isfinite(x1 - x0) else 0.5
-    sy = 1.0 if math.isfinite(y1 - y0) else 0.5
 
     def px(v):
-        return cli_io._ML + (v * sx - x0 * sx) / (x1 * sx - x0 * sx) * (cli_io._W - cli_io._ML - cli_io._MR)
+        return cli_io._ML + (v - x0) / (x1 - x0) * (cli_io._W - cli_io._ML - cli_io._MR)
 
     def py(v):
-        return cli_io._H - cli_io._MB - (v * sy - y0 * sy) / (y1 * sy - y0 * sy) * (cli_io._H - cli_io._MT - cli_io._MB)
+        return cli_io._H - cli_io._MB - (v - y0) / (y1 - y0) * (cli_io._H - cli_io._MT - cli_io._MB)
 
     return " ".join(f"{px(v):.2f},{py(w):.2f}" for v, w in zip(xs, ys))
 
 
 @pytest.mark.parametrize("n", [1, 6, 7, 8, 22])
-@pytest.mark.parametrize("log", [False, True])
-def test_render_svg_points_match_per_point_code(n, log, tmp_path, monkeypatch):
+def test_render_svg_points_match_per_point_code(n, tmp_path, monkeypatch):
     monkeypatch.setattr(cli_io, "_FORMAT_CHUNK", 7)
     # Two finite points pin the ranges; the rest are edge values over the
-    # whole double range, of which render_svg keeps the finite ones (and
-    # the positive ones on log axes).  On linear axes the values near the
-    # double limit make x1 - x0 overflow for most n here.
+    # whole double range, of which render_svg keeps the finite positive ones.
     col = _edge_columns(n + 2, seed=n)
     series = {}
     for name in ("a", "b"):
@@ -387,11 +379,11 @@ def test_render_svg_points_match_per_point_code(n, log, tmp_path, monkeypatch):
     p = tmp_path / "plot.svg"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cli_io.render_svg(series, p, logx=log, logy=log)
+        cli_io.render_svg(series, p)
     kept = {}
     for name, (xs, ys) in series.items():
-        keep = np.isfinite(xs) & np.isfinite(ys) & ((xs > 0) & (ys > 0) if log else True)
-        kept[name] = [np.log10(v[keep]) if log else v[keep] for v in (xs, ys)]
+        keep = np.isfinite(xs) & np.isfinite(ys) & (xs > 0) & (ys > 0)
+        kept[name] = [np.log10(v[keep]) for v in (xs, ys)]
     all_x = np.concatenate([v[0] for v in kept.values()])
     all_y = np.concatenate([v[1] for v in kept.values()])
     bounds = (float(all_x.min()), float(all_x.max()), float(all_y.min()), float(all_y.max()))
@@ -400,21 +392,6 @@ def test_render_svg_points_match_per_point_code(n, log, tmp_path, monkeypatch):
     coords = np.array([float(c) for pts in got for c in re.split("[ ,]", pts)]).reshape(-1, 2)
     assert ((coords[:, 0] >= cli_io._ML) & (coords[:, 0] <= cli_io._W - cli_io._MR)).all()
     assert ((coords[:, 1] >= cli_io._MT) & (coords[:, 1] <= cli_io._H - cli_io._MB)).all()
-
-
-def test_render_svg_maps_a_span_past_the_double_range(tmp_path):
-    # -1.797e308 to 1e308 on both linear axes: x1 - x0 overflows, and the
-    # points used to be written as nan,nan with a RuntimeWarning.
-    p = tmp_path / "plot.svg"
-    v = np.array([-1.7976931348623157e308, 0.0, 1e308])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        cli_io.render_svg({"a": (v, v[::-1].copy())}, p)
-    text = p.read_text()
-    assert re.findall(r'points="([^"]*)"', text) == ["72.00,40.00 550.07,192.98 816.00,468.00"]
-    ticks = re.findall(r'font-size="11">([^<]*)</text>', text)
-    assert ticks[0] == ticks[5] == "-1.798e+308" and ticks[4] == ticks[9] == "1e+308"
-    assert all(re.fullmatch(r"-?[0-9.]+(e[+-][0-9]+)?", t) for t in ticks), ticks
 
 
 def test_render_svg_escapes_text(tmp_path):
@@ -626,6 +603,24 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, base, line, raw, comma
     assert cli_io.main([command, "--config", path, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert key in err and "finite" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("source", ["config", "SLRLAB_SEED"])
+@pytest.mark.parametrize("command", ["run", "envelope"])
+def test_cli_rejects_a_negative_seed(tmp_path, capsys, monkeypatch, source, command):
+    # numpy's seeding refuses a negative seed with a message that names no
+    # key, after `run` has made its output directory.
+    if source == "config":
+        monkeypatch.delenv("SLRLAB_SEED", raising=False)
+        path = _write_cfg(tmp_path, GOOD_CONFIG.replace("master_seed = 7", "master_seed = -1"))
+    else:
+        monkeypatch.setenv("SLRLAB_SEED", "-3")
+        path = _write_cfg(tmp_path)
+    assert cli_io.main([command, "--config", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    key = "master_seed" if source == "config" else "SLRLAB_SEED"
+    assert key in err and ">= 0" in err
     assert not (tmp_path / "out").exists()
 
 

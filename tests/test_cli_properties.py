@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from slrlab import cli_io
-from slrlab.optimizer import SCHEDULE_FAMILIES, run_batch, split_seed
+from slrlab.optimizer import SCHEDULE_FAMILIES, run_arms, split_seed
 from slrlab.validator import TheoremCase
 
 KEYS = ("problem", "schedule", "sf", "iterations", "eval_every", "n_seeds", "master_seed",
@@ -134,8 +134,8 @@ def _diverged(path):
     """Per seed, whether the run of the config in ``path`` diverges."""
     cfg = cli_io.load_config(path)
     seeds = [split_seed(cfg.master_seed, i) for i in range(cfg.n_seeds)]
-    trajs = run_batch(cli_io.build_problem(cfg), cli_io.build_schedule(cfg), cli_io.build_sf(cfg),
-                      cfg.iterations, cfg.eval_every, seeds=seeds)
+    trajs = run_arms(cli_io.build_problem(cfg), cli_io.build_schedule(cfg), [cli_io.build_sf(cfg)],
+                     cfg.iterations, cfg.eval_every, seeds=seeds)[0]
     return [t.diverged for t in trajs]
 
 

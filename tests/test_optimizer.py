@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,20 @@ def test_schedule_validation():
         StepSizeSchedule("constant", -1.0)
     with pytest.raises(ValueError):
         optimizer.step_size(StepSizeSchedule("constant", 0.1), -1)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("make, name", [
+    (lambda v: StepSizeSchedule("constant", v), "eta"),
+    (sf.constant, "value"),
+    (lambda v: sf.uniform_root(v, 0.8), "c1"),
+    (lambda v: sf.uniform_root(0.3, v), "c2"),
+], ids=["eta", "constant-value", "uniform_root-c1", "uniform_root-c2"])
+def test_parameters_reject_non_finite_values(make, name, value):
+    # 'eta > 0' and '0 < c1 < c2' hold for inf, and a run on it diverges
+    # at k = 1 instead of failing here, naming the parameter.
+    with pytest.raises(ValueError, match=re.escape(f"{name}={value!r}")):
+        make(value)
 
 
 def test_sgd_step_formula():

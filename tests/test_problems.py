@@ -124,7 +124,7 @@ def test_summand_mean_is_full_gradient():
         x = rng.standard_normal(4)
         acc = np.zeros(4)
         for i in range(len(pb.y)):
-            acc += problems.summand_gradient(pb, x, i)
+            acc += pb.step_gradient(x[None], np.array([i]))[0]
         acc /= len(pb.y)
         np.testing.assert_allclose(acc, problems.full_gradient(pb, x), atol=1e-12)
 
@@ -165,7 +165,7 @@ def test_stochastic_gradient_logreg_draw_is_index():
     rng = np.random.default_rng(2)
     gs = problems.stochastic_gradient(pb, np.ones(3), rng)
     assert isinstance(gs.draw, int) and 0 <= gs.draw < 20
-    np.testing.assert_array_equal(gs.vector, problems.summand_gradient(pb, np.ones(3), gs.draw))
+    np.testing.assert_array_equal(gs.vector, pb.step_gradient(np.ones((1, 3)), np.array([gs.draw]))[0])
 
 
 def test_expected_smoothness_witness():
@@ -176,7 +176,7 @@ def test_expected_smoothness_witness():
     for _ in range(20):
         x = rng.standard_normal(4) * 2
         second = sum(float(g @ g) for g in
-                     (problems.summand_gradient(pb, x, i) for i in range(n))) / n
+                     (pb.step_gradient(x[None], np.array([i]))[0] for i in range(n))) / n
         full = problems.full_gradient(pb, x)
         bound = pb.A * (problems.loss(pb, x) - pb.f_lower) + pb.B * float(full @ full) + pb.C
         assert second <= bound + 1e-12
@@ -240,8 +240,6 @@ def test_input_validation():
         problems.loss(pb, np.ones(3))
     with pytest.raises(ValueError):
         problems.full_gradient(pb, np.array([1.0, np.nan]))
-    with pytest.raises(ValueError):
-        problems.summand_gradient(pb, np.ones(2), 5)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

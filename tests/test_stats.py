@@ -42,14 +42,6 @@ def test_t_p_matches_scipy():
         assert stats.t_two_sided_p(t, df) == pytest.approx(ref, abs=1e-10)
 
 
-def test_t_cdf_matches_scipy():
-    rng = np.random.default_rng(6)
-    for _ in range(100):
-        t = rng.uniform(-6.0, 6.0)
-        df = rng.uniform(1.0, 60.0)
-        assert stats.t_cdf(t, df) == pytest.approx(scipy.stats.t.cdf(t, df), abs=1e-10)
-
-
 def test_welch_worked_example():
     a = np.array([1.0, 2.0, 3.0])
     b = np.array([2.0, 3.0, 4.0])
@@ -176,10 +168,7 @@ def test_compare_requires_matching_shapes():
     rs_other_seed = stats.run_multi_seed(pb, sched, sf.constant(1.0), 100,
                                          n_seeds=3, master_seed=4, eval_every=10)
     with pytest.raises(ValueError):
-        stats.compare(rs_a, rs_other_seed, paired=True)
-    # unpaired comparison tolerates different masters
-    rep = stats.compare(rs_a, rs_other_seed, paired=False)
-    assert rep.n_a == 3 and rep.n_b == 3
+        stats.compare(rs_a, rs_other_seed)
     with pytest.raises(ValueError):
         stats.compare(rs_a, rs_a, metric="final_x")
 
