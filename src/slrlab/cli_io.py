@@ -646,11 +646,12 @@ def _run_all(cfg: ExperimentConfig):
     return problem, schedule, sf_spec, seeds, trajs
 
 
-def _metadata_text(cfg: ExperimentConfig, digest: str, seeds: list[int]) -> str:
+def _metadata_text(cfg: ExperimentConfig, problem: problems.ProblemSpec, digest: str, seeds: list[int]) -> str:
     lines = [
         "# run metadata",
         f"config_digest = {digest}",
         f"rng_algorithm = {RNG_ALGORITHM}",
+        *([f"eval_algorithm = {problem.eval_algorithm}"] if problem.eval_algorithm else []),
         "seeds = " + ",".join(str(s) for s in seeds),
         "",
         format_config(cfg).rstrip("\n"),
@@ -660,12 +661,12 @@ def _metadata_text(cfg: ExperimentConfig, digest: str, seeds: list[int]) -> str:
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
+    problem, _, _, seeds, trajs = _run_all(cfg)
     out_dir = Path(args.out if args.out is not None else cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _, _, _, seeds, trajs = _run_all(cfg)
     for i, t in enumerate(trajs):
         write_trajectory_csv(t, out_dir / _traj_filename(i))
-    (out_dir / "metadata.txt").write_text(_metadata_text(cfg, trajs[0].config_digest, seeds))
+    (out_dir / "metadata.txt").write_text(_metadata_text(cfg, problem, trajs[0].config_digest, seeds))
     diverged = sum(t.diverged for t in trajs)
     print(f"wrote {len(trajs)} trajectories to {out_dir}" + (f" ({diverged} diverged)" if diverged else ""))
     return 0

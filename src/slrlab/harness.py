@@ -87,14 +87,15 @@ def attach_gk(traj: Trajectory, schedule: StepSizeSchedule) -> np.ndarray:
     using the true weights w_k at their iteration indices; this is the
     documented cadence surrogate and coincides with the exact sequence
     at eval_every = 1.  Rows recorded after divergence (non-finite
-    gradient norms) are excluded.
+    gradient norms) are excluded; a run with no finite norm, such as one
+    whose gradient norm overflows at x0, gets an all-nan series.
     """
     vals = traj.grad_norm_sq
     ks = traj.eval_points
     good = np.isfinite(vals)
-    g = _gk_core(vals[good], ks[good], schedule)
     out = np.full(len(vals), np.nan)
-    out[good] = g[: good.sum()]
+    if good.any():
+        out[good] = _gk_core(vals[good], ks[good], schedule)[: good.sum()]
     traj.g_series = out
     return out
 

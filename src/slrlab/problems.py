@@ -34,6 +34,12 @@ log = logging.getLogger(__name__)
 # max |d/dt (t^2/(1+t^2))| = 9/(8*sqrt(3)), attained at t = 1/sqrt(3)
 _PENALTY_GRAD_MAX = 9.0 / (8.0 * np.sqrt(3.0))
 
+# The logreg eval reads the data in chunks of this many values (2621 rows
+# at d = 50), small enough to stay in cache and for BLAS to run each
+# product on one thread, and serves this many eval rows per pass.
+_EVAL_CHUNK_VALUES = 2**17
+_EVAL_GROUP = 16
+
 
 @dataclass(eq=False, kw_only=True)
 class ProblemSpec:
@@ -47,6 +53,10 @@ class ProblemSpec:
     """
 
     family: ClassVar[str]
+    # Tags how f and its gradient are computed when a change of method
+    # moves their last bits, so old and new results cannot be confused;
+    # None for the closed forms, which have not changed.
+    eval_algorithm: ClassVar[str | None] = None
     name: str
     dim: int
     L: float
@@ -134,6 +144,7 @@ class LogReg(ProblemSpec):
     """Finite sum over the rows of ``data``: the draws are (n,) summand indices."""
 
     family: ClassVar[str] = "logreg"
+    eval_algorithm: ClassVar[str | None] = "logreg-chunked-v1"
     data: np.ndarray
     y: np.ndarray
     reg: float
@@ -147,18 +158,33 @@ class LogReg(ProblemSpec):
         return coeff[:, None] * rows + _penalty_gradient(self.reg, X)
 
     def value_and_gradient(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # One margin z per row feeds both outputs, so each row reads the
-        # data matrix twice: once for z, once for the gradient.  The rows
-        # go one GEMV at a time: a product across rows would round
-        # differently and tie a row's bits to S.
-        data, y, reg = self.data, self.y, self.reg
-        f = np.empty(len(X))
-        G = np.empty_like(X)
-        for s, x in enumerate(X):
-            z = y * (data @ x)
-            f[s] = float(np.logaddexp(0.0, -z).mean()) + float(reg * np.sum(x * x / (1.0 + x * x)))
-            G[s] = data.T @ (-y * _expit(-z)) / len(y)
-        return f, G + _penalty_gradient(reg, X)
+        # The data go in fixed chunks of rows, and each group of eval rows
+        # reads a chunk once, from cache, for both its margins and its
+        # gradients.  Each row's loss and gradient are per-chunk sums added
+        # in chunk order.  The products stay one GEMV per row and chunk: a
+        # product across rows would round differently and tie a row's bits
+        # to S, and a chunk is too small for BLAS to split across threads.
+        data, y, n = self.data, self.y, len(self.y)
+        rows = max(1, _EVAL_CHUNK_VALUES // self.dim)
+        total = np.zeros(len(X))
+        G = np.zeros_like(X)
+        for g0 in range(0, len(X), _EVAL_GROUP):
+            group = X[g0:g0 + _EVAL_GROUP]
+            for c0 in range(0, n, rows):
+                chunk, neg_y = data[c0:c0 + rows], -y[c0:c0 + rows]
+                t = np.empty((len(group), len(chunk)))
+                for r, x in enumerate(group):
+                    np.matmul(chunk, x, out=t[r])
+                t *= neg_y  # t = -y * margin
+                p, e = _logistic(t)
+                # log(1 + exp(t)) without overflow
+                terms = np.maximum(t, 0.0) + np.log1p(e)
+                p *= neg_y  # the loss derivative in the margin
+                for r in range(len(group)):
+                    total[g0 + r] += terms[r].sum()
+                    G[g0 + r] += chunk.T @ p[r]
+        pen = self.reg * np.sum(X * X / (1.0 + X * X), axis=1)
+        return total / n + pen, G / n + _penalty_gradient(self.reg, X)
 
 
 @dataclass(eq=False)
@@ -187,6 +213,7 @@ def make_quadratic(dim: int, cond: float, sigma: float, seed: int = 0) -> Quadra
         raise ValueError(f"cond must be finite and >= 1, got {cond!r}")
     if not 0.0 <= sigma < math.inf:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
+    _check_seed(seed)
     return Quadratic(
         name=f"quadratic(dim={dim},cond={cond:g},sigma={sigma:g})",
         dim=dim,
@@ -237,6 +264,7 @@ def make_logreg_nonconvex(n: int, d: int, reg: float, seed: int = 0) -> LogReg:
         raise ValueError("d must be >= 1")
     if not 0.0 <= reg < math.inf:
         raise ValueError(f"reg must be finite and >= 0, got {reg!r}")
+    _check_seed(seed)
     use_seed = int(seed)
     for _ in range(100):
         rng = np.random.default_rng(np.random.SeedSequence(use_seed))
@@ -273,6 +301,11 @@ def make_logreg_nonconvex(n: int, d: int, reg: float, seed: int = 0) -> LogReg:
     )
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
+
+
 def _check_x(problem: ProblemSpec, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.dim,):
@@ -282,12 +315,20 @@ def _check_x(problem: ProblemSpec, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _expit(t: np.ndarray) -> np.ndarray:
-    # Overflow-safe logistic function with one exp: exp(-|t|) never
-    # overflows, and the quotient is bitwise 1/(1+exp(-t)) for t >= 0
-    # and exp(t)/(1+exp(t)) for t < 0.
+def _logistic(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The logistic 1/(1+exp(-t)) and e = exp(-|t|), without overflow.
+
+    The quotient is bitwise 1/(1+exp(-t)) for t >= 0 and exp(t)/(1+exp(t))
+    for t < 0.  From e, log(1 + exp(t)) = max(t, 0) + log1p(e).
+    """
     e = np.exp(-np.abs(t))
-    return np.where(t >= 0, 1.0, e) / (1.0 + e)
+    # exp(min(t, 0)) is 1 where t >= 0 and e elsewhere: two vectorised
+    # loops cost less than one np.where.
+    return np.exp(np.minimum(t, 0.0)) / (1.0 + e), e
+
+
+def _expit(t: np.ndarray) -> np.ndarray:
+    return _logistic(t)[0]
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

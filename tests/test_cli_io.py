@@ -432,6 +432,8 @@ def test_cli_run_outputs(tmp_path):
     assert files == ["metadata.txt", "run_seed000.csv", "run_seed001.csv"]
     meta = (out / "metadata.txt").read_text()
     assert "config_digest" in meta and "rng_algorithm = pcg64-seedseq-v1" in meta
+    # Only a family whose eval method changed carries an eval tag.
+    assert "eval_algorithm" not in meta
     header = (out / "run_seed000.csv").read_text().splitlines()[0]
     assert header == cli_io.TRAJECTORY_HEADER
 
@@ -606,22 +608,50 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, base, line, raw, comma
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("source", ["config", "SLRLAB_SEED"])
+@pytest.mark.parametrize("source", ["config", "SLRLAB_SEED", "problem.seed-logreg", "problem.seed-quadratic"])
 @pytest.mark.parametrize("command", ["run", "envelope"])
 def test_cli_rejects_a_negative_seed(tmp_path, capsys, monkeypatch, source, command):
     # numpy's seeding refuses a negative seed with a message that names no
-    # key, after `run` has made its output directory.
+    # key, after `run` has made its output directory.  The quadratic only
+    # records its seed, which must be >= 0 all the same.
+    monkeypatch.delenv("SLRLAB_SEED", raising=False)
     if source == "config":
-        monkeypatch.delenv("SLRLAB_SEED", raising=False)
         path = _write_cfg(tmp_path, GOOD_CONFIG.replace("master_seed = 7", "master_seed = -1"))
-    else:
+        key = "master_seed"
+    elif source == "SLRLAB_SEED":
         monkeypatch.setenv("SLRLAB_SEED", "-3")
         path = _write_cfg(tmp_path)
+        key = "SLRLAB_SEED"
+    else:
+        base, line = ((LOGREG_CONFIG, "problem.reg = 0.1") if source.endswith("logreg")
+                      else (GOOD_CONFIG, "problem.sigma = 0.1"))
+        path = _write_cfg(tmp_path, base.replace(line, line + "\nproblem.seed = -1"))
+        key = "seed"
     assert cli_io.main([command, "--config", path, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    key = "master_seed" if source == "config" else "SLRLAB_SEED"
     assert key in err and ">= 0" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "envelope"])
+def test_cli_gradient_norm_overflow_at_x0_is_a_divergence(tmp_path, capsys, command):
+    # At cond = 1e200 the gradient norm at x0 = ones overflows, so every
+    # seed diverges at k = 0 and no recorded norm is finite: the runs are
+    # truncated and flagged like any other divergence.
+    path = _write_cfg(tmp_path, GOOD_CONFIG.replace("problem.cond = 10.0", "problem.cond = 1e200"))
+    out = tmp_path / "out"
+    assert cli_io.main([command, "--config", path, "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    if command == "run":
+        assert "wrote 3 trajectories" in stdout and "(3 diverged)" in stdout
+        names = ["metadata.txt", "run_seed000.csv", "run_seed001.csv", "run_seed002.csv"]
+        assert sorted(f.name for f in out.iterdir()) == names
+        cols = cli_io.read_trajectory_csv(out / "run_seed000.csv")
+    else:
+        assert "diagnostic = unavailable (run diverged at k=0)" in stdout
+        cols = cli_io.read_trajectory_csv(out / "trajectory.csv")
+    assert cols["k"].tolist() == [0]
+    assert np.isinf(cols["grad_norm_sq"]).all() and np.isnan(cols["g_k"]).all()
 
 
 def test_cli_envelope_case_flag_overrides_config(tmp_path):

@@ -4,8 +4,12 @@
 for them before the optimizer stepped seeds as one batch (the Rosenbrock
 run: before each problem family became one class).  Rerunning the
 same commands must reproduce every file exactly: a change that moves a
-single bit of a trajectory, a report or a plot fails here.  The runs are
-small enough that BLAS threading cannot change their bytes.
+single bit of a trajectory, a report or a plot fails here.  The logreg
+run was re-recorded when its eval moved to fixed data chunks (tag
+``eval_algorithm = logreg-chunked-v1``).  Its data fit in one chunk, so
+it does not exercise the BLAS thread count;
+``tests/test_problems.py::test_logreg_eval_bits_do_not_depend_on_blas_threads``
+does, on data large enough for BLAS to use threads.
 
 To re-record after an intended change of results, run from that
 directory (with no SLRLAB_SEED set)::

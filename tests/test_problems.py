@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -263,9 +268,9 @@ def test_determinism_across_constructions():
     assert not np.array_equal(a.data, c.data)
 
 
-# Reference copies of the separate loss and gradient oracles and the
-# masked logistic that value_and_gradient and _expit replaced; the
-# fused forms must reproduce them bit for bit.
+# Reference oracles, one row at a time, and the masked logistic that
+# _expit replaced; the vectorised forms must reproduce them bit for bit.
+# The logreg references walk each row over the eval's fixed data chunks.
 def masked_expit(t):
     out = np.empty_like(t)
     pos = t >= 0
@@ -273,6 +278,11 @@ def masked_expit(t):
     et = np.exp(t[~pos])
     out[~pos] = et / (1.0 + et)
     return out
+
+
+def logreg_chunks(pb):
+    rows = max(1, problems._EVAL_CHUNK_VALUES // pb.dim)
+    return [slice(c0, c0 + rows) for c0 in range(0, len(pb.y), rows)]
 
 
 def reference_loss_rows(pb, X):
@@ -284,8 +294,12 @@ def reference_loss_rows(pb, X):
     data, y, reg = pb.data, pb.y, pb.reg
     out = np.empty(len(X))
     for s, x in enumerate(X):
-        z = y * (data @ x)
-        out[s] = float(np.logaddexp(0.0, -z).mean()) + float(reg * np.sum(x * x / (1.0 + x * x)))
+        total = 0.0
+        for c in logreg_chunks(pb):
+            t = -(y[c] * (data[c] @ x))
+            # log(1 + exp(t)), split so that exp cannot overflow
+            total += np.sum(np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t))))
+        out[s] = total / len(y) + reg * np.sum(x * x / (1.0 + x * x))
     return out
 
 
@@ -296,11 +310,12 @@ def reference_gradient_rows(pb, X):
         a, b = X[:, 0], X[:, 1]
         return np.stack([-2.0 * (1.0 - a) - 400.0 * a * (b - a * a), 200.0 * (b - a * a)], axis=1)
     data, y, reg = pb.data, pb.y, pb.reg
-    out = np.empty_like(X)
+    out = np.zeros_like(X)
     for s, x in enumerate(X):
-        z = y * (data @ x)
-        out[s] = data.T @ (-y * masked_expit(-z)) / len(y)
-    return out + reg * 2.0 * X / (1.0 + X * X) ** 2
+        for c in logreg_chunks(pb):
+            z = y[c] * (data[c] @ x)
+            out[s] += data[c].T @ (-y[c] * masked_expit(-z))
+    return out / len(y) + reg * 2.0 * X / (1.0 + X * X) ** 2
 
 
 def _oracle_cases():
@@ -308,6 +323,10 @@ def _oracle_cases():
     quad = problems.make_quadratic(dim=7, cond=100.0, sigma=0.1)
     rosen = problems.make_rosenbrock(sigma=0.1)
     logreg = problems.make_logreg_nonconvex(n=203, d=5, reg=0.05, seed=4)
+    # Two full data chunks and a ragged one of 3 rows; 19 eval rows span
+    # two row groups.
+    chunk = problems._EVAL_CHUNK_VALUES // 50
+    ragged = problems.make_logreg_nonconvex(n=2 * chunk + 3, d=50, reg=0.05, seed=6)
     # Logreg rows from tiny to huge: the last rows give margins far
     # beyond +-700, where exp over- and underflows.
     scales = np.array([1e-3, 0.3, 1.0, 30.0, 400.0])[:, None]
@@ -315,14 +334,15 @@ def _oracle_cases():
         (quad, 3.0 * rng.standard_normal((5, 7))),
         (rosen, 2.5 * rng.standard_normal((5, 2))),
         (logreg, scales * rng.standard_normal((5, 5))),
+        (ragged, np.repeat(scales, 4, axis=0)[1:] * rng.standard_normal((19, 50))),
     ]
 
 
-@pytest.mark.parametrize("case", range(3), ids=["quadratic", "rosenbrock", "logreg"])
+@pytest.mark.parametrize("case", range(4), ids=["quadratic", "rosenbrock", "logreg", "logreg-chunks"])
 def test_value_and_gradient_rows_bitwise_equals_separate_oracles(case):
     pb, X = _oracle_cases()[case]
     f, G = pb.value_and_gradient(X)
-    assert f.shape == (5,) and G.shape == (5, pb.dim)
+    assert f.shape == (len(X),) and G.shape == X.shape
     np.testing.assert_array_equal(f, reference_loss_rows(pb, X))
     np.testing.assert_array_equal(G, reference_gradient_rows(pb, X))
     if not isinstance(pb, problems.LogReg):
@@ -337,6 +357,48 @@ def test_value_and_gradient_rows_bitwise_equals_separate_oracles(case):
         np.testing.assert_array_equal(Gi[0], G[i])
         assert problems.loss(pb, x) == f[i]
         np.testing.assert_array_equal(problems.full_gradient(pb, x), G[i])
+
+
+def test_logreg_loss_close_to_logaddexp_mean():
+    # The chunked loss changes how the terms are formed and summed, not
+    # what they are: it stays within a few ulp of the mean of
+    # np.logaddexp(0, -z) over the whole data.
+    pb, X = _oracle_cases()[3]
+    f = pb.value_and_gradient(X)[0]
+    for x, fx in zip(X, f):
+        z = pb.y * (pb.data @ x)
+        old = float(np.logaddexp(0.0, -z).mean()) + float(pb.reg * np.sum(x * x / (1.0 + x * x)))
+        assert abs(fx - old) <= 1e-14 * abs(old)
+
+
+# Evaluates logreg at a few points on a tall and a wide data matrix and
+# writes the raw bytes of f and G to stdout.
+_BLAS_THREADS_PROBE = """
+import sys
+import numpy as np
+from slrlab import problems
+for n, d in ((20000, 50), (5000, 500)):
+    pb = problems.make_logreg_nonconvex(n, d, 0.01, seed=1)
+    X = np.random.default_rng(2).standard_normal((3, d)) * np.array([[0.05], [0.3], [2.0]])
+    f, G = pb.value_and_gradient(X)
+    sys.stdout.buffer.write(f.tobytes() + G.tobytes())
+"""
+
+
+def test_logreg_eval_bits_do_not_depend_on_blas_threads():
+    # A product over the whole data matrix is split across BLAS threads
+    # and sums in another order with each thread count.
+    src = str(Path(problems.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2", "4"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", _BLAS_THREADS_PROBE], env=env,
+                              capture_output=True, check=True, timeout=120)
+        outs.append(proc.stdout)
+    assert len(outs[0]) == 8 * (3 + 3 * 50 + 3 + 3 * 500)
+    assert outs[1] == outs[0], "2 BLAS threads give other bits than 1"
+    assert outs[2] == outs[0], "4 BLAS threads give other bits than 1"
 
 
 def test_expit_bitwise_equals_masked_reference():
