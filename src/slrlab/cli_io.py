@@ -205,9 +205,11 @@ def parse_config(text: str) -> ExperimentConfig:
             ks = tuple(int(part.strip(), 10) for part in got[0].split(","))
         except ValueError:
             raise ConfigError(f"line {got[1]}: checkpoints: expected 'auto' or comma-separated integers") from None
-        for k in ks:
+        for i, k in enumerate(ks):
             if k % eval_every != 0 or not (0 <= k <= iterations):
                 raise ConfigError(f"line {got[1]}: checkpoints: {k} is not a recorded eval point")
+            if k in ks[:i]:
+                raise ConfigError(f"line {got[1]}: checkpoints: {k} is repeated")
         checkpoints = ks
 
     got = take("out_dir")

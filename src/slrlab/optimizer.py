@@ -274,10 +274,8 @@ def run_arms(
     certified = np.ones(R, dtype=bool)
 
     # The live stack: row indices (sorted, so each arm's rows are one
-    # run), iterates and running minima.  ``rows`` addresses the live
-    # rows; a plain slice while all live.
+    # run), iterates and running minima.
     live = np.arange(R)
-    rows: slice | np.ndarray = slice(None)
     X = np.tile(x, (R, 1))
     running_min = np.full(R, np.inf)
     never = iterations + 1
@@ -294,7 +292,7 @@ def run_arms(
         for spec, lo, hi in zip(sf_specs, edges[:-1], edges[1:]):
             if hi > lo:
                 u[lo:hi] = sfmod.sample_block(spec, k0, n, [sf_rngs[r] for r in live[lo:hi]])
-        u_series[rows, k0:k0 + n] = u
+        u_series[live, k0:k0 + n] = u
         steps = (etas[k0:k0 + n] * u).T[:, :, None]
         # The block's eval points k0 <= k < k0 + n, plus the final point
         # on the last block.  Their iterates are buffered as the block
@@ -342,7 +340,7 @@ def run_arms(
             ok = np.isfinite(f)
             g2[~ok] = np.nan
             run_mins = np.fmin.accumulate(np.vstack([running_min, g2]), axis=0)[1:]
-            losses[rows, e0:e1], gnorms[rows, e0:e1], mins[rows, e0:e1] = f.T, g2.T, run_mins.T
+            losses[live, e0:e1], gnorms[live, e0:e1], mins[live, e0:e1] = f.T, g2.T, run_mins.T
             running_min = run_mins[-1]  # carried into the next block
             over = ~ok | (f > LOSS_DIVERGENCE_LIMIT)
             hit = over.any(axis=0)
@@ -364,7 +362,6 @@ def run_arms(
             seed_digests[s].update(_draw_bytes(blocks[s]))
         if not keep.all():
             live, X, running_min = live[keep], X[keep], running_min[keep]
-            rows = live
             if not len(live):
                 break
 

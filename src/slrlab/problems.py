@@ -29,6 +29,8 @@ from typing import Any, ClassVar
 
 import numpy as np
 
+from .sf import scalar_power
+
 log = logging.getLogger(__name__)
 
 # max |d/dt (t^2/(1+t^2))| = 9/(8*sqrt(3)), attained at t = 1/sqrt(3)
@@ -201,10 +203,11 @@ class GradientSample:
 
 
 def make_quadratic(dim: int, cond: float, sigma: float, seed: int = 0) -> Quadratic:
-    """Diagonal quadratic with eigenvalues log-spaced in [1, cond].
+    """Diagonal quadratic with eigenvalues ``cond ** linspace(0, 1, dim)`` by :func:`sf.scalar_power`.
 
-    ``seed`` is recorded for configuration digests but does not affect
-    the construction; the eigenstructure is deterministic.
+    They do not decrease and run from exactly 1 to exactly ``cond`` (dim = 1:
+    the one eigenvalue ``cond``), so L = cond bounds the spectrum.  ``seed``
+    is recorded for configuration digests but does not affect the construction.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
@@ -223,7 +226,7 @@ def make_quadratic(dim: int, cond: float, sigma: float, seed: int = 0) -> Quadra
         B=1.0,
         C=float(sigma) ** 2 * dim,
         params={"dim": int(dim), "cond": float(cond), "sigma": float(sigma), "seed": int(seed)},
-        eigs=np.array([float(cond)]) if dim == 1 else np.logspace(0.0, np.log10(cond), dim),
+        eigs=np.array([float(cond)]) if dim == 1 else scalar_power(cond, np.linspace(0.0, 1.0, dim)),
         sigma=float(sigma),
     )
 

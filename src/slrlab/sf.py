@@ -86,16 +86,20 @@ def support_bounds(spec: SFSpec, k: int) -> tuple[float, float]:
     return spec.c1**e, spec.c2**e
 
 
-def _block_bounds(spec: SFSpec, k0: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """uniform_root supports for k = k0..k0+n-1, bitwise :func:`support_bounds`.
+def scalar_power(base: float, exponents: np.ndarray) -> np.ndarray:
+    """``base ** e`` for each exponent by C ``pow``: numpy's array power gives bits that vary with its SIMD dispatch."""
+    return np.fromiter(map(math.pow, [float(base)] * len(exponents), exponents.tolist()), float, len(exponents))
 
-    The exponents 1/(k+1) are exact divisions either way; the powers
-    are the scalar ``float.__pow__`` (C ``pow``) mapped over them,
-    because a numpy array power may use a vector routine that rounds
-    differently.
+
+def _block_bounds(spec: SFSpec, k0: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Supports [lo, hi] of u_k for k = k0..k0+n-1, bitwise :func:`support_bounds`.
+
+    The one closed form of the law, read by the sampler and the moments.
     """
-    e = (1.0 / np.arange(k0 + 1.0, k0 + n + 1.0)).tolist()
-    return tuple(np.fromiter(map(float(c).__pow__, e), float, n) for c in (spec.c1, spec.c2))
+    if spec.kind == CONSTANT:
+        return np.full(n, spec.value), np.full(n, spec.value)
+    e = 1.0 / np.arange(k0 + 1.0, k0 + n + 1.0)
+    return scalar_power(spec.c1, e), scalar_power(spec.c2, e)
 
 
 def sample_block(spec: SFSpec, k0: int, n: int, rngs: list[np.random.Generator]) -> np.ndarray:
@@ -159,28 +163,20 @@ def moment_profile(spec: SFSpec, k_max: int) -> MomentProfile:
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    if spec.kind == CONSTANT:
-        m = np.full(k_max + 1, spec.value)
-        v = np.zeros(k_max + 1)
-        upper_max = spec.value
-        upper_lim = spec.value
-    else:
-        inv = 1.0 / np.arange(1.0, k_max + 2.0)
-        lo = spec.c1**inv
-        hi = spec.c2**inv
-        m = 0.5 * (lo + hi)
-        v = (hi - lo) ** 2 / 12.0
-        upper_max = float(hi.max())
-        # c2 >= 1: upper bound max sits at k = 0; c2 < 1: bounds rise to 1.
-        upper_lim = max(spec.c2, 1.0)
+    lo, hi = _block_bounds(spec, 0, k_max + 1)
+    # Not 0.5 * (lo + hi), which overflows for a constant near the double
+    # range; on the uniform_root supports both give the same bits.
+    m = 0.5 * lo + 0.5 * hi
+    v = (hi - lo) ** 2 / 12.0
     return MomentProfile(
         spec=spec,
         k_max=k_max,
         mean=m,
         variance=v,
         mu1=float(m.min()),
-        sup_support=upper_max,
-        sup_support_limit=float(upper_lim),
+        sup_support=float(hi.max()),
+        # uniform_root: with c2 < 1 the bounds rise toward 1, never attained.
+        sup_support_limit=float(spec.value if spec.kind == CONSTANT else max(spec.c2, 1.0)),
         mean_direction=_direction(m),
         variance_direction=_direction(v),
     )

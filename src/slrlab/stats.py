@@ -159,7 +159,7 @@ def auto_checkpoints(iterations: int, eval_every: int) -> list[int]:
     """10 log-spaced eval points in [eval_every, iterations], deduplicated."""
     if iterations < eval_every:
         raise ValueError("iterations must be >= eval_every")
-    targets = np.logspace(np.log10(eval_every), np.log10(iterations), 10)
+    targets = sfmod.scalar_power(10.0, np.linspace(math.log10(eval_every), math.log10(iterations), 10))
     ks = []
     for t in targets:
         k = int(round(t / eval_every)) * eval_every
@@ -208,9 +208,11 @@ def run_paired(
         raise ValueError("seed split collision; choose a different master_seed")
     if checkpoints is None:
         checkpoints = auto_checkpoints(iterations, eval_every)
-    for k in checkpoints:
+    for i, k in enumerate(checkpoints):
         if k % eval_every != 0 or not (0 <= k <= iterations):
             raise ValueError(f"checkpoint {k} is not a valid eval point")
+        if k in checkpoints[:i]:
+            raise ValueError(f"checkpoint {k} is repeated")
     arms = run_arms(problem, schedule, sf_specs, iterations, eval_every=eval_every, seeds=seeds)
     return [
         RunSet(

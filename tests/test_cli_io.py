@@ -113,6 +113,20 @@ def test_checkpoint_validation():
     assert cfg.checkpoints == "auto"
 
 
+def test_cli_compare_rejects_a_repeated_checkpoint(tmp_path, capsys):
+    # A repeated k was written twice and counted twice in the Bonferroni
+    # divisor, which is the number of distinct tests.
+    with pytest.raises(ConfigError, match=r"line 15: checkpoints: 100 is repeated"):
+        cli_io.parse_config(GOOD_CONFIG + "checkpoints = 100,100,50\n")
+    base = GOOD_CONFIG + "checkpoints = 100,100,50\n"
+    pa = _write_cfg(tmp_path, base, "a.txt")
+    pb_ = _write_cfg(tmp_path, base.replace("sf.c2 = 0.8", "sf.c2 = 0.9"), "b.txt")
+    assert cli_io.main(["compare", "--config-a", pa, "--config-b", pb_, "--out", str(tmp_path / "cmp")]) == 1
+    err = capsys.readouterr().err
+    assert "checkpoints" in err and "line 15" in err
+    assert not (tmp_path / "cmp").exists()
+
+
 def test_builders():
     cfg = cli_io.parse_config(GOOD_CONFIG)
     pb = cli_io.build_problem(cfg)

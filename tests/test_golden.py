@@ -1,13 +1,18 @@
 """CLI outputs pinned byte for byte.
 
 ``tests/data/golden`` holds small configs and the files the CLI wrote
-for them before the optimizer stepped seeds as one batch (the Rosenbrock
-run: before each problem family became one class).  Rerunning the
-same commands must reproduce every file exactly: a change that moves a
-single bit of a trajectory, a report or a plot fails here.  The logreg
-run was re-recorded when its eval moved to fixed data chunks (tag
-``eval_algorithm = logreg-chunked-v1``).  Its data fit in one chunk, so
-it does not exercise the BLAS thread count;
+for them.  Rerunning the same commands must reproduce every file
+exactly: a change that moves a single bit of a trajectory, a report or
+a plot fails here.  The quadratic compare and envelope files were
+re-recorded when the factor supports, the moments and the quadratic's
+eigenvalues moved to one scalar power; the quadratic and Rosenbrock
+files do not depend on the SIMD level numpy dispatches to, and
+:func:`test_quadratic_and_rosenbrock_bytes_do_not_depend_on_numpy_simd`
+checks that.  The logreg run was re-recorded when its eval moved to
+fixed data chunks (tag ``eval_algorithm = logreg-chunked-v1``).  Its
+``exp`` and ``log1p`` are numpy's SIMD loops, so its golden bytes hold
+only where numpy dispatches to its AVX-512 routines.  Its data fit in
+one chunk, so it does not exercise the BLAS thread count;
 ``tests/test_problems.py::test_logreg_eval_bits_do_not_depend_on_blas_threads``
 does, on data large enough for BLAS to use threads.
 
@@ -22,7 +27,11 @@ directory (with no SLRLAB_SEED set)::
     python -m slrlab.cli_io plot --in envelope --out envelope/plot.svg
 """
 
+import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -55,3 +64,34 @@ def test_cli_outputs_match_golden_bytes(name, tmp_path, monkeypatch):
     for fname in expected:
         got = (tmp_path / name / fname).read_bytes()
         assert got == (GOLDEN / name / fname).read_bytes(), f"{name}/{fname} differs from the golden file"
+
+
+# numpy's dispatch targets above the x86-64 baseline: numpy 2.4 names the
+# first four, older versions the others.  numpy ignores a name it does
+# not know, with an ImportWarning.
+_NO_SIMD = "X86_V3 X86_V4 AVX512_ICL AVX512_SPR AVX512F AVX512_SKX AVX512_CLX AVX512_CNL AVX2 FMA3"
+_RUN_COMMANDS = "import json, sys\nfrom slrlab import cli_io\nsys.exit(any(cli_io.main(a) for a in json.loads(sys.argv[1])))"
+
+
+def _outputs(workdir, names, env):
+    workdir.mkdir()
+    for cfg in GOLDEN.glob("*.txt"):
+        shutil.copy(cfg, workdir)
+    argvs = [argv for name in names for argv in COMMANDS[name]]
+    subprocess.run([sys.executable, "-c", _RUN_COMMANDS, json.dumps(argvs)], cwd=workdir, env=env,
+                   capture_output=True, check=True, timeout=120)
+    return {str(p.relative_to(workdir)): p.read_bytes() for name in names for p in (workdir / name).iterdir()}
+
+
+def test_quadratic_and_rosenbrock_bytes_do_not_depend_on_numpy_simd(tmp_path):
+    # Once with numpy's default dispatch, once with its SIMD routines off.
+    names = ["compare", "envelope", "rosenbrock"]
+    src = str(Path(cli_io.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in ("SLRLAB_SEED", "NPY_DISABLE_CPU_FEATURES")}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    default = _outputs(tmp_path / "default", names, env)
+    baseline = _outputs(tmp_path / "baseline", names, dict(env, NPY_DISABLE_CPU_FEATURES=_NO_SIMD))
+    assert sorted(default) == sorted(baseline)
+    assert len(default) == sum(len(list((GOLDEN / name).iterdir())) for name in names)
+    differ = [fname for fname in sorted(default) if default[fname] != baseline[fname]]
+    assert not differ, f"these files depend on numpy's SIMD dispatch: {differ}"

@@ -35,10 +35,14 @@ def test_quadratic_dim1_uses_cond_as_eigenvalue():
     assert pb.L == 7.0
 
 
-def test_quadratic_eigs_logspaced():
-    pb = problems.make_quadratic(dim=4, cond=100.0, sigma=0.0)
+@pytest.mark.parametrize("cond", [100.0, 5.0, 20.0, 12.5, 300.0])
+def test_quadratic_eigs_logspaced(cond):
+    # 10 ** linspace(0, log10(cond)) overshot cond for 5, 20, 12.5 and 300,
+    # so L = cond did not bound the spectrum.
+    pb = problems.make_quadratic(dim=4, cond=cond, sigma=0.0)
     eigs = pb.eigs
-    assert eigs[0] == 1.0 and eigs[-1] == 100.0
+    assert eigs[0] == 1.0 and eigs[-1] == cond == pb.L
+    assert (np.diff(eigs) >= 0).all()
     ratios = eigs[1:] / eigs[:-1]
     np.testing.assert_allclose(ratios, ratios[0], rtol=1e-12)
 

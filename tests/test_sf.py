@@ -14,6 +14,10 @@ def test_constant_moments_and_sample():
     assert prof.mean[5] == 2.0
     assert prof.variance[5] == 0.0
     assert sf.sample(spec, 3, rng) == 2.0
+    # Near the double range; the midpoint written as 0.5 * (lo + hi) would overflow.
+    huge = sf.moment_profile(sf.constant(1.7e308), 10)
+    assert (huge.mean == 1.7e308).all() and (huge.variance == 0.0).all()
+    assert huge.mu1 == huge.sup_support == huge.sup_support_limit == 1.7e308
 
 
 def test_uniform_root_bounds_k0_are_the_roots():
@@ -96,6 +100,26 @@ def test_block_bounds_match_support_bounds_bit_for_bit(k0, n, c1, c2):
     block = sf.sample_block(spec, k0, n, [np.random.default_rng(3)])[0]
     rng = np.random.default_rng(3)
     assert block.tobytes() == np.array([sf.sample(spec, k, rng) for k in range(k0, k0 + n)]).tobytes()
+
+
+@pytest.mark.parametrize("k0, n", [(0, 1), (0, 9), (1023, 2), (10**6 - 4, 9)])
+@pytest.mark.parametrize("value", [1.0, 0.7, 1.7e308])
+def test_constant_block_bounds_match_support_bounds(k0, n, value):
+    spec = sf.constant(value)
+    lo, hi = sf._block_bounds(spec, k0, n)
+    assert lo.tolist() == hi.tolist() == [sf.support_bounds(spec, k)[0] for k in range(k0, k0 + n)] == [value] * n
+
+
+@pytest.mark.parametrize("spec", [sf.uniform_root(0.3, 0.8), sf.uniform_root(0.5, 1.5), sf.uniform_root(2.0, 4.0),
+                                  sf.constant(0.7)], ids=["sub-one", "mixed", "super-one", "constant"])
+def test_moments_read_the_sampler_supports_bit_for_bit(spec):
+    # One closed form: the moments come from the supports the sampler
+    # draws from, not from a second power of their own.
+    prof = sf.moment_profile(spec, 3000)
+    lo, hi = np.array([sf.support_bounds(spec, k) for k in range(3001)]).T
+    assert prof.mean.tobytes() == (0.5 * (lo + hi)).tobytes()
+    assert prof.variance.tobytes() == ((hi - lo) ** 2 / 12.0).tobytes()
+    assert prof.mu1 == prof.mean.min() and prof.sup_support == hi.max()
 
 
 def test_spec_validation():

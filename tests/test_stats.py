@@ -143,6 +143,9 @@ def test_run_multi_seed_deterministic_and_distinct():
     with pytest.raises(ValueError):
         stats.run_multi_seed(pb, sched, sf.constant(1.0), 100, n_seeds=2,
                              master_seed=0, checkpoints=[101])
+    with pytest.raises(ValueError, match="checkpoint 100 is repeated"):
+        stats.run_paired(pb, sched, [sf.constant(1.0)], 100, n_seeds=2, master_seed=0,
+                         checkpoints=[100, 100, 50])
 
 
 def test_compare_identical_sets_all_ones():
