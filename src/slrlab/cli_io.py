@@ -739,7 +739,7 @@ def _cmd_envelope(args) -> int:
     # point the envelope is defined at.
     env = None
     if (traj.eval_points >= 1).any():
-        env = harness.trajectory_envelope(traj, case, sf_spec, schedule)
+        env = harness.trajectory_envelope(traj, case, profile, schedule)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -61,13 +61,13 @@ def _gk_core(values: np.ndarray, ks: np.ndarray, schedule: StepSizeSchedule) -> 
     if (values < 0).any():
         raise ValueError("gradient norms must be >= 0")
     eta = step_sizes(schedule, int(ks[-1]) + 1)
-    csum = np.cumsum(eta)
-    g = np.empty(len(values) + 1)
-    g[0] = values[0]
-    for i, k in enumerate(ks):
-        w = 2.0 * eta[k] / csum[k]
-        g[i + 1] = (1.0 - w) * g[i] + w * values[i]
-    return g
+    w = 2.0 * eta[ks] / np.cumsum(eta)[ks]
+    # Only the recurrence itself is sequential.  It runs on Python floats,
+    # which round each product and sum once as numpy does, in this order.
+    g = [float(values[0])]
+    for a, b in zip((1.0 - w).tolist(), (w * values).tolist()):
+        g.append(a * g[-1] + b)
+    return np.array(g)
 
 
 def gk_sequence(grad_norm_sq: np.ndarray, schedule: StepSizeSchedule) -> np.ndarray:
@@ -114,18 +114,28 @@ class RateEnvelope:
 
 def envelope_series(
     case: TheoremCase,
-    sf_spec: sfmod.SFSpec,
+    factor: sfmod.SFSpec | sfmod.MomentProfile,
     schedule: StepSizeSchedule,
     ks: np.ndarray,
 ) -> RateEnvelope:
-    """Envelope over a sorted array of iteration indices, each >= 1."""
+    """Envelope over a sorted array of iteration indices, each >= 1.
+
+    ``factor`` is the SF law, or a moment profile of it that reaches the
+    last k; a profile's entry at k does not depend on its horizon, so a
+    caller that has one already passes it and gets the same bits.
+    """
     ks = np.asarray(ks, dtype=int)
     if len(ks) == 0:
         raise ValueError("ks must be non-empty")
     if (ks < 1).any():
         raise ValueError("envelope requires k >= 1")
     k_max = int(ks.max())
-    profile = sfmod.moment_profile(sf_spec, k_max)
+    if isinstance(factor, sfmod.MomentProfile):
+        if factor.k_max < k_max:
+            raise ValueError(f"moment profile ends at k={factor.k_max}, before k={k_max}")
+        profile = factor
+    else:
+        profile = sfmod.moment_profile(factor, k_max)
     mean = profile.mean[ks]
     var = profile.variance[ks]
     # S_k = sum_{t<k} eta_t, exclusive of k.
@@ -148,10 +158,15 @@ def envelope_series(
     return RateEnvelope(case=case, ks=ks, values=values, mean=mean, variance=var, sum_eta=s)
 
 
-def trajectory_envelope(traj: Trajectory, case: TheoremCase, sf_spec: sfmod.SFSpec, schedule: StepSizeSchedule) -> RateEnvelope:
-    """Envelope aligned with a trajectory's recorded points at k >= 1."""
+def trajectory_envelope(
+    traj: Trajectory,
+    case: TheoremCase,
+    factor: sfmod.SFSpec | sfmod.MomentProfile,
+    schedule: StepSizeSchedule,
+) -> RateEnvelope:
+    """Envelope aligned with a trajectory's recorded points at k >= 1 (``factor`` as in :func:`envelope_series`)."""
     ks = traj.eval_points[traj.eval_points >= 1]
-    return envelope_series(case, sf_spec, schedule, ks)
+    return envelope_series(case, factor, schedule, ks)
 
 
 @dataclass(eq=False)

@@ -280,6 +280,10 @@ def run_arms(
     running_min = np.full(R, np.inf)
     never = iterations + 1
     step_gradient = problem.step_gradient
+    # Each block's per-row step sizes, expanded to the iterates' shape in
+    # one buffer that every block reuses: on small stacks numpy multiplies
+    # same-shape operands faster than it broadcasts, with the same products.
+    step_buf = np.empty(block * R * d)
 
     for k0 in range(0, iterations, block):
         n = min(block, iterations - k0)
@@ -293,7 +297,8 @@ def run_arms(
             if hi > lo:
                 u[lo:hi] = sfmod.sample_block(spec, k0, n, [sf_rngs[r] for r in live[lo:hi]])
         u_series[live, k0:k0 + n] = u
-        steps = (etas[k0:k0 + n] * u).T[:, :, None]
+        steps = step_buf[:n * len(live) * d].reshape(n, len(live), d)
+        steps[...] = (etas[k0:k0 + n] * u).T[:, :, None]
         # The block's eval points k0 <= k < k0 + n, plus the final point
         # on the last block.  Their iterates are buffered as the block
         # steps and evaluated together after it.

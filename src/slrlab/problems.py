@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, ClassVar
 
 import numpy as np
@@ -118,9 +118,15 @@ class _AdditiveNoise(ProblemSpec):
 class Quadratic(_AdditiveNoise):
     family: ClassVar[str] = "quadratic"
     eigs: np.ndarray
+    # eigs tiled to the shape of the last stack: on small stacks numpy
+    # multiplies same-shape operands faster than it broadcasts a row, and
+    # every product is the same.  Tiled again when the height changes.
+    _eigs_stack: np.ndarray = field(init=False, repr=False, default_factory=lambda: np.empty((0, 0)))
 
     def gradient(self, X: np.ndarray) -> np.ndarray:
-        return self.eigs * X
+        if self._eigs_stack.shape != X.shape:
+            self._eigs_stack = np.tile(self.eigs, (len(X), 1))
+        return self._eigs_stack * X
 
     def value_and_gradient(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         G = self.gradient(X)

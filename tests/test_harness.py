@@ -64,6 +64,38 @@ def test_attach_gk_on_run():
         assert g[i] >= traj.grad_norm_sq[:i].min() - 1e-12
 
 
+def gk_per_point(values, ks, schedule):
+    """The g-recurrence one point at a time, on numpy scalars."""
+    eta = optimizer.step_sizes(schedule, int(ks[-1]) + 1)
+    csum = np.cumsum(eta)
+    g = np.empty(len(values) + 1)
+    g[0] = values[0]
+    for i, k in enumerate(ks):
+        w = 2.0 * eta[k] / csum[k]
+        g[i + 1] = (1.0 - w) * g[i] + w * values[i]
+    return g
+
+
+@pytest.mark.parametrize("family", optimizer.SCHEDULE_FAMILIES)
+@pytest.mark.parametrize("eval_every", [1, 7])
+def test_gk_bits_equal_the_per_point_recurrence(family, eval_every):
+    # Values over six decades: another order of the same operations, such
+    # as g + w * (y - g), rounds differently and fails this.
+    sched = StepSizeSchedule(family, 0.37)
+    rng = np.random.default_rng(eval_every)
+    y = rng.uniform(0.1, 5.0, size=700) * 10.0 ** rng.integers(-3, 3, size=700)
+    assert harness.gk_sequence(y, sched).tobytes() == gk_per_point(y, np.arange(700), sched).tobytes()
+
+    traj = optimizer.run(problems.make_quadratic(dim=3, cond=10.0, sigma=0.5), sched,
+                         sf.uniform_root(0.3, 0.8), iterations=70 * eval_every, eval_every=eval_every, seed=2)
+    # The trailing rows, as after divergence, are non-finite and excluded.
+    traj.grad_norm_sq = traj.grad_norm_sq.copy()
+    traj.grad_norm_sq[-2:] = [np.inf, np.nan]
+    want = np.full(len(traj.grad_norm_sq), np.nan)
+    want[:-2] = gk_per_point(traj.grad_norm_sq[:-2], traj.eval_points[:-2], sched)[:-1]
+    assert harness.attach_gk(traj, sched).tobytes() == want.tobytes()
+
+
 def test_envelope_deterministic_case_is_inverse_sum():
     sched = StepSizeSchedule("inverse_k", 1.0)
     spec = sf.constant(1.0)
@@ -143,6 +175,19 @@ def test_envelope_requires_positive_k():
         harness.envelope_series(TheoremCase.DETERMINISTIC, spec, sched, [0])
     with pytest.raises(ValueError):
         harness.envelope_series(TheoremCase.DETERMINISTIC, spec, sched, np.array([0, 1]))
+
+
+@pytest.mark.parametrize("case", list(TheoremCase))
+def test_envelope_from_a_longer_profile_has_the_same_bits(case):
+    spec = sf.uniform_root(0.3, 0.8)
+    sched = StepSizeSchedule("inverse_sqrt_k", 0.4)
+    ks = np.arange(1, 3000, 7)
+    want = harness.envelope_series(case, spec, sched, ks)
+    got = harness.envelope_series(case, sf.moment_profile(spec, 5000), sched, ks)
+    for name in ("values", "mean", "variance", "sum_eta"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    with pytest.raises(ValueError, match="moment profile ends at k=2000"):
+        harness.envelope_series(case, sf.moment_profile(spec, 2000), sched, ks)
 
 
 def test_trajectory_envelope_alignment():

@@ -56,6 +56,24 @@ def test_quadratic_loss_and_gradient():
     np.testing.assert_allclose(problems.full_gradient(pb, x), fd_gradient(pb, x), atol=1e-6)
 
 
+def test_quadratic_oracles_on_stacks_of_changing_height():
+    # The quadratic multiplies by its eigenvalues tiled to the last
+    # stack's shape; each call must give the broadcast product's bits
+    # whatever height came before, an eval stack between steps included.
+    pb = problems.make_quadratic(dim=6, cond=20.0, sigma=0.3)
+    rng = np.random.default_rng(4)
+    for height, kind in [(5, "step"), (2, "step"), (11, "eval"), (5, "step"), (1, "step"), (1, "eval"), (5, "eval")]:
+        X = rng.standard_normal((height, pb.dim)) * 10.0 ** rng.integers(-3, 4, size=(height, 1))
+        want = pb.eigs * X
+        if kind == "step":
+            draws = pb.draw_block(rng, height)
+            assert pb.step_gradient(X, draws).tobytes() == (want + draws).tobytes()
+        else:
+            f, G = pb.value_and_gradient(X)
+            assert G.tobytes() == want.tobytes()
+            assert f.tobytes() == np.array([0.5 * np.dot(g, x) for g, x in zip(want, X)]).tobytes()
+
+
 def test_rosenbrock_values():
     pb = problems.make_rosenbrock(sigma=0.5)
     assert pb.dim == 2

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slrlab import sf
@@ -77,8 +77,12 @@ def test_sample_within_support(c1, width, k, seed):
     assert u > 0
 
 
+# A profile is built from k = 0, so k is drawn below 10**4 and checked at
+# 10**6 once; the bounds near 10**6 are pinned bit for bit by
+# test_block_bounds_match_support_bounds_bit_for_bit.
 @settings(max_examples=100, deadline=None)
-@given(c1=st.floats(1e-3, 10.0), width=st.floats(1e-3, 5.0), k=st.integers(0, 10**6))
+@given(c1=st.floats(1e-3, 10.0), width=st.floats(1e-3, 5.0), k=st.integers(0, 10**4))
+@example(c1=0.3, width=0.5, k=10**6)
 def test_moment_identities(c1, width, k):
     spec = sf.uniform_root(c1, c1 + width)
     lo, hi = sf.support_bounds(spec, k)
