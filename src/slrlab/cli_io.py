@@ -139,7 +139,11 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigError(f"missing required key 'problem.{name}' for problem = {problem_family}")
             problem_params.append((name, default))
         else:
-            problem_params.append((name, _parse_scalar(got[0], typ, f"problem.{name}", got[1])))
+            value = _parse_scalar(got[0], typ, f"problem.{name}", got[1])
+            why = problems.argument_error(name, value)
+            if why is not None:
+                raise ConfigError(f"line {got[1]}: problem.{name}: {why}")
+            problem_params.append((name, value))
 
     raw, line = need("schedule")
     if raw not in SCHEDULE_FAMILIES:

@@ -37,10 +37,14 @@ log = logging.getLogger(__name__)
 _PENALTY_GRAD_MAX = 9.0 / (8.0 * np.sqrt(3.0))
 
 # The logreg eval reads the data in chunks of this many values (2621 rows
-# at d = 50), small enough to stay in cache and for BLAS to run each
-# product on one thread, and serves this many eval rows per pass.
+# at d = 50), small enough to stay in cache, and serves this many eval rows
+# per pass, as the columns of products that are always this wide.  Each
+# product reads a data tile of at most _EVAL_TILE_VALUES values and
+# _EVAL_TILE_COLS columns, so m*n*k <= 2**18 in every GEMM.
 _EVAL_CHUNK_VALUES = 2**17
 _EVAL_GROUP = 16
+_EVAL_TILE_VALUES = 2**14
+_EVAL_TILE_COLS = 128
 
 
 @dataclass(eq=False, kw_only=True)
@@ -152,7 +156,7 @@ class LogReg(ProblemSpec):
     """Finite sum over the rows of ``data``: the draws are (n,) summand indices."""
 
     family: ClassVar[str] = "logreg"
-    eval_algorithm: ClassVar[str | None] = "logreg-chunked-v1"
+    eval_algorithm: ClassVar[str | None] = "logreg-chunked-v2"
     data: np.ndarray
     y: np.ndarray
     reg: float
@@ -169,28 +173,41 @@ class LogReg(ProblemSpec):
         # The data go in fixed chunks of rows, and each group of eval rows
         # reads a chunk once, from cache, for both its margins and its
         # gradients.  Each row's loss and gradient are per-chunk sums added
-        # in chunk order.  The products stay one GEMV per row and chunk: a
-        # product across rows would round differently and tie a row's bits
-        # to S, and a chunk is too small for BLAS to split across threads.
-        data, y, n = self.data, self.y, len(self.y)
-        rows = max(1, _EVAL_CHUNK_VALUES // self.dim)
+        # in chunk order.  A group is the columns of a (d, 16) block, zero
+        # where it has fewer rows, and every product is a GEMM over fixed
+        # data tiles with the data on the left.  A column's bits then
+        # depend neither on its slot, nor on the other columns, nor on the
+        # BLAS thread count: a width that follows the number of rows, or an
+        # untiled product, gives none of that.
+        data, y, n, d = self.data, self.y, len(self.y), self.dim
+        rows = max(1, _EVAL_CHUNK_VALUES // d)
+        tc = min(d, _EVAL_TILE_COLS)
+        tr = _EVAL_TILE_VALUES // tc
         total = np.zeros(len(X))
         G = np.zeros_like(X)
+        W = np.empty((d, _EVAL_GROUP))
         for g0 in range(0, len(X), _EVAL_GROUP):
             group = X[g0:g0 + _EVAL_GROUP]
+            W[:, :len(group)] = group.T
+            W[:, len(group):] = 0.0
             for c0 in range(0, n, rows):
-                chunk, neg_y = data[c0:c0 + rows], -y[c0:c0 + rows]
-                t = np.empty((len(group), len(chunk)))
-                for r, x in enumerate(group):
-                    np.matmul(chunk, x, out=t[r])
+                chunk, neg_y = data[c0:c0 + rows], -y[c0:c0 + rows, None]
+                t = np.zeros((len(chunk), _EVAL_GROUP))
+                for i in range(0, len(chunk), tr):
+                    for j in range(0, d, tc):
+                        t[i:i + tr] += chunk[i:i + tr, j:j + tc] @ W[j:j + tc]
                 t *= neg_y  # t = -y * margin
                 p, e = _logistic(t)
                 # log(1 + exp(t)) without overflow
                 terms = np.maximum(t, 0.0) + np.log1p(e)
                 p *= neg_y  # the loss derivative in the margin
+                acc = np.zeros((d, _EVAL_GROUP))
+                for j in range(0, d, tc):
+                    for i in range(0, len(chunk), tr):
+                        acc[j:j + tc] += chunk[i:i + tr, j:j + tc].T @ p[i:i + tr]
                 for r in range(len(group)):
-                    total[g0 + r] += terms[r].sum()
-                    G[g0 + r] += chunk.T @ p[r]
+                    total[g0 + r] += terms[:, r].sum()
+                    G[g0 + r] += acc[:, r]
         pen = self.reg * np.sum(X * X / (1.0 + X * X), axis=1)
         return total / n + pen, G / n + _penalty_gradient(self.reg, X)
 
@@ -215,14 +232,7 @@ def make_quadratic(dim: int, cond: float, sigma: float, seed: int = 0) -> Quadra
     the one eigenvalue ``cond``), so L = cond bounds the spectrum.  ``seed``
     is recorded for configuration digests but does not affect the construction.
     """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    # The range tests are written so that nan and inf fail them too.
-    if not 1.0 <= cond < math.inf:
-        raise ValueError(f"cond must be finite and >= 1, got {cond!r}")
-    if not 0.0 <= sigma < math.inf:
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
-    _check_seed(seed)
+    _check_arguments(dim=dim, cond=cond, sigma=sigma, seed=seed)
     return Quadratic(
         name=f"quadratic(dim={dim},cond={cond:g},sigma={sigma:g})",
         dim=dim,
@@ -244,8 +254,7 @@ _ROSENBROCK_L = 6402.0
 
 def make_rosenbrock(sigma: float) -> Rosenbrock:
     """2-d Rosenbrock valley with additive Gaussian gradient noise."""
-    if not 0.0 <= sigma < math.inf:
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma!r}")
+    _check_arguments(sigma=sigma)
     return Rosenbrock(
         name=f"rosenbrock(sigma={sigma:g})",
         dim=2,
@@ -267,13 +276,7 @@ def make_logreg_nonconvex(n: int, d: int, reg: float, seed: int = 0) -> LogReg:
     draws (a single label class) are regenerated from seed+1, noted in
     the log, so every instance has both classes.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    if not 0.0 <= reg < math.inf:
-        raise ValueError(f"reg must be finite and >= 0, got {reg!r}")
-    _check_seed(seed)
+    _check_arguments(n=n, d=d, reg=reg, seed=seed)
     use_seed = int(seed)
     for _ in range(100):
         rng = np.random.default_rng(np.random.SeedSequence(use_seed))
@@ -310,9 +313,29 @@ def make_logreg_nonconvex(n: int, d: int, reg: float, seed: int = 0) -> LogReg:
     )
 
 
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed!r}")
+# The least value of each maker argument; a float argument must also be
+# finite.
+_ARGUMENT_MINIMA = {"dim": 1, "n": 2, "d": 1, "seed": 0, "cond": 1.0, "sigma": 0.0, "reg": 0.0}
+
+
+def argument_error(name: str, value: float) -> str | None:
+    """Why ``value`` is out of range for the maker argument ``name``, or None if it is in range.
+
+    The makers raise ValueError with this text; the config parser checks
+    each ``problem.*`` key with it, without building the problem.
+    """
+    low = _ARGUMENT_MINIMA[name]
+    if isinstance(low, int):
+        return None if value >= low else f"must be >= {low}, got {value!r}"
+    # Written so that nan and inf fail it too.
+    return None if low <= value < math.inf else f"must be finite and >= {low:g}, got {value!r}"
+
+
+def _check_arguments(**args: float) -> None:
+    for name, value in args.items():
+        why = argument_error(name, value)
+        if why is not None:
+            raise ValueError(f"{name} {why}")
 
 
 def _check_x(problem: ProblemSpec, x: np.ndarray) -> np.ndarray:

@@ -647,6 +647,39 @@ def test_cli_rejects_a_negative_seed(tmp_path, capsys, monkeypatch, source, comm
     assert not (tmp_path / "out").exists()
 
 
+ROSENBROCK_CONFIG = GOOD_CONFIG.replace(
+    "problem = quadratic\nproblem.dim = 5\nproblem.cond = 10.0\nproblem.sigma = 0.1\n",
+    "problem = rosenbrock\nproblem.sigma = 0.1\n")
+
+
+@pytest.mark.parametrize("base, key, raw", [
+    (GOOD_CONFIG, "dim", "0"),
+    (GOOD_CONFIG, "cond", "0.5"),
+    (GOOD_CONFIG, "sigma", "-0.1"),
+    (GOOD_CONFIG, "seed", "-1"),
+    (ROSENBROCK_CONFIG, "sigma", "-1.0"),
+    (LOGREG_CONFIG, "n", "1"),
+    (LOGREG_CONFIG, "d", "0"),
+    (LOGREG_CONFIG, "reg", "-0.1"),
+    (LOGREG_CONFIG, "seed", "-1"),
+], ids=["quadratic-dim", "quadratic-cond", "quadratic-sigma", "quadratic-seed", "rosenbrock-sigma",
+        "logreg-n", "logreg-d", "logreg-reg", "logreg-seed"])
+def test_validate_and_run_reject_a_bad_problem_value_alike(tmp_path, capsys, base, key, raw):
+    # validate never built the problem without a theorem_case, so it
+    # passed values that run then rejected with a message naming neither
+    # the key nor its line.
+    lines = [line for line in base.splitlines() if not line.startswith(("theorem_case", f"problem.{key} "))]
+    lines.insert(1, f"problem.{key} = {raw}")
+    path = _write_cfg(tmp_path, "\n".join(lines) + "\n")
+    errs = []
+    for argv in (["validate", "--config", path], ["run", "--config", path, "--out", str(tmp_path / "out")]):
+        assert cli_io.main(argv) == 1
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1]
+    assert errs[0].startswith(f"error: line 2: problem.{key}: must be ") and raw in errs[0]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "envelope"])
 def test_cli_gradient_norm_overflow_at_x0_is_a_divergence(tmp_path, capsys, command):
     # At cond = 1e200 the gradient norm at x0 = ones overflows, so every

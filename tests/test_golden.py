@@ -9,12 +9,16 @@ eigenvalues moved to one scalar power; the quadratic and Rosenbrock
 files do not depend on the SIMD level numpy dispatches to, and
 :func:`test_quadratic_and_rosenbrock_bytes_do_not_depend_on_numpy_simd`
 checks that.  The logreg run was re-recorded when its eval moved to
-fixed data chunks (tag ``eval_algorithm = logreg-chunked-v1``).  Its
-``exp`` and ``log1p`` are numpy's SIMD loops, so its golden bytes hold
-only where numpy dispatches to its AVX-512 routines.  Its data fit in
-one chunk, so it does not exercise the BLAS thread count;
+fixed data chunks (tag ``eval_algorithm = logreg-chunked-v1``), and again
+when the products moved to 16-wide GEMMs over fixed data tiles
+(``logreg-chunked-v2``; values within ~1.1e-15 relative of v1).  Its
+``exp`` and ``log1p`` are numpy's SIMD loops and its products follow the
+OpenBLAS kernel, so its golden bytes hold only where numpy dispatches to
+its AVX-512 routines and OpenBLAS runs the kernel they were recorded
+with (SkylakeX); CI prints both.  Its data fit in one chunk, so it does
+not exercise the BLAS thread count;
 ``tests/test_problems.py::test_logreg_eval_bits_do_not_depend_on_blas_threads``
-does, on data large enough for BLAS to use threads.
+and its per-kernel twin do, on data large enough for BLAS to use threads.
 
 To re-record after an intended change of results, run from that
 directory (with no SLRLAB_SEED set)::

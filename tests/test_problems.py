@@ -292,7 +292,8 @@ def test_determinism_across_constructions():
 
 # Reference oracles, one row at a time, and the masked logistic that
 # _expit replaced; the vectorised forms must reproduce them bit for bit.
-# The logreg references walk each row over the eval's fixed data chunks.
+# The logreg reference evaluates each row alone, in slot 0 of a zero
+# (d, 16) block, over the eval's fixed data chunks and tiles.
 def masked_expit(t):
     out = np.empty_like(t)
     pos = t >= 0
@@ -307,22 +308,43 @@ def logreg_chunks(pb):
     return [slice(c0, c0 + rows) for c0 in range(0, len(pb.y), rows)]
 
 
+def reference_logreg_rows(pb, X):
+    data, y, reg, d = pb.data, pb.y, pb.reg, pb.dim
+    tc = min(d, 128)
+    tr = 2**14 // tc
+    f, G = np.empty(len(X)), np.empty_like(X)
+    for s, x in enumerate(X):
+        W = np.zeros((d, 16))
+        W[:, 0] = x
+        total, grad = 0.0, np.zeros(d)
+        for c in logreg_chunks(pb):
+            A = data[c]
+            margins = np.zeros((len(A), 16))
+            for i in range(0, len(A), tr):
+                for j in range(0, d, tc):
+                    margins[i:i + tr] += A[i:i + tr, j:j + tc] @ W[j:j + tc]
+            z = y[c] * margins[:, 0]
+            # log(1 + exp(-z)), split so that exp cannot overflow
+            total += np.sum(np.maximum(-z, 0.0) + np.log1p(np.exp(-np.abs(z))))
+            Q = np.zeros((len(A), 16))
+            Q[:, 0] = -y[c] * masked_expit(-z)
+            acc = np.zeros((d, 16))
+            for j in range(0, d, tc):
+                for i in range(0, len(A), tr):
+                    acc[j:j + tc] += A[i:i + tr, j:j + tc].T @ Q[i:i + tr]
+            grad += acc[:, 0]
+        f[s] = total / len(y) + reg * np.sum(x * x / (1.0 + x * x))
+        G[s] = grad
+    return f, G / len(y) + reg * 2.0 * X / (1.0 + X * X) ** 2
+
+
 def reference_loss_rows(pb, X):
     if isinstance(pb, problems.Quadratic):
         return 0.5 * problems.row_dot(pb.eigs * X, X)
     if isinstance(pb, problems.Rosenbrock):
         a, b = X[:, 0], X[:, 1]
         return (1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2
-    data, y, reg = pb.data, pb.y, pb.reg
-    out = np.empty(len(X))
-    for s, x in enumerate(X):
-        total = 0.0
-        for c in logreg_chunks(pb):
-            t = -(y[c] * (data[c] @ x))
-            # log(1 + exp(t)), split so that exp cannot overflow
-            total += np.sum(np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t))))
-        out[s] = total / len(y) + reg * np.sum(x * x / (1.0 + x * x))
-    return out
+    return reference_logreg_rows(pb, X)[0]
 
 
 def reference_gradient_rows(pb, X):
@@ -331,13 +353,7 @@ def reference_gradient_rows(pb, X):
     if isinstance(pb, problems.Rosenbrock):
         a, b = X[:, 0], X[:, 1]
         return np.stack([-2.0 * (1.0 - a) - 400.0 * a * (b - a * a), 200.0 * (b - a * a)], axis=1)
-    data, y, reg = pb.data, pb.y, pb.reg
-    out = np.zeros_like(X)
-    for s, x in enumerate(X):
-        for c in logreg_chunks(pb):
-            z = y[c] * (data[c] @ x)
-            out[s] += data[c].T @ (-y[c] * masked_expit(-z))
-    return out / len(y) + reg * 2.0 * X / (1.0 + X * X) ** 2
+    return reference_logreg_rows(pb, X)[1]
 
 
 def _oracle_cases():
@@ -421,6 +437,55 @@ def test_logreg_eval_bits_do_not_depend_on_blas_threads():
     assert len(outs[0]) == 8 * (3 + 3 * 50 + 3 + 3 * 500)
     assert outs[1] == outs[0], "2 BLAS threads give other bits than 1"
     assert outs[2] == outs[0], "4 BLAS threads give other bits than 1"
+
+
+def test_logreg_row_bits_do_not_depend_on_slot_or_neighbours():
+    # Each row sits in every slot of stacks of 1, 16 and 17 rows (the last
+    # group of 17 has one row), among random neighbours, on data of two
+    # full chunks and a ragged one.
+    pb, X = _oracle_cases()[3]
+    rng = np.random.default_rng(9)
+    for x in X[[0, 9, 18]]:
+        f1, G1 = pb.value_and_gradient(x[None])
+        for height in (1, 16, 17):
+            for slot in range(height):
+                S = rng.standard_normal((height, pb.dim)) * 10.0 ** rng.uniform(-3, 2, size=(height, 1))
+                S[slot] = x
+                f, G = pb.value_and_gradient(S)
+                assert f[slot].tobytes() == f1[0].tobytes(), (height, slot)
+                assert G[slot].tobytes() == G1[0].tobytes(), (height, slot)
+
+
+# OpenBLAS kernels and the CPU features each needs: forcing a kernel the
+# CPU cannot run would stop the probe on an illegal instruction.
+_OPENBLAS_KERNELS = {
+    "Sandybridge": ("AVX",),
+    "Haswell": ("AVX2", "FMA3"),
+    "SkylakeX": ("AVX512F", "AVX512CD", "AVX512BW", "AVX512DQ", "AVX512VL"),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(_OPENBLAS_KERNELS))
+def test_logreg_eval_bits_do_not_depend_on_blas_threads_per_kernel(kernel):
+    # Each OpenBLAS kernel splits a large product across threads in its
+    # own way; the fixed tiles keep every product small enough that none
+    # of them does.  Bits differ between kernels, not between thread counts.
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__ as features
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_features__ as features
+    if not all(features.get(name) for name in _OPENBLAS_KERNELS[kernel]):
+        pytest.skip(f"this CPU cannot run the {kernel} kernel")
+    src = str(Path(problems.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", _BLAS_THREADS_PROBE], env=env,
+                              capture_output=True, check=True, timeout=120)
+        outs.append(proc.stdout)
+    assert len(outs[0]) == 8 * (3 + 3 * 50 + 3 + 3 * 500)
+    assert outs[1] == outs[0], f"{kernel}: 2 BLAS threads give other bits than 1"
 
 
 def test_expit_bitwise_equals_masked_reference():
