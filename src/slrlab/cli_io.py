@@ -287,10 +287,7 @@ def build_schedule(cfg: ExperimentConfig) -> StepSizeSchedule:
 
 
 def build_sf(cfg: ExperimentConfig) -> sf.SFSpec:
-    p = dict(cfg.sf_params)
-    if cfg.sf_kind == "constant":
-        return sf.constant(p["value"])
-    return sf.uniform_root(p["c1"], p["c2"])
+    return sf.SFSpec(cfg.sf_kind, **dict(cfg.sf_params))
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -17,7 +17,8 @@ of :class:`ProblemSpec` that holds its own arrays:
 * :class:`LogReg`: finite-sum logistic loss on synthetic labels with 10%
   flips, plus the bounded nonconvex penalty reg * sum_j x_j^2/(1+x_j^2)
   inside every summand.  L comes from the data matrix, f_star is unknown
-  (recorded as absent; the loss is bounded below by 0).
+  (recorded as absent; the loss is bounded below by 0).  The data rows are
+  stored signed, as z_i = -y_i x_i.
 """
 
 from __future__ import annotations
@@ -153,21 +154,30 @@ class Rosenbrock(_AdditiveNoise):
 
 @dataclass(eq=False, kw_only=True)
 class LogReg(ProblemSpec):
-    """Finite sum over the rows of ``data``: the draws are (n,) summand indices."""
+    """Finite sum over the data rows x_i with labels y_i = +-1: the draws are (n,) summand indices.
+
+    The rows are stored signed, z_i = -y_i x_i, in ``signed``.  Rounding is
+    symmetric in sign, so a product on z_i is bit for bit -y_i times the
+    same product on x_i, and no pass multiplies by -y.
+    """
 
     family: ClassVar[str] = "logreg"
     eval_algorithm: ClassVar[str | None] = "logreg-chunked-v2"
-    data: np.ndarray
+    signed: np.ndarray
     y: np.ndarray
     reg: float
+
+    @property
+    def data(self) -> np.ndarray:
+        """The rows x_i = -y_i z_i, exactly."""
+        return -self.y[:, None] * self.signed
 
     def draw_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.integers(len(self.y), size=n)
 
     def step_gradient(self, X: np.ndarray, draws: np.ndarray) -> np.ndarray:
-        rows, yi = self.data[draws], self.y[draws]
-        coeff = -yi * _expit(-(yi * row_dot(rows, X)))
-        return coeff[:, None] * rows + _penalty_gradient(self.reg, X)
+        z = self.signed[draws]
+        return _expit(row_dot(z, X))[:, None] * z + _penalty_gradient(self.reg, X)
 
     def value_and_gradient(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # The data go in fixed chunks of rows, and each group of eval rows
@@ -179,35 +189,47 @@ class LogReg(ProblemSpec):
         # depend neither on its slot, nor on the other columns, nor on the
         # BLAS thread count: a width that follows the number of rows, or an
         # untiled product, gives none of that.
-        data, y, n, d = self.data, self.y, len(self.y), self.dim
+        signed, n, d = self.signed, len(self.y), self.dim
         rows = max(1, _EVAL_CHUNK_VALUES // d)
         tc = min(d, _EVAL_TILE_COLS)
-        tr = _EVAL_TILE_VALUES // tc
+        tr = min(_EVAL_TILE_VALUES // tc, rows, n)
         total = np.zeros(len(X))
         G = np.zeros_like(X)
         W = np.empty((d, _EVAL_GROUP))
+        t, e, p = (np.empty((tr, _EVAL_GROUP)) for _ in range(3))
+        prod = np.empty((max(tr, tc), _EVAL_GROUP))
+        acc = np.empty((d, _EVAL_GROUP))
+        # Transposed, so that each row's pairwise sum runs over a whole chunk.
+        terms = np.empty((_EVAL_GROUP, min(rows, n)))
         for g0 in range(0, len(X), _EVAL_GROUP):
             group = X[g0:g0 + _EVAL_GROUP]
-            W[:, :len(group)] = group.T
-            W[:, len(group):] = 0.0
+            k = len(group)
+            W[:, :k] = group.T
+            W[:, k:] = 0.0
             for c0 in range(0, n, rows):
-                chunk, neg_y = data[c0:c0 + rows], -y[c0:c0 + rows, None]
-                t = np.zeros((len(chunk), _EVAL_GROUP))
+                chunk = signed[c0:c0 + rows]
                 for i in range(0, len(chunk), tr):
+                    tile = chunk[i:i + tr]
+                    m = len(tile)
+                    ti, ei, pi = t[:m], e[:m], p[:m]
+                    np.matmul(tile[:, :tc], W[:tc], out=ti)  # t = -y * margin
+                    for j in range(tc, d, tc):
+                        ti += np.matmul(tile[:, j:j + tc], W[j:j + tc], out=prod[:m])
+                    np.negative(np.abs(ti, out=ei), out=ei)
+                    np.exp(ei, out=ei)
+                    # log(1 + exp(t)) without overflow, formed in a
+                    # contiguous buffer: a ufunc writes strided output slowly
+                    np.add(np.maximum(ti, 0.0, out=prod[:m]), np.log1p(ei, out=pi), out=pi)
+                    terms[:, i:i + m].T[...] = pi
+                    _expit(ti, ei, out=pi)  # the loss derivative in t
                     for j in range(0, d, tc):
-                        t[i:i + tr] += chunk[i:i + tr, j:j + tc] @ W[j:j + tc]
-                t *= neg_y  # t = -y * margin
-                p, e = _logistic(t)
-                # log(1 + exp(t)) without overflow
-                terms = np.maximum(t, 0.0) + np.log1p(e)
-                p *= neg_y  # the loss derivative in the margin
-                acc = np.zeros((d, _EVAL_GROUP))
-                for j in range(0, d, tc):
-                    for i in range(0, len(chunk), tr):
-                        acc[j:j + tc] += chunk[i:i + tr, j:j + tc].T @ p[i:i + tr]
-                for r in range(len(group)):
-                    total[g0 + r] += terms[:, r].sum()
-                    G[g0 + r] += acc[:, r]
+                        aj = acc[j:j + tc]
+                        if i == 0:
+                            np.matmul(tile[:, j:j + tc].T, pi, out=aj)
+                        else:
+                            aj += np.matmul(tile[:, j:j + tc].T, pi, out=prod[:len(aj)])
+                total[g0:g0 + k] += terms[:k, :len(chunk)].sum(axis=1)
+                G[g0:g0 + k] += acc[:, :k].T
         pen = self.reg * np.sum(X * X / (1.0 + X * X), axis=1)
         return total / n + pen, G / n + _penalty_gradient(self.reg, X)
 
@@ -297,6 +319,7 @@ def make_logreg_nonconvex(n: int, d: int, reg: float, seed: int = 0) -> LogReg:
     L = l_data + 2.0 * float(reg)
     row_sq = float((X * X).sum(axis=1).max())
     C = 2.0 * row_sq + 2.0 * (float(reg) * np.sqrt(d) * _PENALTY_GRAD_MAX) ** 2
+    X *= -y[:, None]  # the signed rows, in place
     return LogReg(
         name=f"logreg(n={n},d={d},reg={reg:g})",
         dim=d,
@@ -307,7 +330,7 @@ def make_logreg_nonconvex(n: int, d: int, reg: float, seed: int = 0) -> LogReg:
         C=C,
         params={"n": int(n), "d": int(d), "reg": float(reg), "seed": int(seed)},
         f_lower=0.0,
-        data=X,
+        signed=X,
         y=y,
         reg=float(reg),
     )
@@ -347,20 +370,19 @@ def _check_x(problem: ProblemSpec, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _logistic(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The logistic 1/(1+exp(-t)) and e = exp(-|t|), without overflow.
+def _expit(t: np.ndarray, e: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """The logistic 1/(1+exp(-t)) without overflow, into ``out`` if given.
 
+    ``e`` is exp(-|t|), computed if not given; it is overwritten with 1 + e.
     The quotient is bitwise 1/(1+exp(-t)) for t >= 0 and exp(t)/(1+exp(t))
-    for t < 0.  From e, log(1 + exp(t)) = max(t, 0) + log1p(e).
+    for t < 0.  Its numerator exp(min(t, 0)) is max(e, t >= 0) bit for bit,
+    since e <= 1 and -|t| is t where t < 0, so one exp serves both.
     """
-    e = np.exp(-np.abs(t))
-    # exp(min(t, 0)) is 1 where t >= 0 and e elsewhere: two vectorised
-    # loops cost less than one np.where.
-    return np.exp(np.minimum(t, 0.0)) / (1.0 + e), e
-
-
-def _expit(t: np.ndarray) -> np.ndarray:
-    return _logistic(t)[0]
+    if e is None:
+        e = np.exp(-np.abs(t))
+    out = np.maximum(e, np.greater_equal(t, 0.0, out=out), out=out)
+    e += 1.0
+    return np.divide(out, e, out=out)
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:

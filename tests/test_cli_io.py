@@ -133,8 +133,18 @@ def test_builders():
     assert pb.family == "quadratic" and pb.dim == 5
     sched = cli_io.build_schedule(cfg)
     assert sched == StepSizeSchedule("inverse_k", 0.1)
-    spec = cli_io.build_sf(cfg)
-    assert spec == sf.uniform_root(0.3, 0.8)
+
+
+@pytest.mark.parametrize("lines, want", [
+    ("sf = constant\nsf.value = 2\n", sf.constant(2.0)),
+    ("sf = uniform_root\nsf.c1 = 0.3\nsf.c2 = 1\n", sf.uniform_root(0.3, 1.0)),
+], ids=["constant", "uniform_root"])
+def test_build_sf_equals_the_kind_constructor(lines, want):
+    # build_sf passes the parsed sf.* values to SFSpec by name; they are
+    # floats, as the constructors make them, even when written as integers.
+    text = GOOD_CONFIG.replace("sf = uniform_root\nsf.c1 = 0.3\nsf.c2 = 0.8\n", lines)
+    spec = cli_io.build_sf(cli_io.parse_config(text))
+    assert spec == want and repr(spec) == repr(want)
 
 
 def test_load_config_env_seed_override(tmp_path, monkeypatch):

@@ -365,6 +365,9 @@ def _oracle_cases():
     # two row groups.
     chunk = problems._EVAL_CHUNK_VALUES // 50
     ragged = problems.make_logreg_nonconvex(n=2 * chunk + 3, d=50, reg=0.05, seed=6)
+    # d = 300 reads column tiles of 128, 128 and 44: two full chunks of
+    # 436 rows and a ragged one of 5.
+    wide = problems.make_logreg_nonconvex(n=2 * (problems._EVAL_CHUNK_VALUES // 300) + 5, d=300, reg=0.05, seed=8)
     # Logreg rows from tiny to huge: the last rows give margins far
     # beyond +-700, where exp over- and underflows.
     scales = np.array([1e-3, 0.3, 1.0, 30.0, 400.0])[:, None]
@@ -373,10 +376,11 @@ def _oracle_cases():
         (rosen, 2.5 * rng.standard_normal((5, 2))),
         (logreg, scales * rng.standard_normal((5, 5))),
         (ragged, np.repeat(scales, 4, axis=0)[1:] * rng.standard_normal((19, 50))),
+        (wide, scales * rng.standard_normal((5, 300))),
     ]
 
 
-@pytest.mark.parametrize("case", range(4), ids=["quadratic", "rosenbrock", "logreg", "logreg-chunks"])
+@pytest.mark.parametrize("case", range(5), ids=["quadratic", "rosenbrock", "logreg", "logreg-chunks", "logreg-wide"])
 def test_value_and_gradient_rows_bitwise_equals_separate_oracles(case):
     pb, X = _oracle_cases()[case]
     f, G = pb.value_and_gradient(X)
@@ -439,13 +443,14 @@ def test_logreg_eval_bits_do_not_depend_on_blas_threads():
     assert outs[2] == outs[0], "4 BLAS threads give other bits than 1"
 
 
-def test_logreg_row_bits_do_not_depend_on_slot_or_neighbours():
+@pytest.mark.parametrize("case", [3, 4], ids=["logreg-chunks", "logreg-wide"])
+def test_logreg_row_bits_do_not_depend_on_slot_or_neighbours(case):
     # Each row sits in every slot of stacks of 1, 16 and 17 rows (the last
     # group of 17 has one row), among random neighbours, on data of two
     # full chunks and a ragged one.
-    pb, X = _oracle_cases()[3]
+    pb, X = _oracle_cases()[case]
     rng = np.random.default_rng(9)
-    for x in X[[0, 9, 18]]:
+    for x in X[[0, len(X) // 2, -1]]:
         f1, G1 = pb.value_and_gradient(x[None])
         for height in (1, 16, 17):
             for slot in range(height):
@@ -486,6 +491,25 @@ def test_logreg_eval_bits_do_not_depend_on_blas_threads_per_kernel(kernel):
         outs.append(proc.stdout)
     assert len(outs[0]) == 8 * (3 + 3 * 50 + 3 + 3 * 500)
     assert outs[1] == outs[0], f"{kernel}: 2 BLAS threads give other bits than 1"
+
+
+def test_logreg_step_gradient_bitwise_equals_textbook_row():
+    # The summand gradient -y_i * expit(-y_i * (x_i . w)) * x_i plus the
+    # penalty's, from the unsigned rows, one row and one masked logistic at
+    # a time; the rows repeat indices and reach margins beyond +-700.  At
+    # d = 20 a dot product in another order gives other bits.
+    pb = problems.make_logreg_nonconvex(n=40, d=20, reg=0.05, seed=4)
+    rng = np.random.default_rng(13)
+    scales = np.array([1e-3, 0.3, 1.0, 30.0, 400.0, 400.0])
+    X = np.repeat(scales, 3)[:, None] * rng.standard_normal((18, 20))
+    draws = np.tile(rng.integers(len(pb.y), size=6), 3)
+    got = pb.step_gradient(X, draws)
+    data, y = pb.data, pb.y
+    margins = np.array([np.dot(data[i], w) for w, i in zip(X, draws)])
+    assert (margins > 700.0).any() and (margins < -700.0).any()
+    for s, (w, i) in enumerate(zip(X, draws)):
+        want = -y[i] * masked_expit(np.array([-y[i] * margins[s]]))[0] * data[i] + pb.reg * 2.0 * w / (1.0 + w * w) ** 2
+        assert got[s].tobytes() == want.tobytes(), s
 
 
 def test_expit_bitwise_equals_masked_reference():
