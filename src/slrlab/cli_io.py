@@ -53,10 +53,6 @@ _PROBLEM_MAKERS = {
     "rosenbrock": problems.make_rosenbrock,
     "logreg": problems.make_logreg_nonconvex,
 }
-_SF_FIELDS: dict[str, dict[str, tuple[type, object]]] = {
-    "constant": {"value": (float, _REQUIRED)},
-    "uniform_root": {"c1": (float, _REQUIRED), "c2": (float, _REQUIRED)},
-}
 _CASE_TOKENS = {c.value: c for c in TheoremCase}
 
 
@@ -68,10 +64,8 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     problem_family: str
     problem_params: tuple[tuple[str, int | float], ...]
-    schedule_family: str
-    eta: float
-    sf_kind: str
-    sf_params: tuple[tuple[str, float], ...]
+    schedule: StepSizeSchedule
+    sf: sf.SFSpec
     iterations: int
     eval_every: int = 10
     n_seeds: int = 40
@@ -79,9 +73,6 @@ class ExperimentConfig:
     checkpoints: tuple[int, ...] | str = "auto"
     out_dir: str = "out"
     theorem_case: TheoremCase | None = None
-
-    def sf_param(self, name: str) -> float:
-        return dict(self.sf_params)[name]
 
 
 def _parse_scalar(raw: str, typ: type, key: str, line: int):
@@ -145,35 +136,29 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigError(f"line {got[1]}: problem.{name}: {why}")
             problem_params.append((name, value))
 
-    raw, line = need("schedule")
-    if raw not in SCHEDULE_FAMILIES:
-        raise ConfigError(f"line {line}: schedule: unknown family {raw!r}")
-    schedule_family = raw
+    schedule_family, line = need("schedule")
+    if schedule_family not in SCHEDULE_FAMILIES:
+        raise ConfigError(f"line {line}: schedule: unknown family {schedule_family!r}")
     raw, line = need("schedule.eta")
     eta = _parse_scalar(raw, float, "schedule.eta", line)
-    if not eta > 0:
-        raise ConfigError(f"line {line}: schedule.eta: must be > 0")
+    try:  # the family is known, so only eta can fail
+        schedule = StepSizeSchedule(schedule_family, eta)
+    except ValueError as exc:
+        raise ConfigError(f"line {line}: schedule.eta: {exc}") from None
 
-    raw, line = need("sf")
-    if raw not in _SF_FIELDS:
-        raise ConfigError(f"line {line}: sf: unknown kind {raw!r}")
-    sf_kind = raw
-    sf_params = []
-    sf_lines = {}
-    for name, (typ, default) in _SF_FIELDS[sf_kind].items():
+    sf_kind, line = need("sf")
+    if sf_kind not in sf.KIND_ARGUMENTS:
+        raise ConfigError(f"line {line}: sf: unknown kind {sf_kind!r}")
+    sf_args: dict[str, float] = {}
+    for name in sf.KIND_ARGUMENTS[sf_kind]:
         got = take(f"sf.{name}")
         if got is None:
             raise ConfigError(f"missing required key 'sf.{name}' for sf = {sf_kind}")
-        sf_params.append((name, _parse_scalar(got[0], typ, f"sf.{name}", got[1])))
-        sf_lines[name] = got[1]
-    spd = dict(sf_params)
-    if sf_kind == "constant" and not spd["value"] > 0:
-        raise ConfigError(f"line {sf_lines['value']}: sf.value: must be > 0")
-    if sf_kind == "uniform_root":
-        if not spd["c1"] > 0:
-            raise ConfigError(f"line {sf_lines['c1']}: sf.c1: must be > 0")
-        if not spd["c2"] > spd["c1"]:
-            raise ConfigError(f"line {sf_lines['c2']}: sf.c2: must exceed sf.c1")
+        value = _parse_scalar(got[0], float, f"sf.{name}", got[1])
+        why = sf.argument_error(name, value, sf_args.get("c1"))
+        if why is not None:
+            raise ConfigError(f"line {got[1]}: sf.{name}: {why}")
+        sf_args[name] = value
 
     raw, line = need("iterations")
     iterations = _parse_scalar(raw, int, "iterations", line)
@@ -236,10 +221,8 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(
         problem_family=problem_family,
         problem_params=tuple(problem_params),
-        schedule_family=schedule_family,
-        eta=eta,
-        sf_kind=sf_kind,
-        sf_params=tuple(sf_params),
+        schedule=schedule,
+        sf=sf.SFSpec(sf_kind, **sf_args),
         iterations=iterations,
         eval_every=eval_every,
         n_seeds=n_seeds,
@@ -259,11 +242,11 @@ def format_config(cfg: ExperimentConfig) -> str:
     lines = [f"problem = {cfg.problem_family}"]
     for name, value in cfg.problem_params:
         lines.append(f"problem.{name} = {_fmt_value(value)}")
-    lines.append(f"schedule = {cfg.schedule_family}")
-    lines.append(f"schedule.eta = {_fmt_value(cfg.eta)}")
-    lines.append(f"sf = {cfg.sf_kind}")
-    for name, value in cfg.sf_params:
-        lines.append(f"sf.{name} = {_fmt_value(value)}")
+    lines.append(f"schedule = {cfg.schedule.family}")
+    lines.append(f"schedule.eta = {_fmt_value(cfg.schedule.eta)}")
+    lines.append(f"sf = {cfg.sf.kind}")
+    for name in sf.KIND_ARGUMENTS[cfg.sf.kind]:
+        lines.append(f"sf.{name} = {_fmt_value(getattr(cfg.sf, name))}")
     lines.append(f"iterations = {cfg.iterations}")
     lines.append(f"eval_every = {cfg.eval_every}")
     lines.append(f"n_seeds = {cfg.n_seeds}")
@@ -282,12 +265,13 @@ def build_problem(cfg: ExperimentConfig) -> problems.ProblemSpec:
     return _PROBLEM_MAKERS[cfg.problem_family](**dict(cfg.problem_params))
 
 
+# The config's own objects, under the names perfbench/setup_probe.py calls.
 def build_schedule(cfg: ExperimentConfig) -> StepSizeSchedule:
-    return StepSizeSchedule(cfg.schedule_family, cfg.eta)
+    return cfg.schedule
 
 
 def build_sf(cfg: ExperimentConfig) -> sf.SFSpec:
-    return sf.SFSpec(cfg.sf_kind, **dict(cfg.sf_params))
+    return cfg.sf
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -610,23 +594,21 @@ def _traj_filename(i: int) -> str:
 
 def _cmd_validate(args) -> int:
     cfg = load_config(args.config)
-    schedule = build_schedule(cfg)
-    sf_spec = build_sf(cfg)
     horizon = min(cfg.iterations, 100_000)
     if horizon < 2:
         raise ConfigError(f"validate: iterations must be >= 2 to give a horizon to check (got {cfg.iterations})")
-    gating: list[ConditionReport] = list(validator.check_assumption2(schedule, horizon))
+    gating: list[ConditionReport] = list(validator.check_assumption2(cfg.schedule, horizon))
     out = [validator.format_reports(gating).rstrip("\n")]
 
-    if cfg.sf_kind == "uniform_root":
-        res = validator.classify_prop1(cfg.sf_param("c1"), cfg.sf_param("c2"))
+    if cfg.sf.kind == sf.UNIFORM_ROOT:
+        res = validator.classify_prop1(cfg.sf.c1, cfg.sf.c2)
         out.append(f"prop1_regime = {res.label} | mean_direction = {res.mean_direction.value}")
 
     if cfg.theorem_case is not None:
         problem = build_problem(cfg)
-        profile = sf.moment_profile(sf_spec, horizon)
+        profile = sf.moment_profile(cfg.sf, horizon)
         case_reports = validator.check_theorem_case(
-            profile, cfg.theorem_case, problem.B, problem.L, schedule, horizon
+            profile, cfg.theorem_case, problem.B, problem.L, cfg.schedule, horizon
         )
         gating.extend(case_reports)
         out.append(validator.format_reports(case_reports).rstrip("\n"))
@@ -640,13 +622,11 @@ def _cmd_validate(args) -> int:
 
 def _run_all(cfg: ExperimentConfig):
     problem = build_problem(cfg)
-    schedule = build_schedule(cfg)
-    sf_spec = build_sf(cfg)
     seeds = [split_seed(cfg.master_seed, i) for i in range(cfg.n_seeds)]
-    trajs = run_arms(problem, schedule, [sf_spec], cfg.iterations, eval_every=cfg.eval_every, seeds=seeds)[0]
+    trajs = run_arms(problem, cfg.schedule, [cfg.sf], cfg.iterations, eval_every=cfg.eval_every, seeds=seeds)[0]
     for t in trajs:
-        harness.attach_gk(t, schedule)
-    return problem, schedule, sf_spec, seeds, trajs
+        harness.attach_gk(t, cfg.schedule)
+    return problem, seeds, trajs
 
 
 def _metadata_text(cfg: ExperimentConfig, problem: problems.ProblemSpec, digest: str, seeds: list[int]) -> str:
@@ -664,7 +644,7 @@ def _metadata_text(cfg: ExperimentConfig, problem: problems.ProblemSpec, digest:
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
-    problem, _, _, seeds, trajs = _run_all(cfg)
+    problem, seeds, trajs = _run_all(cfg)
     out_dir = Path(args.out if args.out is not None else cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, t in enumerate(trajs):
@@ -675,26 +655,29 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _shared_keys(cfg: ExperimentConfig) -> dict[str, str]:
+    """The canonical text of each key the arms of ``compare`` must share: all but sf*, out_dir and theorem_case."""
+    pairs = (line.partition(" = ") for line in format_config(cfg).splitlines())
+    return {key: value for key, _, value in pairs if key.partition(".")[0] not in ("sf", "out_dir", "theorem_case")}
+
+
 def _cmd_compare(args) -> int:
     cfg_a = load_config(args.config_a)
     cfg_b = load_config(args.config_b)
-    same = ("problem_family", "problem_params", "schedule_family", "eta", "iterations",
-            "eval_every", "n_seeds", "master_seed", "checkpoints")
-    for name in same:
-        if getattr(cfg_a, name) != getattr(cfg_b, name):
-            raise ConfigError(f"compare: configs must agree on {name!r} (only the sf block may differ)")
-    if cfg_a.n_seeds < 2:
-        raise ConfigError("compare: n_seeds must be >= 2")
+    a, b = _shared_keys(cfg_a), _shared_keys(cfg_b)
+    for key in {**a, **b}:
+        if a.get(key) != b.get(key):
+            raise ConfigError(f"compare: configs must agree on {key} (a: {a.get(key)}, b: {b.get(key)}); "
+                              "only the sf block may differ")
 
     problem = build_problem(cfg_a)
-    schedule = build_schedule(cfg_a)
     checkpoints = None if cfg_a.checkpoints == "auto" else list(cfg_a.checkpoints)
     # Both arms step as one batch on one gradient draw per seed, so the
     # pairing holds by construction; the digests are still compared as a
     # guard.  A diverged run stops early and hashes only a prefix of its
     # stream, so the digests are comparable only where neither arm diverged.
     set_a, set_b = stats.run_paired(
-        problem, schedule, [build_sf(cfg_a), build_sf(cfg_b)], cfg_a.iterations,
+        problem, cfg_a.schedule, [cfg_a.sf, cfg_b.sf], cfg_a.iterations,
         n_seeds=cfg_a.n_seeds, master_seed=cfg_a.master_seed,
         eval_every=cfg_a.eval_every, checkpoints=checkpoints,
     )
@@ -726,14 +709,12 @@ def _cmd_envelope(args) -> int:
     if case is None:
         raise ConfigError("envelope: pass --case or set theorem_case in the config")
 
-    problem = build_problem(cfg)
-    schedule = build_schedule(cfg)
-    sf_spec = build_sf(cfg)
-    traj = run(problem, schedule, sf_spec, cfg.iterations, eval_every=cfg.eval_every,
+    problem, schedule = build_problem(cfg), cfg.schedule
+    traj = run(problem, schedule, cfg.sf, cfg.iterations, eval_every=cfg.eval_every,
                seed=split_seed(cfg.master_seed, 0))
     harness.attach_gk(traj, schedule)
 
-    profile = sf.moment_profile(sf_spec, cfg.iterations)
+    profile = sf.moment_profile(cfg.sf, cfg.iterations)
     checks = validator.check_theorem_case(profile, case, problem.B, problem.L, schedule, cfg.iterations)
     certified = all(r.holds for r in checks) and traj.certified
     # A run that diverged before its first eval point past k = 0 has no

@@ -37,6 +37,22 @@ class Direction(Enum):
     NON_MONOTONE = "non_monotone"
 
 
+# The arguments each kind takes, in config order.
+KIND_ARGUMENTS = {CONSTANT: ("value",), UNIFORM_ROOT: ("c1", "c2")}
+
+
+def argument_error(name: str, value: float, c1: float | None = None) -> str | None:
+    """Why ``value`` is out of range for the SF argument ``name``, or None if it is in range.
+
+    ``value`` and ``c1`` must be finite and > 0, ``c2`` finite and > ``c1``.
+    :class:`SFSpec` raises ValueError with this text; the config parser
+    checks each ``sf.*`` key with it.
+    """
+    low, low_name = (c1, "c1") if name == "c2" else (0.0, "0")
+    # Written so that nan and inf fail it too.
+    return None if low < value < math.inf else f"{name} must be finite and > {low_name}, got {name}={value!r}"
+
+
 @dataclass(frozen=True)
 class SFSpec:
     """Declarative description of a stochasticity-factor family.
@@ -51,21 +67,15 @@ class SFSpec:
     c2: float | None = None
 
     def __post_init__(self) -> None:
-        # The range tests are written so that nan and inf fail them too.
-        if self.kind == CONSTANT:
-            if self.value is None or not 0.0 < self.value < math.inf:
-                raise ValueError(f"constant SF requires finite value > 0, got value={self.value!r}")
-            if self.c1 is not None or self.c2 is not None:
-                raise ValueError("constant SF takes no c1/c2")
-        elif self.kind == UNIFORM_ROOT:
-            if self.value is not None:
-                raise ValueError("uniform_root SF takes no value")
-            if self.c1 is None or self.c2 is None:
-                raise ValueError("uniform_root SF requires c1 and c2")
-            if not 0.0 < self.c1 < self.c2 < math.inf:
-                raise ValueError(f"uniform_root SF requires 0 < c1 < c2 < inf, got c1={self.c1!r}, c2={self.c2!r}")
-        else:
+        if self.kind not in KIND_ARGUMENTS:
             raise ValueError(f"unknown SF kind: {self.kind!r}")
+        takes = KIND_ARGUMENTS[self.kind]
+        for name in ("value", "c1", "c2"):
+            given = getattr(self, name)
+            if (given is not None) != (name in takes):
+                raise ValueError(f"{self.kind} SF {'requires' if name in takes else 'takes no'} {name}")
+            if given is not None and (why := argument_error(name, given, self.c1)) is not None:
+                raise ValueError(why)
 
 
 def constant(value: float) -> SFSpec:
@@ -167,7 +177,8 @@ def moment_profile(spec: SFSpec, k_max: int) -> MomentProfile:
     # Not 0.5 * (lo + hi), which overflows for a constant near the double
     # range; on the uniform_root supports both give the same bits.
     m = 0.5 * lo + 0.5 * hi
-    v = (hi - lo) ** 2 / 12.0
+    with np.errstate(over="ignore"):  # a width past ~1.3e154 squares to inf, as the gates expect
+        v = (hi - lo) ** 2 / 12.0
     return MomentProfile(
         spec=spec,
         k_max=k_max,

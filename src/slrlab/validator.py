@@ -110,8 +110,6 @@ def classify_prop1(c1: float, c2: float) -> Prop1Result:
     over PROP1_HORIZON steps rather than inferred from the label; the
     two are reported side by side so disagreements stay visible.
     """
-    if not (0.0 < c1 < c2):
-        raise ValueError("classify_prop1 requires 0 < c1 < c2")
     spec = sfmod.uniform_root(c1, c2)
     direction = sfmod.moment_profile(spec, PROP1_HORIZON).mean_direction
     if c1 >= 1.0 and c2 > 1.0:
@@ -215,10 +213,12 @@ def check_theorem_case(
                 "mean[k] <= variance[k] + 1",
             )
         )
+        with np.errstate(over="ignore"):  # B*L*mean[k] may overflow to inf: the bound is then 0
+            bound = 1.0 / (B * L * m)
         reports.append(
             _pointwise_report(
                 "step_bound_mean",
-                eta <= 1.0 / (B * L * m),
+                eta <= bound,
                 f"eta_k <= 1/(B*L*mean[k]) with B={B:g}, L={L:g}",
                 "eta_k > 1/(B*L*mean[k])",
             )

@@ -35,9 +35,9 @@ def test_parse_good_config():
     assert cfg.problem_family == "quadratic"
     assert dict(cfg.problem_params)["dim"] == 5
     assert dict(cfg.problem_params)["sigma"] == 0.1
-    assert cfg.schedule_family == "inverse_k" and cfg.eta == 0.1
-    assert cfg.sf_kind == "uniform_root"
-    assert cfg.sf_param("c1") == 0.3 and cfg.sf_param("c2") == 0.8
+    assert cfg.schedule.family == "inverse_k" and cfg.schedule.eta == 0.1
+    assert cfg.sf.kind == "uniform_root"
+    assert cfg.sf.c1 == 0.3 and cfg.sf.c2 == 0.8
     assert cfg.iterations == 100 and cfg.eval_every == 10
     assert cfg.n_seeds == 3 and cfg.master_seed == 7
     assert cfg.theorem_case is TheoremCase.CASE_12
@@ -517,6 +517,24 @@ def test_cli_compare_and_report(tmp_path):
                         "--out", str(out)]) == 1
 
 
+@pytest.mark.parametrize("old, new, key, a, b", [
+    ("problem = quadratic\nproblem.dim = 5\nproblem.cond = 10.0\nproblem.sigma = 0.1\n",
+     "problem = rosenbrock\nproblem.sigma = 0.1\n", "problem", "quadratic", "rosenbrock"),
+    ("problem.cond = 10.0", "problem.cond = 20", "problem.cond", "10.0", "20.0"),
+    ("schedule.eta = 0.1", "schedule.eta = 0.2", "schedule.eta", "0.1", "0.2"),
+    ("eval_every = 10", "eval_every = 20", "eval_every", "10", "20"),
+    ("master_seed = 7", "master_seed = 7\ncheckpoints = 50,100", "checkpoints", "auto", "50,100"),
+], ids=["problem", "problem-param", "eta", "eval_every", "checkpoints"])
+def test_cli_compare_names_the_key_the_configs_disagree_on(tmp_path, capsys, old, new, key, a, b):
+    assert old in GOOD_CONFIG
+    pa = _write_cfg(tmp_path, GOOD_CONFIG, "a.txt")
+    pb_ = _write_cfg(tmp_path, GOOD_CONFIG.replace(old, new).replace("sf.c2 = 0.8", "sf.c2 = 0.9"), "b.txt")
+    assert cli_io.main(["compare", "--config-a", pa, "--config-b", pb_, "--out", str(tmp_path / "cmp")]) == 1
+    assert capsys.readouterr().err == (f"error: compare: configs must agree on {key} (a: {a}, b: {b}); "
+                                       "only the sf block may differ\n")
+    assert not (tmp_path / "cmp").exists()
+
+
 DIVERGING_ARM = """\
 problem = quadratic
 problem.dim = 4
@@ -688,6 +706,50 @@ def test_validate_and_run_reject_a_bad_problem_value_alike(tmp_path, capsys, bas
     assert errs[0] == errs[1]
     assert errs[0].startswith(f"error: line 2: problem.{key}: must be ") and raw in errs[0]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("base, key, raw, make", [
+    (GOOD_CONFIG, "schedule.eta", "0", lambda v: StepSizeSchedule("inverse_k", v)),
+    (GOOD_CONFIG, "schedule.eta", "-0.5", lambda v: StepSizeSchedule("inverse_k", v)),
+    (CONSTANT_SF_CONFIG, "sf.value", "0", sf.constant),
+    (CONSTANT_SF_CONFIG, "sf.value", "-1", sf.constant),
+    (GOOD_CONFIG, "sf.c1", "0", lambda v: sf.uniform_root(v, 0.8)),
+    (GOOD_CONFIG, "sf.c1", "-0.3", lambda v: sf.uniform_root(v, 0.8)),
+    (GOOD_CONFIG, "sf.c2", "0", lambda v: sf.uniform_root(0.3, v)),
+    (GOOD_CONFIG, "sf.c2", "-0.8", lambda v: sf.uniform_root(0.3, v)),
+    (GOOD_CONFIG, "sf.c2", "0.3", lambda v: sf.uniform_root(0.3, v)),
+], ids=["eta-0", "eta-neg", "value-0", "value-neg", "c1-0", "c1-neg", "c2-0", "c2-neg", "c2-eq-c1"])
+def test_schedule_and_sf_rules_are_the_library_rules(tmp_path, capsys, base, key, raw, make):
+    # The parser builds the schedule and the factor spec with the library's
+    # rules, so validate, run and the constructors give one reason.
+    lines = base.splitlines()
+    line = next(i for i, text in enumerate(lines, start=1) if text.startswith(f"{key} = "))
+    lines[line - 1] = f"{key} = {raw}"
+    path = _write_cfg(tmp_path, "\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as exc:
+        make(float(raw))
+    reason = str(exc.value)
+    assert repr(float(raw)) in reason
+    errs = []
+    for argv in (["validate", "--config", path], ["run", "--config", path, "--out", str(tmp_path / "out")]):
+        assert cli_io.main(argv) == 1
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] == f"error: line {line}: {key}: {reason}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("c2", [1e200, 1.7976931348623157e308])
+@pytest.mark.parametrize("case", [c.value for c in TheoremCase])
+def test_validate_and_envelope_near_the_double_range_do_not_warn(tmp_path, capsys, c2, case):
+    # The factor variance and the case11a step bound overflow to inf, the
+    # IEEE result the gates read, and once printed numpy's overflow warning.
+    # The suite turns a RuntimeWarning into an error, and exit 2.
+    text = GOOD_CONFIG.replace("sf.c2 = 0.8", f"sf.c2 = {c2!r}").replace("theorem_case = case12",
+                                                                       f"theorem_case = {case}")
+    path = _write_cfg(tmp_path, text)
+    for argv in (["validate", "--config", path], ["envelope", "--config", path, "--out", str(tmp_path / "env")]):
+        assert cli_io.main(argv) in (0, 1)
+        assert "Warning" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["run", "envelope"])

@@ -19,8 +19,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from slrlab import cli_io
-from slrlab.optimizer import SCHEDULE_FAMILIES, run_arms, split_seed
+from slrlab import cli_io, sf
+from slrlab.optimizer import SCHEDULE_FAMILIES, StepSizeSchedule, run_arms, split_seed
 from slrlab.validator import TheoremCase
 
 KEYS = ("problem", "schedule", "sf", "iterations", "eval_every", "n_seeds", "master_seed",
@@ -35,8 +35,8 @@ finite = dict(allow_nan=False, allow_infinity=False)
 def sf_blocks(draw):
     if draw(st.booleans()):
         c1 = draw(st.floats(0.01, 2.0, **finite))
-        return "uniform_root", (("c1", c1), ("c2", c1 + draw(st.floats(0.01, 3.0, **finite))))
-    return "constant", (("value", draw(st.floats(0.01, 3.0, **finite))),)
+        return sf.uniform_root(c1, c1 + draw(st.floats(0.01, 3.0, **finite)))
+    return sf.constant(draw(st.floats(0.01, 3.0, **finite)))
 
 
 @st.composite
@@ -50,16 +50,15 @@ def configs(draw):
     else:
         params = [("n", draw(st.integers(8, 40))), ("d", draw(st.integers(1, 4))),
                   ("reg", draw(st.floats(0.0, 1.0, **finite))), ("seed", draw(st.integers(0, 3)))]
-    sf_kind, sf_params = draw(sf_blocks())
+    spec = draw(sf_blocks())
     eval_every = draw(st.integers(1, 20))
     iterations = eval_every * draw(st.integers(1, 200 // eval_every))
     return cli_io.ExperimentConfig(
         problem_family=family,
         problem_params=tuple(params),
-        schedule_family=draw(st.sampled_from(SCHEDULE_FAMILIES)),
-        eta=draw(st.floats(1e-4, 20.0, **finite)),
-        sf_kind=sf_kind,
-        sf_params=sf_params,
+        schedule=StepSizeSchedule(draw(st.sampled_from(SCHEDULE_FAMILIES)),
+                                  draw(st.floats(1e-4, 20.0, **finite))),
+        sf=spec,
         iterations=iterations,
         eval_every=eval_every,
         n_seeds=draw(st.integers(1, 3)),
@@ -111,9 +110,10 @@ def compare_pairs(draw):
     a = dataclasses.replace(draw(configs()), n_seeds=draw(st.integers(2, 4)))
     # Arm b's factors, scaled down or up so that often one arm diverges
     # and the other does not.
-    kind, params = draw(sf_blocks())
+    spec = draw(sf_blocks())
     scale = draw(st.sampled_from([1e-3, 1.0, 1e2]))
-    return a, dataclasses.replace(a, sf_kind=kind, sf_params=tuple((k, v * scale) for k, v in params))
+    scaled = {name: getattr(spec, name) * scale for name in sf.KIND_ARGUMENTS[spec.kind]}
+    return a, dataclasses.replace(a, sf=sf.SFSpec(spec.kind, **scaled))
 
 
 # The config that once made `compare` exit 2: inverse_k with eta 50 on a
@@ -121,12 +121,12 @@ def compare_pairs(draw):
 ONE_ARM_DIVERGES = cli_io.ExperimentConfig(
     problem_family="quadratic",
     problem_params=(("dim", 4), ("cond", 10.0), ("sigma", 0.1)),
-    schedule_family="inverse_k", eta=50.0, sf_kind="constant", sf_params=(("value", 1.0),),
+    schedule=StepSizeSchedule("inverse_k", 50.0), sf=sf.constant(1.0),
     iterations=1000, eval_every=10, n_seeds=4,
 )
 # A factor support that is wide in the first steps: some seeds diverge.
 SOME_SEEDS_DIVERGE = dataclasses.replace(
-    ONE_ARM_DIVERGES, eta=2.5, sf_kind="uniform_root", sf_params=(("c1", 0.001), ("c2", 4.0)),
+    ONE_ARM_DIVERGES, schedule=StepSizeSchedule("inverse_k", 2.5), sf=sf.uniform_root(0.001, 4.0),
     iterations=200, n_seeds=4)
 
 
@@ -145,10 +145,9 @@ def _diverged(path):
 @settings(max_examples=40, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(pair=compare_pairs())
-@example(pair=(ONE_ARM_DIVERGES, dataclasses.replace(ONE_ARM_DIVERGES, sf_params=(("value", 0.001),))))
-@example(pair=(dataclasses.replace(ONE_ARM_DIVERGES, sf_params=(("value", 0.001),)), ONE_ARM_DIVERGES))
-@example(pair=(SOME_SEEDS_DIVERGE, dataclasses.replace(SOME_SEEDS_DIVERGE, sf_kind="constant",
-                                                         sf_params=(("value", 0.05),))))
+@example(pair=(ONE_ARM_DIVERGES, dataclasses.replace(ONE_ARM_DIVERGES, sf=sf.constant(0.001))))
+@example(pair=(dataclasses.replace(ONE_ARM_DIVERGES, sf=sf.constant(0.001)), ONE_ARM_DIVERGES))
+@example(pair=(SOME_SEEDS_DIVERGE, dataclasses.replace(SOME_SEEDS_DIVERGE, sf=sf.constant(0.05))))
 def test_compare_exits_zero_or_one_and_states_its_pairing(pair):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
