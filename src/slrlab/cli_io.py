@@ -29,12 +29,13 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import harness, problems, sf, stats, validator
-from .optimizer import SCHEDULE_FAMILIES, RNG_ALGORITHM, StepSizeSchedule, run, run_arms, split_seed
+from .optimizer import SCHEDULE_FAMILIES, RNG_ALGORITHM, StepSizeSchedule, argument_error, run, run_arms, split_seed
 from .validator import ConditionReport, TheoremCase
 
 TRAJECTORY_HEADER = "k,loss,grad_norm_sq,min_grad_sq,g_k,eta_k,u_k,sum_eta,envelope_det,envelope_case"
@@ -42,10 +43,42 @@ REPORT_HEADER = "k,mean_a,mean_b,t,df,p,significant,wins_a"
 
 _REQUIRED = object()
 
-_PROBLEM_FIELDS: dict[str, dict[str, tuple[type, object]]] = {
-    "quadratic": {"dim": (int, _REQUIRED), "cond": (float, 1.0), "sigma": (float, 0.0), "seed": (int, 0)},
-    "rosenbrock": {"sigma": (float, 0.0)},
-    "logreg": {"n": (int, _REQUIRED), "d": (int, _REQUIRED), "reg": (float, 0.0), "seed": (int, 0)},
+
+def _as_int(raw: str) -> int:
+    try:
+        return int(raw, 10)
+    except ValueError:
+        raise ValueError(f"expected an integer, got {raw!r}") from None
+
+
+def _as_float(raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ValueError(f"expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"must be finite, got {raw!r}")
+    return value
+
+
+def _as_checkpoints(raw: str) -> tuple[int, ...] | str:
+    if raw == "auto":
+        return raw
+    try:
+        return tuple(int(part, 10) for part in raw.split(","))
+    except ValueError:
+        raise ValueError("expected 'auto' or comma-separated integers") from None
+
+
+def _known(choices, what: str):
+    return lambda v: None if v in choices else f"unknown {what} {v!r}, expected one of {sorted(choices)}"
+
+
+_PROBLEM_FIELDS = {
+    "quadratic": {"dim": (_as_int, _REQUIRED), "cond": (_as_float, 1.0), "sigma": (_as_float, 0.0),
+                  "seed": (_as_int, 0)},
+    "rosenbrock": {"sigma": (_as_float, 0.0)},
+    "logreg": {"n": (_as_int, _REQUIRED), "d": (_as_int, _REQUIRED), "reg": (_as_float, 0.0), "seed": (_as_int, 0)},
 }
 # The field names above are the makers' argument names.
 _PROBLEM_MAKERS = {
@@ -75,24 +108,24 @@ class ExperimentConfig:
     theorem_case: TheoremCase | None = None
 
 
-def _parse_scalar(raw: str, typ: type, key: str, line: int):
-    raw = raw.strip()
-    if typ is int:
-        try:
-            return int(raw, 10)
-        except ValueError:
-            raise ConfigError(f"line {line}: {key}: expected an integer, got {raw!r}") from None
+def _read(raw: str, parse, rule, where: str):
+    """``parse(raw)``, or ConfigError ``<where>: <why>`` with the parser's ValueError or the rule's reason."""
     try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"line {line}: {key}: expected a number, got {raw!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"line {line}: {key}: must be finite, got {raw!r}")
+        value = parse(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+    why = rule(value)
+    if why is not None:
+        raise ConfigError(f"{where}: {why}")
     return value
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse config text; rejects unknown keys, bad types, bad values."""
+    """Parse config text; rejects unknown keys, bad types, bad values.
+
+    Every range rule is the library's: the reason a value is refused is
+    the text the library raises for it.
+    """
     entries: dict[str, tuple[str, int]] = {}
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
@@ -109,118 +142,43 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         entries[key] = (value, lineno)
 
-    def take(key: str) -> tuple[str, int] | None:
-        return entries.pop(key, None)
-
-    def need(key: str) -> tuple[str, int]:
-        got = take(key)
-        if got is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return got
-
-    raw, line = need("problem")
-    if raw not in _PROBLEM_FIELDS:
-        raise ConfigError(f"line {line}: problem: unknown family {raw!r}")
-    problem_family = raw
-    problem_params = []
-    for name, (typ, default) in _PROBLEM_FIELDS[problem_family].items():
-        got = take(f"problem.{name}")
+    def read(key: str, parse=str, rule=lambda v: None, default=_REQUIRED, needed_for: str = ""):
+        got = entries.pop(key, None)
         if got is None:
             if default is _REQUIRED:
-                raise ConfigError(f"missing required key 'problem.{name}' for problem = {problem_family}")
-            problem_params.append((name, default))
-        else:
-            value = _parse_scalar(got[0], typ, f"problem.{name}", got[1])
-            why = problems.argument_error(name, value)
-            if why is not None:
-                raise ConfigError(f"line {got[1]}: problem.{name}: {why}")
-            problem_params.append((name, value))
+                raise ConfigError(f"missing required key {key!r}{needed_for}")
+            return default
+        return _read(got[0], parse, rule, f"line {got[1]}: {key}")
 
-    schedule_family, line = need("schedule")
-    if schedule_family not in SCHEDULE_FAMILIES:
-        raise ConfigError(f"line {line}: schedule: unknown family {schedule_family!r}")
-    raw, line = need("schedule.eta")
-    eta = _parse_scalar(raw, float, "schedule.eta", line)
-    try:  # the family is known, so only eta can fail
-        schedule = StepSizeSchedule(schedule_family, eta)
-    except ValueError as exc:
-        raise ConfigError(f"line {line}: schedule.eta: {exc}") from None
-
-    sf_kind, line = need("sf")
-    if sf_kind not in sf.KIND_ARGUMENTS:
-        raise ConfigError(f"line {line}: sf: unknown kind {sf_kind!r}")
+    family = read("problem", rule=_known(_PROBLEM_FIELDS, "family"))
+    problem_params = tuple(
+        (name, read(f"problem.{name}", parse, partial(problems.argument_error, name), default,
+                    f" for problem = {family}"))
+        for name, (parse, default) in _PROBLEM_FIELDS[family].items()
+    )
+    schedule_family = read("schedule", rule=_known(SCHEDULE_FAMILIES, "family"))
+    schedule = read("schedule.eta", lambda raw: StepSizeSchedule(schedule_family, _as_float(raw)))
+    sf_kind = read("sf", rule=_known(sf.KIND_ARGUMENTS, "kind"))
     sf_args: dict[str, float] = {}
     for name in sf.KIND_ARGUMENTS[sf_kind]:
-        got = take(f"sf.{name}")
-        if got is None:
-            raise ConfigError(f"missing required key 'sf.{name}' for sf = {sf_kind}")
-        value = _parse_scalar(got[0], float, f"sf.{name}", got[1])
-        why = sf.argument_error(name, value, sf_args.get("c1"))
-        if why is not None:
-            raise ConfigError(f"line {got[1]}: sf.{name}: {why}")
-        sf_args[name] = value
-
-    raw, line = need("iterations")
-    iterations = _parse_scalar(raw, int, "iterations", line)
-    if iterations < 1:
-        raise ConfigError(f"line {line}: iterations: must be >= 1")
-    iter_line = line
-
-    got = take("eval_every")
-    if got is None:
-        eval_every = 10
-    else:
-        eval_every = _parse_scalar(got[0], int, "eval_every", got[1])
-        if eval_every < 1:
-            raise ConfigError(f"line {got[1]}: eval_every: must be >= 1")
-    if iterations % eval_every != 0:
-        raise ConfigError(f"line {iter_line}: iterations: must be a multiple of eval_every ({eval_every})")
-
-    got = take("n_seeds")
-    n_seeds = 40 if got is None else _parse_scalar(got[0], int, "n_seeds", got[1])
-    if n_seeds < 1:
-        raise ConfigError(f"line {got[1]}: n_seeds: must be >= 1")
-
-    raw, line = need("master_seed")
-    master_seed = _parse_scalar(raw, int, "master_seed", line)
-    if master_seed < 0:
-        raise ConfigError(f"line {line}: master_seed: must be >= 0, got {master_seed}")
-
-    got = take("checkpoints")
-    if got is None or got[0].strip() == "auto":
-        checkpoints: tuple[int, ...] | str = "auto"
-    else:
-        try:
-            ks = tuple(int(part.strip(), 10) for part in got[0].split(","))
-        except ValueError:
-            raise ConfigError(f"line {got[1]}: checkpoints: expected 'auto' or comma-separated integers") from None
-        for i, k in enumerate(ks):
-            if k % eval_every != 0 or not (0 <= k <= iterations):
-                raise ConfigError(f"line {got[1]}: checkpoints: {k} is not a recorded eval point")
-            if k in ks[:i]:
-                raise ConfigError(f"line {got[1]}: checkpoints: {k} is repeated")
-        checkpoints = ks
-
-    got = take("out_dir")
-    out_dir = "out" if got is None else got[0]
-
-    got = take("theorem_case")
-    if got is None:
-        theorem_case = None
-    else:
-        if got[0] not in _CASE_TOKENS:
-            raise ConfigError(
-                f"line {got[1]}: theorem_case: expected one of {sorted(_CASE_TOKENS)}, got {got[0]!r}"
-            )
-        theorem_case = _CASE_TOKENS[got[0]]
-
+        sf_args[name] = read(f"sf.{name}", _as_float, partial(sf.argument_error, name, c1=sf_args.get("c1")),
+                             needed_for=f" for sf = {sf_kind}")
+    eval_every = read("eval_every", _as_int, partial(argument_error, "eval_every"), 10)
+    iterations = read("iterations", _as_int, partial(argument_error, "iterations", eval_every=eval_every))
+    n_seeds = read("n_seeds", _as_int, partial(argument_error, "n_seeds"), 40)
+    master_seed = read("master_seed", _as_int, partial(argument_error, "master_seed"))
+    checkpoints = read("checkpoints", _as_checkpoints,
+                       lambda v: None if v == "auto" else argument_error("checkpoints", v, eval_every, iterations),
+                       "auto")
+    out_dir = read("out_dir", default="out")
+    case = read("theorem_case", rule=_known(_CASE_TOKENS, "case"), default=None)
     if entries:
         key = min(entries, key=lambda k: entries[k][1])
         raise ConfigError(f"line {entries[key][1]}: unknown key {key!r}")
 
     return ExperimentConfig(
-        problem_family=problem_family,
-        problem_params=tuple(problem_params),
+        problem_family=family,
+        problem_params=problem_params,
         schedule=schedule,
         sf=sf.SFSpec(sf_kind, **sf_args),
         iterations=iterations,
@@ -229,7 +187,7 @@ def parse_config(text: str) -> ExperimentConfig:
         master_seed=master_seed,
         checkpoints=checkpoints,
         out_dir=out_dir,
-        theorem_case=theorem_case,
+        theorem_case=_CASE_TOKENS.get(case),
     )
 
 
@@ -280,12 +238,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     cfg = parse_config(text)
     env = os.environ.get("SLRLAB_SEED")
     if env is not None:
-        try:
-            seed = int(env, 10)
-        except ValueError:
-            raise ConfigError(f"SLRLAB_SEED: expected an integer, got {env!r}") from None
-        if seed < 0:
-            raise ConfigError(f"SLRLAB_SEED: must be >= 0, got {seed}")
+        seed = _read(env, _as_int, partial(argument_error, "master_seed"), "SLRLAB_SEED")
         cfg = ExperimentConfig(**{**cfg.__dict__, "master_seed": seed})
     return cfg
 
@@ -592,6 +545,15 @@ def _traj_filename(i: int) -> str:
     return f"run_seed{i:03d}.csv"
 
 
+def _case_report(profile: sf.MomentProfile, case: TheoremCase, problem: problems.ProblemSpec,
+                 schedule: StepSizeSchedule, horizon: int) -> tuple[list[ConditionReport], str]:
+    """A theorem case's gating reports, and their lines followed by the informational
+    acceleration and increment lines."""
+    checks = validator.check_theorem_case(profile, case, problem.B, problem.L, schedule, horizon)
+    info = [validator.acceleration_check(profile, case), validator.increment_check(profile, case)]
+    return checks, (validator.format_reports(checks) + validator.format_reports(info)).rstrip("\n")
+
+
 def _cmd_validate(args) -> int:
     cfg = load_config(args.config)
     horizon = min(cfg.iterations, 100_000)
@@ -605,16 +567,10 @@ def _cmd_validate(args) -> int:
         out.append(f"prop1_regime = {res.label} | mean_direction = {res.mean_direction.value}")
 
     if cfg.theorem_case is not None:
-        problem = build_problem(cfg)
         profile = sf.moment_profile(cfg.sf, horizon)
-        case_reports = validator.check_theorem_case(
-            profile, cfg.theorem_case, problem.B, problem.L, cfg.schedule, horizon
-        )
-        gating.extend(case_reports)
-        out.append(validator.format_reports(case_reports).rstrip("\n"))
-        acc = validator.acceleration_check(profile, cfg.theorem_case)
-        inc = validator.increment_check(profile, cfg.theorem_case)
-        out.append(validator.format_reports([acc, inc]).rstrip("\n"))
+        checks, text = _case_report(profile, cfg.theorem_case, build_problem(cfg), cfg.schedule, horizon)
+        gating.extend(checks)
+        out.append(text)
 
     print("\n".join(out))
     return 1 if any(not r.holds for r in gating) else 0
@@ -715,7 +671,7 @@ def _cmd_envelope(args) -> int:
     harness.attach_gk(traj, schedule)
 
     profile = sf.moment_profile(cfg.sf, cfg.iterations)
-    checks = validator.check_theorem_case(profile, case, problem.B, problem.L, schedule, cfg.iterations)
+    checks, text = _case_report(profile, case, problem, schedule, cfg.iterations)
     certified = all(r.holds for r in checks) and traj.certified
     # A run that diverged before its first eval point past k = 0 has no
     # point the envelope is defined at.
@@ -727,11 +683,7 @@ def _cmd_envelope(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(traj, out_dir / "trajectory.csv", case_env=env)
 
-    lines = [f"case = {case.value}", f"certified = {'yes' if certified else 'no'}", ""]
-    lines.append(validator.format_reports(checks).rstrip("\n"))
-    lines.append(validator.format_reports(
-        [validator.acceleration_check(profile, case), validator.increment_check(profile, case)]
-    ).rstrip("\n"))
+    lines = [f"case = {case.value}", f"certified = {'yes' if certified else 'no'}", "", text]
     k_lo = max(cfg.eval_every, cfg.iterations // 100)
     if traj.diverged:
         lines.append(f"diagnostic = unavailable (run diverged at k={traj.truncated_at})")

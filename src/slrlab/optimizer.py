@@ -49,6 +49,43 @@ SF_STREAM = 1
 LOSS_DIVERGENCE_LIMIT = 1e12
 
 
+# The least value of each integer argument that shapes a run.
+_RUN_MINIMA = {"iterations": 1, "eval_every": 1, "n_seeds": 1, "master_seed": 0}
+
+
+def argument_error(name: str, value, eval_every: int = 1, iterations: int = 0) -> str | None:
+    """Why ``value`` is out of range for the run-shape argument ``name``, or None if it is in range.
+
+    ``iterations``, ``eval_every`` and ``n_seeds`` must be >= 1 and
+    ``master_seed`` >= 0; ``iterations`` must be a multiple of
+    ``eval_every``, and ``checkpoints`` distinct eval points, multiples
+    of ``eval_every`` in [0, ``iterations``].  :func:`run_arms`,
+    :func:`split_seed` and the ``stats`` runners raise ValueError with
+    this text; the config parser checks each key with it.
+    """
+    if name == "checkpoints":
+        for i, k in enumerate(value):
+            if k % eval_every or not 0 <= k <= iterations:
+                return f"checkpoints must be multiples of eval_every ({eval_every}) in [0, {iterations}], got {k}"
+            if k in value[:i]:
+                return f"checkpoints must be distinct, got {k} twice"
+        return None
+    low = _RUN_MINIMA[name]
+    if value < low:
+        return f"{name} must be >= {low}, got {value}"
+    if name == "iterations" and value % eval_every:
+        return f"iterations must be a multiple of eval_every ({eval_every}), got {value}"
+    return None
+
+
+def check_arguments(eval_every: int, iterations: int, **args) -> None:
+    """Raise ValueError with :func:`argument_error`'s text for the first bad argument, ``eval_every`` first."""
+    for name, value in {"eval_every": eval_every, "iterations": iterations, **args}.items():
+        why = argument_error(name, value, eval_every, iterations)
+        if why is not None:
+            raise ValueError(why)
+
+
 def split_seed(master_seed: int, index: int) -> int:
     """Child seed i of a master seed: split(master, i).
 
@@ -57,6 +94,9 @@ def split_seed(master_seed: int, index: int) -> int:
     statistically independent children and the rule is reproducible
     from the documented constants alone.
     """
+    why = argument_error("master_seed", master_seed)
+    if why is not None:
+        raise ValueError(why)
     ss = np.random.SeedSequence(int(master_seed), spawn_key=(int(index),))
     return int(ss.generate_state(1, np.uint64)[0])
 
@@ -226,20 +266,13 @@ def run_arms(
     returns, whatever the other rows are.  ``x0`` (default: ones) must
     be finite.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    if eval_every < 1:
-        raise ValueError("eval_every must be >= 1")
-    if iterations % eval_every != 0:
-        raise ValueError("eval_every must divide iterations")
+    seeds = [int(s) for s in seeds]
+    check_arguments(eval_every, iterations, n_seeds=len(seeds))
     x = np.ones(problem.dim) if x0 is None else np.asarray(x0, dtype=float)
     if x.shape != (problem.dim,):
         raise ValueError(f"x0 must have shape ({problem.dim},)")
     if not np.isfinite(x).all():
         raise ValueError("x0 must be finite")
-    seeds = [int(s) for s in seeds]
-    if not seeds:
-        raise ValueError("need at least one seed")
     sf_specs = list(sf_specs)
     if not sf_specs:
         raise ValueError("need at least one SF spec")

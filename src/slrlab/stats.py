@@ -26,7 +26,7 @@ import numpy as np
 
 from . import problems as pb
 from . import sf as sfmod
-from .optimizer import StepSizeSchedule, Trajectory, config_digest, run_arms, split_seed
+from .optimizer import StepSizeSchedule, Trajectory, check_arguments, config_digest, run_arms, split_seed
 
 _BETA_EPS = 1e-14
 _BETA_FPMIN = 1e-300
@@ -157,8 +157,7 @@ class RunSet:
 
 def auto_checkpoints(iterations: int, eval_every: int) -> list[int]:
     """10 log-spaced eval points in [eval_every, iterations], deduplicated."""
-    if iterations < eval_every:
-        raise ValueError("iterations must be >= eval_every")
+    check_arguments(eval_every, iterations)
     targets = sfmod.scalar_power(10.0, np.linspace(math.log10(eval_every), math.log10(iterations), 10))
     ks = []
     for t in targets:
@@ -208,11 +207,7 @@ def run_paired(
         raise ValueError("seed split collision; choose a different master_seed")
     if checkpoints is None:
         checkpoints = auto_checkpoints(iterations, eval_every)
-    for i, k in enumerate(checkpoints):
-        if k % eval_every != 0 or not (0 <= k <= iterations):
-            raise ValueError(f"checkpoint {k} is not a valid eval point")
-        if k in checkpoints[:i]:
-            raise ValueError(f"checkpoint {k} is repeated")
+    check_arguments(eval_every, iterations, checkpoints=checkpoints)
     arms = run_arms(problem, schedule, sf_specs, iterations, eval_every=eval_every, seeds=seeds)
     return [
         RunSet(
@@ -280,9 +275,7 @@ def compare(a: RunSet, b: RunSet, metric: str = "loss") -> ComparisonReport:
     checkpoints = list(a.checkpoints)
     if len(checkpoints) == 0:
         raise ValueError("need at least one checkpoint")
-    for k in checkpoints:
-        if k % a.eval_every != 0 or not (0 <= k <= a.iterations):
-            raise ValueError(f"checkpoint {k} is not a valid eval point")
+    check_arguments(a.eval_every, a.iterations, checkpoints=checkpoints)
     if a.seeds != b.seeds:
         raise ValueError("paired comparison requires identical seed lists")
 

@@ -257,25 +257,17 @@ def check_theorem_case(
                 "variance[k]/mean[k] >= 1",
             )
         )
-        reports.append(
-            _pointwise_report(
-                "step_bound_global",
-                eta <= 1.0 / (B * L),
-                f"eta_k <= 1/(B*L) = {1.0 / (B * L):g}",
-                f"eta_k > 1/(B*L) = {1.0 / (B * L):g}",
-            )
-        )
-    elif case is TheoremCase.DETERMINISTIC:
-        reports.append(
-            _pointwise_report(
-                "step_bound_global",
-                eta <= 1.0 / (B * L),
-                f"eta_k <= 1/(B*L) = {1.0 / (B * L):g}",
-                f"eta_k > 1/(B*L) = {1.0 / (B * L):g}",
-            )
-        )
-    else:
+    elif case is not TheoremCase.DETERMINISTIC:
         raise ValueError(f"unknown case {case!r}")
+    if case in (TheoremCase.CASE_12, TheoremCase.DETERMINISTIC):
+        reports.append(
+            _pointwise_report(
+                "step_bound_global",
+                eta <= 1.0 / (B * L),
+                f"eta_k <= 1/(B*L) = {1.0 / (B * L):g}",
+                f"eta_k > 1/(B*L) = {1.0 / (B * L):g}",
+            )
+        )
     return reports
 
 

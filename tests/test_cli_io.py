@@ -116,7 +116,7 @@ def test_checkpoint_validation():
 def test_cli_compare_rejects_a_repeated_checkpoint(tmp_path, capsys):
     # A repeated k was written twice and counted twice in the Bonferroni
     # divisor, which is the number of distinct tests.
-    with pytest.raises(ConfigError, match=r"line 15: checkpoints: 100 is repeated"):
+    with pytest.raises(ConfigError, match=r"line 15: checkpoints: checkpoints must be distinct, got 100 twice"):
         cli_io.parse_config(GOOD_CONFIG + "checkpoints = 100,100,50\n")
     base = GOOD_CONFIG + "checkpoints = 100,100,50\n"
     pa = _write_cfg(tmp_path, base, "a.txt")
@@ -708,6 +708,20 @@ def test_validate_and_run_reject_a_bad_problem_value_alike(tmp_path, capsys, bas
     assert not (tmp_path / "out").exists()
 
 
+_SHAPE_PROBLEM = problems.make_quadratic(dim=2, cond=10.0, sigma=0.1)
+_SHAPE_SCHEDULE = StepSizeSchedule("inverse_k", 0.1)
+RUN_SHAPE_KEYS = ("iterations", "eval_every", "n_seeds", "master_seed", "checkpoints")
+
+
+def _run_arms(iterations=100, eval_every=10, n_seeds=1):
+    optimizer.run_arms(_SHAPE_PROBLEM, _SHAPE_SCHEDULE, [sf.constant(1.0)], iterations, eval_every,
+                       seeds=list(range(n_seeds)))
+
+
+def _run_paired(**kwargs):
+    stats.run_paired(_SHAPE_PROBLEM, _SHAPE_SCHEDULE, [sf.constant(1.0)], 100, n_seeds=2, eval_every=10, **kwargs)
+
+
 @pytest.mark.parametrize("base, key, raw, make", [
     (GOOD_CONFIG, "schedule.eta", "0", lambda v: StepSizeSchedule("inverse_k", v)),
     (GOOD_CONFIG, "schedule.eta", "-0.5", lambda v: StepSizeSchedule("inverse_k", v)),
@@ -718,24 +732,46 @@ def test_validate_and_run_reject_a_bad_problem_value_alike(tmp_path, capsys, bas
     (GOOD_CONFIG, "sf.c2", "0", lambda v: sf.uniform_root(0.3, v)),
     (GOOD_CONFIG, "sf.c2", "-0.8", lambda v: sf.uniform_root(0.3, v)),
     (GOOD_CONFIG, "sf.c2", "0.3", lambda v: sf.uniform_root(0.3, v)),
-], ids=["eta-0", "eta-neg", "value-0", "value-neg", "c1-0", "c1-neg", "c2-0", "c2-neg", "c2-eq-c1"])
-def test_schedule_and_sf_rules_are_the_library_rules(tmp_path, capsys, base, key, raw, make):
-    # The parser builds the schedule and the factor spec with the library's
-    # rules, so validate, run and the constructors give one reason.
+    (GOOD_CONFIG, "iterations", "0", lambda v: _run_arms(iterations=v)),
+    (GOOD_CONFIG, "iterations", "105", lambda v: _run_arms(iterations=v)),
+    (GOOD_CONFIG, "eval_every", "0", lambda v: _run_arms(eval_every=v)),
+    (GOOD_CONFIG, "n_seeds", "0", lambda v: _run_arms(n_seeds=v)),
+    (GOOD_CONFIG, "master_seed", "-1", lambda v: _run_paired(master_seed=v)),
+    (GOOD_CONFIG + "checkpoints = auto\n", "checkpoints", "50,100,100", lambda v: _run_paired(checkpoints=v)),
+    (GOOD_CONFIG + "checkpoints = auto\n", "checkpoints", "10,55", lambda v: _run_paired(checkpoints=v)),
+], ids=["eta-0", "eta-neg", "value-0", "value-neg", "c1-0", "c1-neg", "c2-0", "c2-neg", "c2-eq-c1",
+        "iterations-0", "iterations-off-cadence", "eval_every-0", "n_seeds-0", "master_seed-neg",
+        "checkpoints-repeated", "checkpoints-off-grid"])
+def test_schedule_and_sf_rules_are_the_library_rules(tmp_path, capsys, monkeypatch, base, key, raw, make):
+    # The parser checks each value with the library's rules, so validate,
+    # run and the library calls give one reason.
+    monkeypatch.delenv("SLRLAB_SEED", raising=False)
     lines = base.splitlines()
     line = next(i for i, text in enumerate(lines, start=1) if text.startswith(f"{key} = "))
     lines[line - 1] = f"{key} = {raw}"
     path = _write_cfg(tmp_path, "\n".join(lines) + "\n")
+    if key in RUN_SHAPE_KEYS:
+        value = [int(k) for k in raw.split(",")] if key == "checkpoints" else int(raw)
+        shown = raw.split(",")[-1]
+    else:
+        value = float(raw)
+        shown = repr(value)
     with pytest.raises(ValueError) as exc:
-        make(float(raw))
+        make(value)
     reason = str(exc.value)
-    assert repr(float(raw)) in reason
+    assert shown in reason and key.rpartition(".")[2] in reason
     errs = []
     for argv in (["validate", "--config", path], ["run", "--config", path, "--out", str(tmp_path / "out")]):
         assert cli_io.main(argv) == 1
         errs.append(capsys.readouterr().err)
     assert errs[0] == errs[1] == f"error: line {line}: {key}: {reason}\n"
     assert not (tmp_path / "out").exists()
+    if key == "master_seed":
+        # The override is held to the same rule.
+        monkeypatch.setenv("SLRLAB_SEED", raw)
+        assert cli_io.main(["run", "--config", _write_cfg(tmp_path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: SLRLAB_SEED: {reason}\n"
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("c2", [1e200, 1.7976931348623157e308])

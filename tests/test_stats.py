@@ -143,9 +143,21 @@ def test_run_multi_seed_deterministic_and_distinct():
     with pytest.raises(ValueError):
         stats.run_multi_seed(pb, sched, sf.constant(1.0), 100, n_seeds=2,
                              master_seed=0, checkpoints=[101])
-    with pytest.raises(ValueError, match="checkpoint 100 is repeated"):
+    with pytest.raises(ValueError, match="checkpoints must be distinct, got 100 twice"):
         stats.run_paired(pb, sched, [sf.constant(1.0)], 100, n_seeds=2, master_seed=0,
                          checkpoints=[100, 100, 50])
+
+
+def test_compare_rejects_a_repeated_checkpoint():
+    # A repeated k was tested twice and counted twice in the Bonferroni
+    # divisor, which is the number of distinct tests.
+    pb = problems.make_quadratic(dim=3, cond=10.0, sigma=0.2)
+    sched = StepSizeSchedule("inverse_k", 0.2)
+    a, b = stats.run_paired(pb, sched, [sf.uniform_root(0.3, 0.8), sf.constant(1.0)], 100,
+                            n_seeds=3, master_seed=3, eval_every=10, checkpoints=[50, 100])
+    a.checkpoints = b.checkpoints = [100, 100, 50]
+    with pytest.raises(ValueError, match="checkpoints must be distinct, got 100 twice"):
+        stats.compare(a, b)
 
 
 def test_compare_identical_sets_all_ones():
