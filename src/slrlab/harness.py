@@ -14,14 +14,11 @@ leaves the sequence unchanged.
 
 Envelopes are the theoretical decay curves for min_t ||grad f(x_t)||^2
 up to the unknown problem constant, one per theorem case, evaluated
-from the SF moment closed forms and the partial sums of the schedule:
-
-    case11a: 1 / ((E[u_k] - Var[u_k]) * S_k)     S_k = sum_{t<k} eta_t
-    case11b: 1 / (E[u_k] * S_k)
-    case12:  (E[u_k] - Var[u_k]) / S_k
-    deterministic: 1 / S_k
-
-With the constant factor u = 1 every case collapses to the baseline.
+from the SF moment closed forms and the partial sums of the schedule,
+S_k = sum_{t<k} eta_t.  Each case's formula is its ``envelope`` entry in
+:data:`slrlab.validator.THEOREM_CASES` (mirrored by README's
+theorem-case table).  With the constant factor u = 1 every case
+collapses to the baseline 1 / S_k.
 
 The little-o diagnostic is an honest surrogate for the asymptotic
 statement min_grad = o(envelope): it fits the log-log slope of the
@@ -39,7 +36,7 @@ import numpy as np
 
 from . import sf as sfmod
 from .optimizer import StepSizeSchedule, Trajectory, step_sizes
-from .validator import TheoremCase
+from .validator import THEOREM_CASES, TheoremCase
 
 
 class Verdict(Enum):
@@ -107,8 +104,6 @@ class RateEnvelope:
     case: TheoremCase
     ks: np.ndarray
     values: np.ndarray
-    mean: np.ndarray
-    variance: np.ndarray
     sum_eta: np.ndarray
 
 
@@ -142,20 +137,12 @@ def envelope_series(
     csum = np.cumsum(step_sizes(schedule, k_max))
     s = csum[ks - 1]
 
-    if case is TheoremCase.DETERMINISTIC:
-        values = 1.0 / s
-    elif case is TheoremCase.CASE_11B:
-        values = 1.0 / (mean * s)
-    elif case in (TheoremCase.CASE_11A, TheoremCase.CASE_12):
-        gap = mean - var
-        if (gap <= 0).any():
-            bad = int(ks[np.argmax(gap <= 0)])
-            raise ValueError(f"mean - variance <= 0 at k={bad}; envelope undefined for {case.value}")
-        values = 1.0 / (gap * s) if case is TheoremCase.CASE_11A else gap / s
-    else:
-        raise ValueError(f"unknown case {case!r}")
-
-    return RateEnvelope(case=case, ks=ks, values=values, mean=mean, variance=var, sum_eta=s)
+    definition = THEOREM_CASES[case]
+    if definition.positive_gap:
+        bad = mean - var <= 0
+        if bad.any():
+            raise ValueError(f"mean - variance <= 0 at k={int(ks[np.argmax(bad)])}; envelope undefined for {case.value}")
+    return RateEnvelope(case=case, ks=ks, values=definition.envelope(mean, var, s), sum_eta=s)
 
 
 def trajectory_envelope(

@@ -139,6 +139,8 @@ def step_size(schedule: StepSizeSchedule, k: int) -> float:
 
 def step_sizes(schedule: StepSizeSchedule, k_max: int) -> np.ndarray:
     """Vector of eta_k for k = 0..k_max-1."""
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got k_max={k_max}")
     ks = np.arange(float(k_max))
     if schedule.family == CONSTANT:
         return np.full(k_max, schedule.eta)

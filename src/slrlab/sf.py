@@ -136,9 +136,8 @@ def sample(spec: SFSpec, k: int, rng: np.random.Generator) -> float:
 class MomentProfile:
     """Exact moment series of an SF over iterations 0..k_max.
 
-    ``sup_support`` is the max of the support upper bound over the finite
-    horizon; ``sup_support_limit`` is the supremum over all k >= 0 (for
-    uniform_root with c2 < 1 the bounds increase toward 1, so the
+    ``sup_support_limit`` is the supremum of the support over all k >= 0
+    (for uniform_root with c2 < 1 the bounds increase toward 1, so the
     supremum is the limit 1 and is never attained).
     """
 
@@ -146,11 +145,8 @@ class MomentProfile:
     k_max: int
     mean: np.ndarray
     variance: np.ndarray
-    mu1: float
-    sup_support: float
     sup_support_limit: float
     mean_direction: Direction
-    variance_direction: Direction
 
 
 def _direction(series: np.ndarray) -> Direction:
@@ -167,9 +163,9 @@ def _direction(series: np.ndarray) -> Direction:
 
 
 def moment_profile(spec: SFSpec, k_max: int) -> MomentProfile:
-    """Mean/variance series over k = 0..k_max with direction summaries.
+    """Mean/variance series over k = 0..k_max with the mean's direction.
 
-    k_max must be >= 1 so that directions are well defined.
+    k_max must be >= 1 so that the direction is well defined.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -184,10 +180,7 @@ def moment_profile(spec: SFSpec, k_max: int) -> MomentProfile:
         k_max=k_max,
         mean=m,
         variance=v,
-        mu1=float(m.min()),
-        sup_support=float(hi.max()),
         # uniform_root: with c2 < 1 the bounds rise toward 1, never attained.
         sup_support_limit=float(spec.value if spec.kind == CONSTANT else max(spec.c2, 1.0)),
         mean_direction=_direction(m),
-        variance_direction=_direction(v),
     )

@@ -16,6 +16,7 @@ regime label.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -63,25 +64,15 @@ def format_reports(reports: list[ConditionReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _pairwise_report(name: str, series: np.ndarray, want: str, extra: str = "") -> ConditionReport:
-    """Strict pairwise monotonicity condition on a series."""
+def _pairwise_report(name: str, series: np.ndarray, want: str) -> ConditionReport:
+    """Strict pairwise monotonicity condition on a series; ``want`` is "decreasing" or "increasing"."""
     d = np.diff(series)
-    if want == "decreasing":
-        bad = d >= 0
-    elif want == "increasing":
-        bad = d <= 0
-    else:
-        raise ValueError(want)
+    bad = d >= 0 if want == "decreasing" else d <= 0
     if bad.any():
         k = int(np.argmax(bad)) + 1
         detail = f"strictly {want} fails at k={k} (value {float(series[k])!r} after {float(series[k - 1])!r})"
-        if extra:
-            detail += "; " + extra
         return ConditionReport(name, False, k, detail)
-    detail = f"strictly {want} over k=0..{len(series) - 1}"
-    if extra:
-        detail += "; " + extra
-    return ConditionReport(name, True, None, detail)
+    return ConditionReport(name, True, None, f"strictly {want} over k=0..{len(series) - 1}")
 
 
 def _pointwise_report(name: str, ok: np.ndarray, detail_ok: str, detail_bad: str) -> ConditionReport:
@@ -135,44 +126,109 @@ def check_assumption2(schedule: StepSizeSchedule, horizon: int = 10_000) -> list
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
     eta = step_sizes(schedule, horizon + 1)
-    s1 = float(eta.sum())
-    s2 = float((eta**2).sum())
     # sum over k >= 1 of eta_k / sum_{j<k} eta_j; the k=0 term has an
     # empty denominator and is excluded.
     csum = np.cumsum(eta)
-    s3 = float((eta[1:] / csum[:-1]).sum())
-
     fam = schedule.family
-    reports = [_pairwise_report("step_decreasing", eta, "decreasing")]
+    # Analytic verdicts: every family's eta sum diverges, and so does its
+    # ratio sum (eta_k / sum_{j<k} eta_j ~ c/k); only inverse_k's squares converge.
+    series = (
+        ("step_sum_diverges", True, f"partial sum over {horizon + 1} terms = {float(eta.sum()):.6g}"),
+        ("step_square_sum_converges", fam == "inverse_k", f"partial sum of squares = {float((eta**2).sum()):.6g}"),
+        ("step_ratio_sum_diverges", True, f"partial sum from k=1 = {float((eta[1:] / csum[:-1]).sum()):.6g}"),
+    )
+    return [_pairwise_report("step_decreasing", eta, "decreasing")] + [
+        ConditionReport(name, verdict, None, f"analytic for {fam}; {detail}") for name, verdict, detail in series
+    ]
 
-    div_sum = True  # all three families have divergent eta sums
-    reports.append(
-        ConditionReport(
-            "step_sum_diverges",
-            div_sum,
-            None,
-            f"analytic for {fam}; partial sum over {horizon + 1} terms = {s1:.6g}",
-        )
-    )
-    sq_converges = fam == "inverse_k"
-    reports.append(
-        ConditionReport(
-            "step_square_sum_converges",
-            sq_converges,
-            None,
-            f"analytic for {fam}; partial sum of squares = {s2:.6g}",
-        )
-    )
-    ratio_diverges = True  # eta_k / sum_{j<k} eta_j ~ c/k for all three
-    reports.append(
-        ConditionReport(
-            "step_ratio_sum_diverges",
-            ratio_diverges,
-            None,
-            f"analytic for {fam}; partial sum from k=1 = {s3:.6g}",
-        )
-    )
-    return reports
+
+_Moments = Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+@dataclass(frozen=True)
+class CaseDefinition:
+    """One theorem case as the paper states it; every check and the envelope read it.
+
+    The gates, in report order:
+
+    * ``monotone``: (series, direction) pairs, each a strict pairwise
+      condition on ``"mean"`` or ``"variance"`` over the horizon, reported
+      as ``<series>_<direction>``;
+    * ``moment_gates``: (name, predicate on (mean, variance), the
+      condition, its negation), checked at every k of the horizon;
+    * ``step_bound``: (name, bound from (B, L, mean, sup_k u_k), the
+      condition, its negation), checked as eta_k <= bound; both texts are
+      formatted with B, L, sup and bound.
+
+    ``implied`` follows from the gates, so it is asserted when they all
+    hold.  ``acceleration`` is the strict faster-than-baseline predicate on
+    (mean, variance) with its text, None for the baseline; ``increment`` the
+    informational increment variant of the monotonicity gates on
+    (diff(mean), diff(variance)), or None.  ``envelope`` is the decay curve
+    from (mean, variance, S_k); ``positive_gap`` says it needs
+    mean - variance > 0.  README's theorem-case table mirrors
+    :data:`THEOREM_CASES`.
+    """
+
+    monotone: tuple[tuple[str, str], ...]
+    moment_gates: tuple[tuple[str, _Moments, str, str], ...]
+    step_bound: tuple[str, Callable[..., float | np.ndarray], str, str]
+    acceleration: tuple[_Moments, str] | None
+    increment: tuple[_Moments, str] | None
+    envelope: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
+    positive_gap: bool = False
+    implied: _Moments | None = None
+
+
+_GLOBAL_STEP_BOUND = ("step_bound_global", lambda B, L, m, sup: 1.0 / (B * L),
+                      "eta_k <= 1/(B*L) = {bound:g}", "eta_k > 1/(B*L) = {bound:g}")
+
+THEOREM_CASES: dict[TheoremCase, CaseDefinition] = {
+    TheoremCase.CASE_11A: CaseDefinition(
+        monotone=(("mean", "decreasing"), ("variance", "increasing")),
+        moment_gates=(("mean_exceeds_variance_plus_one", lambda m, v: m > v + 1.0,
+                       "mean[k] > variance[k] + 1", "mean[k] <= variance[k] + 1"),),
+        step_bound=("step_bound_mean", lambda B, L, m, sup: 1.0 / (B * L * m),
+                    "eta_k <= 1/(B*L*mean[k]) with B={B:g}, L={L:g}", "eta_k > 1/(B*L*mean[k])"),
+        implied=lambda m, v: (v < m) & (m >= 1.0),
+        acceleration=(lambda m, v: m > v + 1.0, "mean[k] > variance[k] + 1"),
+        increment=(lambda dm, dv: dv > dm, "Var[u_{k+1}] - Var[u_k] > E[u_{k+1}] - E[u_k]"),
+        envelope=lambda m, v, s: 1.0 / ((m - v) * s),
+        positive_gap=True,
+    ),
+    TheoremCase.CASE_11B: CaseDefinition(
+        monotone=(("mean", "decreasing"),),
+        moment_gates=(),
+        # The supremum over all k: for sub-1 roots the analytic limit 1,
+        # not any finite-horizon maximum.
+        step_bound=("step_bound_sup_support", lambda B, L, m, sup: 1.0 / (B * L * sup),
+                    "eta_k <= 1/(B*L*sup_k u_k) with sup = {sup:g}", "eta_k > 1/(B*L*{sup:g})"),
+        acceleration=(lambda m, v: m > 1.0, "mean[k] > 1"),
+        increment=None,
+        envelope=lambda m, v, s: 1.0 / (m * s),
+    ),
+    TheoremCase.CASE_12: CaseDefinition(
+        monotone=(("mean", "increasing"), ("variance", "decreasing")),
+        moment_gates=(
+            ("mean_below_one", lambda m, v: m < 1.0, "mean[k] < 1", "mean[k] >= 1"),
+            ("variance_mean_ratio_below_one", lambda m, v: v / m < 1.0,
+             "variance[k]/mean[k] < 1", "variance[k]/mean[k] >= 1"),
+        ),
+        step_bound=_GLOBAL_STEP_BOUND,
+        acceleration=(lambda m, v: (m - v) < 1.0, "mean[k] - variance[k] < 1"),
+        increment=(lambda dm, dv: dv < dm, "Var[u_{k+1}] - Var[u_k] < E[u_{k+1}] - E[u_k]"),
+        envelope=lambda m, v, s: (m - v) / s,
+        positive_gap=True,
+    ),
+    TheoremCase.DETERMINISTIC: CaseDefinition(
+        monotone=(),
+        moment_gates=(),
+        step_bound=_GLOBAL_STEP_BOUND,
+        acceleration=None,
+        increment=None,
+        envelope=lambda m, v, s: 1.0 / s,
+    ),
+}
 
 
 def check_theorem_case(
@@ -183,124 +239,51 @@ def check_theorem_case(
     schedule: StepSizeSchedule,
     horizon: int | None = None,
 ) -> list[ConditionReport]:
-    """One ConditionReport per precondition of the requested case.
+    """One ConditionReport per gate of the requested case (see :data:`THEOREM_CASES`).
 
-    The profile must cover the horizon (default: the profile's own
-    k_max).  Step bounds use B and L from the problem; case11b bounds
-    the step by the supremum of the SF support over all k, which for
-    sub-1 roots is the analytic limit 1 rather than any finite-horizon
-    maximum.
+    The horizon (default: the profile's own k_max) must be in
+    1..profile.k_max.  Step bounds use B and L from the problem.
     """
     if horizon is None:
         horizon = profile.k_max
-    if horizon > profile.k_max:
-        raise ValueError("profile horizon too short for requested check")
+    if not 1 <= horizon <= profile.k_max:
+        raise ValueError(f"horizon must be in 1..{profile.k_max} (the profile's k_max), got horizon={horizon}")
     if B <= 0 or L <= 0:
         raise ValueError("B and L must be > 0")
-    m = profile.mean[: horizon + 1]
-    v = profile.variance[: horizon + 1]
+    moments = {"mean": profile.mean[: horizon + 1], "variance": profile.variance[: horizon + 1]}
+    m, v = moments["mean"], moments["variance"]
     eta = step_sizes(schedule, horizon + 1)
-    reports: list[ConditionReport] = []
+    definition = THEOREM_CASES[case]
 
-    if case is TheoremCase.CASE_11A:
-        reports.append(_pairwise_report("mean_decreasing", m, "decreasing"))
-        reports.append(_pairwise_report("variance_increasing", v, "increasing"))
-        reports.append(
-            _pointwise_report(
-                "mean_exceeds_variance_plus_one",
-                m > v + 1.0,
-                "mean[k] > variance[k] + 1 over the horizon",
-                "mean[k] <= variance[k] + 1",
-            )
-        )
-        with np.errstate(over="ignore"):  # B*L*mean[k] may overflow to inf: the bound is then 0
-            bound = 1.0 / (B * L * m)
-        reports.append(
-            _pointwise_report(
-                "step_bound_mean",
-                eta <= bound,
-                f"eta_k <= 1/(B*L*mean[k]) with B={B:g}, L={L:g}",
-                "eta_k > 1/(B*L*mean[k])",
-            )
-        )
-        if all(r.holds for r in reports):
-            # Internal consistency of the case: these follow from the
-            # conditions above, so a failure means a checker bug.
-            assert (v < m).all() and (m >= 1.0).all()
-    elif case is TheoremCase.CASE_11B:
-        reports.append(_pairwise_report("mean_decreasing", m, "decreasing"))
-        sup = profile.sup_support_limit
-        reports.append(
-            _pointwise_report(
-                "step_bound_sup_support",
-                eta <= 1.0 / (B * L * sup),
-                f"eta_k <= 1/(B*L*sup_k u_k) with sup = {sup:g}",
-                f"eta_k > 1/(B*L*{sup:g})",
-            )
-        )
-    elif case is TheoremCase.CASE_12:
-        reports.append(_pairwise_report("mean_increasing", m, "increasing"))
-        reports.append(_pairwise_report("variance_decreasing", v, "decreasing"))
-        reports.append(
-            _pointwise_report(
-                "mean_below_one",
-                m < 1.0,
-                "mean[k] < 1 over the horizon",
-                "mean[k] >= 1",
-            )
-        )
-        reports.append(
-            _pointwise_report(
-                "variance_mean_ratio_below_one",
-                v / m < 1.0,
-                "variance[k]/mean[k] < 1 over the horizon",
-                "variance[k]/mean[k] >= 1",
-            )
-        )
-    elif case is not TheoremCase.DETERMINISTIC:
-        raise ValueError(f"unknown case {case!r}")
-    if case in (TheoremCase.CASE_12, TheoremCase.DETERMINISTIC):
-        reports.append(
-            _pointwise_report(
-                "step_bound_global",
-                eta <= 1.0 / (B * L),
-                f"eta_k <= 1/(B*L) = {1.0 / (B * L):g}",
-                f"eta_k > 1/(B*L) = {1.0 / (B * L):g}",
-            )
-        )
+    reports = [_pairwise_report(f"{series}_{want}", moments[series], want) for series, want in definition.monotone]
+    reports += [_pointwise_report(name, ok(m, v), f"{holds} over the horizon", fails)
+                for name, ok, holds, fails in definition.moment_gates]
+    name, bound, holds, fails = definition.step_bound
+    sup = profile.sup_support_limit
+    with np.errstate(over="ignore"):  # B*L*mean[k] may overflow to inf: the bound is then 0
+        b = bound(B, L, m, sup)
+    text = {"B": B, "L": L, "sup": sup, "bound": b}
+    reports.append(_pointwise_report(name, eta <= b, holds.format(**text), fails.format(**text)))
+    if definition.implied is not None and all(r.holds for r in reports):
+        # Internal consistency of the case: this follows from the gates,
+        # so a failure means a checker bug.
+        assert definition.implied(m, v).all()
     return reports
 
 
 def acceleration_check(profile: sfmod.MomentProfile, case: TheoremCase) -> ConditionReport:
-    """Strict faster-than-baseline predicate for a case, every k.
+    """The case's strict faster-than-baseline predicate, every k.
 
-    case11a: E > Var + 1;  case11b: E > 1;  case12: E - Var < 1.
     The baseline case has no predicate and always reports False.  The
     detail names the k-prefix on which strictness holds, so a finite
     precision failure deep into the horizon stays visible.
     """
-    m = profile.mean
-    v = profile.variance
-    if case is TheoremCase.CASE_11A:
-        ok = m > v + 1.0
-        desc = "mean[k] > variance[k] + 1"
-    elif case is TheoremCase.CASE_11B:
-        ok = m > 1.0
-        desc = "mean[k] > 1"
-    elif case is TheoremCase.CASE_12:
-        ok = (m - v) < 1.0
-        desc = "mean[k] - variance[k] < 1"
-    elif case is TheoremCase.DETERMINISTIC:
-        return ConditionReport(
-            "acceleration_deterministic",
-            False,
-            None,
-            "the deterministic baseline is the reference; no acceleration predicate",
-        )
-    else:
-        raise ValueError(f"unknown case {case!r}")
-
     name = f"acceleration_{case.value}"
+    acceleration = THEOREM_CASES[case].acceleration
+    if acceleration is None:
+        return ConditionReport(name, False, None, "the deterministic baseline is the reference; no acceleration predicate")
+    predicate, desc = acceleration
+    ok = predicate(profile.mean, profile.variance)
     n = len(ok)
     if ok.all():
         return ConditionReport(name, True, None, f"{desc} holds strictly for k=0..{n - 1}")
@@ -315,28 +298,16 @@ def acceleration_check(profile: sfmod.MomentProfile, case: TheoremCase) -> Condi
 
 
 def increment_check(profile: sfmod.MomentProfile, case: TheoremCase) -> ConditionReport:
-    """Informational increment-based variant of the monotonicity gates.
+    """Informational increment-based variant of the case's monotonicity gates.
 
-    For case11a the variance increments must exceed the mean increments
-    at every k; for case12 the reverse.  Weaker than the primary gates
-    and never used as one.
+    Weaker than the primary gates and never used as one.
     """
-    dm = np.diff(profile.mean)
-    dv = np.diff(profile.variance)
-    if case is TheoremCase.CASE_11A:
-        ok = dv > dm
-        desc = "Var[u_{k+1}] - Var[u_k] > E[u_{k+1}] - E[u_k]"
-    elif case is TheoremCase.CASE_12:
-        ok = dv < dm
-        desc = "Var[u_{k+1}] - Var[u_k] < E[u_{k+1}] - E[u_k]"
-    else:
-        return ConditionReport(
-            f"increment_alternative_{case.value}",
-            False,
-            None,
-            "informational; no increment-based variant for this case",
-        )
     name = f"increment_alternative_{case.value}"
+    increment = THEOREM_CASES[case].increment
+    if increment is None:
+        return ConditionReport(name, False, None, "informational; no increment-based variant for this case")
+    predicate, desc = increment
+    ok = predicate(np.diff(profile.mean), np.diff(profile.variance))
     if ok.all():
         return ConditionReport(name, True, None, f"informational; {desc} for all checked k")
     k = int(np.argmax(~ok)) + 1

@@ -29,8 +29,14 @@ directory (with no SLRLAB_SEED set)::
     python -m slrlab.cli_io run --config rosenbrock.txt --out rosenbrock
     python -m slrlab.cli_io envelope --config envelope.txt --out envelope
     python -m slrlab.cli_io plot --in envelope --out envelope/plot.svg
+
+``theorem_cases.txt`` pins every theorem case on six factor laws and two
+schedules through the library: the gating, acceleration and increment
+reports, and the envelope's bytes or its error.  Re-record it with
+``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import hashlib
 import json
 import os
 import shutil
@@ -38,9 +44,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from slrlab import cli_io
+from slrlab import cli_io, harness, sf, validator
+from slrlab.optimizer import StepSizeSchedule
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
@@ -99,3 +107,45 @@ def test_quadratic_and_rosenbrock_bytes_do_not_depend_on_numpy_simd(tmp_path):
     assert len(default) == sum(len(list((GOLDEN / name).iterdir())) for name in names)
     differ = [fname for fname in sorted(default) if default[fname] != baseline[fname]]
     assert not differ, f"these files depend on numpy's SIMD dispatch: {differ}"
+
+
+# The last law's mean - variance is <= 0 from k = 0, so case11a and
+# case12 have no envelope for it.
+_LAWS = {
+    "uniform_root(0.3, 0.8)": sf.uniform_root(0.3, 0.8),
+    "uniform_root(2.0, 4.0)": sf.uniform_root(2.0, 4.0),
+    "uniform_root(0.5, 1.3043511789010365)": sf.uniform_root(0.5, 1.3043511789010365),
+    "constant(1.0)": sf.constant(1.0),
+    "constant(0.5)": sf.constant(0.5),
+    "uniform_root(0.01, 100.0)": sf.uniform_root(0.01, 100.0),
+}
+_SCHEDULES = (StepSizeSchedule("inverse_k", 0.5), StepSizeSchedule("constant", 0.05))
+
+
+def theorem_case_text() -> str:
+    """Every case's reports and envelope on each law and schedule, as text."""
+    blocks = []
+    ks = np.arange(1, 301)
+    for case in validator.TheoremCase:
+        for name, law in _LAWS.items():
+            profile = sf.moment_profile(law, 300)
+            for schedule in _SCHEDULES:
+                reports = validator.check_theorem_case(profile, case, 1.5, 2.0, schedule, horizon=200)
+                reports += [validator.acceleration_check(profile, case), validator.increment_check(profile, case)]
+                try:
+                    values = harness.envelope_series(case, law, schedule, ks).values
+                    env = (f"envelope sha256={hashlib.sha256(values.tobytes()).hexdigest()} "
+                           f"first={float(values[0])!r} last={float(values[-1])!r}")
+                except ValueError as e:
+                    env = f"envelope ValueError: {e}"
+                blocks.append(f"== {case.value} | {name} | {schedule.family} eta={schedule.eta!r}\n"
+                              + validator.format_reports(reports) + env + "\n")
+    return "".join(blocks)
+
+
+def test_every_theorem_case_matches_golden_text():
+    assert theorem_case_text() == (GOLDEN / "theorem_cases.txt").read_text()
+
+
+if __name__ == "__main__":
+    (GOLDEN / "theorem_cases.txt").write_text(theorem_case_text())

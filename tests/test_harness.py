@@ -184,7 +184,7 @@ def test_envelope_from_a_longer_profile_has_the_same_bits(case):
     ks = np.arange(1, 3000, 7)
     want = harness.envelope_series(case, spec, sched, ks)
     got = harness.envelope_series(case, sf.moment_profile(spec, 5000), sched, ks)
-    for name in ("values", "mean", "variance", "sum_eta"):
+    for name in ("values", "sum_eta"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     with pytest.raises(ValueError, match="moment profile ends at k=2000"):
         harness.envelope_series(case, sf.moment_profile(spec, 2000), sched, ks)
@@ -203,8 +203,7 @@ def test_trajectory_envelope_alignment():
 
 def _flat_env(ks):
     return harness.RateEnvelope(
-        case=TheoremCase.DETERMINISTIC, ks=ks, values=np.ones(len(ks)),
-        mean=np.ones(len(ks)), variance=np.zeros(len(ks)), sum_eta=np.ones(len(ks)),
+        case=TheoremCase.DETERMINISTIC, ks=ks, values=np.ones(len(ks)), sum_eta=np.ones(len(ks)),
     )
 
 

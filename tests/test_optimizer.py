@@ -16,6 +16,14 @@ def test_step_size_values():
     np.testing.assert_allclose(series, 0.5 / (np.arange(10) + 1.0))
 
 
+@pytest.mark.parametrize("family", optimizer.SCHEDULE_FAMILIES)
+def test_step_sizes_reject_a_negative_length_with_one_message(family):
+    schedule = StepSizeSchedule(family, 0.5)
+    with pytest.raises(ValueError, match=re.escape("k_max must be >= 0, got k_max=-4")):
+        optimizer.step_sizes(schedule, -4)
+    assert len(optimizer.step_sizes(schedule, 0)) == 0
+
+
 def test_schedule_validation():
     with pytest.raises(ValueError):
         StepSizeSchedule("linear", 0.1)

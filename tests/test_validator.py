@@ -144,6 +144,19 @@ def test_theorem_horizon_must_fit_profile():
                                      StepSizeSchedule("inverse_k", 1.0), horizon=100)
 
 
+@pytest.mark.parametrize("horizon", [-5, 0, 101])
+def test_theorem_horizon_outside_the_profile_is_rejected(horizon):
+    # A negative horizon used to check mean[:horizon + 1] against an empty
+    # step series and report every gate as holding.
+    profile = sf.moment_profile(sf.uniform_root(0.3, 0.8), 100)
+    for family in ("inverse_k", "constant"):
+        with pytest.raises(ValueError, match=f"got horizon={horizon}$"):
+            validator.check_theorem_case(profile, TheoremCase.CASE_12, 1.0, 1.0,
+                                         StepSizeSchedule(family, 1.0), horizon=horizon)
+    assert len(validator.check_theorem_case(profile, TheoremCase.CASE_12, 1.0, 1.0,
+                                            StepSizeSchedule("inverse_k", 1.0), horizon=1)) == 5
+
+
 def test_case11a_consistency_guard_on_synthetic_profile():
     # hand-built profile satisfying all case11a moment conditions
     k = np.arange(101.0)
@@ -151,8 +164,7 @@ def test_case11a_consistency_guard_on_synthetic_profile():
     var = 0.1 + 0.5 * k / 100.0
     profile = sf.MomentProfile(
         spec=sf.constant(1.0), k_max=100, mean=mean, variance=var,
-        mu1=float(mean.min()), sup_support=3.0, sup_support_limit=3.0,
-        mean_direction=sf.Direction.DECREASING, variance_direction=sf.Direction.INCREASING,
+        sup_support_limit=3.0, mean_direction=sf.Direction.DECREASING,
     )
     sched = StepSizeSchedule("inverse_k", 0.1)
     reports = validator.check_theorem_case(profile, TheoremCase.CASE_11A, 1.0, 1.0, sched)
