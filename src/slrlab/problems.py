@@ -35,7 +35,7 @@ from .sf import scalar_power
 log = logging.getLogger(__name__)
 
 # max |d/dt (t^2/(1+t^2))| = 9/(8*sqrt(3)), attained at t = 1/sqrt(3)
-_PENALTY_GRAD_MAX = 9.0 / (8.0 * np.sqrt(3.0))
+_PENALTY_GRAD_MAX = 9.0 / (8.0 * math.sqrt(3.0))
 
 # The logreg eval reads the data in chunks of this many values (2621 rows
 # at d = 50), small enough to stay in cache, and serves this many eval rows
@@ -317,8 +317,12 @@ def make_logreg_nonconvex(n: int, d: int, reg: float, seed: int = 0) -> LogReg:
     # Logistic second derivative <= 1/4; penalty second derivative <= 2.
     l_data = float(np.linalg.eigvalsh(X.T @ X).max()) / (4.0 * n)
     L = l_data + 2.0 * float(reg)
-    row_sq = float((X * X).sum(axis=1).max())
-    C = 2.0 * row_sq + 2.0 * (float(reg) * np.sqrt(d) * _PENALTY_GRAD_MAX) ** 2
+    # The largest squared row norm, over the eval's chunks of rows, so that
+    # the data are the one full-size array the build holds.
+    rows = max(1, _EVAL_CHUNK_VALUES // d)
+    chunks = (X[i:i + rows] for i in range(0, n, rows))
+    row_sq = max(float((c * c).sum(axis=1).max()) for c in chunks)
+    C = 2.0 * row_sq + 2.0 * (float(reg) * math.sqrt(d) * _PENALTY_GRAD_MAX) ** 2
     X *= -y[:, None]  # the signed rows, in place
     return LogReg(
         name=f"logreg(n={n},d={d},reg={reg:g})",

@@ -16,6 +16,7 @@ regime label.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
@@ -248,8 +249,10 @@ def check_theorem_case(
         horizon = profile.k_max
     if not 1 <= horizon <= profile.k_max:
         raise ValueError(f"horizon must be in 1..{profile.k_max} (the profile's k_max), got horizon={horizon}")
-    if B <= 0 or L <= 0:
-        raise ValueError("B and L must be > 0")
+    # Written so that nan fails it; B * L must not underflow to 0, as every
+    # step bound divides by it.
+    if not (0.0 < B < math.inf and 0.0 < L < math.inf and B * L > 0.0):
+        raise ValueError(f"B and L must be finite and > 0, with B * L > 0; got B={B!r}, L={L!r}")
     moments = {"mean": profile.mean[: horizon + 1], "variance": profile.variance[: horizon + 1]}
     m, v = moments["mean"], moments["variance"]
     eta = step_sizes(schedule, horizon + 1)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -123,17 +124,44 @@ def test_logreg_gradient_matches_fd():
                                    rtol=1e-5, atol=1e-6)
 
 
-def test_logreg_constants():
-    pb = problems.make_logreg_nonconvex(n=40, d=5, reg=0.1, seed=0)
+@pytest.mark.parametrize("n, d", [(40, 5), (2 * 2621 + 17, 50), (3 * 436 + 5, 300)])
+def test_logreg_constants(n, d):
+    # L and C bit for bit as formed on the whole data at once.  The build
+    # takes the row norms over the eval's chunks of rows (2621 at d = 50,
+    # 436 at d = 300), and these n leave a short last chunk.
+    reg = 0.1
+    pb = problems.make_logreg_nonconvex(n=n, d=d, reg=reg, seed=0)
     X = pb.data
-    lam = np.linalg.eigvalsh(X.T @ X / len(X)).max()
-    assert pb.L == pytest.approx(lam / 4.0 + 2 * 0.1, rel=1e-12)
-    row_max = (X * X).sum(axis=1).max()
-    pen = 0.1 * np.sqrt(5) * problems._PENALTY_GRAD_MAX
-    assert pb.C == pytest.approx(2 * row_max + 2 * pen**2, rel=1e-12)
+    L = float(np.linalg.eigvalsh(X.T @ X).max()) / (4.0 * n) + 2.0 * reg
+    row_sq = float((X * X).sum(axis=1).max())
+    C = 2.0 * row_sq + 2.0 * (reg * np.sqrt(d) * (9.0 / (8.0 * np.sqrt(3.0)))) ** 2
+    assert pb.L.hex() == L.hex()
+    assert pb.C.hex() == float(C).hex()
     assert pb.f_star is None
     assert pb.f_lower == 0.0
     assert set(np.unique(pb.y)) <= {-1.0, 1.0}
+
+
+def test_logreg_build_holds_one_full_size_array():
+    # The data are the one full-size array: the squared row norms for C,
+    # formed as X * X, would be a second (a traced peak of ~2.1x).
+    tracemalloc.start()
+    try:
+        pb = problems.make_logreg_nonconvex(n=20000, d=50, reg=0.01, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * pb.signed.nbytes
+
+
+@pytest.mark.parametrize("pb", [
+    problems.make_quadratic(dim=3, cond=10.0, sigma=0.2),
+    problems.make_rosenbrock(sigma=0.1),
+    problems.make_logreg_nonconvex(n=40, d=5, reg=0.1, seed=0),
+], ids=["quadratic", "rosenbrock", "logreg"])
+def test_certified_constants_are_python_floats(pb):
+    # np.float64 subclasses float, so the test is on the exact type.
+    assert [type(v) for v in (pb.L, pb.A, pb.B, pb.C)] == [float] * 4
 
 
 def test_penalty_gradient_max_constant():

@@ -157,6 +157,22 @@ def test_theorem_horizon_outside_the_profile_is_rejected(horizon):
                                             StepSizeSchedule("inverse_k", 1.0), horizon=1)) == 5
 
 
+@pytest.mark.parametrize("B, L", [
+    (1e-200, 1e-200), (1e-200, 1e-180), (np.nan, 1.0), (1.0, np.nan),
+    (np.inf, 1.0), (1.0, np.inf), (0.0, 1.0), (1.0, -1.0),
+])
+@pytest.mark.parametrize("case", list(TheoremCase), ids=lambda c: c.value)
+def test_theorem_case_rejects_bad_B_L(case, B, L):
+    # Every step bound divides by B * L: a product that underflows to 0, or
+    # a nan or inf, is an input error, not a failed gate.
+    profile = sf.moment_profile(sf.uniform_root(0.3, 0.8), 50)
+    sched = StepSizeSchedule("inverse_k", 1.0)
+    with pytest.raises(ValueError, match=r"^B and L must be finite and > 0, with B \* L > 0; got B="):
+        validator.check_theorem_case(profile, case, B, L, sched)
+    # A small pair whose product is still positive is accepted.
+    assert validator.check_theorem_case(profile, case, 1e-150, 1e-150, sched)
+
+
 def test_case11a_consistency_guard_on_synthetic_profile():
     # hand-built profile satisfying all case11a moment conditions
     k = np.arange(101.0)
