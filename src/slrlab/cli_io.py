@@ -35,11 +35,12 @@ from pathlib import Path
 import numpy as np
 
 from . import harness, problems, sf, stats, validator
-from .optimizer import SCHEDULE_FAMILIES, RNG_ALGORITHM, StepSizeSchedule, argument_error, run, run_arms, split_seed
+from .optimizer import SCHEDULE_FAMILIES, RNG_ALGORITHM, StepSizeSchedule, argument_error
 from .validator import ConditionReport, TheoremCase
 
 TRAJECTORY_HEADER = "k,loss,grad_norm_sq,min_grad_sq,g_k,eta_k,u_k,sum_eta,envelope_det,envelope_case"
 REPORT_HEADER = "k,mean_a,mean_b,t,df,p,significant,wins_a"
+SEEDS_HEADER = "seed,verdict,slope,r_lo,r_hi,truncated_at"
 
 _REQUIRED = object()
 
@@ -576,13 +577,14 @@ def _cmd_validate(args) -> int:
     return 1 if any(not r.holds for r in gating) else 0
 
 
-def _run_all(cfg: ExperimentConfig):
+def _run_all(cfg: ExperimentConfig, sf_specs: list[sf.SFSpec]) -> tuple[problems.ProblemSpec, list[stats.RunSet]]:
+    """The config's problem, and one run set per SF spec under the config's seeds (:func:`stats.run_paired`)."""
     problem = build_problem(cfg)
-    seeds = [split_seed(cfg.master_seed, i) for i in range(cfg.n_seeds)]
-    trajs = run_arms(problem, cfg.schedule, [cfg.sf], cfg.iterations, eval_every=cfg.eval_every, seeds=seeds)[0]
-    for t in trajs:
-        harness.attach_gk(t, cfg.schedule)
-    return problem, seeds, trajs
+    checkpoints = None if cfg.checkpoints == "auto" else list(cfg.checkpoints)
+    return problem, stats.run_paired(
+        problem, cfg.schedule, sf_specs, cfg.iterations, n_seeds=cfg.n_seeds,
+        master_seed=cfg.master_seed, eval_every=cfg.eval_every, checkpoints=checkpoints,
+    )
 
 
 def _metadata_text(cfg: ExperimentConfig, problem: problems.ProblemSpec, digest: str, seeds: list[int]) -> str:
@@ -600,12 +602,14 @@ def _metadata_text(cfg: ExperimentConfig, problem: problems.ProblemSpec, digest:
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
-    problem, seeds, trajs = _run_all(cfg)
+    problem, (runs,) = _run_all(cfg, [cfg.sf])
+    trajs = runs.trajectories
     out_dir = Path(args.out if args.out is not None else cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, t in enumerate(trajs):
+        harness.attach_gk(t, cfg.schedule)
         write_trajectory_csv(t, out_dir / _traj_filename(i))
-    (out_dir / "metadata.txt").write_text(_metadata_text(cfg, problem, trajs[0].config_digest, seeds))
+    (out_dir / "metadata.txt").write_text(_metadata_text(cfg, problem, runs.config_digest, runs.seeds))
     diverged = sum(t.diverged for t in trajs)
     print(f"wrote {len(trajs)} trajectories to {out_dir}" + (f" ({diverged} diverged)" if diverged else ""))
     return 0
@@ -625,18 +629,14 @@ def _cmd_compare(args) -> int:
         if a.get(key) != b.get(key):
             raise ConfigError(f"compare: configs must agree on {key} (a: {a.get(key)}, b: {b.get(key)}); "
                               "only the sf block may differ")
+    if cfg_a.n_seeds < 2:
+        raise ConfigError(f"compare: n_seeds must be >= 2 to give each arm a variance (got {cfg_a.n_seeds})")
 
-    problem = build_problem(cfg_a)
-    checkpoints = None if cfg_a.checkpoints == "auto" else list(cfg_a.checkpoints)
     # Both arms step as one batch on one gradient draw per seed, so the
     # pairing holds by construction; the digests are still compared as a
     # guard.  A diverged run stops early and hashes only a prefix of its
     # stream, so the digests are comparable only where neither arm diverged.
-    set_a, set_b = stats.run_paired(
-        problem, cfg_a.schedule, [cfg_a.sf, cfg_b.sf], cfg_a.iterations,
-        n_seeds=cfg_a.n_seeds, master_seed=cfg_a.master_seed,
-        eval_every=cfg_a.eval_every, checkpoints=checkpoints,
-    )
+    _, (set_a, set_b) = _run_all(cfg_a, [cfg_a.sf, cfg_b.sf])
     pairs = [(ta, tb) for ta, tb in zip(set_a.trajectories, set_b.trajectories)
              if not (ta.diverged or tb.diverged)]
     for ta, tb in pairs:
@@ -665,41 +665,57 @@ def _cmd_envelope(args) -> int:
     if case is None:
         raise ConfigError("envelope: pass --case or set theorem_case in the config")
 
-    problem, schedule = build_problem(cfg), cfg.schedule
-    traj = run(problem, schedule, cfg.sf, cfg.iterations, eval_every=cfg.eval_every,
-               seed=split_seed(cfg.master_seed, 0))
-    harness.attach_gk(traj, schedule)
-
+    problem, (runs,) = _run_all(cfg, [cfg.sf])
+    trajs, schedule = runs.trajectories, cfg.schedule
     profile = sf.moment_profile(cfg.sf, cfg.iterations)
     checks, text = _case_report(profile, case, problem, schedule, cfg.iterations)
-    certified = all(r.holds for r in checks) and traj.certified
-    # A run that diverged before its first eval point past k = 0 has no
-    # point the envelope is defined at.
-    env = None
-    if (traj.eval_points >= 1).any():
-        env = harness.trajectory_envelope(traj, case, profile, schedule)
-
+    gates_hold = all(r.holds for r in checks)
+    # The case envelope depends only on the eval grid and the schedule, so
+    # one serves every seed; a diverged run's rows take its values at the
+    # points they reach.
+    env = harness.envelope_series(case, profile, schedule,
+                                  np.arange(cfg.eval_every, cfg.iterations + 1, cfg.eval_every))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(traj, out_dir / "trajectory.csv", case_env=env)
+    harness.attach_gk(trajs[0], schedule)
+    write_trajectory_csv(trajs[0], out_dir / "trajectory.csv", case_env=env)
 
-    lines = [f"case = {case.value}", f"certified = {'yes' if certified else 'no'}", "", text]
     k_lo = max(cfg.eval_every, cfg.iterations // 100)
+    diags = [None if t.diverged or k_lo >= cfg.iterations
+             else harness.little_o_diagnostic(t.min_grad_sq[t.eval_points >= 1], env, k_lo, cfg.iterations)
+             for t in trajs]
+    traj, diag = trajs[0], diags[0]
+    lines = [f"case = {case.value}", f"certified = {'yes' if gates_hold and traj.certified else 'no'}", "", text]
     if traj.diverged:
         lines.append(f"diagnostic = unavailable (run diverged at k={traj.truncated_at})")
-    elif k_lo >= cfg.iterations:
+    elif diag is None:
         lines.append(f"diagnostic = unavailable (window k in [{k_lo}, {cfg.iterations}] is empty: "
                      f"needs eval_every < iterations)")
     else:
-        mask = traj.eval_points >= 1
-        diag = harness.little_o_diagnostic(traj.min_grad_sq[mask], env, k_lo, cfg.iterations)
         lines.append(
             f"diagnostic = {diag.verdict.value} | window k in [{diag.k_lo}, {diag.k_hi}] | "
             f"slope = {diag.window_slope:.4g} | r_lo = {diag.r_lo:.6g} | r_hi = {diag.r_hi:.6g}"
         )
+    if len(trajs) > 1:
+        verdicts = ["diverged" if t.diverged else "unavailable" if d is None else d.verdict.value
+                    for t, d in zip(trajs, diags)]
+        counts = [f"{name} = {verdicts.count(name)}" for name in [v.value for v in harness.Verdict] + ["diverged"]]
+        uncertified = sum(not (gates_hold and t.certified) for t in trajs)
+        lines.append(f"tally over {len(trajs)} seeds: " + " | ".join(counts + [f"uncertified = {uncertified}"]))
+        _write_seeds_csv(trajs, verdicts, diags, out_dir / "seeds.csv")
     (out_dir / "diagnostic.txt").write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
     return 0
+
+
+def _write_seeds_csv(trajs, verdicts: list[str], diags, path: Path) -> None:
+    """One row per seed: its verdict, the diagnostic's slope and ratios (nan without one), where it diverged."""
+    lines = [SEEDS_HEADER]
+    for t, verdict, d in zip(trajs, verdicts, diags):
+        values = (math.nan,) * 3 if d is None else (d.window_slope, d.r_lo, d.r_hi)
+        truncated = "" if t.truncated_at is None else str(t.truncated_at)
+        lines.append(",".join([str(t.seed), verdict, *map(_f17, values), truncated]))
+    path.write_text("\n".join(lines) + "\n")
 
 
 def _cmd_plot(args) -> int:
@@ -749,7 +765,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", default="loss", choices=list(stats.METRICS))
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("envelope", help="run once and compare against a theorem-case envelope")
+    p = sub.add_parser("envelope", help="run n_seeds paths and compare each against a theorem-case envelope")
     p.add_argument("--config", required=True)
     p.add_argument("--case", default=None, choices=sorted(_CASE_TOKENS))
     p.add_argument("--out", required=True)

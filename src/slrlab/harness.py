@@ -160,8 +160,6 @@ def trajectory_envelope(
 class LittleODiagnostic:
     """Trend report for ratios min_grad_sq / envelope over a window."""
 
-    ks: np.ndarray
-    ratios: np.ndarray
     k_lo: int
     k_hi: int
     r_lo: float
@@ -217,8 +215,6 @@ def little_o_diagnostic(
             verdict = Verdict.VIOLATION
 
     return LittleODiagnostic(
-        ks=wks,
-        ratios=wr,
         k_lo=k_lo_eff,
         k_hi=k_hi_eff,
         r_lo=r_lo,

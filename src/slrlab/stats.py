@@ -192,7 +192,7 @@ def run_paired(
     eval_every: int = 10,
     checkpoints: list[int] | None = None,
 ) -> list[RunSet]:
-    """One run set per SF spec, all under the same n_seeds split seeds.
+    """One run set per SF spec, all under the same n_seeds (>= 1) split seeds.
 
     The arms step as one batch (:func:`optimizer.run_arms`) on one
     gradient draw per seed, so seed i sees the same gradient noise in
@@ -200,14 +200,12 @@ def run_paired(
     collision-checked so the set never silently contains duplicate
     streams.
     """
-    if n_seeds < 2:
-        raise ValueError("n_seeds must be >= 2")
+    if checkpoints is None:
+        checkpoints = auto_checkpoints(iterations, eval_every)
+    check_arguments(eval_every, iterations, n_seeds=n_seeds, checkpoints=checkpoints)
     seeds = [split_seed(master_seed, i) for i in range(n_seeds)]
     if len(set(seeds)) != n_seeds:
         raise ValueError("seed split collision; choose a different master_seed")
-    if checkpoints is None:
-        checkpoints = auto_checkpoints(iterations, eval_every)
-    check_arguments(eval_every, iterations, checkpoints=checkpoints)
     arms = run_arms(problem, schedule, sf_specs, iterations, eval_every=eval_every, seeds=seeds)
     return [
         RunSet(

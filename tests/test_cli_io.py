@@ -582,7 +582,7 @@ def test_cli_envelope_outputs(tmp_path):
     out = tmp_path / "env"
     assert cli_io.main(["envelope", "--config", path, "--out", str(out)]) == 0
     names = {f.name for f in out.iterdir()}
-    assert names == {"trajectory.csv", "diagnostic.txt"}
+    assert names == {"trajectory.csv", "diagnostic.txt", "seeds.csv"}
     diag = (out / "diagnostic.txt").read_text()
     assert "case = case12" in diag
     assert "diagnostic = " in diag and "slope = " in diag
@@ -596,9 +596,12 @@ def test_cli_envelope_with_one_eval_interval_reports_diagnostic_unavailable(tmp_
     path = _write_cfg(tmp_path, cfg)
     out = tmp_path / "env"
     assert cli_io.main(["envelope", "--config", path, "--out", str(out)]) == 0
-    last = (out / "diagnostic.txt").read_text().splitlines()[-1]
-    assert last == ("diagnostic = unavailable (window k in [10, 10] is empty: "
-                    "needs eval_every < iterations)")
+    lines = (out / "diagnostic.txt").read_text().splitlines()
+    assert lines[-2] == ("diagnostic = unavailable (window k in [10, 10] is empty: "
+                         "needs eval_every < iterations)")
+    assert lines[-1] == ("tally over 3 seeds: ConsistentWithLittleO = 0 | Inconclusive = 0 | Violation = 0 | "
+                         "diverged = 0 | uncertified = 0")
+    assert [row.split(",")[1] for row in (out / "seeds.csv").read_text().splitlines()[1:]] == ["unavailable"] * 3
     assert len(cli_io.read_trajectory_csv(out / "trajectory.csv")["k"]) == 2
 
 
@@ -612,6 +615,89 @@ def test_cli_envelope_on_a_run_diverged_before_its_second_eval_point(tmp_path):
     assert "diagnostic = unavailable (run diverged at k=2)" in (out / "diagnostic.txt").read_text()
     cols = cli_io.read_trajectory_csv(out / "trajectory.csv")
     assert cols["k"].tolist() == [0] and np.isnan(cols["envelope_case"]).all()
+
+
+ENVELOPE_SEEDS = GOOD_CONFIG.replace("iterations = 100", "iterations = 2000")
+
+
+def _seed_rows(out):
+    lines = (out / "seeds.csv").read_text().splitlines()
+    assert lines[0] == "seed,verdict,slope,r_lo,r_hi,truncated_at"
+    return [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+
+
+def test_cli_envelope_diagnoses_every_seed_as_its_own_run(tmp_path, monkeypatch):
+    # Each row of seeds.csv is the diagnostic of that seed's run on its own,
+    # against the envelope at the run's recorded points.
+    monkeypatch.delenv("SLRLAB_SEED", raising=False)
+    cfg = cli_io.parse_config(ENVELOPE_SEEDS.replace("n_seeds = 3", "n_seeds = 4"))
+    out = tmp_path / "env"
+    assert cli_io.main(["envelope", "--config", _write_cfg(tmp_path, cli_io.format_config(cfg)),
+                        "--out", str(out)]) == 0
+    rows = _seed_rows(out)
+    assert [int(r["seed"]) for r in rows] == [optimizer.split_seed(cfg.master_seed, i) for i in range(4)]
+    problem = cli_io.build_problem(cfg)
+    k_lo = max(cfg.eval_every, cfg.iterations // 100)
+    for row in rows:
+        traj = optimizer.run(problem, cfg.schedule, cfg.sf, cfg.iterations, eval_every=cfg.eval_every,
+                             seed=int(row["seed"]))
+        env = harness.trajectory_envelope(traj, cfg.theorem_case, cfg.sf, cfg.schedule)
+        diag = harness.little_o_diagnostic(traj.min_grad_sq[1:], env, k_lo, cfg.iterations)
+        assert row["verdict"] == diag.verdict.value
+        assert [float(row[k]) for k in ("slope", "r_lo", "r_hi")] == [diag.window_slope, diag.r_lo, diag.r_hi]
+        assert row["truncated_at"] == ""
+
+
+def test_cli_envelope_seed_zero_artifacts_do_not_depend_on_n_seeds(tmp_path):
+    outs = {}
+    for n in (1, 3):
+        outs[n] = tmp_path / f"env{n}"
+        path = _write_cfg(tmp_path, ENVELOPE_SEEDS.replace("n_seeds = 3", f"n_seeds = {n}"), f"cfg{n}.txt")
+        assert cli_io.main(["envelope", "--config", path, "--out", str(outs[n])]) == 0
+    assert (outs[1] / "trajectory.csv").read_bytes() == (outs[3] / "trajectory.csv").read_bytes()
+    one, three = ((outs[n] / "diagnostic.txt").read_text() for n in (1, 3))
+    head, tally, _ = three.rsplit("\n", 2)
+    assert head + "\n" == one
+    assert tally.startswith("tally over 3 seeds: ")
+    assert not (outs[1] / "seeds.csv").exists() and len(_seed_rows(outs[3])) == 3
+
+
+def test_cli_envelope_counts_a_diverged_seed_and_exits_zero(tmp_path, capsys):
+    # Seed 1 of four diverges at k = 10; seed 0 does not.  eta = 3 breaks
+    # the step bound, so no seed is certified.
+    cfg = DIVERGING_ARM.format(eta=3, sf="sf = uniform_root\nsf.c1 = 0.01\nsf.c2 = 2.0")
+    out = tmp_path / "env"
+    assert cli_io.main(["envelope", "--config", _write_cfg(tmp_path, cfg), "--case", "case12",
+                        "--out", str(out)]) == 0
+    tally = ("tally over 4 seeds: ConsistentWithLittleO = 3 | Inconclusive = 0 | Violation = 0 | "
+             "diverged = 1 | uncertified = 4")
+    assert capsys.readouterr().out.splitlines()[-1] == tally
+    assert (out / "diagnostic.txt").read_text().splitlines()[-1] == tally
+    rows = _seed_rows(out)
+    assert [(r["verdict"], r["truncated_at"]) for r in rows] == \
+        [("ConsistentWithLittleO", ""), ("diverged", "10"), ("ConsistentWithLittleO", ""),
+         ("ConsistentWithLittleO", "")]
+    assert [rows[1][k] for k in ("slope", "r_lo", "r_hi")] == ["nan"] * 3
+
+
+@pytest.mark.parametrize("command", ["run", "envelope"])
+def test_cli_seed_split_collision_exits_one_before_any_output(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(stats, "split_seed", lambda master_seed, index: 12345)
+    out = tmp_path / "out"
+    assert cli_io.main([command, "--config", _write_cfg(tmp_path), "--out", str(out)]) == 1
+    assert "seed split collision" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_compare_needs_two_seeds_before_any_run(tmp_path, capsys, monkeypatch):
+    # run and envelope take one seed; a Welch test needs two per arm.
+    monkeypatch.setattr(stats, "run_paired", lambda *args, **kwargs: pytest.fail("compare ran"))
+    one = GOOD_CONFIG.replace("n_seeds = 3", "n_seeds = 1")
+    pa = _write_cfg(tmp_path, one, "a.txt")
+    pb_ = _write_cfg(tmp_path, one.replace("sf.c2 = 0.8", "sf.c2 = 0.9"), "b.txt")
+    assert cli_io.main(["compare", "--config-a", pa, "--config-b", pb_, "--out", str(tmp_path / "cmp")]) == 1
+    assert capsys.readouterr().err == "error: compare: n_seeds must be >= 2 to give each arm a variance (got 1)\n"
+    assert not (tmp_path / "cmp").exists()
 
 
 def test_cli_validate_with_one_iteration_names_the_key(tmp_path, capsys):
@@ -833,6 +919,16 @@ def test_cli_plot_from_directory(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
     assert cli_io.main(["plot", "--in", str(empty), "--out", str(dst)]) == 1
+
+
+def test_cli_plot_skips_the_seeds_csv_of_an_envelope(tmp_path):
+    out = tmp_path / "env"
+    assert cli_io.main(["envelope", "--config", _write_cfg(tmp_path, ENVELOPE_SEEDS), "--out", str(out)]) == 0
+    assert (out / "seeds.csv").exists()
+    dst = tmp_path / "fig.svg"
+    assert cli_io.main(["plot", "--in", str(out), "--out", str(dst)]) == 0
+    # The trajectory, envelope_det and envelope_case.
+    assert dst.read_text().count("<polyline") == 3
 
 
 def test_cli_plot_fails_on_a_malformed_trajectory_csv(tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 import scipy.special
 import scipy.stats
 
-from slrlab import problems, sf, stats
+from slrlab import optimizer, problems, sf, stats
 from slrlab.optimizer import StepSizeSchedule
 
 
@@ -138,14 +138,24 @@ def test_run_multi_seed_deterministic_and_distinct():
     for i in range(3):
         assert not np.array_equal(rs1.trajectories[i].u_series,
                                   rs1.trajectories[i + 1].u_series)
-    with pytest.raises(ValueError):
-        stats.run_multi_seed(pb, sched, sf.constant(1.0), 100, n_seeds=1, master_seed=0)
+    with pytest.raises(ValueError, match="n_seeds must be >= 1, got 0"):
+        stats.run_multi_seed(pb, sched, sf.constant(1.0), 100, n_seeds=0, master_seed=0)
     with pytest.raises(ValueError):
         stats.run_multi_seed(pb, sched, sf.constant(1.0), 100, n_seeds=2,
                              master_seed=0, checkpoints=[101])
     with pytest.raises(ValueError, match="checkpoints must be distinct, got 100 twice"):
         stats.run_paired(pb, sched, [sf.constant(1.0)], 100, n_seeds=2, master_seed=0,
                          checkpoints=[100, 100, 50])
+
+
+def test_run_multi_seed_takes_one_seed():
+    # run and envelope run a single seed through the same path as compare.
+    pb = problems.make_quadratic(dim=3, cond=10.0, sigma=0.2)
+    sched = StepSizeSchedule("inverse_k", 0.2)
+    rs = stats.run_multi_seed(pb, sched, sf.uniform_root(0.3, 0.8), 100, n_seeds=1, master_seed=3, eval_every=10)
+    alone = optimizer.run(pb, sched, sf.uniform_root(0.3, 0.8), 100, eval_every=10, seed=optimizer.split_seed(3, 0))
+    assert rs.seeds == [alone.seed] and len(rs.trajectories) == 1
+    np.testing.assert_array_equal(rs.trajectories[0].min_grad_sq, alone.min_grad_sq)
 
 
 def test_compare_rejects_a_repeated_checkpoint():
