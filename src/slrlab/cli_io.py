@@ -632,10 +632,11 @@ def _cmd_compare(args) -> int:
     if cfg_a.n_seeds < 2:
         raise ConfigError(f"compare: n_seeds must be >= 2 to give each arm a variance (got {cfg_a.n_seeds})")
 
-    # Both arms step as one batch on one gradient draw per seed, so the
-    # pairing holds by construction; the digests are still compared as a
-    # guard.  A diverged run stops early and hashes only a prefix of its
-    # stream, so the digests are comparable only where neither arm diverged.
+    # Both arms step as one batch on one gradient draw per seed.  Each
+    # run's digest covers the draws it stepped on, so comparing them checks
+    # the pairing.  A diverged run stops early and hashes only a prefix of
+    # its stream, so the digests are comparable only where neither arm
+    # diverged.
     _, (set_a, set_b) = _run_all(cfg_a, [cfg_a.sf, cfg_b.sf])
     pairs = [(ta, tb) for ta, tb in zip(set_a.trajectories, set_b.trajectories)
              if not (ta.diverged or tb.diverged)]

@@ -21,7 +21,8 @@ arm, so paired arms consume the same gradient noise by construction.
 Block draws equal per-step draws bit for bit, the oracles' rows are
 bitwise independent of the stack, and every row is checked on its own,
 so a run does not depend on the batch it runs in; :func:`run` is the
-one-arm, one-seed case.
+one-arm, one-seed case.  A run's memory follows its eval grid, not its
+step count: factors are kept at the eval points only.
 """
 
 from __future__ import annotations
@@ -184,11 +185,12 @@ class Trajectory:
 
     Full-objective quantities (loss, gradient norm) are evaluated every
     ``eval_every`` iterations; the running minimum of the squared
-    gradient norm is updated at those eval points only.  ``u_series``
-    covers every executed iteration (eta_k follows from the schedule,
-    :func:`step_sizes`).  ``u_eval`` holds the draw used at each
-    recorded iterate; its final entry is nan because no step leaves the
-    last iterate.
+    gradient norm is updated at those eval points only.  ``u_eval``
+    holds the draw used at each recorded iterate, nan where no step
+    left it (the final iterate, and any point at or past a truncation),
+    so ``eval_every = 1`` records every factor.  ``eval_points``,
+    ``sum_eta`` and ``eta_eval`` are read-only views of grid columns
+    shared by every run of a batch (a truncated run's are prefixes).
     """
 
     eval_points: np.ndarray
@@ -198,7 +200,6 @@ class Trajectory:
     sum_eta: np.ndarray
     eta_eval: np.ndarray
     u_eval: np.ndarray
-    u_series: np.ndarray
     iterations: int
     eval_every: int
     seed: int
@@ -242,6 +243,21 @@ def run(
 def _draw_bytes(draws: np.ndarray) -> bytes:
     # What the stream digest hashes: indices as little-endian int64.
     return (draws.astype("<i8") if draws.dtype.kind == "i" else draws).tobytes()
+
+
+def _stack_draws(seed_draws: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Step j's draws for every row, (n, rows, ...): row i gets column pos[i] of the seeds' (n, seeds, ...)."""
+    return np.take(seed_draws, pos, axis=1)
+
+
+def _foreign_rows(draws: np.ndarray, seed_draws: np.ndarray, pos: np.ndarray, edges: np.ndarray) -> list[int]:
+    """The rows i of ``draws`` that do not hold column pos[i] of ``seed_draws``, checked one arm at a time."""
+    foreign = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        want = seed_draws if hi - lo == seed_draws.shape[1] else seed_draws[:, pos[lo:hi]]
+        if not np.array_equal(draws[:, lo:hi], want):
+            foreign += [i for i in range(lo, hi) if not np.array_equal(draws[:, i], seed_draws[:, pos[i]])]
+    return foreign
 
 
 def run_arms(
@@ -289,22 +305,29 @@ def run_arms(
     seed_of = np.tile(np.arange(S), len(sf_specs))
     grad_rngs = [stream_generator(s, GRAD_STREAM) for s in seeds]
     sf_rngs = [stream_generator(seeds[s], SF_STREAM) for s in seed_of]
-    # One digest per seed covers the draws up to the end of the last block
-    # a row of that seed completed; a row that stops inside a block
-    # finishes a copy of it over its own executed prefix.
+    # Each row's digest covers the gradient draws it stepped on: its column
+    # of each block's stacked draws, only the executed prefix of the block
+    # it stops in.  The rows of a seed share the seed's digest while every
+    # block finds them stepping on the seed's draws; a row found otherwise
+    # hashes its own columns from then on, so paired digests can differ.
     seed_digests = [hashlib.sha256() for _ in seeds]
-    digests: list[str | None] = [None] * R
+    digests: list = [None] * R  # a row's own digest, once it has one
+
+    def own_digest(r: int):
+        if digests[r] is None:
+            digests[r] = seed_digests[seed_of[r]].copy()
+        return digests[r]
+
     box = problem.domain_box
     etas = step_sizes(schedule, iterations + 1)
 
-    # Per row: recorded evals, executed steps, truncation point, box status.
+    # Per row: recorded evals and factors, truncation point, box status.
     # One row per (arm, seed), so a trajectory's series are views of it.
     losses = np.empty((R, n_evals))
     gnorms = np.empty((R, n_evals))
     mins = np.empty((R, n_evals))
-    u_series = np.empty((R, iterations))
+    u_evals = np.full((R, n_evals), np.nan)
     n_rec = np.full(R, n_evals)
-    executed = np.full(R, iterations)
     truncated_at: list[int | None] = [None] * R
     certified = np.ones(R, dtype=bool)
 
@@ -322,24 +345,34 @@ def run_arms(
 
     for k0 in range(0, iterations, block):
         n = min(block, iterations - k0)
-        blocks = {s: problem.draw_block(grad_rngs[s], n) for s in set(seed_of[live].tolist())}
-        # Step j's draws for every live row, (n, rows, ...): a seed's block
-        # is repeated for its row in each arm.
-        draws = np.stack([blocks[s] for s in seed_of[live]], axis=1)
-        u = np.empty((len(live), n))
+        # Each live seed's block, (n, seeds, ...), and each row's copy of
+        # its seed's block, (n, rows, ...).
+        live_seeds = sorted(set(seed_of[live].tolist()))
+        blocks = [problem.draw_block(grad_rngs[s], n) for s in live_seeds]
+        seed_draws = np.stack(blocks, axis=1)
+        pos = np.searchsorted(live_seeds, seed_of[live])
+        draws = _stack_draws(seed_draws, pos)
         edges = np.searchsorted(live, S * np.arange(len(sf_specs) + 1))
+        # The pairing check: a row that does not hold its seed's block
+        # stops sharing the seed's digest.
+        for r in live[_foreign_rows(draws, seed_draws, pos, edges)]:
+            own_digest(r)
+        del seed_draws
+        u = np.empty((len(live), n))
         for spec, lo, hi in zip(sf_specs, edges[:-1], edges[1:]):
             if hi > lo:
                 u[lo:hi] = sfmod.sample_block(spec, k0, n, [sf_rngs[r] for r in live[lo:hi]])
-        u_series[live, k0:k0 + n] = u
         steps = step_buf[:n * len(live) * d].reshape(n, len(live), d)
         steps[...] = (etas[k0:k0 + n] * u).T[:, :, None]
         # The block's eval points k0 <= k < k0 + n, plus the final point
         # on the last block.  Their iterates are buffered as the block
-        # steps and evaluated together after it.
+        # steps and evaluated together after it; the factors drawn at
+        # them are kept (the final point takes no step).
         last = k0 + n == iterations
         e0 = -(-k0 // eval_every)
         e1 = (k0 + n - (not last)) // eval_every + 1
+        u_at = u[:, e0 * eval_every - k0::eval_every]
+        u_evals[live, e0:e0 + u_at.shape[1]] = u_at
         E = np.empty((e1 - e0, len(live), d))
         X_start = X
         with np.errstate(over="ignore", invalid="ignore"):
@@ -367,7 +400,6 @@ def run_arms(
                 hit = ~np.isfinite(Y).all(axis=1)
                 nonfinite_at[bad[hit]] = k0 + j + 1
                 bad, Y = bad[~hit], Y[~hit]
-            del draws  # freed before the eval and the next block's draws
             if last:
                 E[-1] = X
             # One oracle call for the block's eval points; each row's bits
@@ -390,42 +422,45 @@ def run_arms(
         # eval at that k is not recorded).
         stop = np.minimum(nonfinite_at, loss_at)
         keep = stop == never
+        # A seed's digest takes its whole block once if a row that goes on
+        # shares it; every other row hashes its own executed draws.
+        sharing = keep & np.array([digests[r] is None for r in live.tolist()])
+        for i in np.flatnonzero(~sharing):
+            own_digest(live[i]).update(_draw_bytes(draws[:n if keep[i] else stop[i] - k0, i]))
+        for p in set(pos[sharing].tolist()):
+            seed_digests[live_seeds[p]].update(_draw_bytes(blocks[p]))
+        del draws, blocks  # freed before the next block's draws
         for i in np.flatnonzero(~keep):
             r, k = live[i], int(stop[i])
-            h = seed_digests[seed_of[r]].copy()
-            if k > k0:
-                h.update(_draw_bytes(blocks[seed_of[r]][:k - k0]))
-            digests[r] = h.hexdigest()
-            truncated_at[r], executed[r], certified[r] = k, k, False
+            truncated_at[r], certified[r] = k, False
             n_rec[r] = (k - 1) // eval_every + 1 if nonfinite_at[i] == k else k // eval_every + 1
-        for s in set(seed_of[live[keep]].tolist()):
-            seed_digests[s].update(_draw_bytes(blocks[s]))
+            u_evals[r, -(-k // eval_every):] = np.nan  # no step was taken there
         if not keep.all():
             live, X, running_min = live[keep], X[keep], running_min[keep]
             if not len(live):
                 break
 
+    # The eval-grid columns are the same for every row: one read-only copy.
     ks = np.arange(0, iterations + 1, eval_every)
     sum_eta = np.concatenate(([0.0], np.cumsum(etas[:iterations])))[ks]
+    eta_eval = etas[ks]
+    for column in (ks, sum_eta, eta_eval):
+        column.setflags(write=False)
     out = []
     for a, sf_spec in enumerate(sf_specs):
         digest = config_digest(problem, schedule, sf_spec, iterations, eval_every)
         arm = []
         for s, seed in enumerate(seeds):
             r = a * S + s
-            c, ex = n_rec[r], executed[r]
-            u_eval = np.full(c, np.nan)
-            stepped = ks[:c] < ex
-            u_eval[stepped] = u_series[r, ks[:c][stepped]]
+            c = n_rec[r]
             arm.append(Trajectory(
-                eval_points=ks[:c].copy(),
+                eval_points=ks[:c],
                 loss=losses[r, :c],
                 grad_norm_sq=gnorms[r, :c],
                 min_grad_sq=mins[r, :c],
-                sum_eta=sum_eta[:c].copy(),
-                eta_eval=etas[ks[:c]],
-                u_eval=u_eval,
-                u_series=u_series[r, :ex],
+                sum_eta=sum_eta[:c],
+                eta_eval=eta_eval[:c],
+                u_eval=u_evals[r, :c],
                 iterations=iterations,
                 eval_every=eval_every,
                 seed=seed,
@@ -433,7 +468,7 @@ def run_arms(
                 certified=bool(certified[r]),
                 diverged=truncated_at[r] is not None,
                 truncated_at=truncated_at[r],
-                grad_stream_digest=digests[r] or seed_digests[s].hexdigest(),
+                grad_stream_digest=(digests[r] or seed_digests[s]).hexdigest(),
             ))
         out.append(arm)
     return out

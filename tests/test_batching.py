@@ -31,7 +31,7 @@ def scalar_reference(problem, schedule, spec, iterations, eval_every, x0, seed):
     sf_rng = optimizer.stream_generator(seed, optimizer.SF_STREAM)
     digest = hashlib.sha256()
     rec = {name: [] for name in ("eval_points", "loss", "grad_norm_sq", "min_grad_sq", "sum_eta")}
-    u_series = []
+    u_steps = []
     sum_eta, running_min = 0.0, np.inf
     certified, truncated_at = True, None
     lo, hi = problem.domain_box or (-np.inf, np.inf)
@@ -61,7 +61,7 @@ def scalar_reference(problem, schedule, spec, iterations, eval_every, x0, seed):
         elif gs.draw is not None:
             digest.update(struct.pack("<q", gs.draw))
         x = x - (eta_k * u_k) * gs.vector
-        u_series.append(u_k)
+        u_steps.append(u_k)
         sum_eta += eta_k
         if (x < lo).any() or (x > hi).any():
             certified = False
@@ -72,7 +72,7 @@ def scalar_reference(problem, schedule, spec, iterations, eval_every, x0, seed):
         record(iterations)
 
     ks = np.array(rec["eval_points"], dtype=int)
-    u = np.array(u_series, dtype=float)
+    u = np.array(u_steps, dtype=float)
     return dict(
         eval_points=ks,
         loss=np.array(rec["loss"]),
@@ -81,7 +81,6 @@ def scalar_reference(problem, schedule, spec, iterations, eval_every, x0, seed):
         sum_eta=np.array(rec["sum_eta"]),
         eta_eval=np.array([optimizer.step_size(schedule, int(k)) for k in ks]),
         u_eval=np.array([u[k] if k < len(u) else np.nan for k in ks]),
-        u_series=u,
         seed=seed,
         certified=certified and truncated_at is None,
         diverged=truncated_at is not None,

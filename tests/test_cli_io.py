@@ -575,6 +575,26 @@ def test_cli_compare_excludes_seeds_with_a_diverged_arm(tmp_path):
     assert (rep.n_a, rep.excluded_a, rep.n_b, rep.excluded_b) == (3, 1, 4, 0)
 
 
+def test_cli_compare_exits_two_when_an_arm_steps_on_another_seeds_draws(tmp_path, capsys, monkeypatch):
+    # Each row of arm b is fed the next seed's gradient draws: the pairing
+    # check must fail as a fault instead of printing the verified line.
+    stack = optimizer._stack_draws
+
+    def shifted(seed_draws, pos):
+        half = len(pos) // 2
+        return stack(seed_draws, np.concatenate([pos[:half], (pos[half:] + 1) % seed_draws.shape[1]]))
+
+    monkeypatch.setattr(optimizer, "_stack_draws", shifted)
+    base = GOOD_CONFIG.replace("n_seeds = 3", "n_seeds = 4")
+    cfg_b = base.replace("sf = uniform_root", "sf = constant").replace("sf.c1 = 0.3\nsf.c2 = 0.8", "sf.value = 1.0")
+    pa = _write_cfg(tmp_path, base, "a.txt")
+    pb_ = _write_cfg(tmp_path, cfg_b, "b.txt")
+    out = tmp_path / "cmp"
+    assert cli_io.main(["compare", "--config-a", pa, "--config-b", pb_, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: paired gradient streams diverged between arms; stream split broken\n")
+    assert not out.exists()
+
+
 def test_cli_envelope_outputs(tmp_path):
     cfg = GOOD_CONFIG.replace("iterations = 100", "iterations = 2000") \
                      .replace("n_seeds = 3", "n_seeds = 2")

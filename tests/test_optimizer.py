@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,8 +69,7 @@ def test_run_quadratic_contraction_closed_form():
     np.testing.assert_allclose(traj.grad_norm_sq, [1.0, 0.25, 0.0625, 0.015625], atol=0)
     np.testing.assert_allclose(traj.loss, [0.5, 0.125, 0.03125, 0.0078125], atol=0)
     np.testing.assert_array_equal(traj.eval_points, [0, 1, 2, 3])
-    assert traj.u_series[0] == 1.0
-    assert np.isnan(traj.u_eval[-1])
+    np.testing.assert_array_equal(traj.u_eval, [1.0, 1.0, 1.0, np.nan])
 
 
 def test_run_unit_factor_two_jumps_to_zero():
@@ -97,14 +97,16 @@ def test_min_grad_sq_running_minimum():
     np.testing.assert_array_equal(traj.min_grad_sq, np.minimum.accumulate(traj.grad_norm_sq))
 
 
-def test_u_series_within_per_step_support():
+def test_u_eval_within_per_step_support():
+    # eval_every = 1 records the factor of every step; the final iterate has none
     spec = sf.uniform_root(0.3, 0.8)
     pb = problems.make_quadratic(dim=2, cond=10.0, sigma=0.1)
     traj = optimizer.run(pb, StepSizeSchedule("inverse_k", 0.1), spec,
                          iterations=200, eval_every=1, seed=9)
+    assert len(traj.u_eval) == 201 and np.isnan(traj.u_eval[-1])
     for k in range(200):
         lo, hi = sf.support_bounds(spec, k)
-        assert lo <= traj.u_series[k] <= hi
+        assert lo <= traj.u_eval[k] <= hi
 
 
 def test_sum_eta_snapshots_before_step():
@@ -123,11 +125,11 @@ def test_within_run_determinism():
     b = optimizer.run(*args, iterations=300, eval_every=10, seed=7)
     np.testing.assert_array_equal(a.loss, b.loss)
     np.testing.assert_array_equal(a.grad_norm_sq, b.grad_norm_sq)
-    np.testing.assert_array_equal(a.u_series, b.u_series)
+    np.testing.assert_array_equal(a.u_eval, b.u_eval)
     assert a.grad_stream_digest == b.grad_stream_digest
     c = optimizer.run(*args, iterations=300, eval_every=10, seed=8)
     assert c.grad_stream_digest != a.grad_stream_digest
-    assert not np.array_equal(a.u_series, c.u_series)
+    assert not np.array_equal(a.u_eval, c.u_eval, equal_nan=True)
 
 
 def test_paired_arms_share_gradient_stream():
@@ -137,12 +139,72 @@ def test_paired_arms_share_gradient_stream():
     a = optimizer.run(pb, sched, sf.uniform_root(0.3, 0.8), iterations=200, eval_every=10, seed=5)
     b = optimizer.run(pb, sched, sf.constant(1.0), iterations=200, eval_every=10, seed=5)
     assert a.grad_stream_digest == b.grad_stream_digest
-    assert not np.array_equal(a.u_series, b.u_series)
+    assert not np.array_equal(a.u_eval, b.u_eval, equal_nan=True)
     # logreg pairs through the summand index stream the same way
     pbl = problems.make_logreg_nonconvex(n=30, d=3, reg=0.1, seed=2)
     al = optimizer.run(pbl, sched, sf.uniform_root(0.3, 0.8), iterations=100, eval_every=10, seed=5)
     bl = optimizer.run(pbl, sched, sf.constant(1.0), iterations=100, eval_every=10, seed=5)
     assert al.grad_stream_digest == bl.grad_stream_digest
+
+
+def test_stream_digest_covers_the_draws_a_row_stepped_on(monkeypatch):
+    # Three blocks of steps; a row fed another seed's draws in every block
+    # carries that seed's digest, not its own seed's.
+    pb = problems.make_quadratic(dim=3, cond=10.0, sigma=0.1)
+    args = (pb, StepSizeSchedule("inverse_k", 0.1), [sf.uniform_root(0.3, 0.8), sf.constant(1.0)], 3000, 100)
+    seeds = [11, 12, 13]
+    a, b = optimizer.run_arms(*args, seeds=seeds)
+    assert [t.grad_stream_digest for t in b] == [t.grad_stream_digest for t in a]
+    stack = optimizer._stack_draws
+
+    def shifted(seed_draws, pos):
+        # each row of the second arm gets the next seed's block
+        half = len(pos) // 2
+        return stack(seed_draws, np.concatenate([pos[:half], (pos[half:] + 1) % seed_draws.shape[1]]))
+
+    monkeypatch.setattr(optimizer, "_stack_draws", shifted)
+    a2, b2 = optimizer.run_arms(*args, seeds=seeds)
+    assert [t.grad_stream_digest for t in a2] == [t.grad_stream_digest for t in a]
+    assert [t.grad_stream_digest for t in b2] == [t.grad_stream_digest for t in a[1:] + a[:1]]
+
+
+def test_run_memory_follows_the_eval_grid_not_the_step_count():
+    # Both runs record 201 eval points of 40 seeds; the first takes ten
+    # times the steps of the second.
+    pb = problems.make_quadratic(dim=10, cond=10.0, sigma=0.1)
+    args = (pb, StepSizeSchedule("inverse_k", 0.1), [sf.uniform_root(0.3, 0.8)])
+    seeds = list(range(40))
+    optimizer.run_arms(*args, 20, 10, seeds=seeds)  # the first call's imports are not the run's
+
+    def peak(iterations, eval_every):
+        tracemalloc.start()
+        try:
+            optimizer.run_arms(*args, iterations, eval_every, seeds=seeds)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(20000, 100) <= peak(2000, 10)
+
+
+def test_grid_columns_are_shared_read_only_views():
+    pb = problems.make_quadratic(dim=3, cond=10.0, sigma=0.1)
+    batch = optimizer.run_arms(pb, StepSizeSchedule("inverse_k", 2.5), [sf.uniform_root(0.001, 4.0)],
+                               200, 10, seeds=range(8))[0]
+    (diverged,) = [t for t in batch if t.diverged]
+    full, *others = [t for t in batch if not t.diverged]
+    assert others
+    for name in ("eval_points", "sum_eta", "eta_eval"):
+        column = getattr(full, name)
+        assert len(column) == 21
+        for t in batch:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(t, name)[0] = 1
+        for t in others:
+            assert getattr(t, name) is not column and np.shares_memory(getattr(t, name), column)
+        prefix = getattr(diverged, name)
+        assert 0 < len(prefix) < len(column) and np.shares_memory(prefix, column)
+        assert prefix.tobytes() == column[:len(prefix)].tobytes()
 
 
 def test_constant_unit_factor_matches_plain_sgd_bitwise():

@@ -133,11 +133,11 @@ def test_run_multi_seed_deterministic_and_distinct():
     assert len(set(rs1.seeds)) == 4
     for t1, t2 in zip(rs1.trajectories, rs2.trajectories):
         np.testing.assert_array_equal(t1.loss, t2.loss)
-        np.testing.assert_array_equal(t1.u_series, t2.u_series)
+        np.testing.assert_array_equal(t1.u_eval, t2.u_eval)
     # distinct seeds draw distinct factor sequences
     for i in range(3):
-        assert not np.array_equal(rs1.trajectories[i].u_series,
-                                  rs1.trajectories[i + 1].u_series)
+        assert not np.array_equal(rs1.trajectories[i].u_eval,
+                                  rs1.trajectories[i + 1].u_eval, equal_nan=True)
     with pytest.raises(ValueError, match="n_seeds must be >= 1, got 0"):
         stats.run_multi_seed(pb, sched, sf.constant(1.0), 100, n_seeds=0, master_seed=0)
     with pytest.raises(ValueError):
