@@ -38,14 +38,28 @@ log = logging.getLogger(__name__)
 _PENALTY_GRAD_MAX = 9.0 / (8.0 * math.sqrt(3.0))
 
 # The logreg eval reads the data in chunks of this many values (2621 rows
-# at d = 50), small enough to stay in cache, and serves this many eval rows
-# per pass, as the columns of products that are always this wide.  Each
+# at d = 50), small enough to stay in cache, and serves groups of this many
+# eval rows, as the columns of products that are always this wide.  Each
 # product reads a data tile of at most _EVAL_TILE_VALUES values and
 # _EVAL_TILE_COLS columns, so m*n*k <= 2**18 in every GEMM.
 _EVAL_CHUNK_VALUES = 2**17
 _EVAL_GROUP = 16
 _EVAL_TILE_VALUES = 2**14
 _EVAL_TILE_COLS = 128
+
+
+def _eval_tiling(n: int, d: int) -> tuple[int, int, int, int]:
+    """The logreg eval's rows per chunk, tile columns, tile rows and most groups per batch.
+
+    A batch of groups goes through the loss stage together, on at most
+    _EVAL_TILE_VALUES values (groups * tile rows * 16), as many as a data
+    tile holds: 3 groups at n = 20000, d = 50, 8 at n = 5000, d = 500, and
+    one group where a tile has more than 512 rows (d < 32 and n > 512).
+    """
+    rows = max(1, _EVAL_CHUNK_VALUES // d)
+    tc = min(d, _EVAL_TILE_COLS)
+    tr = min(_EVAL_TILE_VALUES // tc, rows, n)
+    return rows, tc, tr, max(1, _EVAL_TILE_VALUES // (_EVAL_GROUP * tr))
 
 
 @dataclass(eq=False, kw_only=True)
@@ -180,58 +194,72 @@ class LogReg(ProblemSpec):
         return _expit(row_dot(z, X))[:, None] * z + _penalty_gradient(self.reg, X)
 
     def value_and_gradient(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # The data go in fixed chunks of rows, and each group of eval rows
+        # The data go in fixed chunks of rows, and each batch of eval rows
         # reads a chunk once, from cache, for both its margins and its
         # gradients.  Each row's loss and gradient are per-chunk sums added
-        # in chunk order.  A group is the columns of a (d, 16) block, zero
-        # where it has fewer rows, and every product is a GEMM over fixed
-        # data tiles with the data on the left.  A column's bits then
-        # depend neither on its slot, nor on the other columns, nor on the
-        # BLAS thread count: a width that follows the number of rows, or an
-        # untiled product, gives none of that.
+        # in chunk order.  A group of up to 16 rows is the columns of a
+        # (d, 16) block, zero where it has fewer rows, and every product is
+        # a GEMM over fixed data tiles with the data on the left.  A batch
+        # (sized by _eval_tiling) stacks the blocks of its groups, never
+        # merging them into one wider operand, and one stacked matmul runs
+        # that same GEMM on each block.  A column's bits then depend
+        # neither on its slot, nor on the other columns, nor on the batch,
+        # nor on the BLAS thread count: a width that follows the number of
+        # rows, or an untiled product, gives none of that.
         signed, n, d = self.signed, len(self.y), self.dim
-        rows = max(1, _EVAL_CHUNK_VALUES // d)
-        tc = min(d, _EVAL_TILE_COLS)
-        tr = min(_EVAL_TILE_VALUES // tc, rows, n)
-        total = np.zeros(len(X))
-        G = np.zeros_like(X)
-        W = np.empty((d, _EVAL_GROUP))
-        t, e, p = (np.empty((tr, _EVAL_GROUP)) for _ in range(3))
-        prod = np.empty((max(tr, tc), _EVAL_GROUP))
-        acc = np.empty((d, _EVAL_GROUP))
+        rows, tc, tr, batch = _eval_tiling(n, d)
+        width = _EVAL_GROUP
+        groups = -(-len(X) // width)
+        batch = min(batch, max(1, groups))
+        # The rows, zero-padded to whole groups, and their sums.
+        padded = np.zeros((groups * width, d))
+        padded[:len(X)] = X
+        total = np.zeros(groups * width)
+        G = np.zeros_like(padded)
+        W = np.empty((batch, d, width))
+        acc = np.empty((batch, d, width))
+        prod = np.empty((batch, tc, width))
+        # Flat, so that a tile's buffers are one contiguous block whatever
+        # its height; they are shaped once per height.
+        t, e, p, q = (np.empty(batch * tr * width) for _ in range(4))
+        views = {}
         # Transposed, so that each row's pairwise sum runs over a whole chunk.
-        terms = np.empty((_EVAL_GROUP, min(rows, n)))
-        for g0 in range(0, len(X), _EVAL_GROUP):
-            group = X[g0:g0 + _EVAL_GROUP]
-            k = len(group)
-            W[:, :k] = group.T
-            W[:, k:] = 0.0
+        terms = np.empty((batch, width, min(rows, n)))
+        for g0 in range(0, groups, batch):
+            nb = min(batch, groups - g0)
+            part = slice(g0 * width, (g0 + nb) * width)
+            Wb, accb, prodb, termsb = W[:nb], acc[:nb], prod[:nb], terms[:nb]
+            Wb[...] = padded[part].reshape(nb, width, d).transpose(0, 2, 1)
+            total_b, G_b = total[part].reshape(nb, width), G[part].reshape(nb, width, d)
             for c0 in range(0, n, rows):
                 chunk = signed[c0:c0 + rows]
                 for i in range(0, len(chunk), tr):
                     tile = chunk[i:i + tr]
-                    m = len(tile)
-                    ti, ei, pi = t[:m], e[:m], p[:m]
-                    np.matmul(tile[:, :tc], W[:tc], out=ti)  # t = -y * margin
+                    shape = (nb, len(tile), width)
+                    if shape not in views:
+                        views[shape] = [a[:math.prod(shape)].reshape(shape) for a in (t, e, p, q)]
+                    ti, ei, pi, qi = views[shape]
+                    np.matmul(tile[:, :tc], Wb[:, :tc], out=ti)  # t = -y * margin
                     for j in range(tc, d, tc):
-                        ti += np.matmul(tile[:, j:j + tc], W[j:j + tc], out=prod[:m])
+                        ti += np.matmul(tile[:, j:j + tc], Wb[:, j:j + tc], out=qi)
                     np.negative(np.abs(ti, out=ei), out=ei)
                     np.exp(ei, out=ei)
                     # log(1 + exp(t)) without overflow, formed in a
                     # contiguous buffer: a ufunc writes strided output slowly
-                    np.add(np.maximum(ti, 0.0, out=prod[:m]), np.log1p(ei, out=pi), out=pi)
-                    terms[:, i:i + m].T[...] = pi
+                    np.add(np.maximum(ti, 0.0, out=qi), np.log1p(ei, out=pi), out=pi)
+                    termsb[:, :, i:i + len(tile)] = pi.transpose(0, 2, 1)
                     _expit(ti, ei, out=pi)  # the loss derivative in t
                     for j in range(0, d, tc):
-                        aj = acc[j:j + tc]
+                        aj = accb[:, j:j + tc]
                         if i == 0:
                             np.matmul(tile[:, j:j + tc].T, pi, out=aj)
                         else:
-                            aj += np.matmul(tile[:, j:j + tc].T, pi, out=prod[:len(aj)])
-                total[g0:g0 + k] += terms[:k, :len(chunk)].sum(axis=1)
-                G[g0:g0 + k] += acc[:, :k].T
+                            aj += np.matmul(tile[:, j:j + tc].T, pi, out=prodb[:, :aj.shape[1]])
+                total_b += termsb[:, :, :len(chunk)].sum(axis=2)
+                G_b += accb.transpose(0, 2, 1)
+        S = len(X)
         pen = self.reg * np.sum(X * X / (1.0 + X * X), axis=1)
-        return total / n + pen, G / n + _penalty_gradient(self.reg, X)
+        return total[:S] / n + pen, G[:S] / n + _penalty_gradient(self.reg, X)
 
 
 @dataclass(eq=False)
@@ -319,7 +347,7 @@ def make_logreg_nonconvex(n: int, d: int, reg: float, seed: int = 0) -> LogReg:
     L = l_data + 2.0 * float(reg)
     # The largest squared row norm, over the eval's chunks of rows, so that
     # the data are the one full-size array the build holds.
-    rows = max(1, _EVAL_CHUNK_VALUES // d)
+    rows = _eval_tiling(n, d)[0]
     chunks = (X[i:i + rows] for i in range(0, n, rows))
     row_sq = max(float((c * c).sum(axis=1).max()) for c in chunks)
     C = 2.0 * row_sq + 2.0 * (float(reg) * math.sqrt(d) * _PENALTY_GRAD_MAX) ** 2

@@ -399,16 +399,26 @@ def _oracle_cases():
     # Logreg rows from tiny to huge: the last rows give margins far
     # beyond +-700, where exp over- and underflows.
     scales = np.array([1e-3, 0.3, 1.0, 30.0, 400.0])[:, None]
+    # More rows than one batch of groups holds, on the ragged data: a full
+    # batch and a second one whose last group has 5 rows.
+    many = 16 * logreg_batch(ragged) + 5
     return [
         (quad, 3.0 * rng.standard_normal((5, 7))),
         (rosen, 2.5 * rng.standard_normal((5, 2))),
         (logreg, scales * rng.standard_normal((5, 5))),
         (ragged, np.repeat(scales, 4, axis=0)[1:] * rng.standard_normal((19, 50))),
         (wide, scales * rng.standard_normal((5, 300))),
+        (ragged, np.resize(scales[::-1], (many, 1))[::-1] * rng.standard_normal((many, 50))),
     ]
 
 
-@pytest.mark.parametrize("case", range(5), ids=["quadratic", "rosenbrock", "logreg", "logreg-chunks", "logreg-wide"])
+def logreg_batch(pb):
+    """The most groups of 16 eval rows that one batch of ``pb``'s eval serves."""
+    return problems._eval_tiling(len(pb.y), pb.dim)[3]
+
+
+@pytest.mark.parametrize("case", range(6), ids=["quadratic", "rosenbrock", "logreg", "logreg-chunks", "logreg-wide",
+                                                "logreg-batches"])
 def test_value_and_gradient_rows_bitwise_equals_separate_oracles(case):
     pb, X = _oracle_cases()[case]
     f, G = pb.value_and_gradient(X)
@@ -441,18 +451,26 @@ def test_logreg_loss_close_to_logaddexp_mean():
         assert abs(fx - old) <= 1e-14 * abs(old)
 
 
-# Evaluates logreg at a few points on a tall and a wide data matrix and
-# writes the raw bytes of f and G to stdout.
-_BLAS_THREADS_PROBE = """
+# Evaluates logreg on a tall and a wide data matrix, at a stack of points
+# that spans two batches of groups, and writes the raw bytes of f and G to
+# stdout.
+_PROBE_SHAPES = ((20000, 50), (5000, 500))
+_BLAS_THREADS_PROBE = f"""
 import sys
 import numpy as np
 from slrlab import problems
-for n, d in ((20000, 50), (5000, 500)):
+for n, d in {_PROBE_SHAPES!r}:
     pb = problems.make_logreg_nonconvex(n, d, 0.01, seed=1)
-    X = np.random.default_rng(2).standard_normal((3, d)) * np.array([[0.05], [0.3], [2.0]])
+    S = 16 * problems._eval_tiling(n, d)[3] + 3
+    X = np.random.default_rng(2).standard_normal((S, d)) * np.resize([0.05, 0.3, 2.0], (S, 1))
     f, G = pb.value_and_gradient(X)
     sys.stdout.buffer.write(f.tobytes() + G.tobytes())
 """
+
+
+def _probe_bytes():
+    # The probe's output length: f and G at 16 * B + 3 rows per matrix.
+    return sum(8 * (16 * problems._eval_tiling(n, d)[3] + 3) * (1 + d) for n, d in _PROBE_SHAPES)
 
 
 def test_logreg_eval_bits_do_not_depend_on_blas_threads():
@@ -466,7 +484,7 @@ def test_logreg_eval_bits_do_not_depend_on_blas_threads():
         proc = subprocess.run([sys.executable, "-c", _BLAS_THREADS_PROBE], env=env,
                               capture_output=True, check=True, timeout=120)
         outs.append(proc.stdout)
-    assert len(outs[0]) == 8 * (3 + 3 * 50 + 3 + 3 * 500)
+    assert len(outs[0]) == _probe_bytes()
     assert outs[1] == outs[0], "2 BLAS threads give other bits than 1"
     assert outs[2] == outs[0], "4 BLAS threads give other bits than 1"
 
@@ -475,13 +493,19 @@ def test_logreg_eval_bits_do_not_depend_on_blas_threads():
 def test_logreg_row_bits_do_not_depend_on_slot_or_neighbours(case):
     # Each row sits in every slot of stacks of 1, 16 and 17 rows (the last
     # group of 17 has one row), among random neighbours, on data of two
-    # full chunks and a ragged one.
+    # full chunks and a ragged one.  A stack of 16 * B rows fills one batch
+    # of B groups, and one more row starts a second batch; there the row
+    # sits in the first, a middle and the last slot of every group.
     pb, X = _oracle_cases()[case]
+    B = logreg_batch(pb)
+    assert B > 1
     rng = np.random.default_rng(9)
     for x in X[[0, len(X) // 2, -1]]:
         f1, G1 = pb.value_and_gradient(x[None])
-        for height in (1, 16, 17):
-            for slot in range(height):
+        for height in (1, 16, 17, 16 * B, 16 * B + 1):
+            slots = range(height) if height <= 17 else [s for g in range(0, height, 16)
+                                                        for s in (g, g + 7, g + 15) if s < height]
+            for slot in slots:
                 S = rng.standard_normal((height, pb.dim)) * 10.0 ** rng.uniform(-3, 2, size=(height, 1))
                 S[slot] = x
                 f, G = pb.value_and_gradient(S)
@@ -517,7 +541,7 @@ def test_logreg_eval_bits_do_not_depend_on_blas_threads_per_kernel(kernel):
         proc = subprocess.run([sys.executable, "-c", _BLAS_THREADS_PROBE], env=env,
                               capture_output=True, check=True, timeout=120)
         outs.append(proc.stdout)
-    assert len(outs[0]) == 8 * (3 + 3 * 50 + 3 + 3 * 500)
+    assert len(outs[0]) == _probe_bytes()
     assert outs[1] == outs[0], f"{kernel}: 2 BLAS threads give other bits than 1"
 
 
