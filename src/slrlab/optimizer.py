@@ -184,19 +184,19 @@ class Trajectory:
     """Everything recorded about one run.
 
     Full-objective quantities (loss, gradient norm) are evaluated every
-    ``eval_every`` iterations; the running minimum of the squared
-    gradient norm is updated at those eval points only.  ``u_eval``
-    holds the draw used at each recorded iterate, nan where no step
-    left it (the final iterate, and any point at or past a truncation),
-    so ``eval_every = 1`` records every factor.  ``eval_points``,
-    ``sum_eta`` and ``eta_eval`` are read-only views of grid columns
-    shared by every run of a batch (a truncated run's are prefixes).
+    ``eval_every`` iterations; ``min_grad_sq``, the running minimum of
+    the squared gradient norm over those eval points, is computed from
+    ``grad_norm_sq`` when read.  ``u_eval`` holds the draw used at each
+    recorded iterate, nan where no step left it (the final iterate, and
+    any point at or past a truncation), so ``eval_every = 1`` records
+    every factor.  ``eval_points``, ``sum_eta`` and ``eta_eval`` are
+    read-only views of grid columns shared by every run of a batch (a
+    truncated run's are prefixes).
     """
 
     eval_points: np.ndarray
     loss: np.ndarray
     grad_norm_sq: np.ndarray
-    min_grad_sq: np.ndarray
     sum_eta: np.ndarray
     eta_eval: np.ndarray
     u_eval: np.ndarray
@@ -210,6 +210,15 @@ class Trajectory:
     rng_algorithm: str = RNG_ALGORITHM
     grad_stream_digest: str = ""
     g_series: np.ndarray | None = field(default=None)
+
+    @property
+    def min_grad_sq(self) -> np.ndarray:
+        """Running minimum of ``grad_norm_sq``.
+
+        The nan norms recorded where the loss was not finite are skipped;
+        it reads inf until the first finite norm.
+        """
+        return np.fmin.accumulate(np.concatenate(([np.inf], self.grad_norm_sq)))[1:]
 
 
 # Steps whose randomness is drawn in one block.  Block draws equal the
@@ -325,17 +334,15 @@ def run_arms(
     # One row per (arm, seed), so a trajectory's series are views of it.
     losses = np.empty((R, n_evals))
     gnorms = np.empty((R, n_evals))
-    mins = np.empty((R, n_evals))
     u_evals = np.full((R, n_evals), np.nan)
     n_rec = np.full(R, n_evals)
     truncated_at: list[int | None] = [None] * R
     certified = np.ones(R, dtype=bool)
 
     # The live stack: row indices (sorted, so each arm's rows are one
-    # run), iterates and running minima.
+    # run) and iterates.
     live = np.arange(R)
     X = np.tile(x, (R, 1))
-    running_min = np.full(R, np.inf)
     never = iterations + 1
     step_gradient = problem.step_gradient
     # Each block's per-row step sizes, expanded to the iterates' shape in
@@ -411,9 +418,7 @@ def run_arms(
             f, g2 = f.reshape(E.shape[:2]), g2.reshape(E.shape[:2])
             ok = np.isfinite(f)
             g2[~ok] = np.nan
-            run_mins = np.fmin.accumulate(np.vstack([running_min, g2]), axis=0)[1:]
-            losses[live, e0:e1], gnorms[live, e0:e1], mins[live, e0:e1] = f.T, g2.T, run_mins.T
-            running_min = run_mins[-1]  # carried into the next block
+            losses[live, e0:e1], gnorms[live, e0:e1] = f.T, g2.T
             over = ~ok | (f > LOSS_DIVERGENCE_LIMIT)
             hit = over.any(axis=0)
             loss_at[hit] = eval_every * (e0 + over[:, hit].argmax(axis=0))
@@ -436,7 +441,7 @@ def run_arms(
             n_rec[r] = (k - 1) // eval_every + 1 if nonfinite_at[i] == k else k // eval_every + 1
             u_evals[r, -(-k // eval_every):] = np.nan  # no step was taken there
         if not keep.all():
-            live, X, running_min = live[keep], X[keep], running_min[keep]
+            live, X = live[keep], X[keep]
             if not len(live):
                 break
 
@@ -457,7 +462,6 @@ def run_arms(
                 eval_points=ks[:c],
                 loss=losses[r, :c],
                 grad_norm_sq=gnorms[r, :c],
-                min_grad_sq=mins[r, :c],
                 sum_eta=sum_eta[:c],
                 eta_eval=eta_eval[:c],
                 u_eval=u_evals[r, :c],

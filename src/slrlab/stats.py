@@ -226,11 +226,15 @@ METRICS = ("loss", "min_grad_sq")
 FWER = 0.05
 
 
-def _metric_at(traj: Trajectory, metric: str, k: int) -> float:
-    idx = k // traj.eval_every
-    if k % traj.eval_every != 0 or idx >= len(traj.eval_points):
-        raise ValueError(f"k={k} is not a recorded eval point")
-    return float(getattr(traj, metric)[idx])
+def _metric_at(traj: Trajectory, metric: str, ks: list[int]) -> np.ndarray:
+    """The run's ``metric`` at the eval points ``ks``.
+
+    The series is read once, since ``min_grad_sq`` is computed on each read.
+    """
+    for k in ks:
+        if k % traj.eval_every != 0 or k // traj.eval_every >= len(traj.eval_points):
+            raise ValueError(f"k={k} is not a recorded eval point")
+    return getattr(traj, metric)[[k // traj.eval_every for k in ks]]
 
 
 @dataclass
@@ -288,21 +292,22 @@ def compare(a: RunSet, b: RunSet, metric: str = "loss") -> ComparisonReport:
     if len(ok_a) < 2 or len(ok_b) < 2:
         raise ValueError("fewer than 2 non-diverged runs on one side; nothing to test")
 
+    # One row per checkpoint, one column per run.
+    at_a = np.column_stack([_metric_at(t, metric, checkpoints) for t in ok_a])
+    at_b = np.column_stack([_metric_at(t, metric, checkpoints) for t in ok_b])
+    col_a = {t.seed: i for i, t in enumerate(ok_a)}
+    col_b = {t.seed: i for i, t in enumerate(ok_b)}
+    shared = [(col_a[s], col_b[s]) for s in a.seeds if s in col_a and s in col_b]
     wins: list[int] = []
     mean_a, mean_b, ts, dfs, ps = [], [], [], [], []
-    for k in checkpoints:
-        xs = np.array([_metric_at(t, metric, k) for t in ok_a])
-        ys = np.array([_metric_at(t, metric, k) for t in ok_b])
+    for xs, ys in zip(at_a, at_b):
         t_stat, df, p = welch_t(xs, ys)
         mean_a.append(float(xs.mean()))
         mean_b.append(float(ys.mean()))
         ts.append(t_stat)
         dfs.append(df)
         ps.append(p)
-        pa = {t.seed: _metric_at(t, metric, k) for t in ok_a}
-        pbv = {t.seed: _metric_at(t, metric, k) for t in ok_b}
-        shared = [s for s in a.seeds if s in pa and s in pbv]
-        wins.append(sum(1 for s in shared if pa[s] < pbv[s]))
+        wins.append(sum(1 for i, j in shared if xs[i] < ys[j]))
 
     return ComparisonReport(
         metric=metric,

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from slrlab import optimizer, problems, sf
+from slrlab import cli_io, optimizer, problems, sf
 from slrlab.optimizer import StepSizeSchedule
 
 
@@ -89,12 +89,24 @@ def test_default_x0_is_ones():
     assert traj.grad_norm_sq[0] == pytest.approx(float(g0 @ g0), abs=0)
 
 
-def test_min_grad_sq_running_minimum():
+def test_min_grad_sq_running_minimum(tmp_path):
     pb = problems.make_quadratic(dim=5, cond=10.0, sigma=0.3)
     traj = optimizer.run(pb, StepSizeSchedule("inverse_k", 0.2), sf.uniform_root(0.3, 0.8),
                          iterations=500, eval_every=10, seed=4)
     assert (np.diff(traj.min_grad_sq) <= 0).all()
     np.testing.assert_array_equal(traj.min_grad_sq, np.minimum.accumulate(traj.grad_norm_sq))
+    # The start's loss overflows: the run stops at k = 0 with a nan norm,
+    # and the running minimum over no finite norm reads inf, not nan.
+    traj = optimizer.run_arms(problems.make_quadratic(dim=3, cond=10.0, sigma=0.1),
+                              StepSizeSchedule("inverse_k", 0.1), [sf.uniform_root(0.3, 0.8)],
+                              20, 5, np.full(3, 1e200), seeds=[0])[0][0]
+    assert traj.truncated_at == 0 and traj.loss.tolist() == [np.inf]
+    assert np.isnan(traj.grad_norm_sq).tolist() == [True]
+    assert traj.min_grad_sq.tolist() == [np.inf]
+    path = tmp_path / "t.csv"
+    cli_io.write_trajectory_csv(traj, path)
+    header, row = path.read_text().splitlines()
+    assert row.split(",")[header.split(",").index("min_grad_sq")] == "inf"
 
 
 def test_u_eval_within_per_step_support():
@@ -185,6 +197,25 @@ def test_run_memory_follows_the_eval_grid_not_the_step_count():
             tracemalloc.stop()
 
     assert peak(20000, 100) <= peak(2000, 10)
+
+
+def test_run_holds_three_series_per_row():
+    # Loss, gradient norm and factor per eval point; the running minimum
+    # of the norm is computed when read, not held.  What else the run
+    # keeps (the grid columns, the quadratic's tiled eigenvalues) is
+    # about a quarter of a series at this length.
+    pb = problems.make_quadratic(dim=2, cond=10.0, sigma=0.1)
+    args = (pb, StepSizeSchedule("inverse_k", 0.1), [sf.uniform_root(0.3, 0.8)])
+    seeds = list(range(40))
+    optimizer.run_arms(*args, 20, 1, seeds=seeds)  # the first call's imports are not the run's
+    tracemalloc.start()
+    try:
+        batch = optimizer.run_arms(*args, 10000, 1, seeds=seeds)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(batch[0]) == 40
+    assert held < 3.5 * 40 * 10001 * 8
 
 
 def test_grid_columns_are_shared_read_only_views():
