@@ -31,6 +31,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -796,8 +797,24 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
-def entry() -> None:
-    raise SystemExit(main())
+def entry() -> NoReturn:
+    """Run `main` and end the process with its exit code.
+
+    After flushing stdout and stderr, the process ends with `os._exit`,
+    skipping the interpreter's teardown (module clean-up and full garbage
+    collections over objects the OS reclaims anyway, ~30 ms per command).
+    Nothing is lost: every command writes and closes its files before
+    `main` returns, and slrlab registers no `atexit` work.  If a flush
+    fails (a closed pipe), the process exits the normal way.
+    """
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError:
+        raise SystemExit(code) from None
+    os._exit(code)
 
 
 if __name__ == "__main__":

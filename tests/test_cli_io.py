@@ -1,4 +1,9 @@
+import builtins
+import io
+import os
 import re
+import subprocess
+import sys
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -980,3 +985,73 @@ def test_cli_plot_escapes_file_names(tmp_path):
 def test_cli_usage_errors_exit_two():
     assert cli_io.main(["frobnicate"]) == 2
     assert cli_io.main(["run"]) == 2  # --config is required
+
+
+def _compare_argv(tmp_path):
+    """A 2-seed compare of uniform_root against a constant factor."""
+    base = GOOD_CONFIG.replace("n_seeds = 3", "n_seeds = 2")
+    cfg_b = base.replace("sf = uniform_root", "sf = constant").replace("sf.c1 = 0.3\nsf.c2 = 0.8", "sf.value = 1.0")
+    return ["compare", "--config-a", _write_cfg(tmp_path, base, "a.txt"),
+            "--config-b", _write_cfg(tmp_path, cfg_b, "b.txt"), "--out", str(tmp_path / "cmp")]
+
+
+@pytest.mark.parametrize("case, code", [
+    ("validate", 0), ("bad value", 1), ("missing config", 2), ("help", 0), ("compare", 0),
+])
+def test_cli_process_flushes_its_output_and_keeps_the_exit_code(tmp_path, capsys, monkeypatch, case, code):
+    # `python -m slrlab.cli_io` ends through `entry`, which skips the
+    # interpreter's teardown.  Piped stdout is block-buffered, so output
+    # that `entry` did not flush would be missing here.
+    if case == "compare":
+        argv = _compare_argv(tmp_path)
+    elif case == "help":
+        argv = ["--help"]
+    elif case == "missing config":
+        argv = ["validate", "--config", str(tmp_path / "missing.txt")]
+    else:
+        text = GOOD_CONFIG if case == "validate" else GOOD_CONFIG.replace("sf.c2 = 0.8", "sf.c2 = high")
+        argv = ["validate", "--config", _write_cfg(tmp_path, text)]
+    monkeypatch.delenv("SLRLAB_SEED", raising=False)
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to the terminal width
+    src = str(Path(cli_io.__file__).resolve().parents[1])
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "slrlab.cli_io", *argv], capture_output=True, timeout=300)
+    assert cli_io.main(argv) == code
+    out, err = capsys.readouterr()
+    assert proc.returncode == code
+    assert proc.stdout == out.encode()
+    assert proc.stderr == err.encode()
+    assert proc.stdout or proc.stderr
+    if case == "bad value":
+        assert re.fullmatch(r"error: line 9: sf\.c2: .+\n", err)
+
+
+def test_no_command_leaves_a_file_open(tmp_path, monkeypatch):
+    # `entry` ends the process without the interpreter's teardown, so a
+    # writer still open when `main` returns would lose its buffered tail.
+    opened = []
+
+    def recording(real):
+        def record(*args, **kwargs):
+            fh = real(*args, **kwargs)
+            opened.append(fh)
+            return fh
+        return record
+
+    monkeypatch.setattr(builtins, "open", recording(builtins.open))
+    monkeypatch.setattr(io, "open", recording(io.open))
+    # Python 3.10's pathlib holds its own reference to io.open.
+    monkeypatch.setattr(Path, "open", recording(Path.open))
+    cfg = _write_cfg(tmp_path, ENVELOPE_SEEDS.replace("n_seeds = 3", "n_seeds = 2"))
+    env = tmp_path / "env"
+    for argv in (["run", "--config", cfg, "--out", str(tmp_path / "runs")],
+                 _compare_argv(tmp_path),
+                 ["envelope", "--config", cfg, "--out", str(env)],
+                 ["plot", "--in", str(env), "--out", str(tmp_path / "fig.svg")],
+                 ["validate", "--config", cfg]):
+        before = len(opened)
+        assert cli_io.main(argv) == 0
+        assert len(opened) > before, argv[0]
+    assert (env / "seeds.csv").exists()
+    assert [fh.name for fh in opened if not fh.closed] == []
