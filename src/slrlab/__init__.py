@@ -14,7 +14,7 @@ from .lambert import lambert_w0, umslr_case_c_c2
 from .optimizer import StepSizeSchedule, Trajectory, run, run_arms, split_seed, step_size
 from .problems import GradientSample, ProblemSpec, make_logreg_nonconvex, make_quadratic, make_rosenbrock
 from .sf import Direction, MomentProfile, SFSpec, moment_profile, sample
-from .stats import ComparisonReport, RunSet, bonferroni, compare, run_multi_seed, run_paired, welch_t
+from .stats import ComparisonReport, bonferroni, compare, run_multi_seed, run_paired, welch_t
 from .validator import ConditionReport, TheoremCase, acceleration_check, check_assumption2, check_theorem_case, classify_prop1
 
 __version__ = "0.1.0"
@@ -28,7 +28,6 @@ __all__ = [
     "MomentProfile",
     "ProblemSpec",
     "RateEnvelope",
-    "RunSet",
     "SFSpec",
     "StepSizeSchedule",
     "TheoremCase",

@@ -36,7 +36,7 @@ from typing import NoReturn
 import numpy as np
 
 from . import harness, problems, sf, stats, validator
-from .optimizer import SCHEDULE_FAMILIES, RNG_ALGORITHM, StepSizeSchedule, argument_error
+from .optimizer import SCHEDULE_FAMILIES, RNG_ALGORITHM, StepSizeSchedule, Trajectory, argument_error
 from .validator import ConditionReport, TheoremCase
 
 TRAJECTORY_HEADER = "k,loss,grad_norm_sq,min_grad_sq,g_k,eta_k,u_k,sum_eta,envelope_det,envelope_case"
@@ -279,7 +279,9 @@ def write_trajectory_csv(traj, path: str | Path, case_env: harness.RateEnvelope 
     ks = traj.eval_points
     env_det = np.full(len(ks), np.inf)
     pos = traj.sum_eta > 0
-    env_det[pos] = 1.0 / traj.sum_eta[pos]
+    # A subnormal step sum's reciprocal overflows to inf, the value it stands for.
+    with np.errstate(over="ignore"):
+        env_det[pos] = 1.0 / traj.sum_eta[pos]
     case_vals = np.full(len(ks), np.nan)
     if case_env is not None:
         # The envelope's value at each recorded k it covers.
@@ -367,7 +369,12 @@ def write_report(report: stats.ComparisonReport, path: str | Path) -> None:
 
 
 def read_report(path: str | Path) -> stats.ComparisonReport:
-    """Inverse of write_report."""
+    """Inverse of write_report.
+
+    Raises ValueError naming the file and the line of the first row that
+    does not hold the report's 8 fields, or the metadata key that is
+    missing or does not parse.
+    """
     lines = Path(path).read_text().splitlines()
     meta: dict[str, str] = {}
     i = 0
@@ -377,19 +384,25 @@ def read_report(path: str | Path) -> stats.ComparisonReport:
         i += 1
     if i >= len(lines) or lines[i] != REPORT_HEADER:
         raise ValueError(f"{path}: not a comparison report CSV")
-    checkpoints, mean_a, mean_b, ts, dfs, ps, sig, wins = [], [], [], [], [], [], [], []
-    for line in lines[i + 1 :]:
+    rows = []
+    for lineno, line in enumerate(lines[i + 1:], start=i + 2):
         parts = line.split(",")
-        checkpoints.append(int(parts[0]))
-        mean_a.append(float(parts[1]))
-        mean_b.append(float(parts[2]))
-        ts.append(float(parts[3]))
-        dfs.append(float(parts[4]))
-        ps.append(float(parts[5]))
-        sig.append(parts[6] == "true")
-        wins.append(int(parts[7]))
+        try:
+            if len(parts) != 8 or parts[6] not in ("true", "false"):
+                raise ValueError
+            rows.append((int(parts[0], 10), *map(float, parts[1:6]), parts[6] == "true", int(parts[7], 10)))
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: malformed row {line!r}") from None
+    checkpoints, mean_a, mean_b, ts, dfs, ps, sig, wins = map(list, list(zip(*rows)) or [()] * 8)
+
+    def meta_value(key: str, parse=str):
+        try:
+            return parse(meta[key])
+        except (KeyError, ValueError):
+            raise ValueError(f"{path}: metadata key {key!r} is missing or malformed") from None
+
     return stats.ComparisonReport(
-        metric=meta["metric"],
+        metric=meta_value("metric"),
         checkpoints=checkpoints,
         mean_a=mean_a,
         mean_b=mean_b,
@@ -398,13 +411,13 @@ def read_report(path: str | Path) -> stats.ComparisonReport:
         p=ps,
         significant=sig,
         wins_a=wins,
-        n_a=int(meta["n_a"]),
-        n_b=int(meta["n_b"]),
-        excluded_a=int(meta["excluded_a"]),
-        excluded_b=int(meta["excluded_b"]),
-        config_digest_a=meta["config_digest_a"],
-        config_digest_b=meta["config_digest_b"],
-        notes=json.loads(meta["notes"]),
+        n_a=meta_value("n_a", int),
+        n_b=meta_value("n_b", int),
+        excluded_a=meta_value("excluded_a", int),
+        excluded_b=meta_value("excluded_b", int),
+        config_digest_a=meta_value("config_digest_a"),
+        config_digest_b=meta_value("config_digest_b"),
+        notes=meta_value("notes", json.loads),
     )
 
 
@@ -578,14 +591,11 @@ def _cmd_validate(args) -> int:
     return 1 if any(not r.holds for r in gating) else 0
 
 
-def _run_all(cfg: ExperimentConfig, sf_specs: list[sf.SFSpec]) -> tuple[problems.ProblemSpec, list[stats.RunSet]]:
-    """The config's problem, and one run set per SF spec under the config's seeds (:func:`stats.run_paired`)."""
+def _run_all(cfg: ExperimentConfig, sf_specs: list[sf.SFSpec]) -> tuple[problems.ProblemSpec, list[list[Trajectory]]]:
+    """The config's problem, and each SF spec's runs under the config's seeds (:func:`stats.run_paired`)."""
     problem = build_problem(cfg)
-    checkpoints = None if cfg.checkpoints == "auto" else list(cfg.checkpoints)
-    return problem, stats.run_paired(
-        problem, cfg.schedule, sf_specs, cfg.iterations, n_seeds=cfg.n_seeds,
-        master_seed=cfg.master_seed, eval_every=cfg.eval_every, checkpoints=checkpoints,
-    )
+    return problem, stats.run_paired(problem, cfg.schedule, sf_specs, cfg.iterations, n_seeds=cfg.n_seeds,
+                                     master_seed=cfg.master_seed, eval_every=cfg.eval_every)
 
 
 def _metadata_text(cfg: ExperimentConfig, problem: problems.ProblemSpec, digest: str, seeds: list[int]) -> str:
@@ -603,14 +613,13 @@ def _metadata_text(cfg: ExperimentConfig, problem: problems.ProblemSpec, digest:
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
-    problem, (runs,) = _run_all(cfg, [cfg.sf])
-    trajs = runs.trajectories
+    problem, (trajs,) = _run_all(cfg, [cfg.sf])
     out_dir = Path(args.out if args.out is not None else cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, t in enumerate(trajs):
         harness.attach_gk(t, cfg.schedule)
         write_trajectory_csv(t, out_dir / _traj_filename(i))
-    (out_dir / "metadata.txt").write_text(_metadata_text(cfg, problem, runs.config_digest, runs.seeds))
+    (out_dir / "metadata.txt").write_text(_metadata_text(cfg, problem, trajs[0].config_digest, [t.seed for t in trajs]))
     diverged = sum(t.diverged for t in trajs)
     print(f"wrote {len(trajs)} trajectories to {out_dir}" + (f" ({diverged} diverged)" if diverged else ""))
     return 0
@@ -638,21 +647,21 @@ def _cmd_compare(args) -> int:
     # the pairing.  A diverged run stops early and hashes only a prefix of
     # its stream, so the digests are comparable only where neither arm
     # diverged.
-    _, (set_a, set_b) = _run_all(cfg_a, [cfg_a.sf, cfg_b.sf])
-    pairs = [(ta, tb) for ta, tb in zip(set_a.trajectories, set_b.trajectories)
-             if not (ta.diverged or tb.diverged)]
+    _, (runs_a, runs_b) = _run_all(cfg_a, [cfg_a.sf, cfg_b.sf])
+    pairs = [(ta, tb) for ta, tb in zip(runs_a, runs_b) if not (ta.diverged or tb.diverged)]
     for ta, tb in pairs:
         if ta.grad_stream_digest != tb.grad_stream_digest:
             raise RuntimeError("paired gradient streams diverged between arms; stream split broken")
-    unchecked = len(set_a.trajectories) - len(pairs)
+    unchecked = len(runs_a) - len(pairs)
 
-    report = stats.compare(set_a, set_b, metric=args.metric)
+    checkpoints = None if cfg_a.checkpoints == "auto" else list(cfg_a.checkpoints)
+    report = stats.compare(runs_a, runs_b, metric=args.metric, checkpoints=checkpoints)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_report(report, out_dir / "report.csv")
     if unchecked:
         head = (f"paired gradient streams verified identical for {len(pairs)} of "
-                f"{len(set_a.trajectories)} seeds; seeds with a diverged arm are not checked\n")
+                f"{len(runs_a)} seeds; seeds with a diverged arm are not checked\n")
     else:
         head = "paired gradient streams verified identical per seed\n"
     text = head + report_text(report)
@@ -667,8 +676,8 @@ def _cmd_envelope(args) -> int:
     if case is None:
         raise ConfigError("envelope: pass --case or set theorem_case in the config")
 
-    problem, (runs,) = _run_all(cfg, [cfg.sf])
-    trajs, schedule = runs.trajectories, cfg.schedule
+    problem, (trajs,) = _run_all(cfg, [cfg.sf])
+    schedule = cfg.schedule
     profile = sf.moment_profile(cfg.sf, cfg.iterations)
     checks, text = _case_report(profile, case, problem, schedule, cfg.iterations)
     gates_hold = all(r.holds for r in checks)

@@ -142,7 +142,10 @@ def envelope_series(
         bad = mean - var <= 0
         if bad.any():
             raise ValueError(f"mean - variance <= 0 at k={int(ks[np.argmax(bad)])}; envelope undefined for {case.value}")
-    return RateEnvelope(case=case, ks=ks, values=definition.envelope(mean, var, s), sum_eta=s)
+    # Over a subnormal step sum an envelope overflows to inf, the value it stands for.
+    with np.errstate(over="ignore"):
+        values = definition.envelope(mean, var, s)
+    return RateEnvelope(case=case, ks=ks, values=values, sum_eta=s)
 
 
 def trajectory_envelope(

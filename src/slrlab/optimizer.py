@@ -61,8 +61,9 @@ def argument_error(name: str, value, eval_every: int = 1, iterations: int = 0) -
     ``master_seed`` >= 0; ``iterations`` must be a multiple of
     ``eval_every``, and ``checkpoints`` distinct eval points, multiples
     of ``eval_every`` in [0, ``iterations``].  :func:`run_arms`,
-    :func:`split_seed` and the ``stats`` runners raise ValueError with
-    this text; the config parser checks each key with it.
+    :func:`split_seed`, the ``stats`` runners and ``stats.compare`` (for
+    ``checkpoints``) raise ValueError with this text; the config parser
+    checks each key with it.
     """
     if name == "checkpoints":
         for i, k in enumerate(value):
@@ -205,11 +206,15 @@ class Trajectory:
     seed: int
     config_digest: str
     certified: bool
-    diverged: bool
     truncated_at: int | None
     rng_algorithm: str = RNG_ALGORITHM
     grad_stream_digest: str = ""
     g_series: np.ndarray | None = field(default=None)
+
+    @property
+    def diverged(self) -> bool:
+        """Whether the run was truncated by divergence."""
+        return self.truncated_at is not None
 
     @property
     def min_grad_sq(self) -> np.ndarray:
@@ -470,7 +475,6 @@ def run_arms(
                 seed=seed,
                 config_digest=digest,
                 certified=bool(certified[r]),
-                diverged=truncated_at[r] is not None,
                 truncated_at=truncated_at[r],
                 grad_stream_digest=(digests[r] or seed_digests[s]).hexdigest(),
             ))

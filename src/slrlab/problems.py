@@ -78,7 +78,6 @@ class ProblemSpec:
     # moves their last bits, so old and new results cannot be confused;
     # None for the closed forms, which have not changed.
     eval_algorithm: ClassVar[str | None] = None
-    name: str
     dim: int
     L: float
     f_star: float | None
@@ -284,7 +283,6 @@ def make_quadratic(dim: int, cond: float, sigma: float, seed: int = 0) -> Quadra
     """
     _check_arguments(dim=dim, cond=cond, sigma=sigma, seed=seed)
     return Quadratic(
-        name=f"quadratic(dim={dim},cond={cond:g},sigma={sigma:g})",
         dim=dim,
         L=float(cond),
         f_star=0.0,
@@ -306,7 +304,6 @@ def make_rosenbrock(sigma: float) -> Rosenbrock:
     """2-d Rosenbrock valley with additive Gaussian gradient noise."""
     _check_arguments(sigma=sigma)
     return Rosenbrock(
-        name=f"rosenbrock(sigma={sigma:g})",
         dim=2,
         L=_ROSENBROCK_L,
         f_star=0.0,
@@ -353,7 +350,6 @@ def make_logreg_nonconvex(n: int, d: int, reg: float, seed: int = 0) -> LogReg:
     C = 2.0 * row_sq + 2.0 * (float(reg) * math.sqrt(d) * _PENALTY_GRAD_MAX) ** 2
     X *= -y[:, None]  # the signed rows, in place
     return LogReg(
-        name=f"logreg(n={n},d={d},reg={reg:g})",
         dim=d,
         L=L,
         f_star=None,

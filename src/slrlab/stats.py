@@ -26,7 +26,7 @@ import numpy as np
 
 from . import problems as pb
 from . import sf as sfmod
-from .optimizer import StepSizeSchedule, Trajectory, check_arguments, config_digest, run_arms, split_seed
+from .optimizer import StepSizeSchedule, Trajectory, check_arguments, run_arms, split_seed
 
 _BETA_EPS = 1e-14
 _BETA_FPMIN = 1e-300
@@ -142,19 +142,6 @@ def bonferroni(p_values: list[float], fwer: float = 0.05) -> list[bool]:
     return [p <= thresh for p in p_values]
 
 
-@dataclass(eq=False)
-class RunSet:
-    """Trajectories of one configuration across seeds."""
-
-    config_digest: str
-    iterations: int
-    eval_every: int
-    master_seed: int
-    seeds: list[int]
-    trajectories: list[Trajectory]
-    checkpoints: list[int]
-
-
 def auto_checkpoints(iterations: int, eval_every: int) -> list[int]:
     """10 log-spaced eval points in [eval_every, iterations], deduplicated."""
     check_arguments(eval_every, iterations)
@@ -176,10 +163,9 @@ def run_multi_seed(
     n_seeds: int = 40,
     master_seed: int = 0,
     eval_every: int = 10,
-    checkpoints: list[int] | None = None,
-) -> RunSet:
+) -> list[Trajectory]:
     """Run one configuration under n_seeds split seeds: the one-arm case of :func:`run_paired`."""
-    return run_paired(problem, schedule, [sf_spec], iterations, n_seeds, master_seed, eval_every, checkpoints)[0]
+    return run_paired(problem, schedule, [sf_spec], iterations, n_seeds, master_seed, eval_every)[0]
 
 
 def run_paired(
@@ -190,9 +176,8 @@ def run_paired(
     n_seeds: int = 40,
     master_seed: int = 0,
     eval_every: int = 10,
-    checkpoints: list[int] | None = None,
-) -> list[RunSet]:
-    """One run set per SF spec, all under the same n_seeds (>= 1) split seeds.
+) -> list[list[Trajectory]]:
+    """One list of trajectories per SF spec, in seed order, all under the same n_seeds (>= 1) split seeds.
 
     The arms step as one batch (:func:`optimizer.run_arms`) on one
     gradient draw per seed, so seed i sees the same gradient noise in
@@ -200,25 +185,11 @@ def run_paired(
     collision-checked so the set never silently contains duplicate
     streams.
     """
-    if checkpoints is None:
-        checkpoints = auto_checkpoints(iterations, eval_every)
-    check_arguments(eval_every, iterations, n_seeds=n_seeds, checkpoints=checkpoints)
+    check_arguments(eval_every, iterations, n_seeds=n_seeds)
     seeds = [split_seed(master_seed, i) for i in range(n_seeds)]
     if len(set(seeds)) != n_seeds:
         raise ValueError("seed split collision; choose a different master_seed")
-    arms = run_arms(problem, schedule, sf_specs, iterations, eval_every=eval_every, seeds=seeds)
-    return [
-        RunSet(
-            config_digest=config_digest(problem, schedule, sf_spec, iterations, eval_every),
-            iterations=iterations,
-            eval_every=eval_every,
-            master_seed=int(master_seed),
-            seeds=seeds,
-            trajectories=trajectories,
-            checkpoints=list(checkpoints),
-        )
-        for sf_spec, trajectories in zip(sf_specs, arms)
-    ]
+    return run_arms(problem, schedule, sf_specs, iterations, eval_every=eval_every, seeds=seeds)
 
 
 METRICS = ("loss", "min_grad_sq")
@@ -239,7 +210,7 @@ def _metric_at(traj: Trajectory, metric: str, ks: list[int]) -> np.ndarray:
 
 @dataclass
 class ComparisonReport:
-    """Checkpointed Welch/Bonferroni comparison of two paired run sets."""
+    """Checkpointed Welch/Bonferroni comparison of two paired sides of runs."""
 
     metric: str
     checkpoints: list[int]
@@ -259,36 +230,45 @@ class ComparisonReport:
     notes: list[str] = field(default_factory=list)
 
 
-def compare(a: RunSet, b: RunSet, metric: str = "loss") -> ComparisonReport:
-    """Welch-compare two paired run sets at their checkpoints.
+def compare(
+    a: list[Trajectory],
+    b: list[Trajectory],
+    metric: str = "loss",
+    checkpoints: list[int] | None = None,
+) -> ComparisonReport:
+    """Welch-compare two paired sides, each the runs of one configuration, at ``checkpoints``.
 
-    The sets must share their seed list, which with the stream design
-    means shared gradient noise, and their checkpoints.  Diverged
-    trajectories are excluded from the tests and counted in the report.
-    Direction (who is ahead) is reported via the means and win counts,
-    never gated on.
+    ``checkpoints`` defaults to :func:`auto_checkpoints` of the runs'
+    horizon and cadence.  The sides must share horizon, cadence and their
+    seed list, which with the stream design means shared gradient noise,
+    and no seed may appear twice.  Diverged trajectories are excluded
+    from the tests and counted in the report.  Direction (who is ahead)
+    is reported via the means and win counts, never gated on.
     """
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}")
-    if a.iterations != b.iterations or a.eval_every != b.eval_every:
-        raise ValueError("run sets must share horizon and eval cadence")
-    if a.checkpoints != b.checkpoints:
-        raise ValueError("run sets disagree on checkpoints")
-    checkpoints = list(a.checkpoints)
+    for side, runs in (("a", a), ("b", b)):
+        digests = sorted({t.config_digest for t in runs})
+        if len(digests) != 1:
+            raise ValueError(f"side {side} must hold the runs of one config, got config digests {digests}")
+    iterations, eval_every = a[0].iterations, a[0].eval_every
+    if b[0].iterations != iterations or b[0].eval_every != eval_every:
+        raise ValueError("both sides must share horizon and eval cadence")
+    seeds = [t.seed for t in a]
+    if [t.seed for t in b] != seeds:
+        raise ValueError("paired comparison requires identical seed lists")
+    if len(set(seeds)) != len(seeds):
+        raise ValueError("paired comparison requires distinct seeds")
+    checkpoints = auto_checkpoints(iterations, eval_every) if checkpoints is None else list(checkpoints)
     if len(checkpoints) == 0:
         raise ValueError("need at least one checkpoint")
-    check_arguments(a.eval_every, a.iterations, checkpoints=checkpoints)
-    if a.seeds != b.seeds:
-        raise ValueError("paired comparison requires identical seed lists")
+    check_arguments(eval_every, iterations, checkpoints=checkpoints)
 
-    ok_a = [t for t in a.trajectories if not t.diverged]
-    ok_b = [t for t in b.trajectories if not t.diverged]
+    ok_a = [t for t in a if not t.diverged]
+    ok_b = [t for t in b if not t.diverged]
     notes: list[str] = []
-    if len(ok_a) < len(a.trajectories) or len(ok_b) < len(b.trajectories):
-        notes.append(
-            f"excluded diverged runs: {len(a.trajectories) - len(ok_a)} from a, "
-            f"{len(b.trajectories) - len(ok_b)} from b"
-        )
+    if len(ok_a) < len(a) or len(ok_b) < len(b):
+        notes.append(f"excluded diverged runs: {len(a) - len(ok_a)} from a, {len(b) - len(ok_b)} from b")
     if len(ok_a) < 2 or len(ok_b) < 2:
         raise ValueError("fewer than 2 non-diverged runs on one side; nothing to test")
 
@@ -297,7 +277,7 @@ def compare(a: RunSet, b: RunSet, metric: str = "loss") -> ComparisonReport:
     at_b = np.column_stack([_metric_at(t, metric, checkpoints) for t in ok_b])
     col_a = {t.seed: i for i, t in enumerate(ok_a)}
     col_b = {t.seed: i for i, t in enumerate(ok_b)}
-    shared = [(col_a[s], col_b[s]) for s in a.seeds if s in col_a and s in col_b]
+    shared = [(col_a[s], col_b[s]) for s in seeds if s in col_a and s in col_b]
     wins: list[int] = []
     mean_a, mean_b, ts, dfs, ps = [], [], [], [], []
     for xs, ys in zip(at_a, at_b):
@@ -321,9 +301,9 @@ def compare(a: RunSet, b: RunSet, metric: str = "loss") -> ComparisonReport:
         wins_a=wins,
         n_a=len(ok_a),
         n_b=len(ok_b),
-        excluded_a=len(a.trajectories) - len(ok_a),
-        excluded_b=len(b.trajectories) - len(ok_b),
-        config_digest_a=a.config_digest,
-        config_digest_b=b.config_digest,
+        excluded_a=len(a) - len(ok_a),
+        excluded_b=len(b) - len(ok_b),
+        config_digest_a=a[0].config_digest,
+        config_digest_b=b[0].config_digest,
         notes=notes,
     )

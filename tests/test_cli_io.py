@@ -103,6 +103,8 @@ def test_parse_errors_name_key_and_line():
                                                 "theorem_case = case99"))
     with pytest.raises(ConfigError, match="key = value"):
         cli_io.parse_config("problem quadratic\n")
+    with pytest.raises(ConfigError, match="line 1: expected 'key = value', got 'problem ='"):
+        cli_io.parse_config("problem =\n")
     with pytest.raises(ConfigError, match="problem.dim"):
         cli_io.parse_config(GOOD_CONFIG.replace("problem.dim = 5\n", ""))
 
@@ -114,6 +116,8 @@ def test_checkpoint_validation():
         cli_io.parse_config(GOOD_CONFIG + "checkpoints = 10, 55\n")
     with pytest.raises(ConfigError, match="checkpoints"):
         cli_io.parse_config(GOOD_CONFIG + "checkpoints = 10, 200\n")
+    with pytest.raises(ConfigError, match="checkpoints: expected 'auto' or comma-separated integers"):
+        cli_io.parse_config(GOOD_CONFIG + "checkpoints = 10, fifty\n")
     cfg = cli_io.parse_config(GOOD_CONFIG + "checkpoints = auto\n")
     assert cfg.checkpoints == "auto"
 
@@ -327,11 +331,9 @@ def test_read_trajectory_csv_with_no_rows(tmp_path):
 def _small_report():
     pb = problems.make_quadratic(dim=2, cond=10.0, sigma=0.2)
     sched = StepSizeSchedule("inverse_k", 0.2)
-    a = stats.run_multi_seed(pb, sched, sf.uniform_root(0.3, 0.8), 100,
-                             n_seeds=3, master_seed=5, eval_every=10, checkpoints=[50, 100])
-    b = stats.run_multi_seed(pb, sched, sf.constant(1.0), 100,
-                             n_seeds=3, master_seed=5, eval_every=10, checkpoints=[50, 100])
-    return stats.compare(a, b, metric="min_grad_sq")
+    a, b = stats.run_paired(pb, sched, [sf.uniform_root(0.3, 0.8), sf.constant(1.0)], 100,
+                            n_seeds=3, master_seed=5, eval_every=10)
+    return stats.compare(a, b, metric="min_grad_sq", checkpoints=[50, 100])
 
 
 def test_report_round_trip_lossless(tmp_path):
@@ -342,6 +344,25 @@ def test_report_round_trip_lossless(tmp_path):
     assert back == rep
     cli_io.write_report(back, tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_bytes() == p.read_bytes()
+
+
+@pytest.mark.parametrize("edit, error", [
+    (lambda lines: lines[:-1] + [lines[-1].rsplit(",", 2)[0]], "line 14: malformed row '100,"),
+    (lambda lines: lines + [""], "line 15: malformed row ''"),
+    (lambda lines: lines[:-1] + [re.sub(",(true|false),", ",no,", lines[-1])], "line 14: malformed row '100,"),
+    (lambda lines: [line for line in lines if not line.startswith("# n_b = ")], "metadata key 'n_b' is missing"),
+    (lambda lines: [line.replace("# n_a = 3", "# n_a = three") for line in lines], "metadata key 'n_a' is"),
+    (lambda lines: [line for line in lines if line != cli_io.REPORT_HEADER], "not a comparison report CSV"),
+], ids=["row-missing-two-fields", "trailing-blank-line", "significance-not-a-flag", "missing-n_b",
+        "n_a-not-an-integer", "no-header"])
+def test_read_report_names_the_file_and_the_bad_line_or_key(tmp_path, edit, error):
+    p = tmp_path / "report.csv"
+    cli_io.write_report(_small_report(), p)
+    lines = p.read_text().splitlines()
+    assert len(lines) == 14 and lines[-1].startswith("100,") and "# n_a = 3" in lines
+    p.write_text("\n".join(edit(lines)) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{p}: {error}")):
+        cli_io.read_report(p)
 
 
 def test_report_text_mentions_direction_and_counts():
@@ -379,6 +400,8 @@ def test_render_svg_drops_nonpositive_on_log_axes(tmp_path):
     with pytest.raises(ValueError):
         cli_io.render_svg({"a": (np.array([-1.0]), np.array([-1.0]))},
                           tmp_path / "neg.svg")
+    with pytest.raises(ValueError, match="series 'a': x and y lengths differ"):
+        cli_io.render_svg({"a": (xs, np.array([1.0, 2.0]))}, tmp_path / "ragged.svg")
 
 
 def _reference_points(xs, ys, bounds):
@@ -833,6 +856,11 @@ def _run_paired(**kwargs):
     stats.run_paired(_SHAPE_PROBLEM, _SHAPE_SCHEDULE, [sf.constant(1.0)], 100, n_seeds=2, eval_every=10, **kwargs)
 
 
+def _compare(checkpoints):
+    a, b = stats.run_paired(_SHAPE_PROBLEM, _SHAPE_SCHEDULE, [sf.constant(1.0)] * 2, 100, n_seeds=2, eval_every=10)
+    stats.compare(a, b, checkpoints=checkpoints)
+
+
 @pytest.mark.parametrize("base, key, raw, make", [
     (GOOD_CONFIG, "schedule.eta", "0", lambda v: StepSizeSchedule("inverse_k", v)),
     (GOOD_CONFIG, "schedule.eta", "-0.5", lambda v: StepSizeSchedule("inverse_k", v)),
@@ -848,8 +876,8 @@ def _run_paired(**kwargs):
     (GOOD_CONFIG, "eval_every", "0", lambda v: _run_arms(eval_every=v)),
     (GOOD_CONFIG, "n_seeds", "0", lambda v: _run_arms(n_seeds=v)),
     (GOOD_CONFIG, "master_seed", "-1", lambda v: _run_paired(master_seed=v)),
-    (GOOD_CONFIG + "checkpoints = auto\n", "checkpoints", "50,100,100", lambda v: _run_paired(checkpoints=v)),
-    (GOOD_CONFIG + "checkpoints = auto\n", "checkpoints", "10,55", lambda v: _run_paired(checkpoints=v)),
+    (GOOD_CONFIG + "checkpoints = auto\n", "checkpoints", "50,100,100", _compare),
+    (GOOD_CONFIG + "checkpoints = auto\n", "checkpoints", "10,55", _compare),
 ], ids=["eta-0", "eta-neg", "value-0", "value-neg", "c1-0", "c1-neg", "c2-0", "c2-neg", "c2-eq-c1",
         "iterations-0", "iterations-off-cadence", "eval_every-0", "n_seeds-0", "master_seed-neg",
         "checkpoints-repeated", "checkpoints-off-grid"])
@@ -897,6 +925,20 @@ def test_validate_and_envelope_near_the_double_range_do_not_warn(tmp_path, capsy
     for argv in (["validate", "--config", path], ["envelope", "--config", path, "--out", str(tmp_path / "env")]):
         assert cli_io.main(argv) in (0, 1)
         assert "Warning" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "envelope"])
+def test_cli_subnormal_step_size_does_not_warn(tmp_path, capsys, command):
+    # 1 / S_k and the case12 envelope (m - v) / S_k overflow to inf, the
+    # value they stand for; the overflow warning once made the command exit 2.
+    path = _write_cfg(tmp_path, GOOD_CONFIG.replace("schedule.eta = 0.1", "schedule.eta = 1e-310"))
+    assert cli_io.main([command, "--config", path, "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+    name = "run_seed000.csv" if command == "run" else "trajectory.csv"
+    cols = cli_io.read_trajectory_csv(tmp_path / "out" / name)
+    assert np.isinf(cols["envelope_det"]).all()
+    if command == "envelope":
+        assert np.isinf(cols["envelope_case"][1:]).all()
 
 
 @pytest.mark.parametrize("command", ["run", "envelope"])

@@ -48,6 +48,8 @@ def test_gk_rejects_empty_and_nonfinite():
         harness.gk_sequence(np.array([]), StepSizeSchedule("inverse_k", 1.0))
     with pytest.raises(ValueError):
         harness.gk_sequence(np.array([1.0, np.nan]), StepSizeSchedule("inverse_k", 1.0))
+    with pytest.raises(ValueError, match="must be >= 0"):
+        harness.gk_sequence(np.array([1.0, -0.5]), StepSizeSchedule("inverse_k", 1.0))
 
 
 def test_attach_gk_on_run():
@@ -175,6 +177,8 @@ def test_envelope_requires_positive_k():
         harness.envelope_series(TheoremCase.DETERMINISTIC, spec, sched, [0])
     with pytest.raises(ValueError):
         harness.envelope_series(TheoremCase.DETERMINISTIC, spec, sched, np.array([0, 1]))
+    with pytest.raises(ValueError, match="ks must be non-empty"):
+        harness.envelope_series(TheoremCase.DETERMINISTIC, spec, sched, [])
 
 
 @pytest.mark.parametrize("case", list(TheoremCase))

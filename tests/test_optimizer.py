@@ -282,6 +282,17 @@ def test_iterations_must_align_with_cadence():
                       iterations=0, eval_every=10)
 
 
+@pytest.mark.parametrize("x0, sf_specs, reason", [
+    (np.ones(3), [sf.constant(1.0)], "x0 must have shape (2,)"),
+    (np.array([1.0, np.nan]), [sf.constant(1.0)], "x0 must be finite"),
+    (None, [], "need at least one SF spec"),
+], ids=["x0-shape", "x0-nonfinite", "no-sf-spec"])
+def test_run_arms_rejects_a_bad_start_or_no_arm(x0, sf_specs, reason):
+    pb = problems.make_quadratic(dim=2, cond=10.0, sigma=0.0)
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        optimizer.run_arms(pb, StepSizeSchedule("constant", 0.1), sf_specs, 100, 10, x0, seeds=[0])
+
+
 def test_split_seed_deterministic_and_distinct():
     seeds = [optimizer.split_seed(2024, i) for i in range(100)]
     assert seeds == [optimizer.split_seed(2024, i) for i in range(100)]

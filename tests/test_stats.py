@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.special
@@ -18,6 +20,12 @@ def test_betainc_matches_scipy():
         assert ours == pytest.approx(ref, abs=1e-12)
     assert stats.betainc_reg(2.0, 3.0, 0.0) == 0.0
     assert stats.betainc_reg(2.0, 3.0, 1.0) == 1.0
+    with pytest.raises(ValueError, match="a > 0 and b > 0"):
+        stats.betainc_reg(0.0, 3.0, 0.5)
+    with pytest.raises(ValueError, match="0 <= x <= 1"):
+        stats.betainc_reg(2.0, 3.0, 1.5)
+    with pytest.raises(ValueError, match="df must be > 0"):
+        stats.t_two_sided_p(1.0, 0.0)
 
 
 def test_t_zero_gives_exactly_one():
@@ -97,6 +105,8 @@ def test_welch_needs_two_samples():
         stats.welch_t(np.array([1.0]), np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         stats.welch_t(np.array([1.0, 2.0]), np.array([]))
+    with pytest.raises(ValueError, match="finite samples"):
+        stats.welch_t(np.array([1.0, np.inf]), np.array([1.0, 2.0]))
 
 
 def test_bonferroni_boundary_inclusive():
@@ -129,23 +139,16 @@ def test_run_multi_seed_deterministic_and_distinct():
                                n_seeds=4, master_seed=3, eval_every=10)
     rs2 = stats.run_multi_seed(pb, sched, sf.uniform_root(0.3, 0.8), 100,
                                n_seeds=4, master_seed=3, eval_every=10)
-    assert rs1.seeds == rs2.seeds
-    assert len(set(rs1.seeds)) == 4
-    for t1, t2 in zip(rs1.trajectories, rs2.trajectories):
+    assert [t.seed for t in rs1] == [t.seed for t in rs2]
+    assert len({t.seed for t in rs1}) == 4
+    for t1, t2 in zip(rs1, rs2):
         np.testing.assert_array_equal(t1.loss, t2.loss)
         np.testing.assert_array_equal(t1.u_eval, t2.u_eval)
     # distinct seeds draw distinct factor sequences
     for i in range(3):
-        assert not np.array_equal(rs1.trajectories[i].u_eval,
-                                  rs1.trajectories[i + 1].u_eval, equal_nan=True)
+        assert not np.array_equal(rs1[i].u_eval, rs1[i + 1].u_eval, equal_nan=True)
     with pytest.raises(ValueError, match="n_seeds must be >= 1, got 0"):
         stats.run_multi_seed(pb, sched, sf.constant(1.0), 100, n_seeds=0, master_seed=0)
-    with pytest.raises(ValueError):
-        stats.run_multi_seed(pb, sched, sf.constant(1.0), 100, n_seeds=2,
-                             master_seed=0, checkpoints=[101])
-    with pytest.raises(ValueError, match="checkpoints must be distinct, got 100 twice"):
-        stats.run_paired(pb, sched, [sf.constant(1.0)], 100, n_seeds=2, master_seed=0,
-                         checkpoints=[100, 100, 50])
 
 
 def test_run_multi_seed_takes_one_seed():
@@ -154,20 +157,45 @@ def test_run_multi_seed_takes_one_seed():
     sched = StepSizeSchedule("inverse_k", 0.2)
     rs = stats.run_multi_seed(pb, sched, sf.uniform_root(0.3, 0.8), 100, n_seeds=1, master_seed=3, eval_every=10)
     alone = optimizer.run(pb, sched, sf.uniform_root(0.3, 0.8), 100, eval_every=10, seed=optimizer.split_seed(3, 0))
-    assert rs.seeds == [alone.seed] and len(rs.trajectories) == 1
-    np.testing.assert_array_equal(rs.trajectories[0].min_grad_sq, alone.min_grad_sq)
+    assert [t.seed for t in rs] == [alone.seed]
+    np.testing.assert_array_equal(rs[0].min_grad_sq, alone.min_grad_sq)
 
 
-def test_compare_rejects_a_repeated_checkpoint():
+@pytest.mark.parametrize("checkpoints, reason", [
     # A repeated k was tested twice and counted twice in the Bonferroni
     # divisor, which is the number of distinct tests.
+    ([100, 100, 50], "checkpoints must be distinct, got 100 twice"),
+    ([101], "checkpoints must be multiples of eval_every (10) in [0, 100], got 101"),
+    ([10, 55], "checkpoints must be multiples of eval_every (10) in [0, 100], got 55"),
+    ([], "need at least one checkpoint"),
+], ids=["repeated", "past-horizon", "off-grid", "empty"])
+def test_compare_checks_its_checkpoints(checkpoints, reason):
+    # compare states the run-shape rule in optimizer.argument_error's text.
     pb = problems.make_quadratic(dim=3, cond=10.0, sigma=0.2)
     sched = StepSizeSchedule("inverse_k", 0.2)
     a, b = stats.run_paired(pb, sched, [sf.uniform_root(0.3, 0.8), sf.constant(1.0)], 100,
-                            n_seeds=3, master_seed=3, eval_every=10, checkpoints=[50, 100])
-    a.checkpoints = b.checkpoints = [100, 100, 50]
-    with pytest.raises(ValueError, match="checkpoints must be distinct, got 100 twice"):
-        stats.compare(a, b)
+                            n_seeds=3, master_seed=3, eval_every=10)
+    if checkpoints:
+        assert optimizer.argument_error("checkpoints", checkpoints, 10, 100) == reason
+    with pytest.raises(ValueError, match=re.escape(reason)):
+        stats.compare(a, b, checkpoints=checkpoints)
+
+
+def test_compare_checks_its_sides():
+    pb = problems.make_quadratic(dim=3, cond=10.0, sigma=0.2)
+    sched = StepSizeSchedule("inverse_k", 0.2)
+    a, b = stats.run_paired(pb, sched, [sf.uniform_root(0.3, 0.8), sf.constant(1.0)], 100,
+                            n_seeds=3, master_seed=3, eval_every=10)
+    mixed = [a[0], b[1], a[2]]
+    with pytest.raises(ValueError, match="side a must hold the runs of one config"):
+        stats.compare(mixed, b)
+    with pytest.raises(ValueError, match="side b must hold the runs of one config"):
+        stats.compare(a, mixed)
+    with pytest.raises(ValueError, match="side b must hold the runs of one config"):
+        stats.compare(a, [])
+    # A repeated seed counted one run twice in n and in the Welch df.
+    with pytest.raises(ValueError, match="requires distinct seeds"):
+        stats.compare([a[0], a[0], a[1]], [b[0], b[0], b[1]])
 
 
 def test_compare_identical_sets_all_ones():
@@ -176,6 +204,7 @@ def test_compare_identical_sets_all_ones():
     rs = stats.run_multi_seed(pb, sched, sf.uniform_root(0.3, 0.8), 100,
                               n_seeds=4, master_seed=3, eval_every=10)
     rep = stats.compare(rs, rs, metric="loss")
+    assert rep.checkpoints == stats.auto_checkpoints(100, 10)
     assert all(p == 1.0 for p in rep.p)
     assert all(t == 0.0 for t in rep.t)
     assert not any(rep.significant)
@@ -205,7 +234,7 @@ def test_compare_excludes_diverged_runs():
     cool = StepSizeSchedule("constant", 0.01)
     rs_hot = stats.run_multi_seed(pb, hot, sf.constant(1.0), 100,
                                   n_seeds=3, master_seed=1, eval_every=10)
-    assert all(t.diverged for t in rs_hot.trajectories)
+    assert all(t.diverged for t in rs_hot)
     rs_cool = stats.run_multi_seed(pb, cool, sf.constant(1.0), 100,
                                    n_seeds=3, master_seed=1, eval_every=10)
     with pytest.raises(ValueError, match="non-diverged"):
@@ -217,12 +246,10 @@ def test_compare_golden_regression():
     pb = problems.make_quadratic(dim=5, cond=10.0, sigma=0.2, seed=0)
     sched = StepSizeSchedule("inverse_k", 0.2)
     a = stats.run_multi_seed(pb, sched, sf.uniform_root(0.3, 0.8), 400,
-                             n_seeds=6, master_seed=11, eval_every=10,
-                             checkpoints=[100, 400])
+                             n_seeds=6, master_seed=11, eval_every=10)
     b = stats.run_multi_seed(pb, sched, sf.constant(1.0), 400,
-                             n_seeds=6, master_seed=11, eval_every=10,
-                             checkpoints=[100, 400])
-    rep = stats.compare(a, b, metric="min_grad_sq")
+                             n_seeds=6, master_seed=11, eval_every=10)
+    rep = stats.compare(a, b, metric="min_grad_sq", checkpoints=[100, 400])
     assert rep.checkpoints == [100, 400]
     np.testing.assert_allclose(rep.t, [7.4981074281180176, 7.6428881905110675], rtol=1e-10)
     np.testing.assert_allclose(rep.df, [6.3649484825689457, 6.4097613008391017], rtol=1e-10)
@@ -242,5 +269,5 @@ def test_compare_paired_streams_verified():
                              n_seeds=3, master_seed=7, eval_every=10)
     b = stats.run_multi_seed(pb, sched, sf.constant(1.0), 100,
                              n_seeds=3, master_seed=7, eval_every=10)
-    for ta, tb in zip(a.trajectories, b.trajectories):
+    for ta, tb in zip(a, b):
         assert ta.grad_stream_digest == tb.grad_stream_digest

@@ -43,6 +43,8 @@ def _by_name(reports):
 
 
 def test_assumption2_inverse_k_all_hold():
+    with pytest.raises(ValueError, match="horizon must be >= 2"):
+        validator.check_assumption2(StepSizeSchedule("inverse_k", 0.5), 1)
     reports = validator.check_assumption2(StepSizeSchedule("inverse_k", 0.5), 1000)
     assert len(reports) == 4
     assert all(r.holds for r in reports)
