@@ -36,7 +36,7 @@ from typing import NoReturn
 import numpy as np
 
 from . import harness, problems, sf, stats, validator
-from .optimizer import SCHEDULE_FAMILIES, RNG_ALGORITHM, StepSizeSchedule, Trajectory, argument_error
+from .optimizer import SCHEDULE_FAMILIES, RNG_ALGORITHM, StepSizeSchedule, Trajectory, argument_error, step_sizes
 from .validator import ConditionReport, TheoremCase
 
 TRAJECTORY_HEADER = "k,loss,grad_norm_sq,min_grad_sq,g_k,eta_k,u_k,sum_eta,envelope_det,envelope_case"
@@ -274,23 +274,31 @@ class NotTrajectoryCSVError(ValueError):
     """A CSV whose header is not the trajectory header."""
 
 
-def write_trajectory_csv(traj, path: str | Path, case_env: harness.RateEnvelope | None = None) -> None:
-    """Write one trajectory with the fixed 10-column schema."""
+def write_trajectory_csv(traj, path: str | Path, schedule: StepSizeSchedule,
+                         case_env: harness.RateEnvelope | None = None) -> None:
+    """Write one trajectory with the fixed 10-column schema.
+
+    The columns that depend only on the run's ``schedule`` are computed
+    here: eta_k, the step sum S_k = sum_{t<k} eta_t (summed in step
+    order), the baseline envelope 1 / S_k, and g_k from
+    :func:`harness.attach_gk`.
+    """
     ks = traj.eval_points
+    etas = step_sizes(schedule, traj.iterations + 1)
+    sum_eta = np.concatenate(([0.0], np.cumsum(etas[:traj.iterations])))[ks]
     env_det = np.full(len(ks), np.inf)
-    pos = traj.sum_eta > 0
+    pos = sum_eta > 0
     # A subnormal step sum's reciprocal overflows to inf, the value it stands for.
     with np.errstate(over="ignore"):
-        env_det[pos] = 1.0 / traj.sum_eta[pos]
+        env_det[pos] = 1.0 / sum_eta[pos]
     case_vals = np.full(len(ks), np.nan)
     if case_env is not None:
         # The envelope's value at each recorded k it covers.
         env_ks, first = np.unique(np.asarray(case_env.ks, dtype=np.int64), return_index=True)
         hit = np.isin(ks, env_ks)
         case_vals[hit] = np.asarray(case_env.values, dtype=float)[first][np.searchsorted(env_ks, ks[hit])]
-    g_series = traj.g_series if traj.g_series is not None else np.full(len(ks), np.nan)
-    cols = np.column_stack([ks, traj.loss, traj.grad_norm_sq, traj.min_grad_sq, g_series,
-                            traj.eta_eval, traj.u_eval, traj.sum_eta, env_det, case_vals])
+    cols = np.column_stack([ks, traj.loss, traj.grad_norm_sq, traj.min_grad_sq, harness.attach_gk(traj, schedule),
+                            etas[ks], traj.u_eval, sum_eta, env_det, case_vals])
     with open(path, "w") as fh:
         fh.write(TRAJECTORY_HEADER + "\n")
         for text in _format_chunks("%d," + ",".join(["%.17g"] * 9), "\n", cols):
@@ -454,17 +462,12 @@ _W, _H = 840, 520
 _ML, _MR, _MT, _MB = 72, 24, 40, 52
 
 
-def render_svg(
-    series: dict[str, tuple[np.ndarray, np.ndarray]],
-    path: str | Path,
-    xlabel: str = "",
-    ylabel: str = "",
-    title: str | None = None,
-) -> None:
+def render_svg(series: dict[str, tuple[np.ndarray, np.ndarray]], path: str | Path) -> None:
     """Render line series on log-log axes to a standalone SVG: one polyline per series.
 
-    Points that are not finite and positive are dropped per series.
-    Output is deterministic for identical inputs.
+    The title and axis labels are fixed text, which needs no escaping;
+    the series names are XML-escaped.  Points that are not finite and positive are dropped
+    per series.  Output is deterministic for identical inputs.
     """
     # Imported here: html.entities adds ~0.4 MB and ~2 ms to every command
     # that imports this module, and only plotting needs it.
@@ -506,15 +509,11 @@ def render_svg(
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
+        f'<text x="{_W / 2:.1f}" y="24" text-anchor="middle" font-family="sans-serif" font-size="15">'
+        "trajectories and envelopes</text>",
+        # Axes box and ticks.
+        f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" height="{_H - _MT - _MB}" fill="none" stroke="#333"/>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{_W / 2:.1f}" y="24" text-anchor="middle" font-family="sans-serif" font-size="15">{escape(title, quote=False)}</text>'
-        )
-    # Axes box and ticks.
-    parts.append(
-        f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" height="{_H - _MT - _MB}" fill="none" stroke="#333"/>'
-    )
     for t in np.linspace(x0, x1, 5):
         xp = px(float(t))
         parts.append(f'<line x1="{xp:.2f}" y1="{_H - _MB}" x2="{xp:.2f}" y2="{_H - _MB + 5}" stroke="#333"/>')
@@ -529,16 +528,12 @@ def render_svg(
             f'<text x="{_ML - 8}" y="{yp + 4:.2f}" text-anchor="end" font-family="sans-serif" font-size="11">'
             f"{10.0 ** float(t):.3g}</text>"
         )
-    if xlabel:
-        parts.append(
-            f'<text x="{(_ML + _W - _MR) / 2:.1f}" y="{_H - 12}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="13">{escape(xlabel, quote=False)}</text>'
-        )
-    if ylabel:
-        parts.append(
-            f'<text x="16" y="{(_MT + _H - _MB) / 2:.1f}" text-anchor="middle" font-family="sans-serif" '
-            f'font-size="13" transform="rotate(-90 16 {(_MT + _H - _MB) / 2:.1f})">{escape(ylabel, quote=False)}</text>'
-        )
+    parts += [
+        f'<text x="{(_ML + _W - _MR) / 2:.1f}" y="{_H - 12}" text-anchor="middle" '
+        'font-family="sans-serif" font-size="13">iteration k</text>',
+        f'<text x="16" y="{(_MT + _H - _MB) / 2:.1f}" text-anchor="middle" font-family="sans-serif" '
+        f'font-size="13" transform="rotate(-90 16 {(_MT + _H - _MB) / 2:.1f})">min grad norm^2 / envelope</text>',
+    ]
     for i, (name, (xs, ys)) in enumerate(cleaned.items()):
         color = _PALETTE[i % len(_PALETTE)]
         pts = " ".join(_format_chunks("%.2f,%.2f", " ", np.column_stack([px(xs), py(ys)])))
@@ -617,8 +612,7 @@ def _cmd_run(args) -> int:
     out_dir = Path(args.out if args.out is not None else cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, t in enumerate(trajs):
-        harness.attach_gk(t, cfg.schedule)
-        write_trajectory_csv(t, out_dir / _traj_filename(i))
+        write_trajectory_csv(t, out_dir / _traj_filename(i), cfg.schedule)
     (out_dir / "metadata.txt").write_text(_metadata_text(cfg, problem, trajs[0].config_digest, [t.seed for t in trajs]))
     diverged = sum(t.diverged for t in trajs)
     print(f"wrote {len(trajs)} trajectories to {out_dir}" + (f" ({diverged} diverged)" if diverged else ""))
@@ -642,25 +636,18 @@ def _cmd_compare(args) -> int:
     if cfg_a.n_seeds < 2:
         raise ConfigError(f"compare: n_seeds must be >= 2 to give each arm a variance (got {cfg_a.n_seeds})")
 
-    # Both arms step as one batch on one gradient draw per seed.  Each
-    # run's digest covers the draws it stepped on, so comparing them checks
-    # the pairing.  A diverged run stops early and hashes only a prefix of
-    # its stream, so the digests are comparable only where neither arm
+    # Both arms step as one batch on one gradient draw per seed;
+    # stats.compare checks the pairing of the seeds where neither arm
     # diverged.
     _, (runs_a, runs_b) = _run_all(cfg_a, [cfg_a.sf, cfg_b.sf])
-    pairs = [(ta, tb) for ta, tb in zip(runs_a, runs_b) if not (ta.diverged or tb.diverged)]
-    for ta, tb in pairs:
-        if ta.grad_stream_digest != tb.grad_stream_digest:
-            raise RuntimeError("paired gradient streams diverged between arms; stream split broken")
-    unchecked = len(runs_a) - len(pairs)
-
     checkpoints = None if cfg_a.checkpoints == "auto" else list(cfg_a.checkpoints)
     report = stats.compare(runs_a, runs_b, metric=args.metric, checkpoints=checkpoints)
+    checked = sum(not (ta.diverged or tb.diverged) for ta, tb in zip(runs_a, runs_b))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_report(report, out_dir / "report.csv")
-    if unchecked:
-        head = (f"paired gradient streams verified identical for {len(pairs)} of "
+    if checked < len(runs_a):
+        head = (f"paired gradient streams verified identical for {checked} of "
                 f"{len(runs_a)} seeds; seeds with a diverged arm are not checked\n")
     else:
         head = "paired gradient streams verified identical per seed\n"
@@ -688,8 +675,7 @@ def _cmd_envelope(args) -> int:
                                   np.arange(cfg.eval_every, cfg.iterations + 1, cfg.eval_every))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    harness.attach_gk(trajs[0], schedule)
-    write_trajectory_csv(trajs[0], out_dir / "trajectory.csv", case_env=env)
+    write_trajectory_csv(trajs[0], out_dir / "trajectory.csv", schedule, case_env=env)
 
     k_lo = max(cfg.eval_every, cfg.iterations // 100)
     diags = [None if t.diverged or k_lo >= cfg.iterations
@@ -747,8 +733,7 @@ def _cmd_plot(args) -> int:
             first = False
     if not series:
         raise ConfigError(f"plot: no trajectory CSVs found in {in_dir}")
-    render_svg(series, args.out, xlabel="iteration k", ylabel="min grad norm^2 / envelope",
-               title="trajectories and envelopes")
+    render_svg(series, args.out)
     print(f"wrote {args.out}")
     return 0
 

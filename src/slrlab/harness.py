@@ -51,8 +51,6 @@ def _gk_core(values: np.ndarray, ks: np.ndarray, schedule: StepSizeSchedule) -> 
     ks = np.asarray(ks, dtype=int)
     if len(values) == 0:
         raise ValueError("gradient-norm series must be non-empty")
-    if len(values) != len(ks):
-        raise ValueError("values and indices must have equal length")
     if not np.isfinite(values).all():
         raise ValueError("gradient norms must be finite")
     if (values < 0).any():
@@ -78,7 +76,7 @@ def gk_sequence(grad_norm_sq: np.ndarray, schedule: StepSizeSchedule) -> np.ndar
 
 
 def attach_gk(traj: Trajectory, schedule: StepSizeSchedule) -> np.ndarray:
-    """Fill traj.g_series from its recorded gradient norms.
+    """The g_k series of a trajectory's recorded gradient norms, one value per eval point.
 
     When eval_every > 1 the recurrence runs over the recorded points
     using the true weights w_k at their iteration indices; this is the
@@ -93,7 +91,6 @@ def attach_gk(traj: Trajectory, schedule: StepSizeSchedule) -> np.ndarray:
     out = np.full(len(vals), np.nan)
     if good.any():
         out[good] = _gk_core(vals[good], ks[good], schedule)[: good.sum()]
-    traj.g_series = out
     return out
 
 
@@ -101,10 +98,8 @@ def attach_gk(traj: Trajectory, schedule: StepSizeSchedule) -> np.ndarray:
 class RateEnvelope:
     """Envelope values over iteration indices ks (all >= 1)."""
 
-    case: TheoremCase
     ks: np.ndarray
     values: np.ndarray
-    sum_eta: np.ndarray
 
 
 def envelope_series(
@@ -145,7 +140,7 @@ def envelope_series(
     # Over a subnormal step sum an envelope overflows to inf, the value it stands for.
     with np.errstate(over="ignore"):
         values = definition.envelope(mean, var, s)
-    return RateEnvelope(case=case, ks=ks, values=values, sum_eta=s)
+    return RateEnvelope(ks=ks, values=values)
 
 
 def trajectory_envelope(

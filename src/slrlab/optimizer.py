@@ -31,7 +31,7 @@ import hashlib
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -190,16 +190,15 @@ class Trajectory:
     ``grad_norm_sq`` when read.  ``u_eval`` holds the draw used at each
     recorded iterate, nan where no step left it (the final iterate, and
     any point at or past a truncation), so ``eval_every = 1`` records
-    every factor.  ``eval_points``, ``sum_eta`` and ``eta_eval`` are
-    read-only views of grid columns shared by every run of a batch (a
-    truncated run's are prefixes).
+    every factor.  Only the eval grid is shared: ``eval_points`` is a
+    read-only view of one column common to every run of a batch (a
+    truncated run's is a prefix).  The CSV writer computes the schedule's
+    columns (eta_k and the step sums) and g_k; a run does not hold them.
     """
 
     eval_points: np.ndarray
     loss: np.ndarray
     grad_norm_sq: np.ndarray
-    sum_eta: np.ndarray
-    eta_eval: np.ndarray
     u_eval: np.ndarray
     iterations: int
     eval_every: int
@@ -209,7 +208,6 @@ class Trajectory:
     truncated_at: int | None
     rng_algorithm: str = RNG_ALGORITHM
     grad_stream_digest: str = ""
-    g_series: np.ndarray | None = field(default=None)
 
     @property
     def diverged(self) -> bool:
@@ -333,7 +331,7 @@ def run_arms(
         return digests[r]
 
     box = problem.domain_box
-    etas = step_sizes(schedule, iterations + 1)
+    etas = step_sizes(schedule, iterations)
 
     # Per row: recorded evals and factors, truncation point, box status.
     # One row per (arm, seed), so a trajectory's series are views of it.
@@ -450,12 +448,9 @@ def run_arms(
             if not len(live):
                 break
 
-    # The eval-grid columns are the same for every row: one read-only copy.
+    # The eval grid is the same for every row: one read-only copy.
     ks = np.arange(0, iterations + 1, eval_every)
-    sum_eta = np.concatenate(([0.0], np.cumsum(etas[:iterations])))[ks]
-    eta_eval = etas[ks]
-    for column in (ks, sum_eta, eta_eval):
-        column.setflags(write=False)
+    ks.setflags(write=False)
     out = []
     for a, sf_spec in enumerate(sf_specs):
         digest = config_digest(problem, schedule, sf_spec, iterations, eval_every)
@@ -467,8 +462,6 @@ def run_arms(
                 eval_points=ks[:c],
                 loss=losses[r, :c],
                 grad_norm_sq=gnorms[r, :c],
-                sum_eta=sum_eta[:c],
-                eta_eval=eta_eval[:c],
                 u_eval=u_evals[r, :c],
                 iterations=iterations,
                 eval_every=eval_every,

@@ -197,17 +197,6 @@ METRICS = ("loss", "min_grad_sq")
 FWER = 0.05
 
 
-def _metric_at(traj: Trajectory, metric: str, ks: list[int]) -> np.ndarray:
-    """The run's ``metric`` at the eval points ``ks``.
-
-    The series is read once, since ``min_grad_sq`` is computed on each read.
-    """
-    for k in ks:
-        if k % traj.eval_every != 0 or k // traj.eval_every >= len(traj.eval_points):
-            raise ValueError(f"k={k} is not a recorded eval point")
-    return getattr(traj, metric)[[k // traj.eval_every for k in ks]]
-
-
 @dataclass
 class ComparisonReport:
     """Checkpointed Welch/Bonferroni comparison of two paired sides of runs."""
@@ -244,6 +233,12 @@ def compare(
     and no seed may appear twice.  Diverged trajectories are excluded
     from the tests and counted in the report.  Direction (who is ahead)
     is reported via the means and win counts, never gated on.
+
+    The pairing is checked where it can be: for each seed at which
+    neither side diverged, both runs must have stepped on the same
+    gradient draws (equal ``grad_stream_digest``), else RuntimeError.
+    A diverged run hashes only the prefix of its stream it executed, so
+    its digest is not comparable.
     """
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}")
@@ -266,18 +261,24 @@ def compare(
 
     ok_a = [t for t in a if not t.diverged]
     ok_b = [t for t in b if not t.diverged]
+    col_a = {t.seed: i for i, t in enumerate(ok_a)}
+    col_b = {t.seed: i for i, t in enumerate(ok_b)}
+    shared = [(col_a[s], col_b[s]) for s in seeds if s in col_a and s in col_b]
+    for i, j in shared:
+        if ok_a[i].grad_stream_digest != ok_b[j].grad_stream_digest:
+            raise RuntimeError("paired gradient streams diverged between arms; stream split broken")
     notes: list[str] = []
     if len(ok_a) < len(a) or len(ok_b) < len(b):
         notes.append(f"excluded diverged runs: {len(a) - len(ok_a)} from a, {len(b) - len(ok_b)} from b")
     if len(ok_a) < 2 or len(ok_b) < 2:
         raise ValueError("fewer than 2 non-diverged runs on one side; nothing to test")
 
-    # One row per checkpoint, one column per run.
-    at_a = np.column_stack([_metric_at(t, metric, checkpoints) for t in ok_a])
-    at_b = np.column_stack([_metric_at(t, metric, checkpoints) for t in ok_b])
-    col_a = {t.seed: i for i, t in enumerate(ok_a)}
-    col_b = {t.seed: i for i, t in enumerate(ok_b)}
-    shared = [(col_a[s], col_b[s]) for s in seeds if s in col_a and s in col_b]
+    # One row per checkpoint, one column per run.  A non-diverged run's grid
+    # is complete, so checkpoint k is row k // eval_every; each series is
+    # read once, since ``min_grad_sq`` is computed on each read.
+    rows = [k // eval_every for k in checkpoints]
+    at_a = np.column_stack([getattr(t, metric)[rows] for t in ok_a])
+    at_b = np.column_stack([getattr(t, metric)[rows] for t in ok_b])
     wins: list[int] = []
     mean_a, mean_b, ts, dfs, ps = [], [], [], [], []
     for xs, ys in zip(at_a, at_b):

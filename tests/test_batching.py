@@ -19,32 +19,48 @@ import struct
 import numpy as np
 import pytest
 
-from slrlab import optimizer, problems, sf
+from slrlab import cli_io, optimizer, problems, sf
 from slrlab.optimizer import StepSizeSchedule
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
+# The trajectory CSV's columns that depend only on the schedule (and, for
+# g_k, on the recorded norms), which the writer computes.
+SCHEDULE_COLUMNS = ("eta_k", "sum_eta", "envelope_det", "g_k")
+
+
 def scalar_reference(problem, schedule, spec, iterations, eval_every, x0, seed):
-    """One seed, one step at a time: the runner before seeds were batched."""
+    """One seed, one step at a time: the runner before seeds were batched.
+
+    Returns the trajectory's expected fields, and the schedule columns
+    of its CSV as this loop sums them step by step: g_k runs the
+    recurrence over the recorded finite norms, with weights
+    w_k = 2 eta_k / (S_k + eta_k).
+    """
     x = np.ones(problem.dim) if x0 is None else np.array(x0, dtype=float)
     grad_rng = optimizer.stream_generator(seed, optimizer.GRAD_STREAM)
     sf_rng = optimizer.stream_generator(seed, optimizer.SF_STREAM)
     digest = hashlib.sha256()
-    rec = {name: [] for name in ("eval_points", "loss", "grad_norm_sq", "min_grad_sq", "sum_eta")}
+    rec = {name: [] for name in ("eval_points", "loss", "grad_norm_sq", "min_grad_sq", *SCHEDULE_COLUMNS)}
     u_steps = []
-    sum_eta, running_min = 0.0, np.inf
+    sum_eta, running_min, g_next = 0.0, np.inf, None
     certified, truncated_at = True, None
     lo, hi = problem.domain_box or (-np.inf, np.inf)
 
     def record(k):
-        nonlocal running_min, truncated_at
+        nonlocal running_min, g_next, truncated_at
         f = problems.loss(problem, x)
-        g2 = np.nan
+        g2 = g_k = np.nan
+        eta_k = optimizer.step_size(schedule, k)
         if np.isfinite(f):
             g = problems.full_gradient(problem, x)
             g2 = float(g @ g)
             running_min = min(running_min, g2)
-        for name, v in zip(rec, (k, f, g2, running_min, sum_eta)):
+            g_k = g2 if g_next is None else g_next
+            w = 2.0 * eta_k / (sum_eta + eta_k)
+            g_next = (1.0 - w) * g_k + w * g2
+        env_det = 1.0 / sum_eta if sum_eta > 0 else np.inf
+        for name, v in zip(rec, (k, f, g2, running_min, eta_k, sum_eta, env_det, g_k)):
             rec[name].append(v)
         if not np.isfinite(f) or f > optimizer.LOSS_DIVERGENCE_LIMIT:
             truncated_at = k
@@ -73,20 +89,19 @@ def scalar_reference(problem, schedule, spec, iterations, eval_every, x0, seed):
 
     ks = np.array(rec["eval_points"], dtype=int)
     u = np.array(u_steps, dtype=float)
+    columns = {name: np.array(rec[name]) for name in SCHEDULE_COLUMNS}
     return dict(
         eval_points=ks,
         loss=np.array(rec["loss"]),
         grad_norm_sq=np.array(rec["grad_norm_sq"]),
         min_grad_sq=np.array(rec["min_grad_sq"]),
-        sum_eta=np.array(rec["sum_eta"]),
-        eta_eval=np.array([optimizer.step_size(schedule, int(k)) for k in ks]),
         u_eval=np.array([u[k] if k < len(u) else np.nan for k in ks]),
         seed=seed,
         certified=certified and truncated_at is None,
         diverged=truncated_at is not None,
         truncated_at=truncated_at,
         grad_stream_digest=digest.hexdigest(),
-    )
+    ), columns
 
 
 def assert_bitwise(traj, expected):
@@ -132,7 +147,7 @@ def check_batch(case, iterations, eval_every, outcomes=None):
     assert {outcome(t) for t in batch} == (case_outcomes if outcomes is None else outcomes)
     for seed, traj in zip(SEEDS, batch):
         alone = optimizer.run(problem, schedule, spec, iterations, eval_every, x0, seed=seed)
-        expected = scalar_reference(problem, schedule, spec, iterations, eval_every, x0, seed)
+        expected, _ = scalar_reference(problem, schedule, spec, iterations, eval_every, x0, seed)
         assert_bitwise(traj, expected)
         assert_bitwise(alone, expected)
         assert traj.config_digest == alone.config_digest
@@ -147,6 +162,25 @@ def test_batch_matches_single_runs_and_scalar_loop(case):
     # A row stops in the first block, so the later blocks step a shorter
     # stack: the quadratic tiles its eigenvalues again for it.
     assert min(t.truncated_at or 2500 for t in batch) < optimizer.BLOCK_STEPS
+
+
+@pytest.mark.parametrize("eval_every", [1, 10])
+@pytest.mark.parametrize("case", ["quadratic", "rosenbrock"])
+def test_csv_schedule_columns_match_the_scalar_loop(case, eval_every, tmp_path):
+    # The writer computes these columns from the schedule and the recorded
+    # norms; for full and diverged runs alike, they hold the bits the scalar
+    # loop sums step by step.
+    problem, schedule, spec, x0, _ = CASES[case]
+    iterations = 200
+    batch = optimizer.run_arms(problem, schedule, [spec], iterations, eval_every, x0, seeds=SEEDS)[0]
+    assert {t.diverged for t in batch} == {True, False}
+    for traj in batch:
+        path = tmp_path / f"seed{traj.seed}.csv"
+        cli_io.write_trajectory_csv(traj, path, schedule)
+        cols = cli_io.read_trajectory_csv(path)
+        _, want = scalar_reference(problem, schedule, spec, iterations, eval_every, x0, traj.seed)
+        for name in SCHEDULE_COLUMNS:
+            assert cols[name].tobytes() == want[name].tobytes(), f"{name} differs for seed {traj.seed}"
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -256,7 +290,7 @@ def check_arms(problem, schedule, specs, iterations, eval_every, x0=None, seeds=
         alone = optimizer.run_arms(problem, schedule, [spec], iterations, eval_every, x0, seeds=seeds)[0]
         assert [t.seed for t in arm] == list(seeds)
         for seed, traj, single in zip(seeds, arm, alone):
-            expected = scalar_reference(problem, schedule, spec, iterations, eval_every, x0, seed)
+            expected, _ = scalar_reference(problem, schedule, spec, iterations, eval_every, x0, seed)
             assert_bitwise(traj, expected)
             assert_bitwise(single, expected)
             assert traj.config_digest == single.config_digest

@@ -176,16 +176,15 @@ def _small_traj():
     sched = StepSizeSchedule("inverse_k", 0.1)
     spec = sf.uniform_root(0.3, 0.8)
     traj = optimizer.run(pb, sched, spec, iterations=50, eval_every=10, seed=3)
-    harness.attach_gk(traj, sched)
     env = harness.trajectory_envelope(traj, TheoremCase.CASE_12, spec, sched)
-    return traj, env
+    return traj, env, sched
 
 
 def test_trajectory_csv_schema_and_determinism(tmp_path):
-    traj, env = _small_traj()
+    traj, env, sched = _small_traj()
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    cli_io.write_trajectory_csv(traj, p1, case_env=env)
-    cli_io.write_trajectory_csv(traj, p2, case_env=env)
+    cli_io.write_trajectory_csv(traj, p1, sched, case_env=env)
+    cli_io.write_trajectory_csv(traj, p2, sched, case_env=env)
     b1, b2 = p1.read_bytes(), p2.read_bytes()
     assert b1 == b2
     lines = b1.decode().splitlines()
@@ -201,26 +200,24 @@ def test_trajectory_csv_schema_and_determinism(tmp_path):
 
 
 def test_trajectory_csv_round_trip(tmp_path):
-    traj, env = _small_traj()
+    traj, env, sched = _small_traj()
     p = tmp_path / "t.csv"
-    cli_io.write_trajectory_csv(traj, p, case_env=env)
+    cli_io.write_trajectory_csv(traj, p, sched, case_env=env)
     cols = cli_io.read_trajectory_csv(p)
     np.testing.assert_array_equal(cols["k"], traj.eval_points)
     np.testing.assert_array_equal(cols["loss"], traj.loss)
     np.testing.assert_array_equal(cols["min_grad_sq"], traj.min_grad_sq)
-    np.testing.assert_array_equal(cols["g_k"], traj.g_series)
+    np.testing.assert_array_equal(cols["g_k"], harness.attach_gk(traj, sched))
     np.testing.assert_array_equal(cols["envelope_case"][1:], env.values)
     assert np.isinf(cols["envelope_det"][0]) and np.isnan(cols["envelope_case"][0])
 
 
 def test_trajectory_csv_without_envelope(tmp_path):
-    traj, _ = _small_traj()
-    traj.g_series = None
+    traj, _, sched = _small_traj()
     p = tmp_path / "t.csv"
-    cli_io.write_trajectory_csv(traj, p)
+    cli_io.write_trajectory_csv(traj, p, sched)
     cols = cli_io.read_trajectory_csv(p)
     assert np.isnan(cols["envelope_case"]).all()
-    assert np.isnan(cols["g_k"]).all()
     assert np.isfinite(cols["envelope_det"][1:]).all()
 
 
@@ -244,25 +241,37 @@ def _edge_columns(n, seed=0, limit=np.inf):
     return lambda: pool[rng.integers(len(pool), size=n)]
 
 
-def _edge_traj(n):
+# Subnormal step sizes: the early step sums are subnormal too, so their
+# reciprocals overflow to inf, while the later ones are normal.
+EDGE_SCHEDULE = StepSizeSchedule("inverse_sqrt_k", 1e-309)
+
+
+def _edge_traj(n, monkeypatch):
+    """A trajectory of edge values, its case envelope, and its g_k column (patched into ``attach_gk``)."""
     col = _edge_columns(n)
     ks = np.arange(n) * 3
-    traj = SimpleNamespace(eval_points=ks, loss=col(), grad_norm_sq=col(), min_grad_sq=col(), g_series=col(),
-                           eta_eval=col(), u_eval=col(), sum_eta=col())
+    traj = SimpleNamespace(eval_points=ks, loss=col(), grad_norm_sq=col(), min_grad_sq=col(), u_eval=col(),
+                           iterations=3 * n)
+    g_k = col()
+    monkeypatch.setattr(harness, "attach_gk", lambda t, schedule: g_k)
     # The envelope covers every other recorded k >= 1, plus ks it does not match.
     env_ks = np.concatenate([ks[1::2], [10**9]])
     env = SimpleNamespace(ks=env_ks, values=_edge_columns(len(env_ks), seed=1)())
-    return traj, env
+    return traj, env, g_k
 
 
-def _reference_trajectory_csv(traj, case_env):
-    """The writer before whole-column formatting: one f-string per value."""
+def _reference_trajectory_csv(traj, case_env, g_k):
+    """The writer one value at a time: step sums added step by step, one f-string per value."""
     def f17(x):
         return f"{float(x):.17g}"
     ks = traj.eval_points
-    env_det = np.full(len(ks), np.inf)
-    pos = traj.sum_eta > 0
-    env_det[pos] = 1.0 / traj.sum_eta[pos]
+    eta = [optimizer.step_size(EDGE_SCHEDULE, t) for t in range(traj.iterations + 1)]
+    sum_eta = [0.0]
+    for e in eta[:-1]:
+        sum_eta.append(sum_eta[-1] + e)
+    sum_eta = np.array(sum_eta)[ks]
+    # A subnormal step sum's reciprocal overflows to inf (Python floats do not warn).
+    env_det = np.array([1.0 / s if s > 0 else np.inf for s in sum_eta.tolist()])
     case_vals = np.full(len(ks), np.nan)
     lookup = {int(k): float(v) for k, v in zip(case_env.ks, case_env.values)}
     for i, k in enumerate(ks):
@@ -271,8 +280,8 @@ def _reference_trajectory_csv(traj, case_env):
     lines = [cli_io.TRAJECTORY_HEADER]
     for i, k in enumerate(ks):
         lines.append(",".join([str(int(k))] + [f17(c[i]) for c in (
-            traj.loss, traj.grad_norm_sq, traj.min_grad_sq, traj.g_series, traj.eta_eval,
-            traj.u_eval, traj.sum_eta, env_det, case_vals)]))
+            traj.loss, traj.grad_norm_sq, traj.min_grad_sq, g_k, np.array(eta)[ks],
+            traj.u_eval, sum_eta, env_det, case_vals)]))
     return "\n".join(lines) + "\n"
 
 
@@ -284,16 +293,14 @@ def _reference_read(path):
     return {n: np.array([r[i] for r in rows]) for i, n in enumerate(names)}
 
 
-# A subnormal sum_eta overflows envelope_det = 1/sum_eta to inf, as it should.
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("n", [0, 1, 6, 7, 8, 22])
 def test_trajectory_csv_io_matches_per_value_code(n, tmp_path, monkeypatch):
     # Chunks of 7 rows: row counts below, at and off a multiple of the chunk.
     monkeypatch.setattr(cli_io, "_FORMAT_CHUNK", 7)
-    traj, env = _edge_traj(n)
+    traj, env, g_k = _edge_traj(n, monkeypatch)
     p = tmp_path / "t.csv"
-    cli_io.write_trajectory_csv(traj, p, case_env=env)
-    assert p.read_text() == _reference_trajectory_csv(traj, env)
+    cli_io.write_trajectory_csv(traj, p, EDGE_SCHEDULE, case_env=env)
+    assert p.read_text() == _reference_trajectory_csv(traj, env, g_k)
     got, want = cli_io.read_trajectory_csv(p), _reference_read(p)
     assert list(got) == list(want)
     assert got["k"].dtype == int and got["k"].tolist() == want["k"].astype(int).tolist()
@@ -301,12 +308,14 @@ def test_trajectory_csv_io_matches_per_value_code(n, tmp_path, monkeypatch):
         assert got[name].dtype == np.float64 and got[name].tobytes() == want[name].tobytes(), name
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_trajectory_csv_io_at_the_default_chunk(tmp_path):
-    traj, env = _edge_traj(cli_io._FORMAT_CHUNK + 5)
+def test_trajectory_csv_io_at_the_default_chunk(tmp_path, monkeypatch):
+    traj, env, g_k = _edge_traj(cli_io._FORMAT_CHUNK + 5, monkeypatch)
     p = tmp_path / "t.csv"
-    cli_io.write_trajectory_csv(traj, p, case_env=env)
-    assert p.read_text() == _reference_trajectory_csv(traj, env)
+    cli_io.write_trajectory_csv(traj, p, EDGE_SCHEDULE, case_env=env)
+    text = p.read_text()
+    assert text == _reference_trajectory_csv(traj, env, g_k)
+    det = cli_io.read_trajectory_csv(p)["envelope_det"]
+    assert np.isinf(det[1]) and np.isfinite(det[-1])  # the edge schedule's step sums cross into normal
     got, want = cli_io.read_trajectory_csv(p), _reference_read(p)
     for name in list(want)[1:]:
         assert got[name].tobytes() == want[name].tobytes(), name
@@ -379,14 +388,14 @@ def test_render_svg_one_polyline_per_series(tmp_path):
     xs = np.array([1.0, 10.0])
     cli_io.render_svg({"alpha": (xs, np.array([1.0, 2.0])),
                        "beta": (xs, np.array([3.0, 4.0]))},
-                      p, xlabel="k", ylabel="v")
+                      p)
     body = p.read_text()
     assert body.count("<polyline") == 2
     assert body.count("</svg>") == 1
     assert "alpha" in body and "beta" in body
     cli_io.render_svg({"alpha": (xs, np.array([1.0, 2.0])),
                        "beta": (xs, np.array([3.0, 4.0]))},
-                      tmp_path / "again.svg", xlabel="k", ylabel="v")
+                      tmp_path / "again.svg")
     assert (tmp_path / "again.svg").read_bytes() == p.read_bytes()
 
 
@@ -449,11 +458,10 @@ def test_render_svg_points_match_per_point_code(n, tmp_path, monkeypatch):
 def test_render_svg_escapes_text(tmp_path):
     p = tmp_path / "plot.svg"
     xs = np.array([1.0, 2.0])
-    cli_io.render_svg({"a&b": (xs, xs), "<c>": (xs, xs + 1)}, p,
-                      xlabel="k < n", ylabel="f & g", title="x > y & <z>")
+    cli_io.render_svg({"a&b": (xs, xs), "<c>": (xs, xs + 1)}, p)
     root = ET.parse(p).getroot()
     texts = {t.text for t in root.iter("{http://www.w3.org/2000/svg}text")}
-    assert {"a&b", "<c>", "k < n", "f & g", "x > y & <z>"} <= texts
+    assert {"a&b", "<c>", "trajectories and envelopes", "iteration k", "min grad norm^2 / envelope"} <= texts
 
 
 def _write_cfg(tmp_path, text=GOOD_CONFIG, name="cfg.txt"):

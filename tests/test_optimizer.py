@@ -104,7 +104,7 @@ def test_min_grad_sq_running_minimum(tmp_path):
     assert np.isnan(traj.grad_norm_sq).tolist() == [True]
     assert traj.min_grad_sq.tolist() == [np.inf]
     path = tmp_path / "t.csv"
-    cli_io.write_trajectory_csv(traj, path)
+    cli_io.write_trajectory_csv(traj, path, StepSizeSchedule("inverse_k", 0.1))
     header, row = path.read_text().splitlines()
     assert row.split(",")[header.split(",").index("min_grad_sq")] == "inf"
 
@@ -121,13 +121,16 @@ def test_u_eval_within_per_step_support():
         assert lo <= traj.u_eval[k] <= hi
 
 
-def test_sum_eta_snapshots_before_step():
+def test_sum_eta_snapshots_before_step(tmp_path):
     pb = problems.make_quadratic(dim=2, cond=10.0, sigma=0.0)
     sched = StepSizeSchedule("inverse_k", 1.0)
     traj = optimizer.run(pb, sched, sf.constant(1.0), iterations=4, eval_every=1)
+    path = tmp_path / "t.csv"
+    cli_io.write_trajectory_csv(traj, path, sched)
+    cols = cli_io.read_trajectory_csv(path)
     # sum over t < k of eta_t
-    np.testing.assert_allclose(traj.sum_eta, [0.0, 1.0, 1.5, 1.5 + 1 / 3, 1.5 + 1 / 3 + 0.25])
-    np.testing.assert_allclose(traj.eta_eval[:-1], [1.0, 0.5, 1 / 3, 0.25])
+    np.testing.assert_allclose(cols["sum_eta"], [0.0, 1.0, 1.5, 1.5 + 1 / 3, 1.5 + 1 / 3 + 0.25])
+    np.testing.assert_allclose(cols["eta_k"], [1.0, 0.5, 1 / 3, 0.25, 0.2])
 
 
 def test_within_run_determinism():
@@ -202,8 +205,8 @@ def test_run_memory_follows_the_eval_grid_not_the_step_count():
 def test_run_holds_three_series_per_row():
     # Loss, gradient norm and factor per eval point; the running minimum
     # of the norm is computed when read, not held.  What else the run
-    # keeps (the grid columns, the quadratic's tiled eigenvalues) is
-    # about a quarter of a series at this length.
+    # keeps (the eval grid, the quadratic's tiled eigenvalues) is
+    # about a fifth of a series at this length.
     pb = problems.make_quadratic(dim=2, cond=10.0, sigma=0.1)
     args = (pb, StepSizeSchedule("inverse_k", 0.1), [sf.uniform_root(0.3, 0.8)])
     seeds = list(range(40))
@@ -218,24 +221,23 @@ def test_run_holds_three_series_per_row():
     assert held < 3.5 * 40 * 10001 * 8
 
 
-def test_grid_columns_are_shared_read_only_views():
+def test_eval_grid_is_a_shared_read_only_view():
     pb = problems.make_quadratic(dim=3, cond=10.0, sigma=0.1)
     batch = optimizer.run_arms(pb, StepSizeSchedule("inverse_k", 2.5), [sf.uniform_root(0.001, 4.0)],
                                200, 10, seeds=range(8))[0]
     (diverged,) = [t for t in batch if t.diverged]
     full, *others = [t for t in batch if not t.diverged]
     assert others
-    for name in ("eval_points", "sum_eta", "eta_eval"):
-        column = getattr(full, name)
-        assert len(column) == 21
-        for t in batch:
-            with pytest.raises(ValueError, match="read-only"):
-                getattr(t, name)[0] = 1
-        for t in others:
-            assert getattr(t, name) is not column and np.shares_memory(getattr(t, name), column)
-        prefix = getattr(diverged, name)
-        assert 0 < len(prefix) < len(column) and np.shares_memory(prefix, column)
-        assert prefix.tobytes() == column[:len(prefix)].tobytes()
+    column = full.eval_points
+    assert len(column) == 21
+    for t in batch:
+        with pytest.raises(ValueError, match="read-only"):
+            t.eval_points[0] = 1
+    for t in others:
+        assert t.eval_points is not column and np.shares_memory(t.eval_points, column)
+    prefix = diverged.eval_points
+    assert 0 < len(prefix) < len(column) and np.shares_memory(prefix, column)
+    assert prefix.tobytes() == column[:len(prefix)].tobytes()
 
 
 def test_constant_unit_factor_matches_plain_sgd_bitwise():

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -271,3 +272,29 @@ def test_compare_paired_streams_verified():
                              n_seeds=3, master_seed=7, eval_every=10)
     for ta, tb in zip(a, b):
         assert ta.grad_stream_digest == tb.grad_stream_digest
+
+
+def test_compare_checks_the_pairing_of_seeds_where_neither_arm_diverged(monkeypatch):
+    pb = problems.make_quadratic(dim=2, cond=10.0, sigma=0.1)
+    sched = StepSizeSchedule("inverse_k", 0.1)
+    specs = [sf.uniform_root(0.3, 0.8), sf.constant(1.0)]
+    a, b = stats.run_paired(pb, sched, specs, 100, n_seeds=3, master_seed=7, eval_every=10)
+    # A diverged run hashed only a prefix of its stream: its digest is not compared.
+    cut = dataclasses.replace(b[0], truncated_at=100, grad_stream_digest="prefix")
+    assert stats.compare(a, [cut, *b[1:]]).n_b == 2
+
+    stack = optimizer._stack_draws
+
+    def shifted(seed_draws, pos):
+        # each row of the second arm gets the next seed's block
+        half = len(pos) // 2
+        return stack(seed_draws, np.concatenate([pos[:half], (pos[half:] + 1) % seed_draws.shape[1]]))
+
+    monkeypatch.setattr(optimizer, "_stack_draws", shifted)
+    a, b = stats.run_paired(pb, sched, specs, 100, n_seeds=3, master_seed=7, eval_every=10)
+    broken = "paired gradient streams diverged between arms; stream split broken"
+    with pytest.raises(RuntimeError, match=broken):
+        stats.compare(a, b)
+    # The pairing is checked before the count of runs to test.
+    with pytest.raises(RuntimeError, match=broken):
+        stats.compare(a[:1], b[:1])
