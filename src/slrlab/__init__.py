@@ -9,51 +9,40 @@ rate envelopes with a trend diagnostic, and multi-seed statistical
 comparison, all behind a deterministic CLI.
 """
 
-from .harness import LittleODiagnostic, RateEnvelope, Verdict, envelope_series, gk_sequence, little_o_diagnostic
-from .lambert import lambert_w0, umslr_case_c_c2
-from .optimizer import StepSizeSchedule, Trajectory, run, run_arms, split_seed, step_size
-from .problems import GradientSample, ProblemSpec, make_logreg_nonconvex, make_quadratic, make_rosenbrock
-from .sf import Direction, MomentProfile, SFSpec, moment_profile, sample
-from .stats import ComparisonReport, bonferroni, compare, run_multi_seed, run_paired, welch_t
-from .validator import ConditionReport, TheoremCase, acceleration_check, check_assumption2, check_theorem_case, classify_prop1
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ComparisonReport",
-    "ConditionReport",
-    "Direction",
-    "GradientSample",
-    "LittleODiagnostic",
-    "MomentProfile",
-    "ProblemSpec",
-    "RateEnvelope",
-    "SFSpec",
-    "StepSizeSchedule",
-    "TheoremCase",
-    "Trajectory",
-    "Verdict",
-    "acceleration_check",
-    "bonferroni",
-    "check_assumption2",
-    "check_theorem_case",
-    "classify_prop1",
-    "compare",
-    "envelope_series",
-    "gk_sequence",
-    "lambert_w0",
-    "little_o_diagnostic",
-    "make_logreg_nonconvex",
-    "make_quadratic",
-    "make_rosenbrock",
-    "moment_profile",
-    "run",
-    "run_arms",
-    "run_multi_seed",
-    "run_paired",
-    "sample",
-    "split_seed",
-    "step_size",
-    "umslr_case_c_c2",
-    "welch_t",
-]
+# The public names of each module.  A name loads its module on first use,
+# so a command imports only the modules it runs.
+_EXPORTS = {
+    "harness": ("LittleODiagnostic", "RateEnvelope", "Verdict", "envelope_series", "gk_sequence",
+                "little_o_diagnostic"),
+    "lambert": ("lambert_w0", "umslr_case_c_c2"),
+    "optimizer": ("StepSizeSchedule", "Trajectory", "run", "run_arms", "split_seed", "step_size"),
+    "problems": ("GradientSample", "ProblemSpec", "make_logreg_nonconvex", "make_quadratic", "make_rosenbrock"),
+    "sf": ("Direction", "MomentProfile", "SFSpec", "moment_profile", "sample"),
+    "stats": ("ComparisonReport", "bonferroni", "compare", "run_multi_seed", "run_paired", "welch_t"),
+    "validator": ("ConditionReport", "TheoremCase", "acceleration_check", "check_assumption2", "check_theorem_case",
+                  "classify_prop1"),
+}
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names)
+
+# Each name resolved on first use, and its module; a submodule is its own.
+_MODULE_OF = {m: m for m in ("cli_io", *_EXPORTS)} | {n: m for m, names in _EXPORTS.items() for n in names}
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = importlib.import_module(f"{__name__}.{module}")
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_MODULE_OF})

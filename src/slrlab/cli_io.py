@@ -24,20 +24,29 @@ overrides master_seed for every command that runs the optimizer.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import NoReturn
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import harness, problems, sf, stats, validator
-from .optimizer import SCHEDULE_FAMILIES, RNG_ALGORITHM, StepSizeSchedule, Trajectory, argument_error, step_sizes
-from .validator import ConditionReport, TheoremCase
+from . import problems, sf, validator
+from .optimizer import METRICS, SCHEDULE_FAMILIES, RNG_ALGORITHM, StepSizeSchedule, argument_error, step_sizes
+from .validator import TheoremCase
+
+# Names used only in annotations.  The functions that call `stats` and
+# `harness` import them, so `validate` and `plot` never load either.
+if TYPE_CHECKING:
+    from typing import NoReturn
+
+    from .harness import RateEnvelope
+    from .optimizer import Trajectory
+    from .stats import ComparisonReport
+    from .validator import ConditionReport
 
 TRAJECTORY_HEADER = "k,loss,grad_norm_sq,min_grad_sq,g_k,eta_k,u_k,sum_eta,envelope_det,envelope_case"
 REPORT_HEADER = "k,mean_a,mean_b,t,df,p,significant,wins_a"
@@ -275,7 +284,7 @@ class NotTrajectoryCSVError(ValueError):
 
 
 def write_trajectory_csv(traj, path: str | Path, schedule: StepSizeSchedule,
-                         case_env: harness.RateEnvelope | None = None) -> None:
+                         case_env: RateEnvelope | None = None) -> None:
     """Write one trajectory with the fixed 10-column schema.
 
     The columns that depend only on the run's ``schedule`` are computed
@@ -283,6 +292,8 @@ def write_trajectory_csv(traj, path: str | Path, schedule: StepSizeSchedule,
     order), the baseline envelope 1 / S_k, and g_k from
     :func:`harness.attach_gk`.
     """
+    from . import harness  # imported here: only `run` and `envelope` write trajectories
+
     ks = traj.eval_points
     etas = step_sizes(schedule, traj.iterations + 1)
     sum_eta = np.concatenate(([0.0], np.cumsum(etas[:traj.iterations])))[ks]
@@ -341,8 +352,12 @@ def read_trajectory_csv(path: str | Path) -> dict[str, np.ndarray]:
     return out
 
 
-def write_report(report: stats.ComparisonReport, path: str | Path) -> None:
+def write_report(report: ComparisonReport, path: str | Path) -> None:
     """Comparison report as CSV with '#'-prefixed metadata lines."""
+    import json  # imported here: only a report's notes are JSON
+
+    from . import stats  # imported here: only `compare` writes a report
+
     meta = [
         ("metric", report.metric),
         ("correction", "bonferroni"),
@@ -376,13 +391,17 @@ def write_report(report: stats.ComparisonReport, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_report(path: str | Path) -> stats.ComparisonReport:
+def read_report(path: str | Path) -> ComparisonReport:
     """Inverse of write_report.
 
     Raises ValueError naming the file and the line of the first row that
     does not hold the report's 8 fields, or the metadata key that is
     missing or does not parse.
     """
+    import json  # imported here: only a report's notes are JSON
+
+    from . import stats  # imported here: no command reads a report back
+
     lines = Path(path).read_text().splitlines()
     meta: dict[str, str] = {}
     i = 0
@@ -429,8 +448,10 @@ def read_report(path: str | Path) -> stats.ComparisonReport:
     )
 
 
-def report_text(report: stats.ComparisonReport) -> str:
+def report_text(report: ComparisonReport) -> str:
     """Human-readable comparison summary."""
+    from . import stats  # imported here: only `compare` prints a report
+
     lines = [
         f"metric: {report.metric}   correction: bonferroni (fwer={stats.FWER:g})   paired: yes",
         f"arms: a={report.config_digest_a} (n={report.n_a}, excluded {report.excluded_a})   "
@@ -588,6 +609,8 @@ def _cmd_validate(args) -> int:
 
 def _run_all(cfg: ExperimentConfig, sf_specs: list[sf.SFSpec]) -> tuple[problems.ProblemSpec, list[list[Trajectory]]]:
     """The config's problem, and each SF spec's runs under the config's seeds (:func:`stats.run_paired`)."""
+    from . import stats  # imported here: `validate` and `plot` run nothing
+
     problem = build_problem(cfg)
     return problem, stats.run_paired(problem, cfg.schedule, sf_specs, cfg.iterations, n_seeds=cfg.n_seeds,
                                      master_seed=cfg.master_seed, eval_every=cfg.eval_every)
@@ -626,6 +649,8 @@ def _shared_keys(cfg: ExperimentConfig) -> dict[str, str]:
 
 
 def _cmd_compare(args) -> int:
+    from . import stats  # imported here, as in _run_all: `validate` and `plot` run nothing
+
     cfg_a = load_config(args.config_a)
     cfg_b = load_config(args.config_b)
     a, b = _shared_keys(cfg_a), _shared_keys(cfg_b)
@@ -662,6 +687,8 @@ def _cmd_envelope(args) -> int:
     case = _CASE_TOKENS.get(args.case) if args.case else cfg.theorem_case
     if case is None:
         raise ConfigError("envelope: pass --case or set theorem_case in the config")
+
+    from . import harness  # imported here: only `envelope` builds a case envelope
 
     problem, (trajs,) = _run_all(cfg, [cfg.sf])
     schedule = cfg.schedule
@@ -715,6 +742,10 @@ def _write_seeds_csv(trajs, verdicts: list[str], diags, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+# The series `plot` draws from the first trajectory's envelope columns.
+_REFERENCE_SERIES = ("envelope_det", "envelope_case")
+
+
 def _cmd_plot(args) -> int:
     in_dir = Path(args.input)
     files = sorted(in_dir.glob("*.csv"))
@@ -725,6 +756,8 @@ def _cmd_plot(args) -> int:
             cols = read_trajectory_csv(f)
         except NotTrajectoryCSVError:
             continue  # not a trajectory file (e.g. report.csv)
+        if f.stem in _REFERENCE_SERIES:
+            raise ConfigError(f"plot: {f}: a trajectory file may not be named after the reference series {f.stem!r}")
         series[f.stem] = (cols["k"].astype(float), cols["min_grad_sq"])
         if first:
             series["envelope_det"] = (cols["k"].astype(float), cols["envelope_det"])
@@ -758,7 +791,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config-a", required=True)
     p.add_argument("--config-b", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--metric", default="loss", choices=list(stats.METRICS))
+    p.add_argument("--metric", default="loss", choices=list(METRICS))
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("envelope", help="run n_seeds paths and compare each against a theorem-case envelope")

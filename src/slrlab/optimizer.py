@@ -27,8 +27,6 @@ step count: factors are kept at the eval points only.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -166,6 +164,9 @@ def config_digest(
     eval_every: int,
 ) -> str:
     """Short stable digest of everything that defines a run but the seed."""
+    import hashlib  # imported here, as in run_arms: `validate` and `plot` hash nothing
+    import json  # imported here: only the digest's canonical text is JSON
+
     blob = json.dumps(
         {
             "problem": problem.family,
@@ -178,6 +179,10 @@ def config_digest(
         sort_keys=True,
     )
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+# The trajectory series that runs are compared on (``stats.compare``).
+METRICS = ("loss", "min_grad_sq")
 
 
 @dataclass(eq=False)
@@ -296,6 +301,8 @@ def run_arms(
     returns, whatever the other rows are.  ``x0`` (default: ones) must
     be finite.
     """
+    import hashlib  # imported here, as in config_digest: `validate` and `plot` hash nothing
+
     seeds = [int(s) for s in seeds]
     check_arguments(eval_every, iterations, n_seeds=len(seeds))
     x = np.ones(problem.dim) if x0 is None else np.asarray(x0, dtype=float)

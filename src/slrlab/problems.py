@@ -23,7 +23,6 @@ of :class:`ProblemSpec` that holds its own arrays:
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import Any, ClassVar
@@ -31,8 +30,6 @@ from typing import Any, ClassVar
 import numpy as np
 
 from .sf import scalar_power
-
-log = logging.getLogger(__name__)
 
 # max |d/dt (t^2/(1+t^2))| = 9/(8*sqrt(3)), attained at t = 1/sqrt(3)
 _PENALTY_GRAD_MAX = 9.0 / (8.0 * math.sqrt(3.0))
@@ -334,7 +331,10 @@ def make_logreg_nonconvex(n: int, d: int, reg: float, seed: int = 0) -> LogReg:
         y[flip] = -y[flip]
         if not (np.all(y == y[0])):
             break
-        log.warning("logreg data degenerate for seed %d; retrying with seed %d", use_seed, use_seed + 1)
+        import logging  # imported here: only this rare retry logs
+
+        logging.getLogger(__name__).warning("logreg data degenerate for seed %d; retrying with seed %d",
+                                            use_seed, use_seed + 1)
         use_seed += 1
     else:
         raise ValueError("could not generate non-degenerate logreg data")

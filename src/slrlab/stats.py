@@ -26,7 +26,7 @@ import numpy as np
 
 from . import problems as pb
 from . import sf as sfmod
-from .optimizer import StepSizeSchedule, Trajectory, check_arguments, run_arms, split_seed
+from .optimizer import METRICS, StepSizeSchedule, Trajectory, check_arguments, run_arms, split_seed
 
 _BETA_EPS = 1e-14
 _BETA_FPMIN = 1e-300
@@ -192,7 +192,6 @@ def run_paired(
     return run_arms(problem, schedule, sf_specs, iterations, eval_every=eval_every, seeds=seeds)
 
 
-METRICS = ("loss", "min_grad_sq")
 # Family-wise error rate of the Bonferroni correction in :func:`compare`.
 FWER = 0.05
 

@@ -8,7 +8,7 @@ files are read here, never imported or changed.
 """
 
 import ast
-import importlib
+import json
 import os
 import subprocess
 import sys
@@ -26,11 +26,27 @@ def _tracer_targets() -> dict[str, tuple[str, ...]]:
     raise AssertionError("perfbench/tracer.py defines no TARGETS")
 
 
+def _src_env() -> dict[str, str]:
+    path = os.pathsep.join([str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def test_every_traced_target_resolves():
+    # As the tracer's install() resolves them, in a fresh interpreter: the
+    # package and cli_io are imported, then each module is an attribute
+    # of the package.
     targets = _tracer_targets()
     assert targets
-    missing = [f"{module}.{name}" for module, names in targets.items() for name in names
-               if not callable(getattr(importlib.import_module(f"slrlab.{module}"), name, None))]
+    code = ("import json, sys\n"
+            "import slrlab\n"
+            "from slrlab import cli_io\n"
+            "targets = json.loads(sys.argv[1])\n"
+            "print(json.dumps([f'{m}.{f}' for m, fs in targets.items() for f in fs\n"
+            "                  if not callable(getattr(getattr(slrlab, m, None), f, None))]))")
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(targets)], capture_output=True, text=True,
+                          timeout=120, env=_src_env())
+    assert done.returncode == 0, done.stderr
+    missing = json.loads(done.stdout)
     assert not missing, missing
 
 
@@ -38,8 +54,7 @@ def test_setup_probe_prints_seconds(tmp_path):
     cfg = tmp_path / "cfg.txt"
     cfg.write_text("problem = quadratic\nproblem.dim = 3\nschedule = inverse_k\nschedule.eta = 0.1\n"
                    "sf = uniform_root\nsf.c1 = 0.3\nsf.c2 = 0.8\niterations = 10\nmaster_seed = 0\n")
-    path = os.pathsep.join([str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])
     done = subprocess.run([sys.executable, str(PERFBENCH / "setup_probe.py"), str(cfg)],
-                          capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path})
+                          capture_output=True, text=True, timeout=120, env=_src_env())
     assert done.returncode == 0, done.stderr
     assert float(done.stdout) > 0.0

@@ -1021,6 +1021,21 @@ def test_cli_plot_fails_on_a_malformed_trajectory_csv(tmp_path, capsys):
     assert not (tmp_path / "fig.svg").exists()
 
 
+@pytest.mark.parametrize("stem", ["envelope_det", "envelope_case"])
+def test_cli_plot_refuses_a_trajectory_named_after_a_reference_series(tmp_path, capsys, stem):
+    # Its series would take the name of the envelope drawn from the first
+    # file, and one of the two would vanish from the figure.
+    out = tmp_path / "env"
+    assert cli_io.main(["envelope", "--config", _write_cfg(tmp_path), "--out", str(out)]) == 0
+    (out / f"{stem}.csv").write_bytes((out / "trajectory.csv").read_bytes())
+    capsys.readouterr()
+    dst = tmp_path / "fig.svg"
+    assert cli_io.main(["plot", "--in", str(out), "--out", str(dst)]) == 1
+    err = capsys.readouterr().err
+    assert f"{stem}.csv" in err and "reference series" in err
+    assert not dst.exists()
+
+
 def test_cli_plot_escapes_file_names(tmp_path):
     path = _write_cfg(tmp_path, GOOD_CONFIG.replace("n_seeds = 3", "n_seeds = 1"))
     out = tmp_path / "runs"
