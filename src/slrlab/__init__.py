@@ -9,7 +9,7 @@ rate envelopes with a trend diagnostic, and multi-seed statistical
 comparison, all behind a deterministic CLI.
 """
 
-import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -37,7 +37,8 @@ def __getattr__(name: str):
     module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = importlib.import_module(f"{__name__}.{module}")
+    __import__(f"{__name__}.{module}")  # the import statement's path, which `python -X importtime` logs
+    value = sys.modules[f"{__name__}.{module}"]
     if name != module:
         value = getattr(value, name)
     globals()[name] = value

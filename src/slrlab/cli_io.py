@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import problems, sf, validator
-from .optimizer import METRICS, SCHEDULE_FAMILIES, RNG_ALGORITHM, StepSizeSchedule, argument_error, step_sizes
+from .optimizer import METRICS, SCHEDULE_FAMILIES, RNG_ALGORITHM, StepSizeSchedule, argument_error, step_sizes, step_sums
 from .validator import TheoremCase
 
 # Names used only in annotations.  The functions that call `stats` and
@@ -288,26 +288,24 @@ def write_trajectory_csv(traj, path: str | Path, schedule: StepSizeSchedule,
     """Write one trajectory with the fixed 10-column schema.
 
     The columns that depend only on the run's ``schedule`` are computed
-    here: eta_k, the step sum S_k = sum_{t<k} eta_t (summed in step
-    order), the baseline envelope 1 / S_k, and g_k from
-    :func:`harness.attach_gk`.
+    here: eta_k, the step sum S_k from :func:`optimizer.step_sums`, the
+    baseline envelope 1 / S_k, and g_k from :func:`harness.attach_gk`.
+    ``case_env`` covers the run's eval grid after k = 0 as far as the run
+    recorded (a truncated run records a prefix of it), in that order.
     """
     from . import harness  # imported here: only `run` and `envelope` write trajectories
 
     ks = traj.eval_points
     etas = step_sizes(schedule, traj.iterations + 1)
-    sum_eta = np.concatenate(([0.0], np.cumsum(etas[:traj.iterations])))[ks]
-    env_det = np.full(len(ks), np.inf)
-    pos = sum_eta > 0
-    # A subnormal step sum's reciprocal overflows to inf, the value it stands for.
-    with np.errstate(over="ignore"):
-        env_det[pos] = 1.0 / sum_eta[pos]
+    sum_eta = step_sums(schedule, traj.iterations)[ks]
+    # 1 / S_0 is inf, and a subnormal step sum's reciprocal overflows to inf, the value it stands for.
+    with np.errstate(divide="ignore", over="ignore"):
+        env_det = 1.0 / sum_eta
     case_vals = np.full(len(ks), np.nan)
     if case_env is not None:
-        # The envelope's value at each recorded k it covers.
-        env_ks, first = np.unique(np.asarray(case_env.ks, dtype=np.int64), return_index=True)
-        hit = np.isin(ks, env_ks)
-        case_vals[hit] = np.asarray(case_env.values, dtype=float)[first][np.searchsorted(env_ks, ks[hit])]
+        if not np.array_equal(case_env.ks[:len(ks) - 1], ks[1:]):
+            raise ValueError("the case envelope does not cover the trajectory's eval grid")
+        case_vals[1:] = case_env.values[:len(ks) - 1]
     cols = np.column_stack([ks, traj.loss, traj.grad_norm_sq, traj.min_grad_sq, harness.attach_gk(traj, schedule),
                             etas[ks], traj.u_eval, sum_eta, env_det, case_vals])
     with open(path, "w") as fh:
@@ -321,7 +319,8 @@ def read_trajectory_csv(path: str | Path) -> dict[str, np.ndarray]:
 
     Raises :class:`NotTrajectoryCSVError` if the header is not the
     trajectory header, and ValueError naming the file and the first
-    bad row if a row does not hold 10 numbers.
+    bad row if a row does not hold 10 numbers or its k is not an
+    integer in [0, 2**63).
     """
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != TRAJECTORY_HEADER:
@@ -347,6 +346,10 @@ def read_trajectory_csv(path: str | Path) -> dict[str, np.ndarray]:
                 raise ValueError(f"{path}: line {lineno}: malformed row {line!r}")
             rows.append(row)
         data = np.array(rows).reshape(-1, len(names))
+    k = data[:, 0]
+    bad = np.flatnonzero(~((k >= 0) & (k < 2.0**63) & (np.floor(k) == k)))  # nan fails each test
+    if len(bad):
+        raise ValueError(f"{path}: line {bad[0] + 2}: k is not an integer in [0, 2**63) in row {body[bad[0]]!r}")
     out = {n: data[:, i].copy() for i, n in enumerate(names)}
     out["k"] = out["k"].astype(int)
     return out
@@ -373,21 +376,9 @@ def write_report(report: ComparisonReport, path: str | Path) -> None:
     ]
     lines = [f"# {k} = {v}" for k, v in meta]
     lines.append(REPORT_HEADER)
-    for i, k in enumerate(report.checkpoints):
-        lines.append(
-            ",".join(
-                [
-                    str(k),
-                    _f17(report.mean_a[i]),
-                    _f17(report.mean_b[i]),
-                    _f17(report.t[i]),
-                    _f17(report.df[i]),
-                    _f17(report.p[i]),
-                    "true" if report.significant[i] else "false",
-                    str(report.wins_a[i]),
-                ]
-            )
-        )
+    for k, *values, significant, wins in zip(report.checkpoints, report.mean_a, report.mean_b, report.t,
+                                             report.df, report.p, report.significant, report.wins_a):
+        lines.append(",".join([str(k), *map(_f17, values), "true" if significant else "false", str(wins)]))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -14,9 +14,9 @@ leaves the sequence unchanged.
 
 Envelopes are the theoretical decay curves for min_t ||grad f(x_t)||^2
 up to the unknown problem constant, one per theorem case, evaluated
-from the SF moment closed forms and the partial sums of the schedule,
-S_k = sum_{t<k} eta_t.  Each case's formula is its ``envelope`` entry in
-:data:`slrlab.validator.THEOREM_CASES` (mirrored by README's
+from the SF moment closed forms and the step sums S_k = sum_{t<k} eta_t
+(:func:`optimizer.step_sums`).  Each case's formula is its ``envelope``
+entry in :data:`slrlab.validator.THEOREM_CASES` (mirrored by README's
 theorem-case table).  With the constant factor u = 1 every case
 collapses to the baseline 1 / S_k.
 
@@ -35,7 +35,7 @@ from enum import Enum
 import numpy as np
 
 from . import sf as sfmod
-from .optimizer import StepSizeSchedule, Trajectory, step_sizes
+from .optimizer import StepSizeSchedule, Trajectory, step_sizes, step_sums
 from .validator import THEOREM_CASES, TheoremCase
 
 
@@ -45,34 +45,29 @@ class Verdict(Enum):
     VIOLATION = "Violation"
 
 
-def _gk_core(values: np.ndarray, ks: np.ndarray, schedule: StepSizeSchedule) -> np.ndarray:
-    """g-recurrence over gradient norms observed at iteration indices ks."""
-    values = np.asarray(values, dtype=float)
-    ks = np.asarray(ks, dtype=int)
+def gk_sequence(grad_norm_sq: np.ndarray, schedule: StepSizeSchedule, ks: np.ndarray | None = None) -> np.ndarray:
+    """The recurrence over gradient norms observed at iteration indices ``ks`` (default 0, 1, 2, ...); len+1 values.
+
+    g[0] = grad_norm_sq[0], and because w_0 = 2 the recurrence forces
+    g[1] = grad_norm_sq[0] as well (no clamping is applied).
+    """
+    values = np.asarray(grad_norm_sq, dtype=float)
+    ks = np.arange(len(values)) if ks is None else np.asarray(ks, dtype=int)
     if len(values) == 0:
         raise ValueError("gradient-norm series must be non-empty")
     if not np.isfinite(values).all():
         raise ValueError("gradient norms must be finite")
     if (values < 0).any():
         raise ValueError("gradient norms must be >= 0")
-    eta = step_sizes(schedule, int(ks[-1]) + 1)
-    w = 2.0 * eta[ks] / np.cumsum(eta)[ks]
+    k_max = int(ks[-1]) + 1
+    # w_k = 2 eta_k / S_{k+1}.
+    w = 2.0 * step_sizes(schedule, k_max)[ks] / step_sums(schedule, k_max)[ks + 1]
     # Only the recurrence itself is sequential.  It runs on Python floats,
     # which round each product and sum once as numpy does, in this order.
     g = [float(values[0])]
     for a, b in zip((1.0 - w).tolist(), (w * values).tolist()):
         g.append(a * g[-1] + b)
     return np.array(g)
-
-
-def gk_sequence(grad_norm_sq: np.ndarray, schedule: StepSizeSchedule) -> np.ndarray:
-    """Apply the recurrence to a per-iteration series; returns len+1 values.
-
-    g[0] = grad_norm_sq[0], and because w_0 = 2 the recurrence forces
-    g[1] = grad_norm_sq[0] as well (no clamping is applied).
-    """
-    grad_norm_sq = np.asarray(grad_norm_sq, dtype=float)
-    return _gk_core(grad_norm_sq, np.arange(len(grad_norm_sq)), schedule)
 
 
 def attach_gk(traj: Trajectory, schedule: StepSizeSchedule) -> np.ndarray:
@@ -90,7 +85,7 @@ def attach_gk(traj: Trajectory, schedule: StepSizeSchedule) -> np.ndarray:
     good = np.isfinite(vals)
     out = np.full(len(vals), np.nan)
     if good.any():
-        out[good] = _gk_core(vals[good], ks[good], schedule)[: good.sum()]
+        out[good] = gk_sequence(vals[good], schedule, ks[good])[: good.sum()]
     return out
 
 
@@ -128,9 +123,7 @@ def envelope_series(
         profile = sfmod.moment_profile(factor, k_max)
     mean = profile.mean[ks]
     var = profile.variance[ks]
-    # S_k = sum_{t<k} eta_t, exclusive of k.
-    csum = np.cumsum(step_sizes(schedule, k_max))
-    s = csum[ks - 1]
+    s = step_sums(schedule, k_max)[ks]
 
     definition = THEOREM_CASES[case]
     if definition.positive_gap:

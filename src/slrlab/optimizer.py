@@ -149,6 +149,15 @@ def step_sizes(schedule: StepSizeSchedule, k_max: int) -> np.ndarray:
     return schedule.eta / np.sqrt(ks + 1.0)
 
 
+def step_sums(schedule: StepSizeSchedule, k_max: int) -> np.ndarray:
+    """The partial sums S_k = sum_{t<k} eta_t for k = 0..k_max, with S_0 = 0.
+
+    One cumulative sum in step order, so S_k has the bits of adding the
+    step sizes one by one; every step sum in the package is an entry of it.
+    """
+    return np.concatenate(([0.0], np.cumsum(step_sizes(schedule, k_max))))
+
+
 def sgd_step(x: np.ndarray, g: np.ndarray, eta_k: float, u_k: float) -> np.ndarray:
     """One update x - eta_k * u_k * g."""
     if not (eta_k > 0 and u_k > 0):

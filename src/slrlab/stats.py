@@ -103,10 +103,13 @@ def t_two_sided_p(t: float, df: float) -> float:
 def welch_t(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
     """Welch's t statistic, Welch-Satterthwaite df, two-sided p.
 
-    Degenerate inputs follow fixed conventions: two samples with zero
-    variance and equal means give (0, n_a+n_b-2, 1); zero variances
-    with different means give p = 0 with an infinite t, and a warning
-    is issued because the test statistic is off its support.
+    Degenerate inputs follow fixed conventions: a sample whose values are
+    all equal has that value as its mean and zero variance, whatever its
+    computed moments round to (three copies of 0.1 give a mean of
+    0.10000000000000002 and a variance of 2.9e-34).  Two such samples with
+    equal values give (0, n_a+n_b-2, 1); with different values, p = 0
+    with an infinite t and a warning, because the test statistic is off
+    its support.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -115,8 +118,8 @@ def welch_t(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("welch_t requires finite samples")
     na, nb = len(a), len(b)
-    ma, mb = float(a.mean()), float(b.mean())
-    va, vb = float(a.var(ddof=1)), float(b.var(ddof=1))
+    (ma, va), (mb, vb) = ((float(x[0]), 0.0) if x.min() == x.max() else (float(x.mean()), float(x.var(ddof=1)))
+                          for x in (a, b))
     if va == 0.0 and vb == 0.0:
         df_conv = float(na + nb - 2)
         if ma == mb:

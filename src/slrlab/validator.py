@@ -25,7 +25,7 @@ import numpy as np
 
 from . import lambert
 from . import sf as sfmod
-from .optimizer import StepSizeSchedule, step_sizes
+from .optimizer import StepSizeSchedule, step_sizes, step_sums
 
 CASE_C_TOL = 1e-9
 PROP1_HORIZON = 10_000
@@ -127,16 +127,14 @@ def check_assumption2(schedule: StepSizeSchedule, horizon: int = 10_000) -> list
     if horizon < 2:
         raise ValueError("horizon must be >= 2")
     eta = step_sizes(schedule, horizon + 1)
-    # sum over k >= 1 of eta_k / sum_{j<k} eta_j; the k=0 term has an
-    # empty denominator and is excluded.
-    csum = np.cumsum(eta)
+    sums = step_sums(schedule, horizon + 1)
     fam = schedule.family
     # Analytic verdicts: every family's eta sum diverges, and so does its
-    # ratio sum (eta_k / sum_{j<k} eta_j ~ c/k); only inverse_k's squares converge.
+    # ratio sum (eta_k / S_k ~ c/k, from k = 1: S_0 = 0); only inverse_k's squares converge.
     series = (
-        ("step_sum_diverges", True, f"partial sum over {horizon + 1} terms = {float(eta.sum()):.6g}"),
+        ("step_sum_diverges", True, f"partial sum over {horizon + 1} terms = {float(sums[-1]):.6g}"),
         ("step_square_sum_converges", fam == "inverse_k", f"partial sum of squares = {float((eta**2).sum()):.6g}"),
-        ("step_ratio_sum_diverges", True, f"partial sum from k=1 = {float((eta[1:] / csum[:-1]).sum()):.6g}"),
+        ("step_ratio_sum_diverges", True, f"partial sum from k=1 = {float((eta[1:] / sums[1:-1]).sum()):.6g}"),
     )
     return [_pairwise_report("step_decreasing", eta, "decreasing")] + [
         ConditionReport(name, verdict, None, f"analytic for {fam}; {detail}") for name, verdict, detail in series

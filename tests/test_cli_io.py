@@ -254,9 +254,8 @@ def _edge_traj(n, monkeypatch):
                            iterations=3 * n)
     g_k = col()
     monkeypatch.setattr(harness, "attach_gk", lambda t, schedule: g_k)
-    # The envelope covers every other recorded k >= 1, plus ks it does not match.
-    env_ks = np.concatenate([ks[1::2], [10**9]])
-    env = SimpleNamespace(ks=env_ks, values=_edge_columns(len(env_ks), seed=1)())
+    # The envelope covers the eval grid after k = 0, as `envelope` builds it.
+    env = SimpleNamespace(ks=ks[1:], values=_edge_columns(max(n - 1, 0), seed=1)())
     return traj, env, g_k
 
 
@@ -319,6 +318,48 @@ def test_trajectory_csv_io_at_the_default_chunk(tmp_path, monkeypatch):
     got, want = cli_io.read_trajectory_csv(p), _reference_read(p)
     for name in list(want)[1:]:
         assert got[name].tobytes() == want[name].tobytes(), name
+
+
+@pytest.mark.parametrize("env_ks", [
+    lambda ks: np.concatenate([ks[1::2], [10**9]]),  # every other k, then one off the grid
+    lambda ks: ks[2:],  # starts a point late
+    lambda ks: ks[1:-1],  # ends before the run does
+    lambda ks: ks[1:] + 1,  # each k one past its grid point
+], ids=["sparse", "late", "short", "shifted"])
+def test_trajectory_csv_refuses_a_case_envelope_off_the_eval_grid(env_ks, tmp_path, monkeypatch):
+    traj, _, _ = _edge_traj(8, monkeypatch)
+    ks = env_ks(traj.eval_points)
+    env = SimpleNamespace(ks=ks, values=np.ones(len(ks)))
+    with pytest.raises(ValueError, match="does not cover the trajectory's eval grid"):
+        cli_io.write_trajectory_csv(traj, tmp_path / "t.csv", EDGE_SCHEDULE, case_env=env)
+
+
+def test_trajectory_csv_of_a_truncated_run_takes_a_prefix_of_the_grid_envelope(tmp_path):
+    # Seed 1 of four diverges at k = 8 and records k = 0, 2, ..., 8; the
+    # envelope covers the whole grid, as `envelope` passes it for every seed.
+    cfg = cli_io.parse_config(DIVERGING_ARM.format(eta=3, sf="sf = uniform_root\nsf.c1 = 0.01\nsf.c2 = 2.0")
+                              .replace("eval_every = 10", "eval_every = 2"))
+    _, ((full, traj, *_),) = cli_io._run_all(cfg, [cfg.sf])
+    assert traj.truncated_at == 8 and traj.eval_points.tolist() == [0, 2, 4, 6, 8]
+    env = harness.envelope_series(TheoremCase.CASE_12, cfg.sf, cfg.schedule,
+                                  np.arange(cfg.eval_every, cfg.iterations + 1, cfg.eval_every))
+    for t in (traj, full):
+        cli_io.write_trajectory_csv(t, tmp_path / "t.csv", cfg.schedule, case_env=env)
+        case = cli_io.read_trajectory_csv(tmp_path / "t.csv")["envelope_case"]
+        assert np.isnan(case[0]) and case[1:].tobytes() == env.values[:len(t.eval_points) - 1].tobytes()
+    assert len(full.eval_points) == len(env.ks) + 1
+
+
+@pytest.mark.parametrize("k", ["nan", "1e30", "1.5", "-3"])
+def test_read_trajectory_csv_rejects_a_k_that_is_not_an_iteration_index(k, tmp_path, capsys):
+    row = k + ",1,1,1,1,1,1,1,1,1"
+    (tmp_path / "t.csv").write_text("\n".join([cli_io.TRAJECTORY_HEADER, "0,1,1,1,1,1,1,1,inf,nan", row]) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"t.csv: line 3: k is not an integer in [0, 2**63) in row {row!r}")):
+        cli_io.read_trajectory_csv(tmp_path / "t.csv")
+    capsys.readouterr()
+    assert cli_io.main(["plot", "--in", str(tmp_path), "--out", str(tmp_path / "fig.svg")]) == 1
+    assert "t.csv: line 3" in capsys.readouterr().err
+    assert not (tmp_path / "fig.svg").exists()
 
 
 @pytest.mark.parametrize("row", ["1,2", "0,1,1,1,1,1,1,1,1,1,1", "0,1,1,1,x,1,1,1,1,1", "", "0,1,1,1,1,1,1,1,1,"])
@@ -551,6 +592,20 @@ def test_cli_compare_and_report(tmp_path):
     pc = _write_cfg(tmp_path, cfg_c, "c.txt")
     assert cli_io.main(["compare", "--config-a", pa, "--config-b", pc,
                         "--out", str(out)]) == 1
+
+
+@pytest.mark.filterwarnings("ignore:welch_t:UserWarning")
+def test_cli_compare_of_noiseless_arms_reads_an_infinite_t_at_every_checkpoint(tmp_path):
+    # Without gradient noise, under constant factors, every seed runs the
+    # same path, so each side's values at a checkpoint are all equal.
+    noiseless = GOOD_CONFIG.replace("problem.sigma = 0.1", "problem.sigma = 0.0") \
+                           .replace("sf = uniform_root\nsf.c1 = 0.3\nsf.c2 = 0.8", "sf = constant\nsf.value = 1.0")
+    pa = _write_cfg(tmp_path, noiseless, "a.txt")
+    pb_ = _write_cfg(tmp_path, noiseless.replace("sf.value = 1.0", "sf.value = 0.5"), "b.txt")
+    out = tmp_path / "cmp"
+    assert cli_io.main(["compare", "--config-a", pa, "--config-b", pb_, "--out", str(out)]) == 0
+    rep = cli_io.read_report(out / "report.csv")
+    assert set(rep.t) == {-np.inf} and set(rep.df) == {4.0} and set(rep.p) == {0.0}
 
 
 @pytest.mark.parametrize("old, new, key, a, b", [

@@ -86,6 +86,8 @@ def test_gk_bits_equal_the_per_point_recurrence(family, eval_every):
     rng = np.random.default_rng(eval_every)
     y = rng.uniform(0.1, 5.0, size=700) * 10.0 ** rng.integers(-3, 3, size=700)
     assert harness.gk_sequence(y, sched).tobytes() == gk_per_point(y, np.arange(700), sched).tobytes()
+    ks = np.arange(700) * eval_every
+    assert harness.gk_sequence(y, sched, ks).tobytes() == gk_per_point(y, ks, sched).tobytes()
 
     traj = optimizer.run(problems.make_quadratic(dim=3, cond=10.0, sigma=0.5), sched,
                          sf.uniform_root(0.3, 0.8), iterations=70 * eval_every, eval_every=eval_every, seed=2)

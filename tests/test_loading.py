@@ -47,14 +47,18 @@ print(json.dumps([code, [m for m in {WATCHED!r} if m in sys.modules]]))
 """
 
 
-def _python(code: str, *argv: str, cwd: Path) -> str:
+def _interpreter(*args: str, cwd: Path) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with ``args``, this package first on its path; asserts exit 0."""
     path = os.pathsep.join([str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])])
     env = {**os.environ, "PYTHONPATH": path}
     env.pop("SLRLAB_SEED", None)
-    done = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, timeout=120,
-                          cwd=cwd, env=env)
+    done = subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=120, cwd=cwd, env=env)
     assert done.returncode == 0, done.stderr
-    return done.stdout.splitlines()[-1]
+    return done
+
+
+def _python(code: str, *argv: str, cwd: Path) -> str:
+    return _interpreter("-c", code, *argv, cwd=cwd).stdout.splitlines()[-1]
 
 
 def _loaded(tmp_path: Path, *argv: str) -> list[str]:
@@ -106,3 +110,11 @@ def test_every_public_name_resolves_through_the_package(tmp_path):
         assert getattr(sys.modules[module], name) is getattr(slrlab, name), name
     with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
         slrlab.nonexistent  # noqa: B018
+
+
+def test_the_import_time_log_shows_the_modules_validate_loads(tmp_path, cfg):
+    # `python -X importtime` logs only imports that go through the import
+    # statement's path, so the package root must load submodules that way.
+    log = _interpreter("-X", "importtime", "-m", "slrlab.cli_io", "validate", "--config", cfg, cwd=tmp_path).stderr
+    logged = {line.rsplit("|", 1)[-1].strip() for line in log.splitlines() if line.startswith("import time:")}
+    assert {"slrlab.problems", "slrlab.validator", "slrlab.lambert"} <= logged

@@ -25,6 +25,21 @@ def test_step_sizes_reject_a_negative_length_with_one_message(family):
     assert len(optimizer.step_sizes(schedule, 0)) == 0
 
 
+# 1e-309 is subnormal, and so are its early step sums (the CSV tests' edge schedule).
+@pytest.mark.parametrize("eta", [0.3, 1e-309])
+@pytest.mark.parametrize("family", optimizer.SCHEDULE_FAMILIES)
+def test_step_sums_add_the_step_sizes_one_by_one(family, eta):
+    schedule = StepSizeSchedule(family, eta)
+    want, s = [0.0], 0.0
+    for t in range(1000):
+        s += optimizer.step_size(schedule, t)
+        want.append(s)
+    assert optimizer.step_sums(schedule, 1000).tobytes() == np.array(want).tobytes()
+    assert optimizer.step_sums(schedule, 0).tolist() == [0.0]
+    with pytest.raises(ValueError, match=re.escape("k_max must be >= 0, got k_max=-4")):
+        optimizer.step_sums(schedule, -4)
+
+
 def test_schedule_validation():
     with pytest.raises(ValueError):
         StepSizeSchedule("linear", 0.1)

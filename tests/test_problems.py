@@ -142,6 +142,20 @@ def test_logreg_constants(n, d):
     assert set(np.unique(pb.y)) <= {-1.0, 1.0}
 
 
+def test_logreg_retries_a_degenerate_label_draw(caplog):
+    # Seeds 0 and 1 draw two rows with one label class each; seed 2 draws both.
+    with caplog.at_level("WARNING", logger="slrlab.problems"):
+        pb = problems.make_logreg_nonconvex(n=2, d=1, reg=0.0, seed=0)
+    assert [r.getMessage() for r in caplog.records] == [
+        "logreg data degenerate for seed 0; retrying with seed 1",
+        "logreg data degenerate for seed 1; retrying with seed 2",
+    ]
+    want = problems.make_logreg_nonconvex(n=2, d=1, reg=0.0, seed=2)
+    assert pb.signed.tobytes() == want.signed.tobytes() and pb.y.tobytes() == want.y.tobytes()
+    assert set(pb.y) == {-1.0, 1.0}
+    assert pb.params["seed"] == 0
+
+
 def test_logreg_build_holds_one_full_size_array():
     # The data are the one full-size array: the squared row norms for C,
     # formed as X * X, would be a second (a traced peak of ~2.1x).

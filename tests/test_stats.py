@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -100,6 +101,21 @@ def test_welch_zero_variance_conventions():
         t, df, p = stats.welch_t(c, a)
     assert t == np.inf and p == 0.0
 
+
+@pytest.mark.parametrize("x, y, n_b", [(0.1, 0.7, 3), (0.1, 0.1, 4), (1.0 / 3.0, 2.0, 3)])
+def test_welch_zero_variance_is_all_values_equal(x, y, n_b):
+    # Three copies of 0.1 compute a variance of 2.9e-34 and a mean of
+    # 0.10000000000000002, four a mean of 0.1: the convention must not
+    # hang on how the computed moments round.
+    a, b = np.full(3, x), np.full(n_b, y)
+    if x == y:
+        assert stats.welch_t(a, b) == (0.0, 5.0, 1.0)
+    else:
+        with pytest.warns(UserWarning, match="zero variances"):
+            assert stats.welch_t(a, b) == (-np.inf, 4.0, 0.0)
+    # One constant side has zero variance, so only the other's enters.
+    t, df, _ = stats.welch_t(a, np.array([0.0, 1.0, 2.0]))
+    assert t == (x - 1.0) / math.sqrt(1.0 / 3.0) and df == 2.0
 
 def test_welch_needs_two_samples():
     with pytest.raises(ValueError):
