@@ -27,7 +27,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -250,7 +250,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     env = os.environ.get("SLRLAB_SEED")
     if env is not None:
         seed = _read(env, _as_int, partial(argument_error, "master_seed"), "SLRLAB_SEED")
-        cfg = ExperimentConfig(**{**cfg.__dict__, "master_seed": seed})
+        cfg = replace(cfg, master_seed=seed)
     return cfg
 
 
@@ -652,9 +652,8 @@ def _cmd_compare(args) -> int:
     if cfg_a.n_seeds < 2:
         raise ConfigError(f"compare: n_seeds must be >= 2 to give each arm a variance (got {cfg_a.n_seeds})")
 
-    # Both arms step as one batch on one gradient draw per seed;
-    # stats.compare checks the pairing of the seeds where neither arm
-    # diverged.
+    # Both arms step as one batch on one gradient draw per seed, a pairing
+    # the runner guards; stats.compare re-checks it by digest.
     _, (runs_a, runs_b) = _run_all(cfg_a, [cfg_a.sf, cfg_b.sf])
     checkpoints = None if cfg_a.checkpoints == "auto" else list(cfg_a.checkpoints)
     report = stats.compare(runs_a, runs_b, metric=args.metric, checkpoints=checkpoints)
@@ -807,7 +806,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary

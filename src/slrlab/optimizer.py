@@ -46,6 +46,7 @@ GRAD_STREAM = 0
 SF_STREAM = 1
 
 LOSS_DIVERGENCE_LIMIT = 1e12
+PAIRING_ERROR = "paired gradient streams diverged between arms; stream split broken"
 
 
 # The least value of each integer argument that shapes a run.
@@ -276,14 +277,11 @@ def _stack_draws(seed_draws: np.ndarray, pos: np.ndarray) -> np.ndarray:
     return np.take(seed_draws, pos, axis=1)
 
 
-def _foreign_rows(draws: np.ndarray, seed_draws: np.ndarray, pos: np.ndarray, edges: np.ndarray) -> list[int]:
-    """The rows i of ``draws`` that do not hold column pos[i] of ``seed_draws``, checked one arm at a time."""
-    foreign = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        want = seed_draws if hi - lo == seed_draws.shape[1] else seed_draws[:, pos[lo:hi]]
-        if not np.array_equal(draws[:, lo:hi], want):
-            foreign += [i for i in range(lo, hi) if not np.array_equal(draws[:, i], seed_draws[:, pos[i]])]
-    return foreign
+def _paired(draws: np.ndarray, seed_draws: np.ndarray, pos: np.ndarray, edges: np.ndarray) -> bool:
+    """Whether every row i of ``draws`` holds column pos[i] of ``seed_draws``, checked one arm at a time."""
+    whole = seed_draws.shape[1]
+    return all(np.array_equal(draws[:, lo:hi], seed_draws if hi - lo == whole else seed_draws[:, pos[lo:hi]])
+               for lo, hi in zip(edges[:-1], edges[1:]))
 
 
 def run_arms(
@@ -302,6 +300,8 @@ def run_arms(
     pair, arm-major.  Each seed's gradient randomness is drawn once per
     block of steps and feeds that seed's row in every arm; each row
     draws its factors from its own SF stream and is checked on its own.
+    Each block guards that pairing: a row fed other draws raises
+    RuntimeError, so every command that runs fails on a broken split.
     The iterates at a block's eval points are buffered and evaluated in
     one oracle call after the block's steps.  A row that diverges is
     truncated at its earliest event and dropped from the stack at the
@@ -328,24 +328,17 @@ def run_arms(
     d = problem.dim
     n_evals = iterations // eval_every + 1
     # A block's eval buffer holds up to block + 1 iterates per row (the
-    # final point rides on the last block); both stay within the cap.
+    # final point rides on the last block).  Both stay within the cap unless
+    # R * d > _BLOCK_VALUES / 2: the 1-step block's buffer of 2 iterates per
+    # row then exceeds it, and past R * d = _BLOCK_VALUES a quadratic's draws do.
     block = max(1, min(BLOCK_STEPS, _BLOCK_VALUES // (R * d) - 1))
     seed_of = np.tile(np.arange(S), len(sf_specs))
     grad_rngs = [stream_generator(s, GRAD_STREAM) for s in seeds]
     sf_rngs = [stream_generator(seeds[s], SF_STREAM) for s in seed_of]
-    # Each row's digest covers the gradient draws it stepped on: its column
-    # of each block's stacked draws, only the executed prefix of the block
-    # it stops in.  The rows of a seed share the seed's digest while every
-    # block finds them stepping on the seed's draws; a row found otherwise
-    # hashes its own columns from then on, so paired digests can differ.
+    # Each row's digest covers the gradient draws it stepped on: a live row
+    # reads its seed's, a stopped row a copy plus its last block's prefix.
     seed_digests = [hashlib.sha256() for _ in seeds]
-    digests: list = [None] * R  # a row's own digest, once it has one
-
-    def own_digest(r: int):
-        if digests[r] is None:
-            digests[r] = seed_digests[seed_of[r]].copy()
-        return digests[r]
-
+    stopped_digests = {}  # row -> its digest, once it stops
     box = problem.domain_box
     etas = step_sizes(schedule, iterations)
 
@@ -379,10 +372,8 @@ def run_arms(
         pos = np.searchsorted(live_seeds, seed_of[live])
         draws = _stack_draws(seed_draws, pos)
         edges = np.searchsorted(live, S * np.arange(len(sf_specs) + 1))
-        # The pairing check: a row that does not hold its seed's block
-        # stops sharing the seed's digest.
-        for r in live[_foreign_rows(draws, seed_draws, pos, edges)]:
-            own_digest(r)
+        if not _paired(draws, seed_draws, pos, edges):
+            raise RuntimeError(PAIRING_ERROR)
         del seed_draws
         u = np.empty((len(live), n))
         for spec, lo, hi in zip(sf_specs, edges[:-1], edges[1:]):
@@ -446,19 +437,17 @@ def run_arms(
         # eval at that k is not recorded).
         stop = np.minimum(nonfinite_at, loss_at)
         keep = stop == never
-        # A seed's digest takes its whole block once if a row that goes on
-        # shares it; every other row hashes its own executed draws.
-        sharing = keep & np.array([digests[r] is None for r in live.tolist()])
-        for i in np.flatnonzero(~sharing):
-            own_digest(live[i]).update(_draw_bytes(draws[:n if keep[i] else stop[i] - k0, i]))
-        for p in set(pos[sharing].tolist()):
-            seed_digests[live_seeds[p]].update(_draw_bytes(blocks[p]))
-        del draws, blocks  # freed before the next block's draws
         for i in np.flatnonzero(~keep):
             r, k = live[i], int(stop[i])
             truncated_at[r], certified[r] = k, False
             n_rec[r] = (k - 1) // eval_every + 1 if nonfinite_at[i] == k else k // eval_every + 1
             u_evals[r, -(-k // eval_every):] = np.nan  # no step was taken there
+            stopped_digests[r] = seed_digests[seed_of[r]].copy()
+            stopped_digests[r].update(_draw_bytes(draws[:k - k0, i]))
+        # A seed's digest takes its whole block once if a row of it goes on.
+        for p in set(pos[keep].tolist()):
+            seed_digests[live_seeds[p]].update(_draw_bytes(blocks[p]))
+        del draws, blocks  # freed before the next block's draws
         if not keep.all():
             live, X = live[keep], X[keep]
             if not len(live):
@@ -485,7 +474,7 @@ def run_arms(
                 config_digest=digest,
                 certified=bool(certified[r]),
                 truncated_at=truncated_at[r],
-                grad_stream_digest=(digests[r] or seed_digests[s]).hexdigest(),
+                grad_stream_digest=stopped_digests.get(r, seed_digests[s]).hexdigest(),
             ))
         out.append(arm)
     return out

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import problems as pb
 from . import sf as sfmod
-from .optimizer import METRICS, StepSizeSchedule, Trajectory, check_arguments, run_arms, split_seed
+from .optimizer import METRICS, PAIRING_ERROR, StepSizeSchedule, Trajectory, check_arguments, run_arms, split_seed
 
 _BETA_EPS = 1e-14
 _BETA_FPMIN = 1e-300
@@ -236,11 +236,11 @@ def compare(
     from the tests and counted in the report.  Direction (who is ahead)
     is reported via the means and win counts, never gated on.
 
-    The pairing is checked where it can be: for each seed at which
-    neither side diverged, both runs must have stepped on the same
-    gradient draws (equal ``grad_stream_digest``), else RuntimeError.
-    A diverged run hashes only the prefix of its stream it executed, so
-    its digest is not comparable.
+    :func:`run_arms` guards the pairing of arms run together; for sides
+    run separately, at each seed where neither side diverged both runs
+    must have stepped on the same gradient draws (equal
+    ``grad_stream_digest``), else RuntimeError.  A diverged run hashed
+    only the prefix of its stream it executed, so its digest is not compared.
     """
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}")
@@ -268,7 +268,7 @@ def compare(
     shared = [(col_a[s], col_b[s]) for s in seeds if s in col_a and s in col_b]
     for i, j in shared:
         if ok_a[i].grad_stream_digest != ok_b[j].grad_stream_digest:
-            raise RuntimeError("paired gradient streams diverged between arms; stream split broken")
+            raise RuntimeError(PAIRING_ERROR)
     notes: list[str] = []
     if len(ok_a) < len(a) or len(ok_b) < len(b):
         notes.append(f"excluded diverged runs: {len(a) - len(ok_a)} from a, {len(b) - len(ok_b)} from b")

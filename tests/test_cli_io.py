@@ -686,6 +686,19 @@ def test_cli_compare_exits_two_when_an_arm_steps_on_another_seeds_draws(tmp_path
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "envelope"])
+def test_cli_exits_two_when_a_row_steps_on_another_seeds_draws(tmp_path, capsys, monkeypatch, command):
+    # Each row is fed the next seed's gradient draws: the runner's pairing
+    # guard fails as a fault before any output is written.
+    stack = optimizer._stack_draws
+    monkeypatch.setattr(optimizer, "_stack_draws",
+                        lambda seed_draws, pos: stack(seed_draws, (pos + 1) % seed_draws.shape[1]))
+    out = tmp_path / "out"
+    assert cli_io.main([command, "--config", _write_cfg(tmp_path), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: paired gradient streams diverged between arms; stream split broken\n")
+    assert not out.exists()
+
+
 def test_cli_envelope_outputs(tmp_path):
     cfg = GOOD_CONFIG.replace("iterations = 100", "iterations = 2000") \
                      .replace("n_seeds = 3", "n_seeds = 2")

@@ -178,24 +178,36 @@ def test_paired_arms_share_gradient_stream():
 
 
 def test_stream_digest_covers_the_draws_a_row_stepped_on(monkeypatch):
-    # Three blocks of steps; a row fed another seed's draws in every block
-    # carries that seed's digest, not its own seed's.
+    # Three blocks of steps at eta 0.202: the second arm's rows stop in the
+    # first block, the first arm's in the first or the second, the third
+    # arm's run on.  Every row's digest, a stopped row's prefix digest too,
+    # is that of its seed's single run.
     pb = problems.make_quadratic(dim=3, cond=10.0, sigma=0.1)
-    args = (pb, StepSizeSchedule("inverse_k", 0.1), [sf.uniform_root(0.3, 0.8), sf.constant(1.0)], 3000, 100)
+    sched = StepSizeSchedule("constant", 0.202)
+    specs = [sf.uniform_root(0.3, 0.8), sf.uniform_root(0.9, 1.1), sf.constant(0.5)]
     seeds = [11, 12, 13]
-    a, b = optimizer.run_arms(*args, seeds=seeds)
-    assert [t.grad_stream_digest for t in b] == [t.grad_stream_digest for t in a]
+    arms = optimizer.run_arms(pb, sched, specs, 3000, 100, seeds=seeds)
+    assert [[t.truncated_at for t in arm] for arm in arms] == [[1000, 1100, 1200], [700] * 3, [None] * 3]
+    for spec, arm in zip(specs, arms):
+        alone = [optimizer.run(pb, sched, spec, 3000, 100, seed=s) for s in seeds]
+        assert [t.grad_stream_digest for t in arm] == [t.grad_stream_digest for t in alone]
+    assert len({t.grad_stream_digest for arm in arms for t in arm}) == 9
+
+    # A row fed another seed's draws stops the run, whether it is fed them
+    # in the first block or only in the second, after rows have stopped.
     stack = optimizer._stack_draws
+    for first_fed in (9, 5):
+        def shifted(seed_draws, pos):
+            # from the block with first_fed live rows on, each row of the
+            # second half gets the next seed's block
+            if len(pos) > first_fed:
+                return stack(seed_draws, pos)
+            half = len(pos) // 2
+            return stack(seed_draws, np.concatenate([pos[:half], (pos[half:] + 1) % seed_draws.shape[1]]))
 
-    def shifted(seed_draws, pos):
-        # each row of the second arm gets the next seed's block
-        half = len(pos) // 2
-        return stack(seed_draws, np.concatenate([pos[:half], (pos[half:] + 1) % seed_draws.shape[1]]))
-
-    monkeypatch.setattr(optimizer, "_stack_draws", shifted)
-    a2, b2 = optimizer.run_arms(*args, seeds=seeds)
-    assert [t.grad_stream_digest for t in a2] == [t.grad_stream_digest for t in a]
-    assert [t.grad_stream_digest for t in b2] == [t.grad_stream_digest for t in a[1:] + a[:1]]
+        monkeypatch.setattr(optimizer, "_stack_draws", shifted)
+        with pytest.raises(RuntimeError, match=optimizer.PAIRING_ERROR):
+            optimizer.run_arms(pb, sched, specs, 3000, 100, seeds=seeds)
 
 
 def test_run_memory_follows_the_eval_grid_not_the_step_count():
