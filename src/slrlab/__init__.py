@@ -19,10 +19,10 @@ _EXPORTS = {
     "harness": ("LittleODiagnostic", "RateEnvelope", "Verdict", "envelope_series", "gk_sequence",
                 "little_o_diagnostic"),
     "lambert": ("lambert_w0", "umslr_case_c_c2"),
-    "optimizer": ("StepSizeSchedule", "Trajectory", "run", "run_arms", "split_seed", "step_size"),
+    "optimizer": ("StepSizeSchedule", "Trajectory", "run", "run_arms", "run_paired", "split_seed", "step_size"),
     "problems": ("GradientSample", "ProblemSpec", "make_logreg_nonconvex", "make_quadratic", "make_rosenbrock"),
     "sf": ("Direction", "MomentProfile", "SFSpec", "moment_profile", "sample"),
-    "stats": ("ComparisonReport", "bonferroni", "compare", "run_multi_seed", "run_paired", "welch_t"),
+    "stats": ("ComparisonReport", "bonferroni", "compare", "run_multi_seed", "welch_t"),
     "validator": ("ConditionReport", "TheoremCase", "acceleration_check", "check_assumption2", "check_theorem_case",
                   "classify_prop1"),
 }

@@ -35,11 +35,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import problems, sf, validator
-from .optimizer import METRICS, SCHEDULE_FAMILIES, RNG_ALGORITHM, StepSizeSchedule, argument_error, step_sizes, step_sums
+from .optimizer import (METRICS, SCHEDULE_FAMILIES, RNG_ALGORITHM, StepSizeSchedule, argument_error, run_paired,
+                        step_sizes, step_sums)
 from .validator import TheoremCase
 
 # Names used only in annotations.  The functions that call `stats` and
-# `harness` import them, so `validate` and `plot` never load either.
+# `harness` import them: only `compare` loads `stats`, only `run` and
+# `envelope` load `harness`.
 if TYPE_CHECKING:
     from typing import NoReturn
 
@@ -599,12 +601,10 @@ def _cmd_validate(args) -> int:
 
 
 def _run_all(cfg: ExperimentConfig, sf_specs: list[sf.SFSpec]) -> tuple[problems.ProblemSpec, list[list[Trajectory]]]:
-    """The config's problem, and each SF spec's runs under the config's seeds (:func:`stats.run_paired`)."""
-    from . import stats  # imported here: `validate` and `plot` run nothing
-
+    """The config's problem, and each SF spec's runs under the config's seeds (:func:`optimizer.run_paired`)."""
     problem = build_problem(cfg)
-    return problem, stats.run_paired(problem, cfg.schedule, sf_specs, cfg.iterations, n_seeds=cfg.n_seeds,
-                                     master_seed=cfg.master_seed, eval_every=cfg.eval_every)
+    return problem, run_paired(problem, cfg.schedule, sf_specs, cfg.iterations, n_seeds=cfg.n_seeds,
+                               master_seed=cfg.master_seed, eval_every=cfg.eval_every)
 
 
 def _metadata_text(cfg: ExperimentConfig, problem: problems.ProblemSpec, digest: str, seeds: list[int]) -> str:
@@ -640,7 +640,7 @@ def _shared_keys(cfg: ExperimentConfig) -> dict[str, str]:
 
 
 def _cmd_compare(args) -> int:
-    from . import stats  # imported here, as in _run_all: `validate` and `plot` run nothing
+    from . import stats  # imported here: only `compare` tests runs
 
     cfg_a = load_config(args.config_a)
     cfg_b = load_config(args.config_b)
@@ -652,21 +652,15 @@ def _cmd_compare(args) -> int:
     if cfg_a.n_seeds < 2:
         raise ConfigError(f"compare: n_seeds must be >= 2 to give each arm a variance (got {cfg_a.n_seeds})")
 
-    # Both arms step as one batch on one gradient draw per seed, a pairing
-    # the runner guards; stats.compare re-checks it by digest.
+    # Both arms step as one batch on one gradient draw per seed; the runner
+    # raises if any row, a diverged one too, steps off its seed's draws.
     _, (runs_a, runs_b) = _run_all(cfg_a, [cfg_a.sf, cfg_b.sf])
     checkpoints = None if cfg_a.checkpoints == "auto" else list(cfg_a.checkpoints)
     report = stats.compare(runs_a, runs_b, metric=args.metric, checkpoints=checkpoints)
-    checked = sum(not (ta.diverged or tb.diverged) for ta, tb in zip(runs_a, runs_b))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_report(report, out_dir / "report.csv")
-    if checked < len(runs_a):
-        head = (f"paired gradient streams verified identical for {checked} of "
-                f"{len(runs_a)} seeds; seeds with a diverged arm are not checked\n")
-    else:
-        head = "paired gradient streams verified identical per seed\n"
-    text = head + report_text(report)
+    text = "paired gradient streams verified identical per seed\n" + report_text(report)
     (out_dir / "report.txt").write_text(text)
     print(text.rstrip("\n"))
     return 0

@@ -60,7 +60,7 @@ def argument_error(name: str, value, eval_every: int = 1, iterations: int = 0) -
     ``master_seed`` >= 0; ``iterations`` must be a multiple of
     ``eval_every``, and ``checkpoints`` distinct eval points, multiples
     of ``eval_every`` in [0, ``iterations``].  :func:`run_arms`,
-    :func:`split_seed`, the ``stats`` runners and ``stats.compare`` (for
+    :func:`split_seed`, :func:`run_paired` and ``stats.compare`` (for
     ``checkpoints``) raise ValueError with this text; the config parser
     checks each key with it.
     """
@@ -478,3 +478,26 @@ def run_arms(
             ))
         out.append(arm)
     return out
+
+
+def run_paired(
+    problem: pb.ProblemSpec,
+    schedule: StepSizeSchedule,
+    sf_specs: list[sfmod.SFSpec],
+    iterations: int,
+    n_seeds: int = 40,
+    master_seed: int = 0,
+    eval_every: int = 10,
+) -> list[list[Trajectory]]:
+    """One list of trajectories per SF spec, in seed order, all under the same n_seeds (>= 1) split seeds.
+
+    The arms step as one batch (:func:`run_arms`) on one gradient draw
+    per seed, so seed i sees the same gradient noise in every arm.  Seed
+    i is split_seed(master_seed, i); the split is collision-checked so
+    the set never silently contains duplicate streams.
+    """
+    check_arguments(eval_every, iterations, n_seeds=n_seeds)
+    seeds = [split_seed(master_seed, i) for i in range(n_seeds)]
+    if len(set(seeds)) != n_seeds:
+        raise ValueError("seed split collision; choose a different master_seed")
+    return run_arms(problem, schedule, sf_specs, iterations, eval_every=eval_every, seeds=seeds)

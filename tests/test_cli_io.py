@@ -381,8 +381,8 @@ def test_read_trajectory_csv_with_no_rows(tmp_path):
 def _small_report():
     pb = problems.make_quadratic(dim=2, cond=10.0, sigma=0.2)
     sched = StepSizeSchedule("inverse_k", 0.2)
-    a, b = stats.run_paired(pb, sched, [sf.uniform_root(0.3, 0.8), sf.constant(1.0)], 100,
-                            n_seeds=3, master_seed=5, eval_every=10)
+    a, b = optimizer.run_paired(pb, sched, [sf.uniform_root(0.3, 0.8), sf.constant(1.0)], 100,
+                                n_seeds=3, master_seed=5, eval_every=10)
     return stats.compare(a, b, metric="min_grad_sq", checkpoints=[50, 100])
 
 
@@ -652,15 +652,15 @@ def test_cli_compare_all_seeds_of_one_arm_diverged_exits_one(tmp_path, capsys):
 
 
 def test_cli_compare_excludes_seeds_with_a_diverged_arm(tmp_path):
-    # One of four seeds diverges in arm a: its pair is excluded and not
-    # digest-checked, the other three are.
+    # One of four seeds diverges in arm a: its pair is excluded from the
+    # tests, and the head line still holds, since the runner checked the
+    # diverged row's draws before each block it stepped.
     pa = _write_cfg(tmp_path, DIVERGING_ARM.format(eta=3, sf="sf = uniform_root\nsf.c1 = 0.01\nsf.c2 = 2.0"), "a.txt")
     pb_ = _write_cfg(tmp_path, DIVERGING_ARM.format(eta=3, sf="sf = constant\nsf.value = 0.001"), "b.txt")
     out = tmp_path / "cmp"
     assert cli_io.main(["compare", "--config-a", pa, "--config-b", pb_, "--out", str(out)]) == 0
     txt = (out / "report.txt").read_text()
-    assert txt.startswith("paired gradient streams verified identical for 3 of 4 seeds; "
-                          "seeds with a diverged arm are not checked\n")
+    assert txt.startswith("paired gradient streams verified identical per seed\n")
     assert "excluded diverged runs: 1 from a, 0 from b" in txt
     rep = cli_io.read_report(out / "report.csv")
     assert (rep.n_a, rep.excluded_a, rep.n_b, rep.excluded_b) == (3, 1, 4, 0)
@@ -806,7 +806,7 @@ def test_cli_envelope_counts_a_diverged_seed_and_exits_zero(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["run", "envelope"])
 def test_cli_seed_split_collision_exits_one_before_any_output(tmp_path, capsys, monkeypatch, command):
-    monkeypatch.setattr(stats, "split_seed", lambda master_seed, index: 12345)
+    monkeypatch.setattr(optimizer, "split_seed", lambda master_seed, index: 12345)
     out = tmp_path / "out"
     assert cli_io.main([command, "--config", _write_cfg(tmp_path), "--out", str(out)]) == 1
     assert "seed split collision" in capsys.readouterr().err
@@ -815,7 +815,7 @@ def test_cli_seed_split_collision_exits_one_before_any_output(tmp_path, capsys, 
 
 def test_cli_compare_needs_two_seeds_before_any_run(tmp_path, capsys, monkeypatch):
     # run and envelope take one seed; a Welch test needs two per arm.
-    monkeypatch.setattr(stats, "run_paired", lambda *args, **kwargs: pytest.fail("compare ran"))
+    monkeypatch.setattr(cli_io, "run_paired", lambda *args, **kwargs: pytest.fail("compare ran"))
     one = GOOD_CONFIG.replace("n_seeds = 3", "n_seeds = 1")
     pa = _write_cfg(tmp_path, one, "a.txt")
     pb_ = _write_cfg(tmp_path, one.replace("sf.c2 = 0.8", "sf.c2 = 0.9"), "b.txt")
@@ -929,11 +929,12 @@ def _run_arms(iterations=100, eval_every=10, n_seeds=1):
 
 
 def _run_paired(**kwargs):
-    stats.run_paired(_SHAPE_PROBLEM, _SHAPE_SCHEDULE, [sf.constant(1.0)], 100, n_seeds=2, eval_every=10, **kwargs)
+    optimizer.run_paired(_SHAPE_PROBLEM, _SHAPE_SCHEDULE, [sf.constant(1.0)], 100, n_seeds=2, eval_every=10, **kwargs)
 
 
 def _compare(checkpoints):
-    a, b = stats.run_paired(_SHAPE_PROBLEM, _SHAPE_SCHEDULE, [sf.constant(1.0)] * 2, 100, n_seeds=2, eval_every=10)
+    a, b = optimizer.run_paired(_SHAPE_PROBLEM, _SHAPE_SCHEDULE, [sf.constant(1.0)] * 2, 100, n_seeds=2,
+                                eval_every=10)
     stats.compare(a, b, checkpoints=checkpoints)
 
 

@@ -90,6 +90,16 @@ def test_plot_loads_neither_statistics_nor_envelopes_nor_logging(tmp_path, cfg):
     assert _loaded(tmp_path, "plot", "--in", "env", "--out", "fig.svg") == []
 
 
+def test_run_loads_neither_statistics_nor_logging(tmp_path, cfg):
+    # The seeds come from the runner; only the trajectory writer's g_k
+    # column needs `harness`.
+    assert _loaded(tmp_path, "run", "--config", cfg, "--out", "run") == ["slrlab.harness"]
+
+
+def test_envelope_loads_envelopes_but_not_statistics(tmp_path, cfg):
+    assert _loaded(tmp_path, "envelope", "--config", cfg, "--out", "env") == ["slrlab.harness"]
+
+
 def test_compare_loads_neither_envelopes_nor_logging(tmp_path, cfg):
     assert _loaded(tmp_path, "compare", "--config-a", cfg, "--config-b", cfg, "--out", "cmp") == ["slrlab.stats"]
 
