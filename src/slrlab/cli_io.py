@@ -51,7 +51,6 @@ if TYPE_CHECKING:
     from .validator import ConditionReport
 
 TRAJECTORY_HEADER = "k,loss,grad_norm_sq,min_grad_sq,g_k,eta_k,u_k,sum_eta,envelope_det,envelope_case"
-REPORT_HEADER = "k,mean_a,mean_b,t,df,p,significant,wins_a"
 SEEDS_HEADER = "seed,verdict,slope,r_lo,r_hi,truncated_at"
 
 _REQUIRED = object()
@@ -357,30 +356,42 @@ def read_trajectory_csv(path: str | Path) -> dict[str, np.ndarray]:
     return out
 
 
+def _as_flag(raw: str) -> bool:
+    if raw not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {raw!r}")
+    return raw == "true"
+
+
+# report.csv's layout, which write_report writes and read_report reads back.
+# The metadata keys that read back, in order, each a ComparisonReport field
+# and its parser ("json": by the json module the two functions import); the
+# test's settings, written after the metric, are fixed and not read back.
+_REPORT_KEYS = (("metric", str), ("n_a", _as_int), ("n_b", _as_int), ("excluded_a", _as_int),
+                ("excluded_b", _as_int), ("config_digest_a", str), ("config_digest_b", str), ("notes", "json"))
+# The columns, in order: the header name, the ComparisonReport field, the
+# text of a value and its parser.
+_REPORT_COLUMNS = (
+    ("k", "checkpoints", str, _as_int),
+    *((name, name, _f17, float) for name in ("mean_a", "mean_b", "t", "df", "p")),
+    ("significant", "significant", lambda flag: "true" if flag else "false", _as_flag),
+    ("wins_a", "wins_a", str, _as_int),
+)
+REPORT_HEADER = ",".join(header for header, *_ in _REPORT_COLUMNS)
+
+
 def write_report(report: ComparisonReport, path: str | Path) -> None:
     """Comparison report as CSV with '#'-prefixed metadata lines."""
     import json  # imported here: only a report's notes are JSON
 
     from . import stats  # imported here: only `compare` writes a report
 
-    meta = [
-        ("metric", report.metric),
-        ("correction", "bonferroni"),
-        ("fwer", repr(stats.FWER)),
-        ("paired", "true"),
-        ("n_a", report.n_a),
-        ("n_b", report.n_b),
-        ("excluded_a", report.excluded_a),
-        ("excluded_b", report.excluded_b),
-        ("config_digest_a", report.config_digest_a),
-        ("config_digest_b", report.config_digest_b),
-        ("notes", json.dumps(report.notes)),
-    ]
-    lines = [f"# {k} = {v}" for k, v in meta]
+    meta = [(key, json.dumps(getattr(report, key)) if parse == "json" else getattr(report, key))
+            for key, parse in _REPORT_KEYS]
+    settings = [("correction", "bonferroni"), ("fwer", repr(stats.FWER)), ("paired", "true")]
+    lines = [f"# {k} = {v}" for k, v in meta[:1] + settings + meta[1:]]
     lines.append(REPORT_HEADER)
-    for k, *values, significant, wins in zip(report.checkpoints, report.mean_a, report.mean_b, report.t,
-                                             report.df, report.p, report.significant, report.wins_a):
-        lines.append(",".join([str(k), *map(_f17, values), "true" if significant else "false", str(wins)]))
+    columns = [[text(value) for value in getattr(report, field)] for _, field, text, _ in _REPORT_COLUMNS]
+    lines += [",".join(row) for row in zip(*columns)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -406,39 +417,17 @@ def read_report(path: str | Path) -> ComparisonReport:
         raise ValueError(f"{path}: not a comparison report CSV")
     rows = []
     for lineno, line in enumerate(lines[i + 1:], start=i + 2):
-        parts = line.split(",")
-        try:
-            if len(parts) != 8 or parts[6] not in ("true", "false"):
-                raise ValueError
-            rows.append((int(parts[0], 10), *map(float, parts[1:6]), parts[6] == "true", int(parts[7], 10)))
+        try:  # a row of other than 8 fields fails the strict zip
+            rows.append([parse(part) for part, (*_, parse) in zip(line.split(","), _REPORT_COLUMNS, strict=True)])
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: malformed row {line!r}") from None
-    checkpoints, mean_a, mean_b, ts, dfs, ps, sig, wins = map(list, list(zip(*rows)) or [()] * 8)
-
-    def meta_value(key: str, parse=str):
+    fields = {field: [row[j] for row in rows] for j, (_, field, *_) in enumerate(_REPORT_COLUMNS)}
+    for key, parse in _REPORT_KEYS:
         try:
-            return parse(meta[key])
+            fields[key] = (json.loads if parse == "json" else parse)(meta[key])
         except (KeyError, ValueError):
             raise ValueError(f"{path}: metadata key {key!r} is missing or malformed") from None
-
-    return stats.ComparisonReport(
-        metric=meta_value("metric"),
-        checkpoints=checkpoints,
-        mean_a=mean_a,
-        mean_b=mean_b,
-        t=ts,
-        df=dfs,
-        p=ps,
-        significant=sig,
-        wins_a=wins,
-        n_a=meta_value("n_a", int),
-        n_b=meta_value("n_b", int),
-        excluded_a=meta_value("excluded_a", int),
-        excluded_b=meta_value("excluded_b", int),
-        config_digest_a=meta_value("config_digest_a"),
-        config_digest_b=meta_value("config_digest_b"),
-        notes=meta_value("notes", json.loads),
-    )
+    return stats.ComparisonReport(**fields)
 
 
 def report_text(report: ComparisonReport) -> str:
@@ -600,11 +589,10 @@ def _cmd_validate(args) -> int:
     return 1 if any(not r.holds for r in gating) else 0
 
 
-def _run_all(cfg: ExperimentConfig, sf_specs: list[sf.SFSpec]) -> tuple[problems.ProblemSpec, list[list[Trajectory]]]:
-    """The config's problem, and each SF spec's runs under the config's seeds (:func:`optimizer.run_paired`)."""
-    problem = build_problem(cfg)
-    return problem, run_paired(problem, cfg.schedule, sf_specs, cfg.iterations, n_seeds=cfg.n_seeds,
-                               master_seed=cfg.master_seed, eval_every=cfg.eval_every)
+def _run_all(cfg: ExperimentConfig, problem: problems.ProblemSpec, sf_specs: list[sf.SFSpec]) -> list[list[Trajectory]]:
+    """Each SF spec's runs on ``problem`` under the config's seeds (:func:`optimizer.run_paired`)."""
+    return run_paired(problem, cfg.schedule, sf_specs, cfg.iterations, n_seeds=cfg.n_seeds,
+                      master_seed=cfg.master_seed, eval_every=cfg.eval_every)
 
 
 def _metadata_text(cfg: ExperimentConfig, problem: problems.ProblemSpec, digest: str, seeds: list[int]) -> str:
@@ -622,7 +610,8 @@ def _metadata_text(cfg: ExperimentConfig, problem: problems.ProblemSpec, digest:
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
-    problem, (trajs,) = _run_all(cfg, [cfg.sf])
+    problem = build_problem(cfg)
+    (trajs,) = _run_all(cfg, problem, [cfg.sf])
     out_dir = Path(args.out if args.out is not None else cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for i, t in enumerate(trajs):
@@ -654,7 +643,7 @@ def _cmd_compare(args) -> int:
 
     # Both arms step as one batch on one gradient draw per seed; the runner
     # raises if any row, a diverged one too, steps off its seed's draws.
-    _, (runs_a, runs_b) = _run_all(cfg_a, [cfg_a.sf, cfg_b.sf])
+    runs_a, runs_b = _run_all(cfg_a, build_problem(cfg_a), [cfg_a.sf, cfg_b.sf])
     checkpoints = None if cfg_a.checkpoints == "auto" else list(cfg_a.checkpoints)
     report = stats.compare(runs_a, runs_b, metric=args.metric, checkpoints=checkpoints)
     out_dir = Path(args.out)
@@ -674,16 +663,18 @@ def _cmd_envelope(args) -> int:
 
     from . import harness  # imported here: only `envelope` builds a case envelope
 
-    problem, (trajs,) = _run_all(cfg, [cfg.sf])
+    problem = build_problem(cfg)
     schedule = cfg.schedule
     profile = sf.moment_profile(cfg.sf, cfg.iterations)
     checks, text = _case_report(profile, case, problem, schedule, cfg.iterations)
     gates_hold = all(r.holds for r in checks)
     # The case envelope depends only on the eval grid and the schedule, so
     # one serves every seed; a diverged run's rows take its values at the
-    # points they reach.
+    # points they reach.  It is built before the runs, so a case whose
+    # envelope is undefined stops the command before any step is taken.
     env = harness.envelope_series(case, profile, schedule,
                                   np.arange(cfg.eval_every, cfg.iterations + 1, cfg.eval_every))
+    (trajs,) = _run_all(cfg, problem, [cfg.sf])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_trajectory_csv(trajs[0], out_dir / "trajectory.csv", schedule, case_env=env)

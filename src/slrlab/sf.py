@@ -141,7 +141,6 @@ class MomentProfile:
     supremum is the limit 1 and is never attained).
     """
 
-    spec: SFSpec
     k_max: int
     mean: np.ndarray
     variance: np.ndarray
@@ -176,7 +175,6 @@ def moment_profile(spec: SFSpec, k_max: int) -> MomentProfile:
     with np.errstate(over="ignore"):  # a width past ~1.3e154 squares to inf, as the gates expect
         v = (hi - lo) ** 2 / 12.0
     return MomentProfile(
-        spec=spec,
         k_max=k_max,
         mean=m,
         variance=v,

@@ -43,9 +43,9 @@ class ConditionReport:
     """Outcome of one checked condition.
 
     ``first_violation_k`` is the first iteration index at which the
-    condition fails (for pairwise monotonicity conditions, the right
-    element of the first bad pair); None when the condition holds or is
-    not indexed by iteration.
+    condition fails (for a condition on neighbours, the right element of
+    the first bad pair), as :func:`_first_failure` sets it; None when the
+    condition holds or is not indexed by iteration.
     """
 
     condition_name: str
@@ -65,22 +65,28 @@ def format_reports(reports: list[ConditionReport]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _first_failure(name: str, ok: np.ndarray, holds: str, fails: Callable[[int], str],
+                   pairs: bool = False) -> ConditionReport:
+    """The report of a condition checked elementwise: ``ok[i]`` says whether it holds at k = i,
+    or with ``pairs`` (``ok`` compares neighbours) at the pair (k - 1, k) for k = i + 1.
+
+    It holds, with detail ``holds``, when every element is true; otherwise it
+    fails at the first k whose element is false, with detail ``fails(k)``.
+    """
+    if ok.all():
+        return ConditionReport(name, True, None, holds)
+    k = int(np.argmax(~ok)) + int(pairs)
+    return ConditionReport(name, False, k, fails(k))
+
+
 def _pairwise_report(name: str, series: np.ndarray, want: str) -> ConditionReport:
     """Strict pairwise monotonicity condition on a series; ``want`` is "decreasing" or "increasing"."""
     d = np.diff(series)
     bad = d >= 0 if want == "decreasing" else d <= 0
-    if bad.any():
-        k = int(np.argmax(bad)) + 1
-        detail = f"strictly {want} fails at k={k} (value {float(series[k])!r} after {float(series[k - 1])!r})"
-        return ConditionReport(name, False, k, detail)
-    return ConditionReport(name, True, None, f"strictly {want} over k=0..{len(series) - 1}")
-
-
-def _pointwise_report(name: str, ok: np.ndarray, detail_ok: str, detail_bad: str) -> ConditionReport:
-    if ok.all():
-        return ConditionReport(name, True, None, detail_ok)
-    k = int(np.argmax(~ok))
-    return ConditionReport(name, False, k, f"{detail_bad} at k={k}")
+    return _first_failure(
+        name, ~bad, f"strictly {want} over k=0..{len(series) - 1}",
+        lambda k: f"strictly {want} fails at k={k} (value {float(series[k])!r} after {float(series[k - 1])!r})",
+        pairs=True)
 
 
 @dataclass(frozen=True)
@@ -257,14 +263,14 @@ def check_theorem_case(
     definition = THEOREM_CASES[case]
 
     reports = [_pairwise_report(f"{series}_{want}", moments[series], want) for series, want in definition.monotone]
-    reports += [_pointwise_report(name, ok(m, v), f"{holds} over the horizon", fails)
+    reports += [_first_failure(name, ok(m, v), f"{holds} over the horizon", lambda k: f"{fails} at k={k}")
                 for name, ok, holds, fails in definition.moment_gates]
     name, bound, holds, fails = definition.step_bound
     sup = profile.sup_support_limit
     with np.errstate(over="ignore"):  # B*L*mean[k] may overflow to inf: the bound is then 0
         b = bound(B, L, m, sup)
     text = {"B": B, "L": L, "sup": sup, "bound": b}
-    reports.append(_pointwise_report(name, eta <= b, holds.format(**text), fails.format(**text)))
+    reports.append(_first_failure(name, eta <= b, holds.format(**text), lambda k: f"{fails.format(**text)} at k={k}"))
     if definition.implied is not None and all(r.holds for r in reports):
         # Internal consistency of the case: this follows from the gates,
         # so a failure means a checker bug.
@@ -285,17 +291,10 @@ def acceleration_check(profile: sfmod.MomentProfile, case: TheoremCase) -> Condi
         return ConditionReport(name, False, None, "the deterministic baseline is the reference; no acceleration predicate")
     predicate, desc = acceleration
     ok = predicate(profile.mean, profile.variance)
-    n = len(ok)
-    if ok.all():
-        return ConditionReport(name, True, None, f"{desc} holds strictly for k=0..{n - 1}")
-    first_bad = int(np.argmax(~ok))
-    prefix = f"k=0..{first_bad - 1}" if first_bad > 0 else "no prefix"
-    return ConditionReport(
-        name,
-        False,
-        first_bad,
-        f"{desc} holds on {prefix}; fails at k={first_bad} ({int(ok.sum())}/{n} k values hold)",
-    )
+    return _first_failure(
+        name, ok, f"{desc} holds strictly for k=0..{len(ok) - 1}",
+        lambda k: f"{desc} holds on {f'k=0..{k - 1}' if k > 0 else 'no prefix'}; "
+                  f"fails at k={k} ({int(ok.sum())}/{len(ok)} k values hold)")
 
 
 def increment_check(profile: sfmod.MomentProfile, case: TheoremCase) -> ConditionReport:
@@ -309,7 +308,5 @@ def increment_check(profile: sfmod.MomentProfile, case: TheoremCase) -> Conditio
         return ConditionReport(name, False, None, "informational; no increment-based variant for this case")
     predicate, desc = increment
     ok = predicate(np.diff(profile.mean), np.diff(profile.variance))
-    if ok.all():
-        return ConditionReport(name, True, None, f"informational; {desc} for all checked k")
-    k = int(np.argmax(~ok)) + 1
-    return ConditionReport(name, False, k, f"informational; {desc} first fails at k={k}")
+    return _first_failure(name, ok, f"informational; {desc} for all checked k",
+                          lambda k: f"informational; {desc} first fails at k={k}", pairs=True)

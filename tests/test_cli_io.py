@@ -339,7 +339,7 @@ def test_trajectory_csv_of_a_truncated_run_takes_a_prefix_of_the_grid_envelope(t
     # envelope covers the whole grid, as `envelope` passes it for every seed.
     cfg = cli_io.parse_config(DIVERGING_ARM.format(eta=3, sf="sf = uniform_root\nsf.c1 = 0.01\nsf.c2 = 2.0")
                               .replace("eval_every = 10", "eval_every = 2"))
-    _, ((full, traj, *_),) = cli_io._run_all(cfg, [cfg.sf])
+    ((full, traj, *_),) = cli_io._run_all(cfg, cli_io.build_problem(cfg), [cfg.sf])
     assert traj.truncated_at == 8 and traj.eval_points.tolist() == [0, 2, 4, 6, 8]
     env = harness.envelope_series(TheoremCase.CASE_12, cfg.sf, cfg.schedule,
                                   np.arange(cfg.eval_every, cfg.iterations + 1, cfg.eval_every))
@@ -396,15 +396,22 @@ def test_report_round_trip_lossless(tmp_path):
     assert (tmp_path / "again.csv").read_bytes() == p.read_bytes()
 
 
+# Each metadata key read_report reads back.
+REPORT_KEYS = ("metric", "n_a", "n_b", "excluded_a", "excluded_b", "config_digest_a", "config_digest_b", "notes")
+
+
 @pytest.mark.parametrize("edit, error", [
     (lambda lines: lines[:-1] + [lines[-1].rsplit(",", 2)[0]], "line 14: malformed row '100,"),
     (lambda lines: lines + [""], "line 15: malformed row ''"),
     (lambda lines: lines[:-1] + [re.sub(",(true|false),", ",no,", lines[-1])], "line 14: malformed row '100,"),
-    (lambda lines: [line for line in lines if not line.startswith("# n_b = ")], "metadata key 'n_b' is missing"),
+    *[(lambda lines, key=key: [line for line in lines if not line.startswith(f"# {key} = ")],
+       f"metadata key {key!r} is missing") for key in REPORT_KEYS],
     (lambda lines: [line.replace("# n_a = 3", "# n_a = three") for line in lines], "metadata key 'n_a' is"),
+    (lambda lines: [re.sub("^# notes = .*", "# notes = [unquoted]", line) for line in lines],
+     "metadata key 'notes' is missing or malformed"),
     (lambda lines: [line for line in lines if line != cli_io.REPORT_HEADER], "not a comparison report CSV"),
-], ids=["row-missing-two-fields", "trailing-blank-line", "significance-not-a-flag", "missing-n_b",
-        "n_a-not-an-integer", "no-header"])
+], ids=["row-missing-two-fields", "trailing-blank-line", "significance-not-a-flag",
+        *[f"missing-{key}" for key in REPORT_KEYS], "n_a-not-an-integer", "notes-not-json", "no-header"])
 def test_read_report_names_the_file_and_the_bad_line_or_key(tmp_path, edit, error):
     p = tmp_path / "report.csv"
     cli_io.write_report(_small_report(), p)
@@ -739,6 +746,19 @@ def test_cli_envelope_on_a_run_diverged_before_its_second_eval_point(tmp_path):
     assert "diagnostic = unavailable (run diverged at k=2)" in (out / "diagnostic.txt").read_text()
     cols = cli_io.read_trajectory_csv(out / "trajectory.csv")
     assert cols["k"].tolist() == [0] and np.isnan(cols["envelope_case"]).all()
+
+
+def test_cli_envelope_without_a_case_envelope_fails_before_any_run(tmp_path, capsys, monkeypatch):
+    # This law's mean - variance is <= 0 from k = 1, so case12 has no
+    # envelope there: the command says so without running a seed.
+    calls = []
+    monkeypatch.setattr(cli_io, "run_paired", lambda *args, **kwargs: calls.append(args))
+    cfg = (GOOD_CONFIG.replace("sf.c1 = 0.3", "sf.c1 = 1e-300").replace("sf.c2 = 0.8", "sf.c2 = 100")
+           .replace("eval_every = 10", "eval_every = 1"))
+    out = tmp_path / "env"
+    assert cli_io.main(["envelope", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: mean - variance <= 0 at k=1; envelope undefined for case12\n")
+    assert not out.exists() and calls == []
 
 
 ENVELOPE_SEEDS = GOOD_CONFIG.replace("iterations = 100", "iterations = 2000")

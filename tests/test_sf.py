@@ -184,8 +184,9 @@ def test_profile_invariants():
 
 def test_profile_sup_support_limit_sub_one():
     # bounds rise toward 1 but never attain it: finite max < analytic sup
-    prof = sf.moment_profile(sf.uniform_root(0.3, 0.8), 1000)
-    assert sf.support_bounds(prof.spec, 1000)[1] < 1.0
+    spec = sf.uniform_root(0.3, 0.8)
+    prof = sf.moment_profile(spec, 1000)
+    assert sf.support_bounds(spec, 1000)[1] < 1.0
     assert prof.sup_support_limit == 1.0
 
 

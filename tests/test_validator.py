@@ -181,14 +181,66 @@ def test_case11a_consistency_guard_on_synthetic_profile():
     mean = 2.5 - 0.5 * k / 100.0
     var = 0.1 + 0.5 * k / 100.0
     profile = sf.MomentProfile(
-        spec=sf.constant(1.0), k_max=100, mean=mean, variance=var,
-        sup_support_limit=3.0, mean_direction=sf.Direction.DECREASING,
+        k_max=100, mean=mean, variance=var, sup_support_limit=3.0, mean_direction=sf.Direction.DECREASING,
     )
     sched = StepSizeSchedule("inverse_k", 0.1)
     reports = validator.check_theorem_case(profile, TheoremCase.CASE_11A, 1.0, 1.0, sched)
     assert all(r.holds for r in reports)
     # the guard the checker asserts internally must hold here too
     assert (var < mean).all() and (mean >= 1.0).all()
+
+
+# A case11a profile on which every gate holds, as in the test above; the
+# tests below break it so that each check first fails at k = 37, deeper
+# than any failure in the golden theorem cases.
+_K = np.arange(101.0)
+
+
+def _profile(mean=2.5 - 0.005 * _K, variance=0.1 + 0.005 * _K):
+    return sf.MomentProfile(k_max=100, mean=mean, variance=variance, sup_support_limit=3.0,
+                            mean_direction=sf.Direction.DECREASING)
+
+
+def test_neighbour_conditions_fail_at_the_right_element_of_the_first_bad_pair():
+    # From k = 37 on the mean is raised and the variance lowered: the pair (36, 37) breaks both trends.
+    profile = _profile(2.5 - 0.005 * _K + 0.01 * (_K >= 37), 0.1 + 0.005 * _K - 0.02 * (_K >= 37))
+    by = _by_name(validator.check_theorem_case(profile, TheoremCase.CASE_11A, 1.0, 1.0,
+                                               StepSizeSchedule("inverse_k", 0.1)))
+    m, v = profile.mean.tolist(), profile.variance.tolist()
+    assert by["mean_decreasing"] == validator.ConditionReport(
+        "mean_decreasing", False, 37, f"strictly decreasing fails at k=37 (value {m[37]!r} after {m[36]!r})")
+    assert by["variance_increasing"] == validator.ConditionReport(
+        "variance_increasing", False, 37, f"strictly increasing fails at k=37 (value {v[37]!r} after {v[36]!r})")
+    assert validator.increment_check(profile, TheoremCase.CASE_11A) == validator.ConditionReport(
+        "increment_alternative_case11a", False, 37,
+        "informational; Var[u_{k+1}] - Var[u_k] > E[u_{k+1}] - E[u_k] first fails at k=37")
+
+
+def test_pointwise_conditions_fail_at_the_first_bad_k():
+    # mean[37] = variance[37] + 1 breaks the strict inequality there only.
+    mean = 2.5 - 0.005 * _K
+    mean[37] = 0.1 + 0.005 * 37 + 1.0
+    profile = _profile(mean)
+    by = _by_name(validator.check_theorem_case(profile, TheoremCase.CASE_11A, 1.0, 1.0,
+                                               StepSizeSchedule("inverse_k", 0.1)))
+    assert by["mean_exceeds_variance_plus_one"] == validator.ConditionReport(
+        "mean_exceeds_variance_plus_one", False, 37, "mean[k] <= variance[k] + 1 at k=37")
+    assert validator.acceleration_check(profile, TheoremCase.CASE_11A) == validator.ConditionReport(
+        "acceleration_case11a", False, 37,
+        "mean[k] > variance[k] + 1 holds on k=0..36; fails at k=37 (100/101 k values hold)")
+
+
+@pytest.mark.parametrize("case, name, fails", [
+    (TheoremCase.CASE_11A, "step_bound_mean", "eta_k > 1/(B*L*mean[k])"),
+    (TheoremCase.CASE_11B, "step_bound_sup_support", "eta_k > 1/(B*L*3)"),
+    (TheoremCase.CASE_12, "step_bound_global", "eta_k > 1/(B*L) = 1"),
+])
+def test_step_bounds_fail_at_the_first_bad_k(monkeypatch, case, name, fails):
+    # No schedule family rises, so the steps are built by hand: 0.1, under
+    # every bound here (1/3 at least), but 10 at k = 37.
+    monkeypatch.setattr(validator, "step_sizes", lambda schedule, n: np.where(np.arange(n) == 37, 10.0, 0.1))
+    reports = validator.check_theorem_case(_profile(), case, 1.0, 1.0, StepSizeSchedule("constant", 0.1))
+    assert reports[-1] == validator.ConditionReport(name, False, 37, f"{fails} at k=37")
 
 
 def test_case12_check_implies_acceleration():
