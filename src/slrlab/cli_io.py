@@ -27,7 +27,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -52,8 +52,6 @@ if TYPE_CHECKING:
 
 TRAJECTORY_HEADER = "k,loss,grad_norm_sq,min_grad_sq,g_k,eta_k,u_k,sum_eta,envelope_det,envelope_case"
 SEEDS_HEADER = "seed,verdict,slope,r_lo,r_hi,truncated_at"
-
-_REQUIRED = object()
 
 
 def _as_int(raw: str) -> int:
@@ -86,17 +84,14 @@ def _known(choices, what: str):
     return lambda v: None if v in choices else f"unknown {what} {v!r}, expected one of {sorted(choices)}"
 
 
-_PROBLEM_FIELDS = {
-    "quadratic": {"dim": (_as_int, _REQUIRED), "cond": (_as_float, 1.0), "sigma": (_as_float, 0.0),
-                  "seed": (_as_int, 0)},
-    "rosenbrock": {"sigma": (_as_float, 0.0)},
-    "logreg": {"n": (_as_int, _REQUIRED), "d": (_as_int, _REQUIRED), "reg": (_as_float, 0.0), "seed": (_as_int, 0)},
-}
-# The field names above are the makers' argument names.
-_PROBLEM_MAKERS = {
-    "quadratic": problems.make_quadratic,
-    "rosenbrock": problems.make_rosenbrock,
-    "logreg": problems.make_logreg_nonconvex,
+# Each problem family's maker and its config fields: the maker's argument
+# names, each with its parser and default (MISSING: the key is required).
+_PROBLEMS = {
+    "quadratic": (problems.make_quadratic, {"dim": (_as_int, MISSING), "cond": (_as_float, 1.0),
+                                            "sigma": (_as_float, 0.0), "seed": (_as_int, 0)}),
+    "rosenbrock": (problems.make_rosenbrock, {"sigma": (_as_float, 0.0)}),
+    "logreg": (problems.make_logreg_nonconvex, {"n": (_as_int, MISSING), "d": (_as_int, MISSING),
+                                                "reg": (_as_float, 0.0), "seed": (_as_int, 0)}),
 }
 _CASE_TOKENS = {c.value: c for c in TheoremCase}
 
@@ -105,19 +100,29 @@ class ConfigError(ValueError):
     """Invalid configuration; message names the key and line."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
     problem_family: str
     problem_params: tuple[tuple[str, int | float], ...]
     schedule: StepSizeSchedule
     sf: sf.SFSpec
+    # The run keys, in file order, with the file's defaults (none: required).
     iterations: int
     eval_every: int = 10
     n_seeds: int = 40
-    master_seed: int = 0
+    master_seed: int
     checkpoints: tuple[int, ...] | str = "auto"
     out_dir: str = "out"
     theorem_case: TheoremCase | None = None
+
+
+_RUN_FIELDS = fields(ExperimentConfig)[4:]  # the fields after sf
+_RUN_DEFAULTS = {f.name: f.default for f in _RUN_FIELDS}
+# The run keys whose rule is optimizer.argument_error (checkpoints = auto
+# needs none), in the order the rules depend on: iterations' rule reads
+# eval_every, and checkpoints' reads both.
+_RUN_SHAPE = {"eval_every": _as_int, "iterations": _as_int, "n_seeds": _as_int, "master_seed": _as_int,
+              "checkpoints": _as_checkpoints}
 
 
 def _read(raw: str, parse, rule, where: str):
@@ -143,30 +148,27 @@ def parse_config(text: str) -> ExperimentConfig:
         line = rawline.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {rawline.strip()!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if not key or not value:
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not (eq and key and value):
             raise ConfigError(f"line {lineno}: expected 'key = value', got {rawline.strip()!r}")
         if key in entries:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         entries[key] = (value, lineno)
 
-    def read(key: str, parse=str, rule=lambda v: None, default=_REQUIRED, needed_for: str = ""):
+    def read(key: str, parse=str, rule=lambda v: None, default=MISSING, needed_for: str = ""):
         got = entries.pop(key, None)
         if got is None:
-            if default is _REQUIRED:
+            default = _RUN_DEFAULTS.get(key, default)
+            if default is MISSING:
                 raise ConfigError(f"missing required key {key!r}{needed_for}")
             return default
         return _read(got[0], parse, rule, f"line {got[1]}: {key}")
 
-    family = read("problem", rule=_known(_PROBLEM_FIELDS, "family"))
+    family = read("problem", rule=_known(_PROBLEMS, "family"))
     problem_params = tuple(
         (name, read(f"problem.{name}", parse, partial(problems.argument_error, name), default,
                     f" for problem = {family}"))
-        for name, (parse, default) in _PROBLEM_FIELDS[family].items()
+        for name, (parse, default) in _PROBLEMS[family][1].items()
     )
     schedule_family = read("schedule", rule=_known(SCHEDULE_FAMILIES, "family"))
     schedule = read("schedule.eta", lambda raw: StepSizeSchedule(schedule_family, _as_float(raw)))
@@ -175,64 +177,43 @@ def parse_config(text: str) -> ExperimentConfig:
     for name in sf.KIND_ARGUMENTS[sf_kind]:
         sf_args[name] = read(f"sf.{name}", _as_float, partial(sf.argument_error, name, c1=sf_args.get("c1")),
                              needed_for=f" for sf = {sf_kind}")
-    eval_every = read("eval_every", _as_int, partial(argument_error, "eval_every"), 10)
-    iterations = read("iterations", _as_int, partial(argument_error, "iterations", eval_every=eval_every))
-    n_seeds = read("n_seeds", _as_int, partial(argument_error, "n_seeds"), 40)
-    master_seed = read("master_seed", _as_int, partial(argument_error, "master_seed"))
-    checkpoints = read("checkpoints", _as_checkpoints,
-                       lambda v: None if v == "auto" else argument_error("checkpoints", v, eval_every, iterations),
-                       "auto")
-    out_dir = read("out_dir", default="out")
-    case = read("theorem_case", rule=_known(_CASE_TOKENS, "case"), default=None)
+    run: dict = {}
+    for key, parse in _RUN_SHAPE.items():
+        run[key] = read(key, parse, lambda v, key=key: None if v == "auto" else
+                        argument_error(key, v, run.get("eval_every", 1), run.get("iterations", 0)))
+    run["out_dir"] = read("out_dir")
+    run["theorem_case"] = _CASE_TOKENS.get(read("theorem_case", rule=_known(_CASE_TOKENS, "case")))
     if entries:
         key = min(entries, key=lambda k: entries[k][1])
         raise ConfigError(f"line {entries[key][1]}: unknown key {key!r}")
-
-    return ExperimentConfig(
-        problem_family=family,
-        problem_params=problem_params,
-        schedule=schedule,
-        sf=sf.SFSpec(sf_kind, **sf_args),
-        iterations=iterations,
-        eval_every=eval_every,
-        n_seeds=n_seeds,
-        master_seed=master_seed,
-        checkpoints=checkpoints,
-        out_dir=out_dir,
-        theorem_case=_CASE_TOKENS.get(case),
-    )
+    return ExperimentConfig(problem_family=family, problem_params=problem_params, schedule=schedule,
+                            sf=sf.SFSpec(sf_kind, **sf_args), **run)
 
 
 def _fmt_value(v) -> str:
+    if isinstance(v, tuple):  # the checkpoints
+        return ",".join(map(str, v))
+    if isinstance(v, TheoremCase):
+        return v.value
     return repr(v) if isinstance(v, float) else str(v)
+
+
+def _config_items(cfg: ExperimentConfig) -> list[tuple[str, str]]:
+    """Each key of the config's file, in file order, and the text of its value; an unset key is left out."""
+    items = [("problem", cfg.problem_family), *((f"problem.{name}", v) for name, v in cfg.problem_params),
+             ("schedule", cfg.schedule.family), ("schedule.eta", cfg.schedule.eta), ("sf", cfg.sf.kind),
+             *((f"sf.{name}", getattr(cfg.sf, name)) for name in sf.KIND_ARGUMENTS[cfg.sf.kind]),
+             *((f.name, getattr(cfg, f.name)) for f in _RUN_FIELDS)]
+    return [(key, _fmt_value(v)) for key, v in items if v is not None]
 
 
 def format_config(cfg: ExperimentConfig) -> str:
     """Canonical text for a config; parse(format(cfg)) == cfg."""
-    lines = [f"problem = {cfg.problem_family}"]
-    for name, value in cfg.problem_params:
-        lines.append(f"problem.{name} = {_fmt_value(value)}")
-    lines.append(f"schedule = {cfg.schedule.family}")
-    lines.append(f"schedule.eta = {_fmt_value(cfg.schedule.eta)}")
-    lines.append(f"sf = {cfg.sf.kind}")
-    for name in sf.KIND_ARGUMENTS[cfg.sf.kind]:
-        lines.append(f"sf.{name} = {_fmt_value(getattr(cfg.sf, name))}")
-    lines.append(f"iterations = {cfg.iterations}")
-    lines.append(f"eval_every = {cfg.eval_every}")
-    lines.append(f"n_seeds = {cfg.n_seeds}")
-    lines.append(f"master_seed = {cfg.master_seed}")
-    if cfg.checkpoints == "auto":
-        lines.append("checkpoints = auto")
-    else:
-        lines.append("checkpoints = " + ",".join(str(k) for k in cfg.checkpoints))
-    lines.append(f"out_dir = {cfg.out_dir}")
-    if cfg.theorem_case is not None:
-        lines.append(f"theorem_case = {cfg.theorem_case.value}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {text}\n" for key, text in _config_items(cfg))
 
 
 def build_problem(cfg: ExperimentConfig) -> problems.ProblemSpec:
-    return _PROBLEM_MAKERS[cfg.problem_family](**dict(cfg.problem_params))
+    return _PROBLEMS[cfg.problem_family][0](**dict(cfg.problem_params))
 
 
 # The config's own objects, under the names perfbench/setup_probe.py calls.
@@ -318,12 +299,14 @@ def write_trajectory_csv(traj, path: str | Path, schedule: StepSizeSchedule,
 def read_trajectory_csv(path: str | Path) -> dict[str, np.ndarray]:
     """Read a trajectory CSV back into column arrays.
 
+    The file is read as UTF-8 with undecodable bytes replaced, so a
+    binary file fails the header check and a bad byte fails its row.
     Raises :class:`NotTrajectoryCSVError` if the header is not the
     trajectory header, and ValueError naming the file and the first
     bad row if a row does not hold 10 numbers or its k is not an
     integer in [0, 2**63).
     """
-    lines = Path(path).read_text().splitlines()
+    lines = Path(path).read_text(encoding="utf-8", errors="replace").splitlines()
     if not lines or lines[0] != TRAJECTORY_HEADER:
         raise NotTrajectoryCSVError(f"{path}: not a trajectory CSV (bad header)")
     names = TRAJECTORY_HEADER.split(",")
@@ -362,12 +345,28 @@ def _as_flag(raw: str) -> bool:
     return raw == "true"
 
 
+def _as_count(raw: str) -> int:
+    value = _as_int(raw)
+    if value < 0:
+        raise ValueError(f"expected a count >= 0, got {raw!r}")
+    return value
+
+
+def _as_notes(raw: str) -> list[str]:
+    import json  # imported here: only a report's notes are JSON
+
+    notes = json.loads(raw)
+    if not (isinstance(notes, list) and all(isinstance(note, str) for note in notes)):
+        raise ValueError(f"expected a JSON list of strings, got {raw!r}")
+    return notes
+
+
 # report.csv's layout, which write_report writes and read_report reads back.
 # The metadata keys that read back, in order, each a ComparisonReport field
-# and its parser ("json": by the json module the two functions import); the
-# test's settings, written after the metric, are fixed and not read back.
-_REPORT_KEYS = (("metric", str), ("n_a", _as_int), ("n_b", _as_int), ("excluded_a", _as_int),
-                ("excluded_b", _as_int), ("config_digest_a", str), ("config_digest_b", str), ("notes", "json"))
+# and its parser (the notes are written as JSON); the test's settings,
+# written after the metric, are fixed and not read back.
+_REPORT_KEYS = (("metric", str), ("n_a", _as_count), ("n_b", _as_count), ("excluded_a", _as_count),
+                ("excluded_b", _as_count), ("config_digest_a", str), ("config_digest_b", str), ("notes", _as_notes))
 # The columns, in order: the header name, the ComparisonReport field, the
 # text of a value and its parser.
 _REPORT_COLUMNS = (
@@ -385,7 +384,7 @@ def write_report(report: ComparisonReport, path: str | Path) -> None:
 
     from . import stats  # imported here: only `compare` writes a report
 
-    meta = [(key, json.dumps(getattr(report, key)) if parse == "json" else getattr(report, key))
+    meta = [(key, json.dumps(getattr(report, key)) if parse is _as_notes else getattr(report, key))
             for key, parse in _REPORT_KEYS]
     settings = [("correction", "bonferroni"), ("fwer", repr(stats.FWER)), ("paired", "true")]
     lines = [f"# {k} = {v}" for k, v in meta[:1] + settings + meta[1:]]
@@ -402,8 +401,6 @@ def read_report(path: str | Path) -> ComparisonReport:
     does not hold the report's 8 fields, or the metadata key that is
     missing or does not parse.
     """
-    import json  # imported here: only a report's notes are JSON
-
     from . import stats  # imported here: no command reads a report back
 
     lines = Path(path).read_text().splitlines()
@@ -421,13 +418,13 @@ def read_report(path: str | Path) -> ComparisonReport:
             rows.append([parse(part) for part, (*_, parse) in zip(line.split(","), _REPORT_COLUMNS, strict=True)])
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: malformed row {line!r}") from None
-    fields = {field: [row[j] for row in rows] for j, (_, field, *_) in enumerate(_REPORT_COLUMNS)}
+    values = {field: [row[j] for row in rows] for j, (_, field, *_) in enumerate(_REPORT_COLUMNS)}
     for key, parse in _REPORT_KEYS:
         try:
-            fields[key] = (json.loads if parse == "json" else parse)(meta[key])
+            values[key] = parse(meta[key])
         except (KeyError, ValueError):
             raise ValueError(f"{path}: metadata key {key!r} is missing or malformed") from None
-    return stats.ComparisonReport(**fields)
+    return stats.ComparisonReport(**values)
 
 
 def report_text(report: ComparisonReport) -> str:
@@ -624,8 +621,8 @@ def _cmd_run(args) -> int:
 
 def _shared_keys(cfg: ExperimentConfig) -> dict[str, str]:
     """The canonical text of each key the arms of ``compare`` must share: all but sf*, out_dir and theorem_case."""
-    pairs = (line.partition(" = ") for line in format_config(cfg).splitlines())
-    return {key: value for key, _, value in pairs if key.partition(".")[0] not in ("sf", "out_dir", "theorem_case")}
+    return {key: text for key, text in _config_items(cfg)
+            if key.partition(".")[0] not in ("sf", "out_dir", "theorem_case")}
 
 
 def _cmd_compare(args) -> int:

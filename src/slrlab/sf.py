@@ -29,7 +29,11 @@ UNIFORM_ROOT = "uniform_root"
 
 
 class Direction(Enum):
-    """Strict monotonicity classification of a finite series."""
+    """Monotonicity classification of a finite series that allows equal neighbours.
+
+    So [1, 2, 2, 3] is INCREASING.  The theorem cases' monotone gates in
+    :mod:`validator` are strict instead: an equal pair fails them.
+    """
 
     INCREASING = "increasing"
     DECREASING = "decreasing"

@@ -104,6 +104,12 @@ def t_two_sided_p(t: float, df: float) -> float:
 def welch_t(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
     """Welch's t statistic, Welch-Satterthwaite df, two-sided p.
 
+    Both samples are first scaled by the power of two that brings their
+    largest |value| into [0.5, 1).  That is exact and leaves t and df as
+    they are, so moments that stay normal keep their bits, and samples
+    whose moments would under- or overflow (a variance of values near
+    1e-197) get a finite t.
+
     Degenerate inputs follow fixed conventions: a sample whose values are
     all equal has that value as its mean and zero variance, whatever its
     computed moments round to (three copies of 0.1 give a mean of
@@ -119,6 +125,8 @@ def welch_t(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("welch_t requires finite samples")
     na, nb = len(a), len(b)
+    e = math.frexp(max(np.abs(a).max(), np.abs(b).max()))[1]
+    a, b = np.ldexp(a, -e), np.ldexp(b, -e)
     (ma, va), (mb, vb) = ((float(x[0]), 0.0) if x.min() == x.max() else (float(x.mean()), float(x.var(ddof=1)))
                           for x in (a, b))
     if va == 0.0 and vb == 0.0:

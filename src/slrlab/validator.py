@@ -106,7 +106,11 @@ def classify_prop1(c1: float, c2: float) -> Prop1Result:
 
     The mean direction is evaluated numerically from the closed forms
     over PROP1_HORIZON steps rather than inferred from the label; the
-    two are reported side by side so disagreements stay visible.
+    two are reported side by side so disagreements stay visible.  It
+    allows equal neighbours (:class:`sf.Direction`), unlike the strict
+    monotone gates of :func:`check_theorem_case`: (1.0, 1 + 1e-12) reads
+    DECREASING though 9907 of its 10000 neighbour pairs are equal, and
+    case11b's mean_decreasing gate fails at k = 51.
     """
     spec = sfmod.uniform_root(c1, c2)
     direction = sfmod.moment_profile(spec, PROP1_HORIZON).mean_direction

@@ -1,5 +1,6 @@
 import builtins
 import io
+import math
 import os
 import re
 import subprocess
@@ -371,6 +372,14 @@ def test_read_trajectory_csv_names_the_file_and_the_bad_row(row, tmp_path):
         cli_io.read_trajectory_csv(p)
 
 
+def test_read_trajectory_csv_names_a_row_with_a_byte_that_is_not_utf8(tmp_path):
+    good = b"0,1,1,1,1,1,1,1,inf,nan"
+    p = tmp_path / "t.csv"
+    p.write_bytes(b"\n".join([cli_io.TRAJECTORY_HEADER.encode(), good, b"1,1,1,1,1,1,1,1,1,\xff", good]) + b"\n")
+    with pytest.raises(ValueError, match=re.escape(f"t.csv: line 3: malformed row '1,1,1,1,1,1,1,1,1,\ufffd'")):
+        cli_io.read_trajectory_csv(p)
+
+
 def test_read_trajectory_csv_with_no_rows(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text(cli_io.TRAJECTORY_HEADER + "\n")
@@ -410,8 +419,14 @@ REPORT_KEYS = ("metric", "n_a", "n_b", "excluded_a", "excluded_b", "config_diges
     (lambda lines: [re.sub("^# notes = .*", "# notes = [unquoted]", line) for line in lines],
      "metadata key 'notes' is missing or malformed"),
     (lambda lines: [line for line in lines if line != cli_io.REPORT_HEADER], "not a comparison report CSV"),
+    (lambda lines: [re.sub("^# notes = .*", "# notes = 3", line) for line in lines],
+     "metadata key 'notes' is missing or malformed"),
+    (lambda lines: [re.sub("^# notes = .*", "# notes = [1, 2]", line) for line in lines],
+     "metadata key 'notes' is missing or malformed"),
+    (lambda lines: [line.replace("# n_a = 3", "# n_a = -5") for line in lines], "metadata key 'n_a' is"),
 ], ids=["row-missing-two-fields", "trailing-blank-line", "significance-not-a-flag",
-        *[f"missing-{key}" for key in REPORT_KEYS], "n_a-not-an-integer", "notes-not-json", "no-header"])
+        *[f"missing-{key}" for key in REPORT_KEYS], "n_a-not-an-integer", "notes-not-json", "no-header",
+        "notes-not-a-list", "notes-not-strings", "n_a-negative"])
 def test_read_report_names_the_file_and_the_bad_line_or_key(tmp_path, edit, error):
     p = tmp_path / "report.csv"
     cli_io.write_report(_small_report(), p)
@@ -622,15 +637,75 @@ def test_cli_compare_of_noiseless_arms_reads_an_infinite_t_at_every_checkpoint(t
     ("schedule.eta = 0.1", "schedule.eta = 0.2", "schedule.eta", "0.1", "0.2"),
     ("eval_every = 10", "eval_every = 20", "eval_every", "10", "20"),
     ("master_seed = 7", "master_seed = 7\ncheckpoints = 50,100", "checkpoints", "auto", "50,100"),
-], ids=["problem", "problem-param", "eta", "eval_every", "checkpoints"])
+    ("schedule = inverse_k", "schedule = constant", "schedule", "inverse_k", "constant"),
+    ("iterations = 100", "iterations = 200", "iterations", "100", "200"),
+    ("n_seeds = 3", "n_seeds = 4", "n_seeds", "3", "4"),
+    ("master_seed = 7", "master_seed = 8", "master_seed", "7", "8"),
+    ("problem.d = 3\n", "problem.d = 3\nproblem.reg = 0.5\n", "problem.reg", "0.0", "0.5"),
+], ids=["problem", "problem-param", "eta", "eval_every", "checkpoints", "schedule", "iterations", "n_seeds",
+        "master_seed", "logreg-param"])
 def test_cli_compare_names_the_key_the_configs_disagree_on(tmp_path, capsys, old, new, key, a, b):
-    assert old in GOOD_CONFIG
-    pa = _write_cfg(tmp_path, GOOD_CONFIG, "a.txt")
-    pb_ = _write_cfg(tmp_path, GOOD_CONFIG.replace(old, new).replace("sf.c2 = 0.8", "sf.c2 = 0.9"), "b.txt")
+    base = GOOD_CONFIG if old in GOOD_CONFIG else GOOD_CONFIG.replace(QUADRATIC_BLOCK, LOGREG_BLOCK)
+    assert old in base
+    pa = _write_cfg(tmp_path, base, "a.txt")
+    pb_ = _write_cfg(tmp_path, base.replace(old, new).replace("sf.c2 = 0.8", "sf.c2 = 0.9"), "b.txt")
     assert cli_io.main(["compare", "--config-a", pa, "--config-b", pb_, "--out", str(tmp_path / "cmp")]) == 1
     assert capsys.readouterr().err == (f"error: compare: configs must agree on {key} (a: {a}, b: {b}); "
                                        "only the sf block may differ\n")
     assert not (tmp_path / "cmp").exists()
+
+
+QUADRATIC_BLOCK = "problem = quadratic\nproblem.dim = 5\nproblem.cond = 10.0\nproblem.sigma = 0.1\n"
+LOGREG_BLOCK = "problem = logreg\nproblem.n = 40\nproblem.d = 3\n"
+
+
+def test_cli_compare_lets_the_sf_block_out_dir_and_theorem_case_differ(tmp_path):
+    pa = _write_cfg(tmp_path, GOOD_CONFIG, "a.txt")
+    b = GOOD_CONFIG.replace("sf = uniform_root\nsf.c1 = 0.3\nsf.c2 = 0.8", "sf = constant\nsf.value = 0.5") \
+                   .replace("theorem_case = case12", "theorem_case = case11a\nout_dir = elsewhere")
+    pb_ = _write_cfg(tmp_path, b, "b.txt")
+    a_cfg, b_cfg = cli_io.load_config(pa), cli_io.load_config(pb_)
+    assert (a_cfg.sf, a_cfg.out_dir, a_cfg.theorem_case) != (b_cfg.sf, b_cfg.out_dir, b_cfg.theorem_case)
+    assert cli_io.main(["compare", "--config-a", pa, "--config-b", pb_, "--out", str(tmp_path / "cmp")]) == 0
+    # And with no theorem_case in one arm.
+    pc = _write_cfg(tmp_path, b.replace("theorem_case = case11a\n", ""), "c.txt")
+    assert cli_io.load_config(pc).theorem_case is None
+    assert cli_io.main(["compare", "--config-a", pa, "--config-b", pc, "--out", str(tmp_path / "cmp2")]) == 0
+
+
+# A noise-free quadratic under a constant step: by k = 1000 every value is
+# near 1e-92 and by k = 2150 near 1e-197, so the samples' moments under-
+# flow unless welch_t scales them first.  Once this exited 2 on a float
+# division by zero at k = 1000, and read t = inf at k = 2150.
+TINY_VALUES = """\
+problem = quadratic
+problem.dim = 2
+problem.cond = 10
+problem.sigma = 0
+schedule = constant
+schedule.eta = 0.1
+iterations = 10000
+eval_every = 10
+n_seeds = 10
+master_seed = 0
+{checkpoints}
+"""
+
+
+@pytest.mark.parametrize("checkpoints", ["auto", "2150,4000"])
+def test_cli_compare_of_tiny_values_reads_a_finite_t(tmp_path, checkpoints):
+    text = TINY_VALUES.format(checkpoints=f"checkpoints = {checkpoints}")
+    pa = _write_cfg(tmp_path, text + "sf = uniform_root\nsf.c1 = 0.3\nsf.c2 = 0.8\n", "a.txt")
+    pb_ = _write_cfg(tmp_path, text + "sf = constant\nsf.value = 1.0\n", "b.txt")
+    out = tmp_path / "cmp"
+    assert cli_io.main(["compare", "--config-a", pa, "--config-b", pb_, "--out", str(out),
+                        "--metric", "min_grad_sq"]) == 0
+    rep = cli_io.read_report(out / "report.csv")
+    t = dict(zip(rep.checkpoints, rep.t))
+    assert t[2150] == pytest.approx(51.49, abs=0.01)
+    if checkpoints == "auto":
+        assert t[1000] == pytest.approx(49.49, abs=0.01)
+    assert all(math.isfinite(v) for v in rep.t)
 
 
 DIVERGING_ARM = """\
@@ -1093,6 +1168,16 @@ def test_cli_plot_skips_the_seeds_csv_of_an_envelope(tmp_path):
     assert cli_io.main(["plot", "--in", str(out), "--out", str(dst)]) == 0
     # The trajectory, envelope_det and envelope_case.
     assert dst.read_text().count("<polyline") == 3
+
+
+def test_cli_plot_skips_a_csv_that_is_not_utf8_text(tmp_path):
+    path = _write_cfg(tmp_path, GOOD_CONFIG.replace("n_seeds = 3", "n_seeds = 1"))
+    out = tmp_path / "runs"
+    assert cli_io.main(["run", "--config", path, "--out", str(out)]) == 0
+    (out / "img.csv").write_bytes(b"\x89PNG\x00\xff")
+    dst = tmp_path / "fig.svg"
+    assert cli_io.main(["plot", "--in", str(out), "--out", str(dst)]) == 0
+    assert dst.read_text().count("<polyline") == 2  # the run and the baseline envelope
 
 
 def test_cli_plot_fails_on_a_malformed_trajectory_csv(tmp_path, capsys):

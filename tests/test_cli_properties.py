@@ -122,7 +122,7 @@ ONE_ARM_DIVERGES = cli_io.ExperimentConfig(
     problem_family="quadratic",
     problem_params=(("dim", 4), ("cond", 10.0), ("sigma", 0.1)),
     schedule=StepSizeSchedule("inverse_k", 50.0), sf=sf.constant(1.0),
-    iterations=1000, eval_every=10, n_seeds=4,
+    iterations=1000, eval_every=10, n_seeds=4, master_seed=0,
 )
 # A factor support that is wide in the first steps: some seeds diverge.
 SOME_SEEDS_DIVERGE = dataclasses.replace(

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slrlab import optimizer, problems, sf, stats
 from slrlab.optimizer import StepSizeSchedule
@@ -118,6 +120,22 @@ def test_welch_zero_variance_is_all_values_equal(x, y, n_b):
     # One constant side has zero variance, so only the other's enters.
     t, df, _ = stats.welch_t(a, np.array([0.0, 1.0, 2.0]))
     assert t == (x - 1.0) / math.sqrt(1.0 / 3.0) and df == 2.0
+
+
+# Values whose products with 2**e, e in [-900, 900], stay normal doubles.
+_WELCH_SAMPLES = st.lists(st.floats(-1e3, 1e3).filter(lambda x: x == 0 or abs(x) >= 1e-30),
+                          min_size=2, max_size=12)
+
+
+# Equal values on each side take the zero-variance convention, which warns.
+@pytest.mark.filterwarnings("ignore:welch_t. zero variances")
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(a=_WELCH_SAMPLES, b=_WELCH_SAMPLES, e=st.integers(-900, 900))
+def test_welch_t_is_unchanged_bit_for_bit_by_a_common_power_of_two_scale(a, b, e):
+    a, b = np.array(a), np.array(b)
+    got = stats.welch_t(a * 2.0**e, b * 2.0**e)
+    assert [x.hex() for x in got] == [x.hex() for x in stats.welch_t(a, b)]
+
 
 def test_welch_needs_two_samples():
     with pytest.raises(ValueError):

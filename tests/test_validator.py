@@ -29,6 +29,21 @@ def test_classify_reports_numeric_direction_not_the_label():
     assert res.mean_direction in (sf.Direction.INCREASING, sf.Direction.DECREASING)
 
 
+def test_mean_direction_allows_equal_neighbours_unlike_the_strict_gates():
+    assert sf._direction(np.array([1.0, 2.0, 2.0, 3.0])) is sf.Direction.INCREASING
+    # Over 10000 steps the mean of uniform_root(1, 1 + 1e-12) never rises
+    # and mostly stays put: the direction reads decreasing, but case11b's
+    # strict gate fails at the first equal pair.
+    c2 = 1.0 + 1e-12
+    assert validator.classify_prop1(1.0, c2).mean_direction is sf.Direction.DECREASING
+    profile = sf.moment_profile(sf.uniform_root(1.0, c2), validator.PROP1_HORIZON)
+    steps = np.diff(profile.mean)
+    assert len(steps) == 10000 and (steps == 0).sum() == 9907 and not (steps > 0).any()
+    gate = _by_name(validator.check_theorem_case(profile, TheoremCase.CASE_11B, 1.0, 1.0,
+                                                 StepSizeSchedule("inverse_k", 0.1)))["mean_decreasing"]
+    assert not gate.holds and gate.first_violation_k == 51
+
+
 def test_classify_rejects_bad_pairs():
     with pytest.raises(ValueError):
         validator.classify_prop1(0.5, 0.5)
