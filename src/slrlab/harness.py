@@ -35,7 +35,7 @@ from enum import Enum
 import numpy as np
 
 from . import sf as sfmod
-from .optimizer import StepSizeSchedule, Trajectory, step_sizes, step_sums
+from .optimizer import StepSizeSchedule, Trajectory, step_sizes, step_sums, unit_schedule
 from .validator import THEOREM_CASES, TheoremCase
 
 
@@ -60,8 +60,11 @@ def gk_sequence(grad_norm_sq: np.ndarray, schedule: StepSizeSchedule, ks: np.nda
     if (values < 0).any():
         raise ValueError("gradient norms must be >= 0")
     k_max = int(ks[-1]) + 1
-    # w_k = 2 eta_k / S_{k+1}.
-    w = 2.0 * step_sizes(schedule, k_max)[ks] / step_sums(schedule, k_max)[ks + 1]
+    # w_k = 2 eta_k / S_{k+1}, a ratio: from the unit schedule it keeps its
+    # bits where eta_k and S_{k+1} are normal, and stays finite where they
+    # would overflow.
+    unit = unit_schedule(schedule)
+    w = 2.0 * step_sizes(unit, k_max)[ks] / step_sums(unit, k_max)[ks + 1]
     # Only the recurrence itself is sequential.  It runs on Python floats,
     # which round each product and sum once as numpy does, in this order.
     g = [float(values[0])]
@@ -130,8 +133,10 @@ def envelope_series(
         bad = mean - var <= 0
         if bad.any():
             raise ValueError(f"mean - variance <= 0 at k={int(ks[np.argmax(bad)])}; envelope undefined for {case.value}")
-    # Over a subnormal step sum an envelope overflows to inf, the value it stands for.
-    with np.errstate(over="ignore"):
+    # Over a subnormal step sum an envelope overflows to inf, and where a
+    # product with the step sum underflows to 0 it divides by 0: either
+    # inf stands for the value.
+    with np.errstate(over="ignore", divide="ignore"):
         values = definition.envelope(mean, var, s)
     return RateEnvelope(ks=ks, values=values)
 
@@ -181,7 +186,10 @@ def little_o_diagnostic(
     if not (0 < k_lo < k_hi):
         raise ValueError("need 0 < k_lo < k_hi")
 
-    ratios = min_grad_sq / env.values
+    # An envelope at or near 0 or inf gives a ratio of inf, 0 or nan; the
+    # fit below skips the points that are not positive and finite.
+    with np.errstate(all="ignore"):
+        ratios = min_grad_sq / env.values
     window = (env.ks >= k_lo) & (env.ks <= k_hi)
     if window.sum() < 2:
         raise ValueError("window [k_lo, k_hi] covers fewer than 2 recorded points")

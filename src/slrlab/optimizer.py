@@ -155,8 +155,19 @@ def step_sums(schedule: StepSizeSchedule, k_max: int) -> np.ndarray:
 
     One cumulative sum in step order, so S_k has the bits of adding the
     step sizes one by one; every step sum in the package is an entry of it.
+    A sum beyond the largest double reads inf.
     """
-    return np.concatenate(([0.0], np.cumsum(step_sizes(schedule, k_max))))
+    with np.errstate(over="ignore"):
+        return np.concatenate(([0.0], np.cumsum(step_sizes(schedule, k_max))))
+
+
+def unit_schedule(schedule: StepSizeSchedule) -> StepSizeSchedule:
+    """The schedule with eta scaled by the power of two that brings it into [0.5, 1).
+
+    The scaling is exact, so a ratio of step sizes and step sums keeps its
+    bits wherever they are normal doubles, and no step sum over- or underflows.
+    """
+    return StepSizeSchedule(schedule.family, math.frexp(schedule.eta)[0])
 
 
 def sgd_step(x: np.ndarray, g: np.ndarray, eta_k: float, u_k: float) -> np.ndarray:
@@ -379,8 +390,6 @@ def run_arms(
         for spec, lo, hi in zip(sf_specs, edges[:-1], edges[1:]):
             if hi > lo:
                 u[lo:hi] = sfmod.sample_block(spec, k0, n, [sf_rngs[r] for r in live[lo:hi]])
-        steps = step_buf[:n * len(live) * d].reshape(n, len(live), d)
-        steps[...] = (etas[k0:k0 + n] * u).T[:, :, None]
         # The block's eval points k0 <= k < k0 + n, plus the final point
         # on the last block.  Their iterates are buffered as the block
         # steps and evaluated together after it; the factors drawn at
@@ -393,6 +402,10 @@ def run_arms(
         E = np.empty((e1 - e0, len(live), d))
         X_start = X
         with np.errstate(over="ignore", invalid="ignore"):
+            # A step size beyond the largest double reads inf; the row then
+            # stops at its first non-finite iterate.
+            steps = step_buf[:n * len(live) * d].reshape(n, len(live), d)
+            steps[...] = (etas[k0:k0 + n] * u).T[:, :, None]
             for j in range(n):
                 k = k0 + j
                 if k % eval_every == 0:

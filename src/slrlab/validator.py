@@ -25,7 +25,7 @@ import numpy as np
 
 from . import lambert
 from . import sf as sfmod
-from .optimizer import StepSizeSchedule, step_sizes, step_sums
+from .optimizer import StepSizeSchedule, step_sizes, step_sums, unit_schedule
 
 CASE_C_TOL = 1e-9
 PROP1_HORIZON = 10_000
@@ -138,13 +138,19 @@ def check_assumption2(schedule: StepSizeSchedule, horizon: int = 10_000) -> list
         raise ValueError("horizon must be >= 2")
     eta = step_sizes(schedule, horizon + 1)
     sums = step_sums(schedule, horizon + 1)
+    # Beyond the range of a double the partial sums read inf or 0; the ratio
+    # sum, taken from the unit schedule, does not depend on the scale of eta.
+    with np.errstate(over="ignore"):
+        squares = float((eta**2).sum())
+    unit = unit_schedule(schedule)
+    ratios = step_sizes(unit, horizon + 1)[1:] / step_sums(unit, horizon + 1)[1:-1]
     fam = schedule.family
     # Analytic verdicts: every family's eta sum diverges, and so does its
     # ratio sum (eta_k / S_k ~ c/k, from k = 1: S_0 = 0); only inverse_k's squares converge.
     series = (
         ("step_sum_diverges", True, f"partial sum over {horizon + 1} terms = {float(sums[-1]):.6g}"),
-        ("step_square_sum_converges", fam == "inverse_k", f"partial sum of squares = {float((eta**2).sum()):.6g}"),
-        ("step_ratio_sum_diverges", True, f"partial sum from k=1 = {float((eta[1:] / sums[1:-1]).sum()):.6g}"),
+        ("step_square_sum_converges", fam == "inverse_k", f"partial sum of squares = {squares:.6g}"),
+        ("step_ratio_sum_diverges", True, f"partial sum from k=1 = {float(ratios.sum()):.6g}"),
     )
     return [_pairwise_report("step_decreasing", eta, "decreasing")] + [
         ConditionReport(name, verdict, None, f"analytic for {fam}; {detail}") for name, verdict, detail in series

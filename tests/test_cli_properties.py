@@ -81,9 +81,22 @@ def _says_why(stdout, stderr):
     return any(re.search(rf"\b{re.escape(key)}\b", message) for key in KEYS) or any(c in message for c in CAUSES)
 
 
+def _edge(eta, value):
+    return cli_io.ExperimentConfig(
+        problem_family="quadratic", problem_params=(("dim", 2), ("cond", 1.0), ("sigma", 0.0), ("seed", 0)),
+        schedule=StepSizeSchedule("constant", eta), sf=sf.constant(value), iterations=100, eval_every=10,
+        n_seeds=2, master_seed=0, theorem_case=TheoremCase.CASE_11B)
+
+
+# Step sizes, step sums and envelopes beyond the range of a double, which
+# read inf or 0: once a numpy warning each, and exit 2 where it is an error.
 @settings(max_examples=60, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(cfg=configs())
+@example(cfg=_edge(1e160, 1e-170))  # Assumption 2's square sum overflows
+@example(cfg=_edge(1e200, 1e200))  # the step sizes eta_k * u_k overflow
+@example(cfg=_edge(1e-300, 1e-300))  # mean * S_k underflows to 0 in the envelope
+@example(cfg=_edge(1e307, 1e-308))  # S_k overflows
 def test_valid_configs_exit_zero_or_one_with_a_reason(cfg):
     text = cli_io.format_config(cfg)
     assert cli_io.parse_config(text) == cfg

@@ -1,7 +1,12 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from slrlab import cli_io, harness, optimizer, problems, sf
+from slrlab import cli_io, harness, optimizer, problems, sf, validator
 from slrlab.harness import Verdict
 from slrlab.optimizer import StepSizeSchedule
 from slrlab.validator import TheoremCase
@@ -97,6 +102,51 @@ def test_gk_bits_equal_the_per_point_recurrence(family, eval_every):
     want = np.full(len(traj.grad_norm_sq), np.nan)
     want[:-2] = gk_per_point(traj.grad_norm_sq[:-2], traj.eval_points[:-2], sched)[:-1]
     assert harness.attach_gk(traj, sched).tobytes() == want.tobytes()
+
+
+# Every finite eta > 0, subnormals included.
+DOUBLE_MAX = np.finfo(float).max
+any_eta = st.floats(min_value=5e-324, max_value=DOUBLE_MAX, allow_subnormal=True)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(eta=any_eta, value=any_eta, family=st.sampled_from(optimizer.SCHEDULE_FAMILIES),
+       case=st.sampled_from(list(TheoremCase)))
+@example(eta=1e308, value=1e-300, family="constant", case=TheoremCase.CASE_11B)
+@example(eta=5e-324, value=5e-324, family="inverse_k", case=TheoremCase.CASE_11A)
+@example(eta=1e160, value=1.0, family="constant", case=TheoremCase.CASE_12)
+def test_step_size_series_warn_nowhere_in_the_double_range(eta, value, family, case):
+    # Beyond the range of a double a sum or an envelope reads inf or 0,
+    # the value it stands for, and nothing warns.
+    sched = StepSizeSchedule(family, eta)
+    ks = np.arange(1, 301)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        optimizer.step_sums(sched, 300)
+        g = harness.gk_sequence(np.linspace(0.1, 5.0, 300), sched)
+        validator.check_assumption2(sched, 300)
+        harness.envelope_series(case, sf.constant(value), sched, ks)
+    assert np.isfinite(g).all()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(eta=st.floats(0.5, 1.0, exclude_max=True), shift=st.integers(-1030, 1024),
+       family=st.sampled_from(optimizer.SCHEDULE_FAMILIES))
+@example(eta=math.frexp(1e308)[0], shift=0, family="constant")
+def test_gk_bits_do_not_depend_on_the_scale_of_eta(eta, shift, family):
+    ks = np.arange(0, 3000, 10)
+    y = np.random.default_rng(3).uniform(0.1, 5.0, size=len(ks))
+    g = harness.gk_sequence(y, StepSizeSchedule(family, eta), ks)
+    # In the top binade, 1e308 included, S_k overflows from k = 2; the
+    # weights do not.
+    assert g.tobytes() == harness.gk_sequence(y, StepSizeSchedule(family, math.ldexp(eta, 1024)), ks).tobytes()
+    # Scaling eta by 2^shift is exact: where every eta_k and S_k stays a
+    # normal double, the weights and so g_k keep their bits.
+    scaled = StepSizeSchedule(family, math.ldexp(eta, shift))
+    assume(optimizer.step_sizes(scaled, 3000).min() >= np.finfo(float).tiny
+           and optimizer.step_sums(scaled, 3000)[-1] < math.inf)
+    assert harness.gk_sequence(y, scaled, ks).tobytes() == g.tobytes()
+    assert gk_per_point(y, ks, scaled).tobytes() == g.tobytes()
 
 
 def test_envelope_deterministic_case_is_inverse_sum():

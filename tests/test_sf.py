@@ -18,6 +18,9 @@ def test_constant_moments_and_sample():
     huge = sf.moment_profile(sf.constant(1.7e308), 10)
     assert (huge.mean == 1.7e308).all() and (huge.variance == 0.0).all()
     assert huge.sup_support_limit == 1.7e308
+    # The least subnormal, which halves to 0.
+    tiny = sf.moment_profile(sf.constant(5e-324), 10)
+    assert (tiny.mean == 5e-324).all() and (tiny.variance == 0.0).all()
 
 
 def test_uniform_root_bounds_k0_are_the_roots():

@@ -24,6 +24,8 @@ def test_betainc_matches_scipy():
         assert ours == pytest.approx(ref, abs=1e-12)
     assert stats.betainc_reg(2.0, 3.0, 0.0) == 0.0
     assert stats.betainc_reg(2.0, 3.0, 1.0) == 1.0
+    # 1 - 1e-17 rounds to 1.0, yet I_x(2, 3) ~ 6 x^2 there.
+    assert stats.betainc_reg(2.0, 3.0, 1e-17) == pytest.approx(6e-34, rel=1e-12)
     with pytest.raises(ValueError, match="a > 0 and b > 0"):
         stats.betainc_reg(0.0, 3.0, 0.5)
     with pytest.raises(ValueError, match="0 <= x <= 1"):
@@ -35,6 +37,84 @@ def test_betainc_matches_scipy():
 def test_t_zero_gives_exactly_one():
     for df in (1.0, 2.5, 10.0, 200.0):
         assert stats.t_two_sided_p(0.0, df) == 1.0
+        assert stats.t_two_sided_p(-0.0, df) == 1.0
+
+
+def _betacf_half_steps(a, b, x):
+    """The continued fraction with each iteration's even and odd steps written out one after the other."""
+    fpmin = 1e-300
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < fpmin:
+        d = fpmin
+    d = 1.0 / d
+    h = d
+    for m in range(1, 301):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < fpmin:
+            d = fpmin
+        c = 1.0 + aa / c
+        if abs(c) < fpmin:
+            c = fpmin
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < fpmin:
+            d = fpmin
+        c = 1.0 + aa / c
+        if abs(c) < fpmin:
+            c = fpmin
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-14:
+            return h
+    raise RuntimeError("no convergence")
+
+
+def test_betacf_bits_equal_the_written_out_steps():
+    rng = np.random.default_rng(7)
+    for _ in range(10_000):
+        a, b = (float(v) for v in 10.0 ** rng.uniform(-2.0, 4.0, size=2))
+        x = float(rng.uniform(0.0, (a + 1.0) / (a + b + 2.0)))
+        assert stats._betacf(a, b, x) == _betacf_half_steps(a, b, x), (a, b, x)
+
+
+def test_t_p_below_the_switch_point_keeps_the_front_factor_and_fraction_on_x():
+    # Below x = (a + 1) / (a + b + 2) (|t| above about 1.2) p is the front
+    # factor on log1p(-x) times the fraction on x, bit for bit; compare's
+    # p-values lie there.
+    rng = np.random.default_rng(8)
+    checked = 0
+    for _ in range(10_000):
+        t = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-1.0, 1.5))
+        df = float(10.0 ** rng.uniform(-0.3, 4.0))
+        a, b, x = 0.5 * df, 0.5, df / (df + t * t)
+        if x >= (a + 1.0) / (a + b + 2.0):
+            continue
+        front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log(x) + b * math.log1p(-x))
+        assert stats.t_two_sided_p(t, df) == front * _betacf_half_steps(a, b, x) / a, (t, df)
+        checked += 1
+    assert checked > 4000
+
+
+def test_t_p_near_one_keeps_its_low_bits():
+    # Near p = 1 the fraction runs on t^2 / (df + t^2), not on 1 - x,
+    # whose low bits rounding took; the reference's own error is below
+    # 8e-17 at the fixed points (mpmath, 40 digits).  Up to df = 1e3: past
+    # it the front factor's lgamma error, scaled by 1 - p, exceeds 1e-15
+    # (7.6e-15 at t = 1e-3, df = 1e4).
+    rng = np.random.default_rng(9)
+    points = [(1e-7, 1e3), (1e-7, 78.0), (1e-5, 1e3), (1e-8, 2.5), (1e-3, 1e3), (-1e-7, 1e3)]
+    points += [(float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, -3.0)), float(10.0 ** rng.uniform(-0.3, 3.0)))
+               for _ in range(2000)]
+    for t, df in points:
+        ref = 1.0 - scipy.special.betainc(0.5, 0.5 * df, t * t / (df + t * t))
+        assert stats.t_two_sided_p(t, df) == pytest.approx(ref, rel=1e-15, abs=0.0), (t, df)
 
 
 def test_t_p_monotone_in_magnitude():
