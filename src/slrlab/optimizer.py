@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -185,7 +186,7 @@ def config_digest(
     eval_every: int,
 ) -> str:
     """Short stable digest of everything that defines a run but the seed."""
-    import hashlib  # imported here, as in run_arms: `validate` and `plot` hash nothing
+    import hashlib  # imported here, as in grad_stream_digest: `validate` and `plot` hash nothing
     import json  # imported here: only the digest's canonical text is JSON
 
     blob = json.dumps(
@@ -206,6 +207,13 @@ def config_digest(
 METRICS = ("loss", "min_grad_sq")
 
 
+@dataclass(frozen=True, eq=False)
+class RunBatch:
+    """What the runs of one :func:`run_arms` call share: the problem whose gradient streams they stepped on."""
+
+    problem: pb.ProblemSpec
+
+
 @dataclass(eq=False)
 class Trajectory:
     """Everything recorded about one run.
@@ -216,10 +224,10 @@ class Trajectory:
     ``grad_norm_sq`` when read.  ``u_eval`` holds the draw used at each
     recorded iterate, nan where no step left it (the final iterate, and
     any point at or past a truncation), so ``eval_every = 1`` records
-    every factor.  Only the eval grid is shared: ``eval_points`` is a
-    read-only view of one column common to every run of a batch (a
-    truncated run's is a prefix).  The CSV writer computes the schedule's
-    columns (eta_k and the step sums) and g_k; a run does not hold them.
+    every factor.  The runs of a batch share ``batch`` and the eval grid:
+    ``eval_points`` is a read-only view of one column (a truncated run's is
+    a prefix).  The CSV writer computes the schedule's columns (eta_k and
+    the step sums) and g_k; a run does not hold them.
     """
 
     eval_points: np.ndarray
@@ -232,8 +240,8 @@ class Trajectory:
     config_digest: str
     certified: bool
     truncated_at: int | None
+    batch: RunBatch
     rng_algorithm: str = RNG_ALGORITHM
-    grad_stream_digest: str = ""
 
     @property
     def diverged(self) -> bool:
@@ -248,6 +256,21 @@ class Trajectory:
         it reads inf until the first finite norm.
         """
         return np.fmin.accumulate(np.concatenate(([np.inf], self.grad_norm_sq)))[1:]
+
+    @cached_property
+    def grad_stream_digest(self) -> str:
+        """SHA-256 of the gradient draws the run stepped on: ``truncated_at`` of them, or ``iterations``.
+
+        Computed on first read by drawing them again, and kept; only
+        ``stats.compare`` reads it, for runs of different batches.
+        """
+        import hashlib  # imported here, as in config_digest: `validate` and `plot` hash nothing
+
+        n = self.iterations if self.truncated_at is None else self.truncated_at
+        rng, digest = stream_generator(self.seed, GRAD_STREAM), hashlib.sha256()
+        for k0 in range(0, n, BLOCK_STEPS):
+            digest.update(_draw_bytes(self.batch.problem.draw_block(rng, min(BLOCK_STEPS, n - k0))))
+        return digest.hexdigest()
 
 
 # Steps whose randomness is drawn in one block.  Block draws equal the
@@ -279,8 +302,8 @@ def run(
 
 
 def _draw_bytes(draws: np.ndarray) -> bytes:
-    # What the stream digest hashes: indices as little-endian int64.
-    return (draws.astype("<i8") if draws.dtype.kind == "i" else draws).tobytes()
+    # What the stream digest hashes: indices as little-endian int64, noise as little-endian doubles.
+    return draws.astype("<i8" if draws.dtype.kind == "i" else "<f8").tobytes()
 
 
 def _stack_draws(seed_draws: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -321,8 +344,6 @@ def run_arms(
     returns, whatever the other rows are.  ``x0`` (default: ones) must
     be finite.
     """
-    import hashlib  # imported here, as in config_digest: `validate` and `plot` hash nothing
-
     seeds = [int(s) for s in seeds]
     check_arguments(eval_every, iterations, n_seeds=len(seeds))
     x = np.ones(problem.dim) if x0 is None else np.asarray(x0, dtype=float)
@@ -346,10 +367,6 @@ def run_arms(
     seed_of = np.tile(np.arange(S), len(sf_specs))
     grad_rngs = [stream_generator(s, GRAD_STREAM) for s in seeds]
     sf_rngs = [stream_generator(seeds[s], SF_STREAM) for s in seed_of]
-    # Each row's digest covers the gradient draws it stepped on: a live row
-    # reads its seed's, a stopped row a copy plus its last block's prefix.
-    seed_digests = [hashlib.sha256() for _ in seeds]
-    stopped_digests = {}  # row -> its digest, once it stops
     box = problem.domain_box
     etas = step_sizes(schedule, iterations)
 
@@ -378,8 +395,7 @@ def run_arms(
         # Each live seed's block, (n, seeds, ...), and each row's copy of
         # its seed's block, (n, rows, ...).
         live_seeds = sorted(set(seed_of[live].tolist()))
-        blocks = [problem.draw_block(grad_rngs[s], n) for s in live_seeds]
-        seed_draws = np.stack(blocks, axis=1)
+        seed_draws = np.stack([problem.draw_block(grad_rngs[s], n) for s in live_seeds], axis=1)
         pos = np.searchsorted(live_seeds, seed_of[live])
         draws = _stack_draws(seed_draws, pos)
         edges = np.searchsorted(live, S * np.arange(len(sf_specs) + 1))
@@ -455,12 +471,7 @@ def run_arms(
             truncated_at[r], certified[r] = k, False
             n_rec[r] = (k - 1) // eval_every + 1 if nonfinite_at[i] == k else k // eval_every + 1
             u_evals[r, -(-k // eval_every):] = np.nan  # no step was taken there
-            stopped_digests[r] = seed_digests[seed_of[r]].copy()
-            stopped_digests[r].update(_draw_bytes(draws[:k - k0, i]))
-        # A seed's digest takes its whole block once if a row of it goes on.
-        for p in set(pos[keep].tolist()):
-            seed_digests[live_seeds[p]].update(_draw_bytes(blocks[p]))
-        del draws, blocks  # freed before the next block's draws
+        del draws  # freed before the next block's draws
         if not keep.all():
             live, X = live[keep], X[keep]
             if not len(live):
@@ -469,6 +480,7 @@ def run_arms(
     # The eval grid is the same for every row: one read-only copy.
     ks = np.arange(0, iterations + 1, eval_every)
     ks.setflags(write=False)
+    batch = RunBatch(problem)
     out = []
     for a, sf_spec in enumerate(sf_specs):
         digest = config_digest(problem, schedule, sf_spec, iterations, eval_every)
@@ -487,7 +499,7 @@ def run_arms(
                 config_digest=digest,
                 certified=bool(certified[r]),
                 truncated_at=truncated_at[r],
-                grad_stream_digest=stopped_digests.get(r, seed_digests[s]).hexdigest(),
+                batch=batch,
             ))
         out.append(arm)
     return out

@@ -216,11 +216,12 @@ def compare(
     from the tests and counted in the report.  Direction (who is ahead)
     is reported via the means and win counts, never gated on.
 
-    The runner (:func:`optimizer.run_arms`) checks the pairing of arms run
-    together; this check covers sides run separately: at each seed where
-    neither side diverged both runs must have stepped on the same gradient
-    draws (equal ``grad_stream_digest``), else RuntimeError.  A diverged run
-    hashed only the prefix of its stream it executed, so its digest is not compared.
+    The runner (:func:`optimizer.run_arms`) checks the pairing of the runs
+    of one batch; this check covers runs of different batches: at each seed
+    where neither side diverged both must have stepped on the same gradient
+    draws (equal ``grad_stream_digest``, each computed on its first read by
+    one redraw of its stream), else RuntimeError.  A diverged run stepped on
+    only a prefix of its stream, so its digest is not compared.
     """
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}")
@@ -247,7 +248,7 @@ def compare(
     col_b = {t.seed: i for i, t in enumerate(ok_b)}
     shared = [(col_a[s], col_b[s]) for s in seeds if s in col_a and s in col_b]
     for i, j in shared:
-        if ok_a[i].grad_stream_digest != ok_b[j].grad_stream_digest:
+        if ok_a[i].batch is not ok_b[j].batch and ok_a[i].grad_stream_digest != ok_b[j].grad_stream_digest:
             raise RuntimeError(PAIRING_ERROR)
     notes: list[str] = []
     if len(ok_a) < len(a) or len(ok_b) < len(b):

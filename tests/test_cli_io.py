@@ -781,6 +781,21 @@ def test_cli_exits_two_when_a_row_steps_on_another_seeds_draws(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "envelope", "compare"])
+def test_cli_hashes_no_gradient_stream(tmp_path, monkeypatch, command):
+    # The runner's guard checks every row's draws; no command redraws a
+    # stream to hash it, compare included, as both its arms run as one batch.
+    hashed = []
+    monkeypatch.setattr(optimizer, "_draw_bytes", lambda draws: hashed.append(draws) or b"")
+    path = _write_cfg(tmp_path)
+    cfg_b = GOOD_CONFIG.replace("sf = uniform_root", "sf = constant").replace("sf.c1 = 0.3\nsf.c2 = 0.8", "sf.value = 1.0")
+    configs = ["--config", path]
+    if command == "compare":
+        configs = ["--config-a", path, "--config-b", _write_cfg(tmp_path, cfg_b, "b.txt")]
+    assert cli_io.main([command, *configs, "--out", str(tmp_path / "out")]) == 0
+    assert hashed == []
+
+
 def test_cli_envelope_outputs(tmp_path):
     cfg = GOOD_CONFIG.replace("iterations = 100", "iterations = 2000") \
                      .replace("n_seeds = 3", "n_seeds = 2")

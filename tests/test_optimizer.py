@@ -1,4 +1,6 @@
+import hashlib
 import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -208,6 +210,26 @@ def test_stream_digest_covers_the_draws_a_row_stepped_on(monkeypatch):
         monkeypatch.setattr(optimizer, "_stack_draws", shifted)
         with pytest.raises(RuntimeError, match=optimizer.PAIRING_ERROR):
             optimizer.run_arms(pb, sched, specs, 3000, 100, seeds=seeds)
+
+
+def test_stream_digest_is_drawn_on_its_first_read_only(monkeypatch):
+    draw_bytes, hashed = optimizer._draw_bytes, []
+    monkeypatch.setattr(optimizer, "_draw_bytes", lambda draws: hashed.append(len(draws)) or draw_bytes(draws))
+    pb = problems.make_quadratic(dim=3, cond=10.0, sigma=0.1)
+    sched = StepSizeSchedule("inverse_k", 0.1)
+    traj = optimizer.run(pb, sched, sf.constant(1.0), 2500, 10, seed=3)
+    assert hashed == []
+    digest = traj.grad_stream_digest
+    assert hashed == [1024, 1024, 452]
+    assert traj.grad_stream_digest == digest and hashed == [1024, 1024, 452]
+    # A run stopped at k = 0, its start's loss over 1e12, stepped on no draws.
+    stopped = optimizer.run(pb, sched, sf.constant(1.0), 2500, 10, x0=np.full(3, 1e7), seed=3)
+    assert stopped.truncated_at == 0
+    assert stopped.grad_stream_digest == hashlib.sha256().hexdigest() and hashed == [1024, 1024, 452]
+
+
+def test_draw_bytes_are_little_endian_on_any_host():
+    assert optimizer._draw_bytes(np.array([1.5, -2.0], dtype=">f8")) == struct.pack("<2d", 1.5, -2.0)
 
 
 def test_run_memory_follows_the_eval_grid_not_the_step_count():

@@ -394,10 +394,13 @@ def test_compare_checks_the_pairing_of_seeds_where_neither_arm_diverged():
     pb = problems.make_quadratic(dim=2, cond=10.0, sigma=0.1)
     sched = StepSizeSchedule("inverse_k", 0.1)
     specs = [sf.uniform_root(0.3, 0.8), sf.constant(1.0)]
-    a, b = optimizer.run_paired(pb, sched, specs, 100, n_seeds=3, master_seed=7, eval_every=10)
-    # A diverged run hashed only a prefix of its stream: its digest is not compared.
-    cut = dataclasses.replace(b[0], truncated_at=100, grad_stream_digest="prefix")
+    a = stats.run_multi_seed(pb, sched, specs[0], 100, n_seeds=3, master_seed=7, eval_every=10)
+    b = stats.run_multi_seed(pb, sched, specs[1], 100, n_seeds=3, master_seed=7, eval_every=10)
+    # A diverged run stepped on only a prefix of its stream: its digest,
+    # which differs from its seed's in the other side, is not compared.
+    cut = dataclasses.replace(b[0], truncated_at=50)
     assert stats.compare(a, [cut, *b[1:]]).n_b == 2
+    assert cut.grad_stream_digest != a[0].grad_stream_digest
 
     # Sides run separately on different gradient noise (the problems differ
     # only in sigma) share their seeds, not their gradient draws.
@@ -409,3 +412,23 @@ def test_compare_checks_the_pairing_of_seeds_where_neither_arm_diverged():
     # The pairing is checked before the count of runs to test.
     with pytest.raises(RuntimeError, match=optimizer.PAIRING_ERROR):
         stats.compare(a[:1], b[:1])
+
+
+def test_compare_reads_the_digests_of_each_non_diverged_pair_run_separately():
+    pb = problems.make_quadratic(dim=2, cond=10.0, sigma=0.1)
+    sched = StepSizeSchedule("inverse_k", 0.1)
+    specs = [sf.uniform_root(0.3, 0.8), sf.constant(1.0)]
+
+    def digests_read(side):
+        return ["grad_stream_digest" in vars(t) for t in side]
+
+    # One batch: the runner checked every row's draws, so no digest is read.
+    a, b = optimizer.run_paired(pb, sched, specs, 100, n_seeds=3, master_seed=7, eval_every=10)
+    stats.compare(a, b)
+    assert digests_read(a) == digests_read(b) == [False] * 3
+    # Separate sides: every pair but the diverged one is read and compared.
+    a = stats.run_multi_seed(pb, sched, specs[0], 100, n_seeds=3, master_seed=7, eval_every=10)
+    b = stats.run_multi_seed(pb, sched, specs[1], 100, n_seeds=3, master_seed=7, eval_every=10)
+    b = [b[0], dataclasses.replace(b[1], truncated_at=50), b[2]]
+    stats.compare(a, b)
+    assert digests_read(a) == digests_read(b) == [True, False, True]

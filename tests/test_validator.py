@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slrlab import lambert, sf, validator
 from slrlab.optimizer import StepSizeSchedule
@@ -115,6 +117,25 @@ def test_theorem_case11a_uniform_root_fails_with_first_k():
     assert by["mean_decreasing"].first_violation_k == 1
     assert not by["mean_exceeds_variance_plus_one"].holds
     assert by["mean_exceeds_variance_plus_one"].first_violation_k == 0
+
+
+# Factor values log-spaced over [1e-300, 1e300].
+_LOG_SPACED = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(c=st.lists(_LOG_SPACED, min_size=2, max_size=2, unique=True).map(sorted), value=_LOG_SPACED,
+       horizon=st.integers(1, 30))
+def test_no_factor_law_passes_both_case11a_moment_gates(c, value, horizon):
+    # With w_k = c2^(1/(k+1)) - c1^(1/(k+1)), Var increases from k = 0 to 1
+    # only if sqrt(c1) + sqrt(c2) < 1; then c2 < 1, so E[u_0] < 1 fails
+    # E > Var + 1.  A constant's variance is 0 at every k, never increasing.
+    sched = StepSizeSchedule("constant", 1e-301)  # below every step bound
+    for spec in (sf.uniform_root(*c), sf.constant(value)):
+        profile = sf.moment_profile(spec, horizon)
+        by = _by_name(validator.check_theorem_case(profile, TheoremCase.CASE_11A, 1.0, 1.0, sched))
+        assert by["step_bound_mean"].holds
+        assert not (by["variance_increasing"].holds and by["mean_exceeds_variance_plus_one"].holds)
 
 
 def test_theorem_case11b_super_one_roots():
