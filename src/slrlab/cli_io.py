@@ -226,8 +226,17 @@ def build_sf(cfg: ExperimentConfig) -> sf.SFSpec:
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
-    """Read and parse a config file, applying the SLRLAB_SEED override."""
-    text = Path(path).read_text()
+    """Read and parse a config file, applying the SLRLAB_SEED override.
+
+    The file is read as UTF-8: an undecodable byte is a ConfigError that
+    names the file and the byte's line.
+    """
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len((raw[:exc.start].decode("utf-8") + "_").splitlines())
+        raise ConfigError(f"{path}: line {lineno}: byte {raw[exc.start]:#04x} is not UTF-8 ({exc.reason})") from None
     cfg = parse_config(text)
     env = os.environ.get("SLRLAB_SEED")
     if env is not None:

@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -186,7 +185,7 @@ def config_digest(
     eval_every: int,
 ) -> str:
     """Short stable digest of everything that defines a run but the seed."""
-    import hashlib  # imported here, as in grad_stream_digest: `validate` and `plot` hash nothing
+    import hashlib  # imported here: `validate` and `plot` hash nothing
     import json  # imported here: only the digest's canonical text is JSON
 
     blob = json.dumps(
@@ -207,13 +206,6 @@ def config_digest(
 METRICS = ("loss", "min_grad_sq")
 
 
-@dataclass(frozen=True, eq=False)
-class RunBatch:
-    """What the runs of one :func:`run_arms` call share: the problem whose gradient streams they stepped on."""
-
-    problem: pb.ProblemSpec
-
-
 @dataclass(eq=False)
 class Trajectory:
     """Everything recorded about one run.
@@ -224,10 +216,11 @@ class Trajectory:
     ``grad_norm_sq`` when read.  ``u_eval`` holds the draw used at each
     recorded iterate, nan where no step left it (the final iterate, and
     any point at or past a truncation), so ``eval_every = 1`` records
-    every factor.  The runs of a batch share ``batch`` and the eval grid:
-    ``eval_points`` is a read-only view of one column (a truncated run's is
-    a prefix).  The CSV writer computes the schedule's columns (eta_k and
-    the step sums) and g_k; a run does not hold them.
+    every factor.  The runs of a batch share ``problem``, the one whose
+    gradient streams they stepped on, and the eval grid: ``eval_points``
+    is a read-only view of one column (a truncated run's is a prefix).
+    The CSV writer computes the schedule's columns (eta_k and the step
+    sums) and g_k; a run does not hold them.
     """
 
     eval_points: np.ndarray
@@ -240,7 +233,7 @@ class Trajectory:
     config_digest: str
     certified: bool
     truncated_at: int | None
-    batch: RunBatch
+    problem: pb.ProblemSpec
     rng_algorithm: str = RNG_ALGORITHM
 
     @property
@@ -256,21 +249,6 @@ class Trajectory:
         it reads inf until the first finite norm.
         """
         return np.fmin.accumulate(np.concatenate(([np.inf], self.grad_norm_sq)))[1:]
-
-    @cached_property
-    def grad_stream_digest(self) -> str:
-        """SHA-256 of the gradient draws the run stepped on: ``truncated_at`` of them, or ``iterations``.
-
-        Computed on first read by drawing them again, and kept; only
-        ``stats.compare`` reads it, for runs of different batches.
-        """
-        import hashlib  # imported here, as in config_digest: `validate` and `plot` hash nothing
-
-        n = self.iterations if self.truncated_at is None else self.truncated_at
-        rng, digest = stream_generator(self.seed, GRAD_STREAM), hashlib.sha256()
-        for k0 in range(0, n, BLOCK_STEPS):
-            digest.update(_draw_bytes(self.batch.problem.draw_block(rng, min(BLOCK_STEPS, n - k0))))
-        return digest.hexdigest()
 
 
 # Steps whose randomness is drawn in one block.  Block draws equal the
@@ -299,11 +277,6 @@ def run(
     This is the one-arm, one-seed case of :func:`run_arms`.
     """
     return run_arms(problem, schedule, [sf_spec], iterations, eval_every, x0, seeds=[seed])[0][0]
-
-
-def _draw_bytes(draws: np.ndarray) -> bytes:
-    # What the stream digest hashes: indices as little-endian int64, noise as little-endian doubles.
-    return draws.astype("<i8" if draws.dtype.kind == "i" else "<f8").tobytes()
 
 
 def _stack_draws(seed_draws: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -480,7 +453,6 @@ def run_arms(
     # The eval grid is the same for every row: one read-only copy.
     ks = np.arange(0, iterations + 1, eval_every)
     ks.setflags(write=False)
-    batch = RunBatch(problem)
     out = []
     for a, sf_spec in enumerate(sf_specs):
         digest = config_digest(problem, schedule, sf_spec, iterations, eval_every)
@@ -499,7 +471,7 @@ def run_arms(
                 config_digest=digest,
                 certified=bool(certified[r]),
                 truncated_at=truncated_at[r],
-                batch=batch,
+                problem=problem,
             ))
         out.append(arm)
     return out

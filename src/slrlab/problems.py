@@ -118,8 +118,7 @@ class _AdditiveNoise(ProblemSpec):
     sigma: float
 
     def draw_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        # A noiseless problem consumes no randomness: its (n, 0) draws
-        # hash to nothing and add nothing.
+        # A noiseless problem consumes no randomness: its (n, 0) draws add nothing.
         if self.sigma == 0.0:
             return np.empty((n, 0))
         return self.sigma * rng.standard_normal((n, self.dim))

@@ -2,9 +2,10 @@
 
 Two sides, each the runs of one configuration, are compared checkpoint
 by checkpoint with Welch's unequal variance t-test and a Bonferroni
-family-wise correction at :data:`FWER`.  The sides are paired: run under
-the same seeds (:func:`optimizer.run_paired`), they share per-seed
-gradient streams, which isolates the effect of the stochasticity factor.
+family-wise correction at :data:`FWER`.  The sides are paired: run on one
+problem under the same seeds (:func:`optimizer.run_paired`), they share
+per-seed gradient streams, which isolates the effect of the stochasticity
+factor.
 
 The two-sided p-value uses the exact identity
 p = I_x(df/2, 1/2) with x = df/(df + t^2), where I is the regularized
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import problems as pb
 from . import sf as sfmod
-from .optimizer import METRICS, PAIRING_ERROR, StepSizeSchedule, Trajectory, check_arguments, run_paired
+from .optimizer import METRICS, StepSizeSchedule, Trajectory, check_arguments, run_paired
 
 _BETA_EPS = 1e-14
 _BETA_FPMIN = 1e-300
@@ -211,17 +212,14 @@ def compare(
 
     ``checkpoints`` defaults to :func:`auto_checkpoints` of the runs'
     horizon and cadence.  The sides must share horizon, cadence and their
-    seed list, which with the stream design means shared gradient noise,
-    and no seed may appear twice.  Diverged trajectories are excluded
-    from the tests and counted in the report.  Direction (who is ahead)
-    is reported via the means and win counts, never gated on.
+    seed list, and no seed may appear twice.  Diverged trajectories are
+    excluded from the tests and counted in the report.  Direction (who is
+    ahead) is reported via the means and win counts, never gated on.
 
-    The runner (:func:`optimizer.run_arms`) checks the pairing of the runs
-    of one batch; this check covers runs of different batches: at each seed
-    where neither side diverged both must have stepped on the same gradient
-    draws (equal ``grad_stream_digest``, each computed on its first read by
-    one redraw of its stream), else RuntimeError.  A diverged run stepped on
-    only a prefix of its stream, so its digest is not compared.
+    Both sides must have run on one problem (equal family and params), else
+    ValueError.  A problem and a seed give one gradient stream, and the
+    runner (:func:`optimizer.run_arms`) checks that every run stepped on its
+    seed's stream, so shared seeds then mean shared gradient noise.
     """
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}")
@@ -232,6 +230,9 @@ def compare(
     iterations, eval_every = a[0].iterations, a[0].eval_every
     if b[0].iterations != iterations or b[0].eval_every != eval_every:
         raise ValueError("both sides must share horizon and eval cadence")
+    (fam_a, params_a), (fam_b, params_b) = ((t.problem.family, t.problem.params) for t in (a[0], b[0]))
+    if (fam_a, params_a) != (fam_b, params_b):
+        raise ValueError(f"both sides must run on one problem, got {fam_a} {params_a} and {fam_b} {params_b}")
     seeds = [t.seed for t in a]
     if [t.seed for t in b] != seeds:
         raise ValueError("paired comparison requires identical seed lists")
@@ -247,9 +248,6 @@ def compare(
     col_a = {t.seed: i for i, t in enumerate(ok_a)}
     col_b = {t.seed: i for i, t in enumerate(ok_b)}
     shared = [(col_a[s], col_b[s]) for s in seeds if s in col_a and s in col_b]
-    for i, j in shared:
-        if ok_a[i].batch is not ok_b[j].batch and ok_a[i].grad_stream_digest != ok_b[j].grad_stream_digest:
-            raise RuntimeError(PAIRING_ERROR)
     notes: list[str] = []
     if len(ok_a) < len(a) or len(ok_b) < len(b):
         notes.append(f"excluded diverged runs: {len(a) - len(ok_a)} from a, {len(b) - len(ok_b)} from b")

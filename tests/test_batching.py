@@ -13,8 +13,6 @@ box.
 """
 
 import dataclasses
-import hashlib
-import struct
 
 import numpy as np
 import pytest
@@ -40,7 +38,6 @@ def scalar_reference(problem, schedule, spec, iterations, eval_every, x0, seed):
     x = np.ones(problem.dim) if x0 is None else np.array(x0, dtype=float)
     grad_rng = optimizer.stream_generator(seed, optimizer.GRAD_STREAM)
     sf_rng = optimizer.stream_generator(seed, optimizer.SF_STREAM)
-    digest = hashlib.sha256()
     rec = {name: [] for name in ("eval_points", "loss", "grad_norm_sq", "min_grad_sq", *SCHEDULE_COLUMNS)}
     u_steps = []
     sum_eta, running_min, g_next = 0.0, np.inf, None
@@ -72,10 +69,6 @@ def scalar_reference(problem, schedule, spec, iterations, eval_every, x0, seed):
         eta_k = optimizer.step_size(schedule, k)
         u_k = sf.sample(spec, k, sf_rng)
         gs = problems.stochastic_gradient(problem, x, grad_rng)
-        if isinstance(gs.draw, np.ndarray):
-            digest.update(gs.draw.tobytes())
-        elif gs.draw is not None:
-            digest.update(struct.pack("<q", gs.draw))
         x = x - (eta_k * u_k) * gs.vector
         u_steps.append(u_k)
         sum_eta += eta_k
@@ -100,7 +93,6 @@ def scalar_reference(problem, schedule, spec, iterations, eval_every, x0, seed):
         certified=certified and truncated_at is None,
         diverged=truncated_at is not None,
         truncated_at=truncated_at,
-        grad_stream_digest=digest.hexdigest(),
     ), columns
 
 

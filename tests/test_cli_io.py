@@ -546,6 +546,17 @@ def test_cli_validate_exit_codes(tmp_path, capsys):
     assert cli_io.main(["validate", "--config", _write_cfg(tmp_path, broken, "broken.txt")]) == 1
 
 
+@pytest.mark.parametrize("command", ["validate", "compare"])
+def test_cli_names_the_config_and_line_of_an_undecodable_byte(tmp_path, capsys, command):
+    bad = tmp_path / "b.txt"
+    bad.write_bytes(GOOD_CONFIG.replace("problem.cond = 10.0", "problem.cond = 10.0  # \xff").encode("latin-1"))
+    configs = ["--config", str(bad)]
+    if command == "compare":
+        configs = ["--config-a", _write_cfg(tmp_path), "--config-b", str(bad), "--out", str(tmp_path / "out")]
+    assert cli_io.main([command, *configs]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: line 3: byte 0xff is not UTF-8 (invalid start byte)\n"
+
+
 def test_cli_run_outputs(tmp_path):
     cfg = GOOD_CONFIG.replace("n_seeds = 3", "n_seeds = 2")
     path = _write_cfg(tmp_path, cfg)
@@ -779,21 +790,6 @@ def test_cli_exits_two_when_a_row_steps_on_another_seeds_draws(tmp_path, capsys,
     assert cli_io.main([command, "--config", _write_cfg(tmp_path), "--out", str(out)]) == 2
     assert capsys.readouterr() == ("", "error: paired gradient streams diverged between arms; stream split broken\n")
     assert not out.exists()
-
-
-@pytest.mark.parametrize("command", ["run", "envelope", "compare"])
-def test_cli_hashes_no_gradient_stream(tmp_path, monkeypatch, command):
-    # The runner's guard checks every row's draws; no command redraws a
-    # stream to hash it, compare included, as both its arms run as one batch.
-    hashed = []
-    monkeypatch.setattr(optimizer, "_draw_bytes", lambda draws: hashed.append(draws) or b"")
-    path = _write_cfg(tmp_path)
-    cfg_b = GOOD_CONFIG.replace("sf = uniform_root", "sf = constant").replace("sf.c1 = 0.3\nsf.c2 = 0.8", "sf.value = 1.0")
-    configs = ["--config", path]
-    if command == "compare":
-        configs = ["--config-a", path, "--config-b", _write_cfg(tmp_path, cfg_b, "b.txt")]
-    assert cli_io.main([command, *configs, "--out", str(tmp_path / "out")]) == 0
-    assert hashed == []
 
 
 def test_cli_envelope_outputs(tmp_path):

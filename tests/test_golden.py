@@ -8,15 +8,19 @@ re-recorded when the factor supports, the moments and the quadratic's
 eigenvalues moved to one scalar power; the quadratic and Rosenbrock
 files do not depend on the SIMD level numpy dispatches to, and
 :func:`test_quadratic_and_rosenbrock_bytes_do_not_depend_on_numpy_simd`
-checks that.  The logreg run was re-recorded when its eval moved to
-fixed data chunks (tag ``eval_algorithm = logreg-chunked-v1``), and again
-when the products moved to 16-wide GEMMs over fixed data tiles
-(``logreg-chunked-v2``; values within ~1.1e-15 relative of v1).  Its
-``exp`` and ``log1p`` are numpy's SIMD loops and its products follow the
-OpenBLAS kernel, so its golden bytes hold only where numpy dispatches to
-its AVX-512 routines and OpenBLAS runs the kernel they were recorded
-with (SkylakeX); CI prints both.  Its data fit in one chunk, so it does
-not exercise the BLAS thread count;
+checks that.  Every file does follow the OpenBLAS kernel, though:
+``problems.row_dot``, which gives the recorded squared gradient norms and
+the quadratic's loss, is a BLAS dot that sums in the kernel's own order.
+So the golden bytes hold only where OpenBLAS runs the kernel they were
+recorded with (SkylakeX); under ``OPENBLAS_CORETYPE=Haswell`` all four
+CLI golden tests fail, and a failure names the kernel that ran.  The
+logreg run was re-recorded when its eval moved to fixed data chunks (tag
+``eval_algorithm = logreg-chunked-v1``), and again when the products
+moved to 16-wide GEMMs over fixed data tiles (``logreg-chunked-v2``;
+values within ~1.1e-15 relative of v1).  Its ``exp`` and ``log1p`` are
+numpy's SIMD loops, so its bytes also need numpy to dispatch to its
+AVX-512 routines; CI prints the SIMD level and the OpenBLAS core.  Its
+data fit in one chunk, so it does not exercise the BLAS thread count;
 ``tests/test_problems.py::test_logreg_eval_bits_do_not_depend_on_blas_threads``
 and its per-kernel twin do, on data large enough for BLAS to use threads.
 
@@ -36,6 +40,8 @@ reports, and the envelope's bytes or its error.  Re-record it with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import ctypes
+import glob
 import hashlib
 import json
 import os
@@ -47,7 +53,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slrlab import cli_io, harness, sf, validator
+from slrlab import cli_io, harness, optimizer, problems, sf, validator
 from slrlab.optimizer import StepSizeSchedule
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -63,6 +69,16 @@ COMMANDS = {
 }
 
 
+def _openblas_core() -> str:
+    """The core numpy's OpenBLAS runs, looked up as CI's log step does, or "unknown"."""
+    libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs", "libscipy_openblas*"))
+    get = getattr(ctypes.CDLL(libs[0]), "scipy_openblas_get_corename64_", None) if libs else None
+    if get is None:
+        return "unknown"
+    get.restype = ctypes.c_char_p
+    return get().decode()
+
+
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_cli_outputs_match_golden_bytes(name, tmp_path, monkeypatch):
     monkeypatch.delenv("SLRLAB_SEED", raising=False)
@@ -75,7 +91,9 @@ def test_cli_outputs_match_golden_bytes(name, tmp_path, monkeypatch):
     assert sorted(p.name for p in (tmp_path / name).iterdir()) == expected
     for fname in expected:
         got = (tmp_path / name / fname).read_bytes()
-        assert got == (GOLDEN / name / fname).read_bytes(), f"{name}/{fname} differs from the golden file"
+        assert got == (GOLDEN / name / fname).read_bytes(), (
+            f"{name}/{fname} differs from the golden file (recorded under the SkylakeX OpenBLAS core; "
+            f"this run's is {_openblas_core()})")
 
 
 # numpy's dispatch targets above the x86-64 baseline: numpy 2.4 names the
@@ -145,6 +163,27 @@ def theorem_case_text() -> str:
 
 def test_every_theorem_case_matches_golden_text():
     assert theorem_case_text() == (GOLDEN / "theorem_cases.txt").read_text()
+
+
+def test_envelope_verdict_does_not_tell_the_cases_apart():
+    # Every case envelope of a uniform_root law is (1/S_k)(1 + O(1/k)), and
+    # a constant law's is a multiple of 1/S_k: on one trajectory the trend
+    # fit reads each case as it reads the deterministic envelope.
+    sched = StepSizeSchedule("inverse_k", 0.1)
+    traj = optimizer.run(problems.make_quadratic(dim=5, cond=10.0, sigma=0.1), sched, sf.uniform_root(0.3, 0.8),
+                         20_000, eval_every=10, seed=0)
+    min_grad_sq = traj.min_grad_sq[traj.eval_points >= 1]
+    for name, law in {**_LAWS, "uniform_root(1.0, 1.2)": sf.uniform_root(1.0, 1.2)}.items():
+        base = harness.little_o_diagnostic(
+            min_grad_sq, harness.trajectory_envelope(traj, validator.TheoremCase.DETERMINISTIC, law, sched), 200, 20_000)
+        for case in validator.TheoremCase:
+            try:
+                env = harness.trajectory_envelope(traj, case, law, sched)
+            except ValueError:  # no envelope for this case and law
+                continue
+            diag = harness.little_o_diagnostic(min_grad_sq, env, 200, 20_000)
+            assert diag.verdict is base.verdict, f"{case.value} on {name}"
+            assert abs(diag.window_slope - base.window_slope) < 1e-3, f"{case.value} on {name}"
 
 
 if __name__ == "__main__":

@@ -1,6 +1,5 @@
 import hashlib
 import re
-import struct
 import tracemalloc
 
 import numpy as np
@@ -158,42 +157,39 @@ def test_within_run_determinism():
     np.testing.assert_array_equal(a.loss, b.loss)
     np.testing.assert_array_equal(a.grad_norm_sq, b.grad_norm_sq)
     np.testing.assert_array_equal(a.u_eval, b.u_eval)
-    assert a.grad_stream_digest == b.grad_stream_digest
     c = optimizer.run(*args, iterations=300, eval_every=10, seed=8)
-    assert c.grad_stream_digest != a.grad_stream_digest
+    assert not np.array_equal(a.loss, c.loss)
     assert not np.array_equal(a.u_eval, c.u_eval, equal_nan=True)
 
 
-def test_paired_arms_share_gradient_stream():
-    # same seed, different u factors: the gradient noise must be identical
-    pb = problems.make_quadratic(dim=3, cond=10.0, sigma=0.1)
+def test_paired_arms_share_gradient_stream(monkeypatch):
+    # Same seed, different u factors: each arm steps on its seed's gradient
+    # draws, the quadratic's noise and logreg's summand indices alike.
     sched = StepSizeSchedule("inverse_k", 0.1)
-    a = optimizer.run(pb, sched, sf.uniform_root(0.3, 0.8), iterations=200, eval_every=10, seed=5)
-    b = optimizer.run(pb, sched, sf.constant(1.0), iterations=200, eval_every=10, seed=5)
-    assert a.grad_stream_digest == b.grad_stream_digest
-    assert not np.array_equal(a.u_eval, b.u_eval, equal_nan=True)
-    # logreg pairs through the summand index stream the same way
-    pbl = problems.make_logreg_nonconvex(n=30, d=3, reg=0.1, seed=2)
-    al = optimizer.run(pbl, sched, sf.uniform_root(0.3, 0.8), iterations=100, eval_every=10, seed=5)
-    bl = optimizer.run(pbl, sched, sf.constant(1.0), iterations=100, eval_every=10, seed=5)
-    assert al.grad_stream_digest == bl.grad_stream_digest
+    n = 200
+    for problem in (problems.make_quadratic(dim=3, cond=10.0, sigma=0.1),
+                    problems.make_logreg_nonconvex(n=30, d=3, reg=0.1, seed=2)):
+        want = problem.draw_block(optimizer.stream_generator(5, optimizer.GRAD_STREAM), n)
+        step, fed = problem.step_gradient, []
+        monkeypatch.setattr(problem, "step_gradient", lambda X, draws: fed.append(draws.copy()) or step(X, draws))
+        a = optimizer.run(problem, sched, sf.uniform_root(0.3, 0.8), iterations=n, eval_every=10, seed=5)
+        b = optimizer.run(problem, sched, sf.constant(1.0), iterations=n, eval_every=10, seed=5)
+        assert not np.array_equal(a.u_eval, b.u_eval, equal_nan=True)
+        assert len(fed) == 2 * n
+        for arm in (fed[:n], fed[n:]):
+            assert np.array_equal(np.concatenate(arm), want)
 
 
-def test_stream_digest_covers_the_draws_a_row_stepped_on(monkeypatch):
+def test_a_row_fed_another_seeds_draws_stops_the_run(monkeypatch):
     # Three blocks of steps at eta 0.202: the second arm's rows stop in the
     # first block, the first arm's in the first or the second, the third
-    # arm's run on.  Every row's digest, a stopped row's prefix digest too,
-    # is that of its seed's single run.
+    # arm's run on.
     pb = problems.make_quadratic(dim=3, cond=10.0, sigma=0.1)
     sched = StepSizeSchedule("constant", 0.202)
     specs = [sf.uniform_root(0.3, 0.8), sf.uniform_root(0.9, 1.1), sf.constant(0.5)]
     seeds = [11, 12, 13]
     arms = optimizer.run_arms(pb, sched, specs, 3000, 100, seeds=seeds)
     assert [[t.truncated_at for t in arm] for arm in arms] == [[1000, 1100, 1200], [700] * 3, [None] * 3]
-    for spec, arm in zip(specs, arms):
-        alone = [optimizer.run(pb, sched, spec, 3000, 100, seed=s) for s in seeds]
-        assert [t.grad_stream_digest for t in arm] == [t.grad_stream_digest for t in alone]
-    assert len({t.grad_stream_digest for arm in arms for t in arm}) == 9
 
     # A row fed another seed's draws stops the run, whether it is fed them
     # in the first block or only in the second, after rows have stopped.
@@ -210,26 +206,6 @@ def test_stream_digest_covers_the_draws_a_row_stepped_on(monkeypatch):
         monkeypatch.setattr(optimizer, "_stack_draws", shifted)
         with pytest.raises(RuntimeError, match=optimizer.PAIRING_ERROR):
             optimizer.run_arms(pb, sched, specs, 3000, 100, seeds=seeds)
-
-
-def test_stream_digest_is_drawn_on_its_first_read_only(monkeypatch):
-    draw_bytes, hashed = optimizer._draw_bytes, []
-    monkeypatch.setattr(optimizer, "_draw_bytes", lambda draws: hashed.append(len(draws)) or draw_bytes(draws))
-    pb = problems.make_quadratic(dim=3, cond=10.0, sigma=0.1)
-    sched = StepSizeSchedule("inverse_k", 0.1)
-    traj = optimizer.run(pb, sched, sf.constant(1.0), 2500, 10, seed=3)
-    assert hashed == []
-    digest = traj.grad_stream_digest
-    assert hashed == [1024, 1024, 452]
-    assert traj.grad_stream_digest == digest and hashed == [1024, 1024, 452]
-    # A run stopped at k = 0, its start's loss over 1e12, stepped on no draws.
-    stopped = optimizer.run(pb, sched, sf.constant(1.0), 2500, 10, x0=np.full(3, 1e7), seed=3)
-    assert stopped.truncated_at == 0
-    assert stopped.grad_stream_digest == hashlib.sha256().hexdigest() and hashed == [1024, 1024, 452]
-
-
-def test_draw_bytes_are_little_endian_on_any_host():
-    assert optimizer._draw_bytes(np.array([1.5, -2.0], dtype=">f8")) == struct.pack("<2d", 1.5, -2.0)
 
 
 def test_run_memory_follows_the_eval_grid_not_the_step_count():
@@ -382,6 +358,7 @@ def test_long_run_regression():
                          iterations=100_000, eval_every=100, seed=2024)
     assert traj.min_grad_sq[-1] == pytest.approx(0.34279713645709803, rel=1e-10)
     assert traj.loss[-1] == pytest.approx(0.12844812651790491, rel=1e-10)
-    assert traj.grad_stream_digest == (
+    draws = pb.draw_block(optimizer.stream_generator(2024, optimizer.GRAD_STREAM), 100_000)
+    assert hashlib.sha256(draws.astype("<f8")).hexdigest() == (
         "ad226ec41f0e42b2914be4aa1a8e1d189ede1399c4bd9b5e57a505776cd8fe24")
     assert not traj.diverged and traj.certified

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 
@@ -380,55 +379,34 @@ def test_compare_golden_regression():
 
 
 def test_compare_paired_streams_verified():
+    # Sides run separately on one problem, or on an equal problem built
+    # twice, step on one gradient stream per seed: the pairing holds.
     pb = problems.make_quadratic(dim=2, cond=10.0, sigma=0.1)
     sched = StepSizeSchedule("inverse_k", 0.1)
     a = stats.run_multi_seed(pb, sched, sf.uniform_root(0.3, 0.8), 100,
                              n_seeds=3, master_seed=7, eval_every=10)
-    b = stats.run_multi_seed(pb, sched, sf.constant(1.0), 100,
-                             n_seeds=3, master_seed=7, eval_every=10)
-    for ta, tb in zip(a, b):
-        assert ta.grad_stream_digest == tb.grad_stream_digest
+    for problem in (pb, problems.make_quadratic(dim=2, cond=10.0, sigma=0.1)):
+        b = stats.run_multi_seed(problem, sched, sf.constant(1.0), 100,
+                                 n_seeds=3, master_seed=7, eval_every=10)
+        assert stats.compare(a, b).n_b == 3
 
 
-def test_compare_checks_the_pairing_of_seeds_where_neither_arm_diverged():
-    pb = problems.make_quadratic(dim=2, cond=10.0, sigma=0.1)
+@pytest.mark.parametrize("pb, other", [
+    (problems.make_quadratic(dim=2, cond=10.0, sigma=0.1), problems.make_quadratic(dim=2, cond=10.0, sigma=0.2)),
+    (problems.make_logreg_nonconvex(n=30, d=2, reg=0.1, seed=2),
+     problems.make_logreg_nonconvex(n=30, d=2, reg=0.1, seed=3)),
+], ids=["quadratic-sigma", "logreg-data"])
+def test_compare_refuses_sides_run_on_another_problem(pb, other):
+    # Sides run separately on problems that differ only in the gradient
+    # noise (sigma) or in the data (logreg's seed, with the same n and so
+    # the same summand indices) share their seeds, not their gradient noise.
     sched = StepSizeSchedule("inverse_k", 0.1)
-    specs = [sf.uniform_root(0.3, 0.8), sf.constant(1.0)]
-    a = stats.run_multi_seed(pb, sched, specs[0], 100, n_seeds=3, master_seed=7, eval_every=10)
-    b = stats.run_multi_seed(pb, sched, specs[1], 100, n_seeds=3, master_seed=7, eval_every=10)
-    # A diverged run stepped on only a prefix of its stream: its digest,
-    # which differs from its seed's in the other side, is not compared.
-    cut = dataclasses.replace(b[0], truncated_at=50)
-    assert stats.compare(a, [cut, *b[1:]]).n_b == 2
-    assert cut.grad_stream_digest != a[0].grad_stream_digest
-
-    # Sides run separately on different gradient noise (the problems differ
-    # only in sigma) share their seeds, not their gradient draws.
-    noisier = problems.make_quadratic(dim=2, cond=10.0, sigma=0.2)
-    a = stats.run_multi_seed(pb, sched, specs[0], 100, n_seeds=3, master_seed=7, eval_every=10)
-    b = stats.run_multi_seed(noisier, sched, specs[0], 100, n_seeds=3, master_seed=7, eval_every=10)
-    with pytest.raises(RuntimeError, match=optimizer.PAIRING_ERROR):
+    spec = sf.uniform_root(0.3, 0.8)
+    a = stats.run_multi_seed(pb, sched, spec, 100, n_seeds=3, master_seed=7, eval_every=10)
+    b = stats.run_multi_seed(other, sched, spec, 100, n_seeds=3, master_seed=7, eval_every=10)
+    with pytest.raises(ValueError, match="one problem") as err:
         stats.compare(a, b)
-    # The pairing is checked before the count of runs to test.
-    with pytest.raises(RuntimeError, match=optimizer.PAIRING_ERROR):
+    assert str(pb.params) in str(err.value) and str(other.params) in str(err.value)
+    # The problem is checked before the count of runs to test.
+    with pytest.raises(ValueError, match="one problem"):
         stats.compare(a[:1], b[:1])
-
-
-def test_compare_reads_the_digests_of_each_non_diverged_pair_run_separately():
-    pb = problems.make_quadratic(dim=2, cond=10.0, sigma=0.1)
-    sched = StepSizeSchedule("inverse_k", 0.1)
-    specs = [sf.uniform_root(0.3, 0.8), sf.constant(1.0)]
-
-    def digests_read(side):
-        return ["grad_stream_digest" in vars(t) for t in side]
-
-    # One batch: the runner checked every row's draws, so no digest is read.
-    a, b = optimizer.run_paired(pb, sched, specs, 100, n_seeds=3, master_seed=7, eval_every=10)
-    stats.compare(a, b)
-    assert digests_read(a) == digests_read(b) == [False] * 3
-    # Separate sides: every pair but the diverged one is read and compared.
-    a = stats.run_multi_seed(pb, sched, specs[0], 100, n_seeds=3, master_seed=7, eval_every=10)
-    b = stats.run_multi_seed(pb, sched, specs[1], 100, n_seeds=3, master_seed=7, eval_every=10)
-    b = [b[0], dataclasses.replace(b[1], truncated_at=50), b[2]]
-    stats.compare(a, b)
-    assert digests_read(a) == digests_read(b) == [True, False, True]

@@ -138,6 +138,22 @@ def test_no_factor_law_passes_both_case11a_moment_gates(c, value, horizon):
         assert not (by["variance_increasing"].holds and by["mean_exceeds_variance_plus_one"].holds)
 
 
+def test_theorem_case_counts_on_a_log_grid_of_uniform_root_laws():
+    # Every pair c1 < c2 of a 60-point log grid over [1e-6, 1e3], horizon
+    # 200, B = L = 1 and eta 1e-9, so that no step bound binds: the number
+    # of laws for which every gate of each case holds.
+    grid = np.logspace(-6, 3, 60)
+    sched = StepSizeSchedule("inverse_k", 1e-9)
+    counts = dict.fromkeys(TheoremCase, 0)
+    for i, c1 in enumerate(grid):
+        for c2 in grid[i + 1:]:
+            profile = sf.moment_profile(sf.uniform_root(c1, c2), 200)
+            for case in TheoremCase:
+                counts[case] += all(r.holds for r in validator.check_theorem_case(profile, case, 1.0, 1.0, sched))
+    assert {case.value: n for case, n in counts.items()} == {
+        "case11a": 0, "case11b": 407, "case12": 35, "deterministic": 1770}
+
+
 def test_theorem_case11b_super_one_roots():
     profile = sf.moment_profile(sf.uniform_root(2.0, 4.0), 1000)
     # sup over all k of the support upper bound is c2 = 4
