@@ -97,7 +97,12 @@ _CASE_TOKENS = {c.value: c for c in TheoremCase}
 
 
 class ConfigError(ValueError):
-    """Invalid configuration; message names the key and line."""
+    """Invalid configuration; the message names the line and the key.
+
+    A config read by :func:`load_config` is also named, first:
+    ``<path>: line <n>: <key>: <why>``.  A bad SLRLAB_SEED gives
+    ``SLRLAB_SEED: <why>``.
+    """
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -228,16 +233,18 @@ def build_sf(cfg: ExperimentConfig) -> sf.SFSpec:
 def load_config(path: str | Path) -> ExperimentConfig:
     """Read and parse a config file, applying the SLRLAB_SEED override.
 
-    The file is read as UTF-8: an undecodable byte is a ConfigError that
-    names the file and the byte's line.
+    Every error in the file is a ConfigError whose message starts with
+    the file's path.  The file is read as UTF-8: an undecodable byte
+    names its line.
     """
     raw = Path(path).read_bytes()
     try:
-        text = raw.decode("utf-8")
+        cfg = parse_config(raw.decode("utf-8"))
     except UnicodeDecodeError as exc:
         lineno = len((raw[:exc.start].decode("utf-8") + "_").splitlines())
         raise ConfigError(f"{path}: line {lineno}: byte {raw[exc.start]:#04x} is not UTF-8 ({exc.reason})") from None
-    cfg = parse_config(text)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     env = os.environ.get("SLRLAB_SEED")
     if env is not None:
         seed = _read(env, _as_int, partial(argument_error, "master_seed"), "SLRLAB_SEED")
@@ -253,18 +260,16 @@ def _f17(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-# Rows formatted by one % operation.  Whole columns go through the
-# formatter a chunk at a time, so no per-value Python call is made and
-# the text of a long trajectory is never held at once.
-_FORMAT_CHUNK = 4096
+# Rows formatted at once.  A trajectory's rows go through fmt17.rows and
+# the plot's points through one % operation, a chunk at a time, so no
+# per-value Python call is made and a long text is never held at once.
+# fmt17 holds ~1.5 kB of working arrays per row of 9 values: at 1024
+# rows, `envelope`'s peak RSS stays where the % formatter had it.
+_FORMAT_CHUNK = 1024
 
 
 def _format_chunks(fmt: str, sep: str, rows: np.ndarray):
-    """Yield each chunk of rows of a 2-d float array as text: ``fmt`` per row, joined by ``sep``.
-
-    ``"%.17g" % v`` is the same text as ``f"{v:.17g}"``, and ``%d`` of
-    an integral float prints the integer.
-    """
+    """Yield each chunk of rows of a 2-d float array as text: ``fmt`` per row, joined by ``sep``."""
     for i in range(0, len(rows), _FORMAT_CHUNK):
         chunk = rows[i:i + _FORMAT_CHUNK]
         yield sep.join([fmt] * len(chunk)) % tuple(chunk.ravel().tolist())
@@ -284,7 +289,7 @@ def write_trajectory_csv(traj, path: str | Path, schedule: StepSizeSchedule,
     ``case_env`` covers the run's eval grid after k = 0 as far as the run
     recorded (a truncated run records a prefix of it), in that order.
     """
-    from . import harness  # imported here: only `run` and `envelope` write trajectories
+    from . import fmt17, harness  # imported here: only `run` and `envelope` write trajectories
 
     ks = traj.eval_points
     etas = step_sizes(schedule, traj.iterations + 1)
@@ -301,8 +306,8 @@ def write_trajectory_csv(traj, path: str | Path, schedule: StepSizeSchedule,
                             etas[ks], traj.u_eval, sum_eta, env_det, case_vals])
     with open(path, "w") as fh:
         fh.write(TRAJECTORY_HEADER + "\n")
-        for text in _format_chunks("%d," + ",".join(["%.17g"] * 9), "\n", cols):
-            fh.write(text + "\n")
+        for i in range(0, len(cols), _FORMAT_CHUNK):
+            fh.write(fmt17.rows(cols[i:i + _FORMAT_CHUNK]))
 
 
 def read_trajectory_csv(path: str | Path) -> dict[str, np.ndarray]:

@@ -230,9 +230,11 @@ def test_read_trajectory_csv_rejects_foreign_header(tmp_path):
 
 
 # Values whose text or bits are easy to get wrong: signed zeros, the
-# smallest normal and subnormal doubles, the extremes, inf and nan.
+# smallest normal and subnormal doubles, the extremes, inf and nan, the
+# points where %g switches notation (1e-5, 1e-4) and decade bounds.
 EDGE_VALUES = [0.0, -0.0, 1e-300, 5e-324, 2.2250738585072014e-308, 1.1125369292536007e-308,
-               np.inf, -np.inf, np.nan, 1e308, -1.7976931348623157e308, 0.1, 1.0 / 3.0, -2.5e-17]
+               np.inf, -np.inf, np.nan, 1e308, -1.7976931348623157e308, 0.1, 1.0 / 3.0, -2.5e-17,
+               1e-5, 1e-4, 1e16, 1e17, 9.9999999999999984e16]
 
 
 def _edge_columns(n, seed=0, limit=np.inf):
@@ -555,6 +557,20 @@ def test_cli_names_the_config_and_line_of_an_undecodable_byte(tmp_path, capsys, 
         configs = ["--config-a", _write_cfg(tmp_path), "--config-b", str(bad), "--out", str(tmp_path / "out")]
     assert cli_io.main([command, *configs]) == 1
     assert capsys.readouterr().err == f"error: {bad}: line 3: byte 0xff is not UTF-8 (invalid start byte)\n"
+
+
+@pytest.mark.parametrize("text, why", [
+    (GOOD_CONFIG.replace("problem.sigma =", "problem.sigmaa ="), "line 4: unknown key 'problem.sigmaa'"),
+    (GOOD_CONFIG.replace("problem.dim = 5\n", ""), "missing required key 'problem.dim' for problem = quadratic"),
+], ids=["unknown-key", "missing-key"])
+def test_compare_names_the_config_at_fault(tmp_path, capsys, monkeypatch, text, why):
+    monkeypatch.setenv("SLRLAB_SEED", "3")  # a good override leaves the file's error as it is
+    bad = _write_cfg(tmp_path, text, "b.txt")
+    argv = ["compare", "--config-a", _write_cfg(tmp_path, name="a.txt"), "--config-b", bad,
+            "--out", str(tmp_path / "out")]
+    assert cli_io.main(argv) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {why}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_run_outputs(tmp_path):
@@ -1020,7 +1036,7 @@ def test_validate_and_run_reject_a_bad_problem_value_alike(tmp_path, capsys, bas
         assert cli_io.main(argv) == 1
         errs.append(capsys.readouterr().err)
     assert errs[0] == errs[1]
-    assert errs[0].startswith(f"error: line 2: problem.{key}: must be ") and raw in errs[0]
+    assert errs[0].startswith(f"error: {path}: line 2: problem.{key}: must be ") and raw in errs[0]
     assert not (tmp_path / "out").exists()
 
 
@@ -1086,7 +1102,7 @@ def test_schedule_and_sf_rules_are_the_library_rules(tmp_path, capsys, monkeypat
     for argv in (["validate", "--config", path], ["run", "--config", path, "--out", str(tmp_path / "out")]):
         assert cli_io.main(argv) == 1
         errs.append(capsys.readouterr().err)
-    assert errs[0] == errs[1] == f"error: line {line}: {key}: {reason}\n"
+    assert errs[0] == errs[1] == f"error: {path}: line {line}: {key}: {reason}\n"
     assert not (tmp_path / "out").exists()
     if key == "master_seed":
         # The override is held to the same rule.
@@ -1274,7 +1290,7 @@ def test_cli_process_flushes_its_output_and_keeps_the_exit_code(tmp_path, capsys
     assert proc.stderr == err.encode()
     assert proc.stdout or proc.stderr
     if case == "bad value":
-        assert re.fullmatch(r"error: line 9: sf\.c2: .+\n", err)
+        assert re.fullmatch(rf"error: {re.escape(argv[2])}: line 9: sf\.c2: .+\n", err)
 
 
 def test_no_command_leaves_a_file_open(tmp_path, monkeypatch):

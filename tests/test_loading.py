@@ -1,11 +1,12 @@
 """Each command loads only the modules it runs.
 
 The package root resolves its names on first use, and ``cli_io`` imports
-``stats`` and ``harness`` in the functions that call them.  Each check
-runs in a fresh interpreter, since this test process has loaded the
-whole package already.
+``stats``, ``harness`` and ``fmt17`` in the functions that call them.
+Each check runs in a fresh interpreter, since this test process has
+loaded the whole package already.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -18,7 +19,7 @@ import slrlab
 
 SRC = Path(slrlab.__file__).resolve().parents[1]
 SUBMODULES = ("cli_io", "harness", "lambert", "optimizer", "problems", "sf", "stats", "validator")
-WATCHED = ("slrlab.stats", "slrlab.harness", "logging")
+WATCHED = ("slrlab.stats", "slrlab.harness", "slrlab.fmt17", "logging")
 
 CONFIG = """\
 problem = quadratic
@@ -91,13 +92,13 @@ def test_plot_loads_neither_statistics_nor_envelopes_nor_logging(tmp_path, cfg):
 
 
 def test_run_loads_neither_statistics_nor_logging(tmp_path, cfg):
-    # The seeds come from the runner; only the trajectory writer's g_k
-    # column needs `harness`.
-    assert _loaded(tmp_path, "run", "--config", cfg, "--out", "run") == ["slrlab.harness"]
+    # The seeds come from the runner; only the trajectory writer needs
+    # `harness` (its g_k column) and `fmt17` (its text).
+    assert _loaded(tmp_path, "run", "--config", cfg, "--out", "run") == ["slrlab.harness", "slrlab.fmt17"]
 
 
 def test_envelope_loads_envelopes_but_not_statistics(tmp_path, cfg):
-    assert _loaded(tmp_path, "envelope", "--config", cfg, "--out", "env") == ["slrlab.harness"]
+    assert _loaded(tmp_path, "envelope", "--config", cfg, "--out", "env") == ["slrlab.harness", "slrlab.fmt17"]
 
 
 def test_compare_loads_neither_envelopes_nor_logging(tmp_path, cfg):
@@ -117,7 +118,7 @@ def test_every_public_name_resolves_through_the_package(tmp_path):
             "print(json.dumps([[n, getattr(slrlab, n).__module__, n in dir(slrlab)] for n in slrlab.__all__]))")
     for name, module, listed in json.loads(_python(code, cwd=tmp_path)):
         assert listed, name
-        assert getattr(sys.modules[module], name) is getattr(slrlab, name), name
+        assert getattr(importlib.import_module(module), name) is getattr(slrlab, name), name
     with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
         slrlab.nonexistent  # noqa: B018
 
