@@ -28,8 +28,15 @@ A finite nonzero x becomes text in four steps.
 4. Text.  The 17 digits of D without trailing zeros are laid out as %g
    lays them out: fixed notation for -4 <= P < 17, else ``d.ddde+XX``
    with at least two exponent digits, and a sign.  Each value gets a
-   32-byte field, NUL where it holds no character, assembled with
-   whole-array integer operations; the NULs are dropped at the end.
+   32-byte field, its separator and then its text, NUL where it holds no
+   character, assembled with whole-array integer operations.  A row is
+   its fields, the first separated by "\\n" (which ends the row before)
+   and the others by ","; the NULs and the text's leading "\\n" are
+   dropped at the end, and a final "\\n" is added.
+
+So :func:`rows` gives ``'%.17g' %`` of every value, a row's first
+column too: for an integer below 1e17, such as the trajectory's k, that
+is the integer's digits, as ``'%d' %`` prints them.
 """
 
 from __future__ import annotations
@@ -189,41 +196,14 @@ _KEEP, _SHIFT, _CONST = _layout_tables()
 _P_MIN = -330
 _P = np.arange(_P_MIN, -_P_MIN)
 _P_ROW = 17 * np.select([_P < -99, _P < -4, _P < 17, _P < 100], [22, 21, _P + 4, 23], 24) - 1
-# The k field holds 20 digits and 4 NULs; row n of _K_KEEP keeps the last n digits.
-_K_KEEP = np.zeros((21, 24), np.uint8)
-for _n in range(1, 21):
-    _K_KEEP[_n, 20 - _n:20] = 0xFF
-_K_KEEP = _K_KEEP.view(np.uint64)
-_POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)
 
 
 def rows(cols: np.ndarray) -> str:
-    """Each row of a 2-d float64 array as ``%d`` of its first column and ``%.17g`` of the others.
-
-    The fields are joined by "," and each row ends with "\\n".  The
-    first column must hold integers in [0, 2**64).
-    """
-    n, m = cols.shape[0], cols.shape[1] - 1
-    k = cols[:, 0]
-    if not ((k >= 0) & (k < 2.0**64) & (np.floor(k) == k)).all():
-        raise ValueError("the first column must hold integers in [0, 2**64)")
-    # A row: the k field (3 words), the m value fields (4 words each), then "\n" and 7 NULs.
-    out = np.empty((n, 4 * m + 4), np.uint64)
-    _value_fields(cols[:, 1:], out[:, 3:-1].reshape(n, m, 4))
-    k = k.astype(np.uint64)
-    k_words = out[:, :3].view(np.uint32)
-    _digit_words(k, k_words)
-    k_words[:, 5] = 0
-    out[:, :3] &= np.take(_K_KEEP, np.searchsorted(_POW10, k, side="right") + 1, axis=0)
-    out[:, -1] = ord("\n")
-    flat = out.view(np.uint8).ravel()
-    return str(flat[flat != 0].data, "ascii")
-
-
-def _value_fields(values: np.ndarray, out: np.ndarray) -> None:
-    """Write the 32-byte field of each of the (n, m) ``values`` into ``out``, (n, m, 4) uint64."""
-    n, m = values.shape
-    x = values.ravel()
+    """Each row of a 2-d float64 array as ``'%.17g' %`` of its values, joined by "," and ended by "\\n"."""
+    n, m = cols.shape
+    if n == 0:
+        return ""
+    x = cols.ravel()
     a = np.abs(x)
     special = ~(a < np.inf) | (a == 0)
     a[special] = 1.0
@@ -234,13 +214,17 @@ def _value_fields(values: np.ndarray, out: np.ndarray) -> None:
     src[:, 7] = _DIGITS4[np.abs(p)]
     layout = _P_ROW[p - _P_MIN] + nd
     src = src.view(np.uint64)
-    shifted = src << np.uint64(8)
-    shifted[:, 1:] |= src[:, :-1] >> np.uint64(56)
-    shifted &= np.take(_SHIFT, layout, axis=0)
-    shifted |= np.take(_CONST, layout, axis=0)
-    np.bitwise_and(src.reshape(n, m, 4), np.take(_KEEP, layout, axis=0).reshape(n, m, 4), out=out)
-    out |= shifted.reshape(n, m, 4)
+    out = src << np.uint64(8)
+    out[:, 1:] |= src[:, :-1] >> np.uint64(56)
+    out &= np.take(_SHIFT, layout, axis=0)
+    out |= np.take(_CONST, layout, axis=0)
+    src &= np.take(_KEEP, layout, axis=0)
+    out |= src
     slow = np.flatnonzero(special | ~exact)
     if len(slow):
         text = np.array([(",%.17g" % v).encode() for v in x[slow].tolist()], dtype="S32")
-        out[slow // m, slow % m] = text.view(np.uint64).reshape(-1, 4)
+        out[slow] = text.view(np.uint64).reshape(-1, 4)
+    # Each row's first field is separated by "\n", which ends the row before.
+    out[::m, 0] ^= np.uint64(ord(",") ^ ord("\n"))
+    flat = out.view(np.uint8).ravel()
+    return str(flat[flat != 0][1:].data, "ascii") + "\n"
