@@ -22,7 +22,10 @@ Block draws equal per-step draws bit for bit, the oracles' rows are
 bitwise independent of the stack, and every row is checked on its own,
 so a run does not depend on the batch it runs in; :func:`run` is the
 one-arm, one-seed case.  A run's memory follows its eval grid, not its
-step count: factors are kept at the eval points only.
+step count: factors are kept at the eval points only, and each block
+computes its own step sizes.  ``compare`` holds no per-step array either;
+``run`` and ``envelope`` hold the CSV writer's step sums S_k and g_k
+weights over every k, and ``envelope`` its moment profile too.
 """
 
 from __future__ import annotations
@@ -138,13 +141,15 @@ def step_size(schedule: StepSizeSchedule, k: int) -> float:
     return float(schedule.eta / np.sqrt(k + 1.0))
 
 
-def step_sizes(schedule: StepSizeSchedule, k_max: int) -> np.ndarray:
-    """Vector of eta_k for k = 0..k_max-1."""
+def step_sizes(schedule: StepSizeSchedule, k_max: int, start: int = 0) -> np.ndarray:
+    """Vector of eta_k for k = start..k_max-1, each with the same bits whatever the start."""
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got k_max={k_max}")
-    ks = np.arange(float(k_max))
+    if not 0 <= start <= k_max:
+        raise ValueError(f"start must be in [0, k_max], got start={start}, k_max={k_max}")
+    ks = np.arange(float(start), float(k_max))
     if schedule.family == CONSTANT:
-        return np.full(k_max, schedule.eta)
+        return np.full(len(ks), schedule.eta)
     if schedule.family == INVERSE_K:
         return schedule.eta / (ks + 1.0)
     return schedule.eta / np.sqrt(ks + 1.0)
@@ -341,7 +346,6 @@ def run_arms(
     grad_rngs = [stream_generator(s, GRAD_STREAM) for s in seeds]
     sf_rngs = [stream_generator(seeds[s], SF_STREAM) for s in seed_of]
     box = problem.domain_box
-    etas = step_sizes(schedule, iterations)
 
     # Per row: recorded evals and factors, truncation point, box status.
     # One row per (arm, seed), so a trajectory's series are views of it.
@@ -394,7 +398,7 @@ def run_arms(
             # A step size beyond the largest double reads inf; the row then
             # stops at its first non-finite iterate.
             steps = step_buf[:n * len(live) * d].reshape(n, len(live), d)
-            steps[...] = (etas[k0:k0 + n] * u).T[:, :, None]
+            steps[...] = (step_sizes(schedule, k0 + n, k0) * u).T[:, :, None]
             for j in range(n):
                 k = k0 + j
                 if k % eval_every == 0:

@@ -194,24 +194,22 @@ class LogReg(ProblemSpec):
         # gradients.  Each row's loss and gradient are per-chunk sums added
         # in chunk order.  A group of up to 16 rows is the columns of a
         # (d, 16) block, zero where it has fewer rows, and every product is
-        # a GEMM over fixed data tiles with the data on the left.  A batch
-        # (sized by _eval_tiling) stacks the blocks of its groups, never
-        # merging them into one wider operand, and one stacked matmul runs
-        # that same GEMM on each block.  A column's bits then depend
-        # neither on its slot, nor on the other columns, nor on the batch,
-        # nor on the BLAS thread count: a width that follows the number of
-        # rows, or an untiled product, gives none of that.
-        signed, n, d = self.signed, len(self.y), self.dim
+        # a GEMM over fixed data tiles with the data on the left.  The
+        # blocks and the groups' sums are built once per call, and a batch
+        # (sized by _eval_tiling) is a slice of them; one stacked matmul
+        # runs that same GEMM on each block, never merging blocks into one
+        # wider operand.  A column's bits then depend neither on its slot,
+        # nor on the other columns, nor on the batch, nor on the BLAS thread
+        # count: a width that follows the number of rows, or an untiled
+        # product, gives none of that.
+        signed, n, d, S = self.signed, len(self.y), self.dim, len(X)
         rows, tc, tr, batch = _eval_tiling(n, d)
         width = _EVAL_GROUP
-        groups = -(-len(X) // width)
-        batch = min(batch, max(1, groups))
-        # The rows, zero-padded to whole groups, and their sums.
-        padded = np.zeros((groups * width, d))
-        padded[:len(X)] = X
-        total = np.zeros(groups * width)
-        G = np.zeros_like(padded)
-        W = np.empty((batch, d, width))
+        groups = -(-S // width)
+        W = np.zeros((groups * width, d))
+        W[:S] = X
+        W = W.reshape(groups, width, d).transpose(0, 2, 1).copy()
+        total, G = np.zeros((groups, width)), np.zeros_like(W)
         acc = np.empty((batch, d, width))
         prod = np.empty((batch, tc, width))
         # Flat, so that a tile's buffers are one contiguous block whatever
@@ -221,13 +219,12 @@ class LogReg(ProblemSpec):
         # Transposed, so that each row's pairwise sum runs over a whole chunk.
         terms = np.empty((batch, width, min(rows, n)))
         for g0 in range(0, groups, batch):
-            nb = min(batch, groups - g0)
-            part = slice(g0 * width, (g0 + nb) * width)
-            Wb, accb, prodb, termsb = W[:nb], acc[:nb], prod[:nb], terms[:nb]
-            Wb[...] = padded[part].reshape(nb, width, d).transpose(0, 2, 1)
-            total_b, G_b = total[part].reshape(nb, width), G[part].reshape(nb, width, d)
+            part = slice(g0, g0 + batch)
+            nb = len(W[part])
+            Wb, accb, prodb, termsb = W[part], acc[:nb], prod[:nb], terms[:nb]
             for c0 in range(0, n, rows):
                 chunk = signed[c0:c0 + rows]
+                accb.fill(0.0)
                 for i in range(0, len(chunk), tr):
                     tile = chunk[i:i + tr]
                     shape = (nb, len(tile), width)
@@ -246,15 +243,12 @@ class LogReg(ProblemSpec):
                     _expit(ti, ei, out=pi)  # the loss derivative in t
                     for j in range(0, d, tc):
                         aj = accb[:, j:j + tc]
-                        if i == 0:
-                            np.matmul(tile[:, j:j + tc].T, pi, out=aj)
-                        else:
-                            aj += np.matmul(tile[:, j:j + tc].T, pi, out=prodb[:, :aj.shape[1]])
-                total_b += termsb[:, :, :len(chunk)].sum(axis=2)
-                G_b += accb.transpose(0, 2, 1)
-        S = len(X)
+                        aj += np.matmul(tile[:, j:j + tc].T, pi, out=prodb[:, :aj.shape[1]])
+                total[part] += termsb[:, :, :len(chunk)].sum(axis=2)
+                G[part] += accb
+        G = G.transpose(0, 2, 1).reshape(-1, d)[:S]
         pen = self.reg * np.sum(X * X / (1.0 + X * X), axis=1)
-        return total[:S] / n + pen, G[:S] / n + _penalty_gradient(self.reg, X)
+        return total.reshape(-1)[:S] / n + pen, G / n + _penalty_gradient(self.reg, X)
 
 
 @dataclass(eq=False)

@@ -173,9 +173,10 @@ def moment_profile(spec: SFSpec, k_max: int) -> MomentProfile:
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     lo, hi = _block_bounds(spec, 0, k_max + 1)
-    # Not 0.5 * (lo + hi), which overflows for a constant near the double
-    # range; on the uniform_root supports both give the same bits.  A
-    # constant is its own mean: halving the least subnormal rounds to 0.
+    # Not 0.5 * (lo + hi): past the largest double it reads inf where this
+    # reads 1.25e308 (uniform_root(1e308, 1.5e308) at k = 0), and among
+    # subnormals it reads 1e-323 where this reads 5e-324 (uniform_root(5e-324,
+    # 1e-323)).  A constant is its own mean: halving the least subnormal rounds to 0.
     m = lo if spec.kind == CONSTANT else 0.5 * lo + 0.5 * hi
     with np.errstate(over="ignore"):  # a width past ~1.3e154 squares to inf, as the gates expect
         v = (hi - lo) ** 2 / 12.0

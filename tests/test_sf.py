@@ -23,6 +23,12 @@ def test_constant_moments_and_sample():
     assert (tiny.mean == 5e-324).all() and (tiny.variance == 0.0).all()
 
 
+@pytest.mark.parametrize("c1, c2, mean", [(1e308, 1.5e308, 1.25e308), (5e-324, 1e-323, 5e-324)])
+def test_uniform_root_mean_halves_each_bound_first(c1, c2, mean):
+    # 0.5 * (c1 + c2) would read inf, with an overflow warning, and 1e-323.
+    assert sf.moment_profile(sf.uniform_root(c1, c2), 1).mean[0] == mean
+
+
 def test_uniform_root_bounds_k0_are_the_roots():
     spec = sf.uniform_root(0.3, 0.8)
     lo, hi = sf.support_bounds(spec, 0)
