@@ -45,7 +45,7 @@ from .validator import TheoremCase
 if TYPE_CHECKING:
     from typing import NoReturn
 
-    from .harness import RateEnvelope
+    from .harness import LittleODiagnostic, RateEnvelope
     from .optimizer import Trajectory
     from .stats import ComparisonReport
     from .validator import ConditionReport
@@ -570,34 +570,40 @@ def _traj_filename(i: int) -> str:
     return f"run_seed{i:03d}.csv"
 
 
-def _case_report(profile: sf.MomentProfile, case: TheoremCase, problem: problems.ProblemSpec,
-                 schedule: StepSizeSchedule, horizon: int) -> tuple[list[ConditionReport], str]:
-    """A theorem case's gating reports, and their lines followed by the informational
-    acceleration and increment lines."""
-    checks = validator.check_theorem_case(profile, case, problem.B, problem.L, schedule, horizon)
-    info = [validator.acceleration_check(profile, case), validator.increment_check(profile, case)]
-    return checks, (validator.format_reports(checks) + validator.format_reports(info)).rstrip("\n")
+def _validation(cfg: ExperimentConfig, case: TheoremCase | None, horizon: int, command: str,
+                problem: problems.ProblemSpec | None = None
+                ) -> tuple[list[ConditionReport], str, sf.MomentProfile | None]:
+    """The gating reports of ``cfg`` over ``horizon`` steps, the text `validate` prints, and the moment profile.
+
+    The gates are Assumption 2's four schedule reports and, with a
+    ``case``, its gates on ``problem`` (default: built from ``cfg``) over
+    a moment profile of the horizon (None without a case).  The text adds
+    the uniform_root regime line after the schedule's reports and the
+    case's informational lines last.  A horizon below 2 is a ConfigError
+    that names ``command`` and ``iterations``.
+    """
+    if horizon < 2:
+        raise ConfigError(f"{command}: iterations must be >= 2 to give a horizon to check (got {cfg.iterations})")
+    gating = validator.check_assumption2(cfg.schedule, horizon)
+    text = validator.format_reports(gating)
+    if cfg.sf.kind == sf.UNIFORM_ROOT:
+        res = validator.classify_prop1(cfg.sf.c1, cfg.sf.c2)
+        text += f"prop1_regime = {res.label} | mean_direction = {res.mean_direction.value}\n"
+    profile = None
+    if case is not None:
+        profile = sf.moment_profile(cfg.sf, horizon)
+        problem = build_problem(cfg) if problem is None else problem
+        checks = validator.check_theorem_case(profile, case, problem.B, problem.L, cfg.schedule, horizon)
+        gating += checks
+        text += validator.format_reports(checks + [validator.acceleration_check(profile, case),
+                                                   validator.increment_check(profile, case)])
+    return gating, text.rstrip("\n"), profile
 
 
 def _cmd_validate(args) -> int:
     cfg = load_config(args.config)
-    horizon = min(cfg.iterations, 100_000)
-    if horizon < 2:
-        raise ConfigError(f"validate: iterations must be >= 2 to give a horizon to check (got {cfg.iterations})")
-    gating: list[ConditionReport] = list(validator.check_assumption2(cfg.schedule, horizon))
-    out = [validator.format_reports(gating).rstrip("\n")]
-
-    if cfg.sf.kind == sf.UNIFORM_ROOT:
-        res = validator.classify_prop1(cfg.sf.c1, cfg.sf.c2)
-        out.append(f"prop1_regime = {res.label} | mean_direction = {res.mean_direction.value}")
-
-    if cfg.theorem_case is not None:
-        profile = sf.moment_profile(cfg.sf, horizon)
-        checks, text = _case_report(profile, cfg.theorem_case, build_problem(cfg), cfg.schedule, horizon)
-        gating.extend(checks)
-        out.append(text)
-
-    print("\n".join(out))
+    gating, text, _ = _validation(cfg, cfg.theorem_case, min(cfg.iterations, 100_000), "validate")
+    print(text)
     return 1 if any(not r.holds for r in gating) else 0
 
 
@@ -677,9 +683,8 @@ def _cmd_envelope(args) -> int:
 
     problem = build_problem(cfg)
     schedule = cfg.schedule
-    profile = sf.moment_profile(cfg.sf, cfg.iterations)
-    checks, text = _case_report(profile, case, problem, schedule, cfg.iterations)
-    gates_hold = all(r.holds for r in checks)
+    gating, text, profile = _validation(cfg, case, cfg.iterations, "envelope", problem)
+    gates_hold = all(r.holds for r in gating)
     # The case envelope depends only on the eval grid and the schedule, so
     # one serves every seed; a diverged run's rows take its values at the
     # points they reach.  It is built before the runs, so a case whose
@@ -692,41 +697,35 @@ def _cmd_envelope(args) -> int:
     write_trajectory_csv(trajs[0], out_dir / "trajectory.csv", schedule, case_env=env)
 
     k_lo = max(cfg.eval_every, cfg.iterations // 100)
-    diags = [None if t.diverged or k_lo >= cfg.iterations
-             else harness.little_o_diagnostic(t.min_grad_sq[t.eval_points >= 1], env, k_lo, cfg.iterations)
-             for t in trajs]
-    traj, diag = trajs[0], diags[0]
-    lines = [f"case = {case.value}", f"certified = {'yes' if gates_hold and traj.certified else 'no'}", "", text]
-    if traj.diverged:
-        lines.append(f"diagnostic = unavailable (run diverged at k={traj.truncated_at})")
-    elif diag is None:
-        lines.append(f"diagnostic = unavailable (window k in [{k_lo}, {cfg.iterations}] is empty: "
-                     f"needs eval_every < iterations)")
-    else:
-        lines.append(
-            f"diagnostic = {diag.verdict.value} | window k in [{diag.k_lo}, {diag.k_hi}] | "
-            f"slope = {diag.window_slope:.4g} | r_lo = {diag.r_lo:.6g} | r_hi = {diag.r_hi:.6g}"
-        )
+
+    def outcome(t: Trajectory) -> tuple[str, LittleODiagnostic | None, str]:
+        """A seed's verdict label, its little-o diagnostic (None without one) and its ``diagnostic =`` line."""
+        if t.diverged:
+            return "diverged", None, f"diagnostic = unavailable (run diverged at k={t.truncated_at})"
+        if k_lo >= cfg.iterations:
+            return "unavailable", None, (f"diagnostic = unavailable (window k in [{k_lo}, {cfg.iterations}] "
+                                         "is empty: needs eval_every < iterations)")
+        d = harness.little_o_diagnostic(t.min_grad_sq[t.eval_points >= 1], env, k_lo, cfg.iterations)
+        return d.verdict.value, d, (f"diagnostic = {d.verdict.value} | window k in [{d.k_lo}, {d.k_hi}] | "
+                                    f"slope = {d.window_slope:.4g} | r_lo = {d.r_lo:.6g} | r_hi = {d.r_hi:.6g}")
+
+    labels, diags, diag_lines = zip(*map(outcome, trajs))
+    certified = [gates_hold and t.certified for t in trajs]
+    lines = [f"case = {case.value}", f"certified = {'yes' if certified[0] else 'no'}", "", text, diag_lines[0]]
     if len(trajs) > 1:
-        verdicts = ["diverged" if t.diverged else "unavailable" if d is None else d.verdict.value
-                    for t, d in zip(trajs, diags)]
-        counts = [f"{name} = {verdicts.count(name)}" for name in [v.value for v in harness.Verdict] + ["diverged"]]
-        uncertified = sum(not (gates_hold and t.certified) for t in trajs)
-        lines.append(f"tally over {len(trajs)} seeds: " + " | ".join(counts + [f"uncertified = {uncertified}"]))
-        _write_seeds_csv(trajs, verdicts, diags, out_dir / "seeds.csv")
+        counts = [f"{name} = {labels.count(name)}" for name in [v.value for v in harness.Verdict] + ["diverged"]]
+        counts.append(f"uncertified = {certified.count(False)}")
+        lines.append(f"tally over {len(trajs)} seeds: " + " | ".join(counts))
+        # One row per seed: its label, the diagnostic's slope and ratios (nan without one), where it diverged.
+        rows = [SEEDS_HEADER]
+        for t, label, d in zip(trajs, labels, diags):
+            values = (math.nan,) * 3 if d is None else (d.window_slope, d.r_lo, d.r_hi)
+            rows.append(",".join([str(t.seed), label, *map(_f17, values),
+                                  "" if t.truncated_at is None else str(t.truncated_at)]))
+        (out_dir / "seeds.csv").write_text("\n".join(rows) + "\n")
     (out_dir / "diagnostic.txt").write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
     return 0
-
-
-def _write_seeds_csv(trajs, verdicts: list[str], diags, path: Path) -> None:
-    """One row per seed: its verdict, the diagnostic's slope and ratios (nan without one), where it diverged."""
-    lines = [SEEDS_HEADER]
-    for t, verdict, d in zip(trajs, verdicts, diags):
-        values = (math.nan,) * 3 if d is None else (d.window_slope, d.r_lo, d.r_hi)
-        truncated = "" if t.truncated_at is None else str(t.truncated_at)
-        lines.append(",".join([str(t.seed), verdict, *map(_f17, values), truncated]))
-    path.write_text("\n".join(lines) + "\n")
 
 
 # The series `plot` draws from the first trajectory's envelope columns.

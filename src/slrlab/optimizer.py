@@ -324,11 +324,7 @@ def run_arms(
     """
     seeds = [int(s) for s in seeds]
     check_arguments(eval_every, iterations, n_seeds=len(seeds))
-    x = np.ones(problem.dim) if x0 is None else np.asarray(x0, dtype=float)
-    if x.shape != (problem.dim,):
-        raise ValueError(f"x0 must have shape ({problem.dim},)")
-    if not np.isfinite(x).all():
-        raise ValueError("x0 must be finite")
+    x = pb.check_point(problem, np.ones(problem.dim) if x0 is None else x0, "x0")
     sf_specs = list(sf_specs)
     if not sf_specs:
         raise ValueError("need at least one SF spec")

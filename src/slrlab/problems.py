@@ -382,12 +382,13 @@ def _check_arguments(**args: float) -> None:
             raise ValueError(f"{name} {why}")
 
 
-def _check_x(problem: ProblemSpec, x: np.ndarray) -> np.ndarray:
+def check_point(problem: ProblemSpec, x: np.ndarray, name: str = "x") -> np.ndarray:
+    """``x`` as a float array, or ValueError naming ``name`` unless it is a finite point of the problem."""
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.dim,):
-        raise ValueError(f"x must have shape ({problem.dim},), got {x.shape}")
+        raise ValueError(f"{name} must have shape ({problem.dim},), got {x.shape}")
     if not np.isfinite(x).all():
-        raise ValueError("x must be finite")
+        raise ValueError(f"{name} must be finite")
     return x
 
 
@@ -421,12 +422,12 @@ def _penalty_gradient(reg: float, X: np.ndarray) -> np.ndarray:
 
 def loss(problem: ProblemSpec, x: np.ndarray) -> float:
     """Full objective value f(x)."""
-    return float(problem.value_and_gradient(_check_x(problem, x)[None])[0][0])
+    return float(problem.value_and_gradient(check_point(problem, x)[None])[0][0])
 
 
 def full_gradient(problem: ProblemSpec, x: np.ndarray) -> np.ndarray:
     """Exact gradient of the full objective."""
-    return problem.value_and_gradient(_check_x(problem, x)[None])[1][0]
+    return problem.value_and_gradient(check_point(problem, x)[None])[1][0]
 
 
 def stochastic_gradient(problem: ProblemSpec, x: np.ndarray, rng: np.random.Generator) -> GradientSample:
@@ -438,7 +439,7 @@ def stochastic_gradient(problem: ProblemSpec, x: np.ndarray, rng: np.random.Gene
     generator see identical draw sequences regardless of where their
     iterates wander.
     """
-    x = _check_x(problem, x)
+    x = check_point(problem, x)
     draws = problem.draw_block(rng, 1)
     vector = problem.step_gradient(x[None], draws)[0]
     if not draws.size:

@@ -863,6 +863,27 @@ def test_cli_envelope_without_a_case_envelope_fails_before_any_run(tmp_path, cap
     assert not out.exists() and calls == []
 
 
+def test_cli_envelope_gates_on_everything_validate_checks(tmp_path, capsys):
+    # A constant schedule breaks Assumption 2 and passes every case12 gate:
+    # `validate` fails, so no seed of `envelope` is certified, and the
+    # envelope's report block is `validate`'s output.
+    path = _write_cfg(tmp_path, GOOD_CONFIG.replace("schedule = inverse_k\nschedule.eta = 0.1",
+                                                    "schedule = constant\nschedule.eta = 0.05")
+                      .replace("iterations = 100", "iterations = 2000").replace("n_seeds = 3", "n_seeds = 2"))
+    assert cli_io.main(["validate", "--config", path]) == 1
+    report = capsys.readouterr().out
+    assert "step_decreasing | holds=no | first_violation_k=1 |" in report
+    assert "step_square_sum_converges | holds=no |" in report
+    out = tmp_path / "env"
+    assert cli_io.main(["envelope", "--config", path, "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert stdout == (out / "diagnostic.txt").read_text()
+    head, _, rest = stdout.partition("\n\n")
+    assert head == "case = case12\ncertified = no"
+    assert rest.startswith(report)
+    assert rest.endswith(" | uncertified = 2\n")
+
+
 ENVELOPE_SEEDS = GOOD_CONFIG.replace("iterations = 100", "iterations = 2000")
 
 
@@ -950,6 +971,16 @@ def test_cli_validate_with_one_iteration_names_the_key(tmp_path, capsys):
     cfg = GOOD_CONFIG.replace("iterations = 100", "iterations = 1").replace("eval_every = 10", "eval_every = 1")
     assert cli_io.main(["validate", "--config", _write_cfg(tmp_path, cfg)]) == 1
     assert "iterations" in capsys.readouterr().err
+
+
+def test_cli_envelope_with_one_iteration_names_the_key_before_any_run(tmp_path, capsys, monkeypatch):
+    # `envelope` checks `validate`'s gates, which need a horizon of 2.
+    monkeypatch.setattr(cli_io, "run_paired", lambda *args, **kwargs: pytest.fail("envelope ran"))
+    cfg = GOOD_CONFIG.replace("iterations = 100", "iterations = 1").replace("eval_every = 10", "eval_every = 1")
+    out = tmp_path / "env"
+    assert cli_io.main(["envelope", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: envelope: iterations must be >= 2 to give a horizon to check (got 1)\n")
+    assert not out.exists()
 
 
 LOGREG_CONFIG = GOOD_CONFIG.replace(

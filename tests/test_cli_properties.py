@@ -3,9 +3,10 @@
 For every valid config, ``validate``, ``run``, ``envelope`` and ``plot``
 exit 0 or 1, never 2 (2 means a usage error or a fault).  An exit 1
 says why: a condition report with ``holds=no`` on stdout, or an error
-message that names a config key or the cause.  ``compare`` gets pairs
-of configs that differ only in the sf block, including pairs where one
-arm diverges and the other does not.
+message that names a config key or the cause.  ``envelope`` prints
+``validate``'s report and certifies no seed where ``validate`` fails.
+``compare`` gets pairs of configs that differ only in the sf block,
+including pairs where one arm diverges and the other does not.
 """
 
 import contextlib
@@ -88,6 +89,14 @@ def _edge(eta, value):
         n_seeds=2, master_seed=0, theorem_case=TheoremCase.CASE_11B)
 
 
+# A case12 config whose gates all hold, and the same with a constant
+# schedule, which fails Assumption 2 alone.
+CASE12 = cli_io.ExperimentConfig(
+    problem_family="quadratic", problem_params=(("dim", 5), ("cond", 10.0), ("sigma", 0.1), ("seed", 0)),
+    schedule=StepSizeSchedule("inverse_k", 0.1), sf=sf.uniform_root(0.3, 0.8), iterations=200, eval_every=10,
+    n_seeds=2, master_seed=7, theorem_case=TheoremCase.CASE_12)
+
+
 # Step sizes, step sums and envelopes beyond the range of a double, which
 # read inf or 0: once a numpy warning each, and exit 2 where it is an error.
 @settings(max_examples=60, deadline=None, derandomize=True,
@@ -97,6 +106,8 @@ def _edge(eta, value):
 @example(cfg=_edge(1e200, 1e200))  # the step sizes eta_k * u_k overflow
 @example(cfg=_edge(1e-300, 1e-300))  # mean * S_k underflows to 0 in the envelope
 @example(cfg=_edge(1e307, 1e-308))  # S_k overflows
+@example(cfg=CASE12)
+@example(cfg=dataclasses.replace(CASE12, schedule=StepSizeSchedule("constant", 0.05)))
 def test_valid_configs_exit_zero_or_one_with_a_reason(cfg):
     text = cli_io.format_config(cfg)
     assert cli_io.parse_config(text) == cfg
@@ -111,11 +122,20 @@ def test_valid_configs_exit_zero_or_one_with_a_reason(cfg):
             ["envelope", "--config", str(path), "--out", str(tmp / "env")],
             ["plot", "--in", str(tmp / "env"), "--out", str(tmp / "env.svg")],
         ]
-        for argv in commands:
-            code, stdout, stderr = _run(argv)
-            assert code in (0, 1), (argv[0], text, stderr)
-            if code == 1:
-                assert _says_why(stdout, stderr), (argv[0], text, stdout, stderr)
+        results = [_run(argv) for argv in commands]
+    for argv, (code, stdout, stderr) in zip(commands, results):
+        assert code in (0, 1), (argv[0], text, stderr)
+        if code == 1:
+            assert _says_why(stdout, stderr), (argv[0], text, stdout, stderr)
+    # Every config has a case and at most 200 steps, within validate's
+    # horizon: `envelope`'s report block is `validate`'s stdout, and a seed
+    # is certified only where `validate` exits 0.
+    (validate_code, validate_out, _), (code, stdout, _) = results[0], results[3]
+    if code == 0:
+        lines = stdout.splitlines(keepends=True)
+        end = next(i for i, line in enumerate(lines) if line.startswith("diagnostic = "))
+        assert lines[2] == "\n" and "".join(lines[3:end]) == validate_out, text
+        assert lines[1] == "certified = no\n" or validate_code == 0, text
 
 
 @st.composite

@@ -5,7 +5,9 @@ for them.  Rerunning the same commands must reproduce every file
 exactly: a change that moves a single bit of a trajectory, a report or
 a plot fails here.  The quadratic compare and envelope files were
 re-recorded when the factor supports, the moments and the quadratic's
-eigenvalues moved to one scalar power; the quadratic and Rosenbrock
+eigenvalues moved to one scalar power, and ``envelope/diagnostic.txt``
+again when ``envelope`` began to print ``validate``'s report (five
+inserted lines, every other byte kept); the quadratic and Rosenbrock
 files do not depend on the SIMD level numpy dispatches to, and
 :func:`test_quadratic_and_rosenbrock_bytes_do_not_depend_on_numpy_simd`
 checks that.  Every file does follow the OpenBLAS kernel, though:

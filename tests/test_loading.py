@@ -1,4 +1,5 @@
-"""Each command loads only the modules it runs.
+"""Each command loads only the modules it runs, and nothing from outside
+the standard library, numpy and slrlab.
 
 The package root resolves its names on first use, and ``cli_io`` imports
 ``stats``, ``harness`` and ``fmt17`` in the functions that call them.
@@ -45,6 +46,36 @@ import json, sys
 from slrlab import cli_io
 code = cli_io.main(sys.argv[1:])
 print(json.dumps([code, [m for m in {WATCHED!r} if m in sys.modules]]))
+"""
+
+
+# Runs every command through cli_io.main in one interpreter and prints, as
+# JSON, each module loaded since just before `cli_io` whose file lies
+# outside the standard library, numpy and slrlab.  A module with no file
+# (a built-in, or a Cython module numpy makes at run time) passes; so does
+# one that `site` loaded before the snapshot.
+RUNTIME = """
+import json, os, site, sys, sysconfig
+before = set(sys.modules)
+from slrlab import cli_io
+for argv in (["validate", "--config", "cfg.txt"], ["run", "--config", "cfg.txt", "--out", "run"],
+             ["compare", "--config-a", "cfg.txt", "--config-b", "cfg.txt", "--out", "cmp"],
+             ["envelope", "--config", "cfg.txt", "--out", "env"], ["plot", "--in", "env", "--out", "fig.svg"]):
+    assert cli_io.main(argv) == 0, argv
+import numpy, slrlab
+
+def under(path, roots):
+    return any(os.path.commonpath([path, root]) == root for root in roots)
+
+paths = sysconfig.get_paths()
+stdlib = {os.path.realpath(paths[key]) for key in ("stdlib", "platstdlib")}
+sites = {os.path.realpath(p) for p in (paths["purelib"], paths["platlib"], site.getusersitepackages(),
+                                       *site.getsitepackages())}
+own = {os.path.dirname(os.path.realpath(m.__file__)) for m in (numpy, slrlab)}
+files = {name: os.path.realpath(f) for name in set(sys.modules) - before
+         if (f := getattr(sys.modules[name], "__file__", None)) is not None}
+print(json.dumps(sorted(name for name, f in files.items()
+                        if not (under(f, own) or under(f, stdlib) and not under(f, sites)))))
 """
 
 
@@ -103,6 +134,12 @@ def test_envelope_loads_envelopes_but_not_statistics(tmp_path, cfg):
 
 def test_compare_loads_neither_envelopes_nor_logging(tmp_path, cfg):
     assert _loaded(tmp_path, "compare", "--config-a", cfg, "--config-b", cfg, "--out", "cmp") == ["slrlab.stats"]
+
+
+def test_the_commands_load_only_the_standard_library_numpy_and_slrlab(tmp_path, cfg):
+    # The runtime dependency is numpy alone, though tests install more
+    # (scipy), which a command could import unnoticed.
+    assert json.loads(_python(RUNTIME, cwd=tmp_path)) == []
 
 
 @pytest.mark.parametrize("name", SUBMODULES)
