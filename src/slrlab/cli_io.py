@@ -117,7 +117,6 @@ class ExperimentConfig:
     n_seeds: int = 40
     master_seed: int
     checkpoints: tuple[int, ...] | str = "auto"
-    out_dir: str = "out"
     theorem_case: TheoremCase | None = None
 
 
@@ -186,7 +185,6 @@ def parse_config(text: str) -> ExperimentConfig:
     for key, parse in _RUN_SHAPE.items():
         run[key] = read(key, parse, lambda v, key=key: None if v == "auto" else
                         argument_error(key, v, run.get("eval_every", 1), run.get("iterations", 0)))
-    run["out_dir"] = read("out_dir")
     run["theorem_case"] = _CASE_TOKENS.get(read("theorem_case", rule=_known(_CASE_TOKENS, "case")))
     if entries:
         key = min(entries, key=lambda k: entries[k][1])
@@ -570,20 +568,20 @@ def _traj_filename(i: int) -> str:
     return f"run_seed{i:03d}.csv"
 
 
-def _validation(cfg: ExperimentConfig, case: TheoremCase | None, horizon: int, command: str,
-                problem: problems.ProblemSpec | None = None
+def _validation(cfg: ExperimentConfig, command: str, problem: problems.ProblemSpec | None = None
                 ) -> tuple[list[ConditionReport], str, sf.MomentProfile | None]:
-    """The gating reports of ``cfg`` over ``horizon`` steps, the text `validate` prints, and the moment profile.
+    """The gating reports of ``cfg`` over its ``iterations``, the text `validate` prints, and the moment profile.
 
-    The gates are Assumption 2's four schedule reports and, with a
-    ``case``, its gates on ``problem`` (default: built from ``cfg``) over
-    a moment profile of the horizon (None without a case).  The text adds
-    the uniform_root regime line after the schedule's reports and the
-    case's informational lines last.  A horizon below 2 is a ConfigError
-    that names ``command`` and ``iterations``.
+    The gates are Assumption 2's four schedule reports and, when the
+    config sets ``theorem_case``, that case's gates on ``problem``
+    (default: built from ``cfg``) over a moment profile of those
+    iterations (None without a case).  The text adds the uniform_root regime line
+    after the schedule's reports and the case's informational lines
+    last.  Fewer than 2 iterations is a ConfigError that names ``command``.
     """
+    horizon, case = cfg.iterations, cfg.theorem_case
     if horizon < 2:
-        raise ConfigError(f"{command}: iterations must be >= 2 to give a horizon to check (got {cfg.iterations})")
+        raise ConfigError(f"{command}: iterations must be >= 2 to give a horizon to check (got {horizon})")
     gating = validator.check_assumption2(cfg.schedule, horizon)
     text = validator.format_reports(gating)
     if cfg.sf.kind == sf.UNIFORM_ROOT:
@@ -602,7 +600,7 @@ def _validation(cfg: ExperimentConfig, case: TheoremCase | None, horizon: int, c
 
 def _cmd_validate(args) -> int:
     cfg = load_config(args.config)
-    gating, text, _ = _validation(cfg, cfg.theorem_case, min(cfg.iterations, 100_000), "validate")
+    gating, text, _ = _validation(cfg, "validate")
     print(text)
     return 1 if any(not r.holds for r in gating) else 0
 
@@ -630,20 +628,19 @@ def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     problem = build_problem(cfg)
     (trajs,) = _run_all(cfg, problem, [cfg.sf])
-    out_dir = Path(args.out if args.out is not None else cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     for i, t in enumerate(trajs):
-        write_trajectory_csv(t, out_dir / _traj_filename(i), cfg.schedule)
-    (out_dir / "metadata.txt").write_text(_metadata_text(cfg, problem, trajs[0].config_digest, [t.seed for t in trajs]))
+        write_trajectory_csv(t, out / _traj_filename(i), cfg.schedule)
+    (out / "metadata.txt").write_text(_metadata_text(cfg, problem, trajs[0].config_digest, [t.seed for t in trajs]))
     diverged = sum(t.diverged for t in trajs)
-    print(f"wrote {len(trajs)} trajectories to {out_dir}" + (f" ({diverged} diverged)" if diverged else ""))
+    print(f"wrote {len(trajs)} trajectories to {out}" + (f" ({diverged} diverged)" if diverged else ""))
     return 0
 
 
 def _shared_keys(cfg: ExperimentConfig) -> dict[str, str]:
-    """The canonical text of each key the arms of ``compare`` must share: all but sf*, out_dir and theorem_case."""
-    return {key: text for key, text in _config_items(cfg)
-            if key.partition(".")[0] not in ("sf", "out_dir", "theorem_case")}
+    """The canonical text of each key the arms of ``compare`` must share: all but sf* and theorem_case."""
+    return {key: text for key, text in _config_items(cfg) if key.partition(".")[0] not in ("sf", "theorem_case")}
 
 
 def _cmd_compare(args) -> int:
@@ -664,26 +661,26 @@ def _cmd_compare(args) -> int:
     runs_a, runs_b = _run_all(cfg_a, build_problem(cfg_a), [cfg_a.sf, cfg_b.sf])
     checkpoints = None if cfg_a.checkpoints == "auto" else list(cfg_a.checkpoints)
     report = stats.compare(runs_a, runs_b, metric=args.metric, checkpoints=checkpoints)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_report(report, out_dir / "report.csv")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    write_report(report, out / "report.csv")
     text = "paired gradient streams verified identical per seed\n" + report_text(report)
-    (out_dir / "report.txt").write_text(text)
+    (out / "report.txt").write_text(text)
     print(text.rstrip("\n"))
     return 0
 
 
 def _cmd_envelope(args) -> int:
     cfg = load_config(args.config)
-    case = _CASE_TOKENS.get(args.case) if args.case else cfg.theorem_case
+    case = cfg.theorem_case
     if case is None:
-        raise ConfigError("envelope: pass --case or set theorem_case in the config")
+        raise ConfigError("envelope: set theorem_case in the config")
 
     from . import harness  # imported here: only `envelope` builds a case envelope
 
     problem = build_problem(cfg)
     schedule = cfg.schedule
-    gating, text, profile = _validation(cfg, case, cfg.iterations, "envelope", problem)
+    gating, text, profile = _validation(cfg, "envelope", problem)
     gates_hold = all(r.holds for r in gating)
     # The case envelope depends only on the eval grid and the schedule, so
     # one serves every seed; a diverged run's rows take its values at the
@@ -692,9 +689,9 @@ def _cmd_envelope(args) -> int:
     env = harness.envelope_series(case, profile, schedule,
                                   np.arange(cfg.eval_every, cfg.iterations + 1, cfg.eval_every))
     (trajs,) = _run_all(cfg, problem, [cfg.sf])
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(trajs[0], out_dir / "trajectory.csv", schedule, case_env=env)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    write_trajectory_csv(trajs[0], out / "trajectory.csv", schedule, case_env=env)
 
     k_lo = max(cfg.eval_every, cfg.iterations // 100)
 
@@ -722,8 +719,8 @@ def _cmd_envelope(args) -> int:
             values = (math.nan,) * 3 if d is None else (d.window_slope, d.r_lo, d.r_hi)
             rows.append(",".join([str(t.seed), label, *map(_f17, values),
                                   "" if t.truncated_at is None else str(t.truncated_at)]))
-        (out_dir / "seeds.csv").write_text("\n".join(rows) + "\n")
-    (out_dir / "diagnostic.txt").write_text("\n".join(lines) + "\n")
+        (out / "seeds.csv").write_text("\n".join(rows) + "\n")
+    (out / "diagnostic.txt").write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
     return 0
 
@@ -770,7 +767,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run the configured experiment and write trajectory CSVs")
     p.add_argument("--config", required=True)
-    p.add_argument("--out", default=None, help="output directory (default: out_dir from the config)")
+    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("compare", help="paired multi-seed comparison of two configs")
@@ -782,7 +779,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("envelope", help="run n_seeds paths and compare each against a theorem-case envelope")
     p.add_argument("--config", required=True)
-    p.add_argument("--case", default=None, choices=sorted(_CASE_TOKENS))
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_envelope)
 

@@ -25,7 +25,8 @@ one-arm, one-seed case.  A run's memory follows its eval grid, not its
 step count: factors are kept at the eval points only, and each block
 computes its own step sizes.  ``compare`` holds no per-step array either;
 ``run`` and ``envelope`` hold the CSV writer's step sums S_k and g_k
-weights over every k, and ``envelope`` its moment profile too.
+weights over every k; ``validate`` and ``envelope`` hold the checked
+step sizes over every k, and, with a theorem case, its moment profile.
 """
 
 from __future__ import annotations

@@ -48,7 +48,6 @@ def test_parse_good_config():
     assert cfg.n_seeds == 3 and cfg.master_seed == 7
     assert cfg.theorem_case is TheoremCase.CASE_12
     assert cfg.checkpoints == "auto"
-    assert cfg.out_dir == "out"
 
 
 def test_defaults():
@@ -67,7 +66,6 @@ master_seed = 0
     assert cfg.eval_every == 10
     assert cfg.n_seeds == 40
     assert cfg.checkpoints == "auto"
-    assert cfg.out_dir == "out"
     assert cfg.theorem_case is None
     assert dict(cfg.problem_params)["sigma"] == 0.0  # omitted optional problem field
 
@@ -588,11 +586,22 @@ def test_cli_run_outputs(tmp_path):
     assert header == cli_io.TRAJECTORY_HEADER
 
 
-def test_cli_run_respects_config_out_dir(tmp_path):
-    cfg = GOOD_CONFIG.replace("n_seeds = 3", "n_seeds = 2") + f"out_dir = {tmp_path}/from_cfg\n"
-    path = _write_cfg(tmp_path, cfg)
-    assert cli_io.main(["run", "--config", path]) == 0
-    assert (tmp_path / "from_cfg" / "run_seed000.csv").exists()
+def test_cli_run_needs_out(tmp_path, capsys, monkeypatch):
+    # `--out` is the only place that says where `run` writes.
+    monkeypatch.chdir(tmp_path)
+    assert cli_io.main(["run", "--config", _write_cfg(tmp_path)]) == 2
+    assert "the following arguments are required: --out" in capsys.readouterr().err
+    assert [f.name for f in tmp_path.iterdir()] == ["cfg.txt"]
+
+
+def test_config_out_dir_is_an_unknown_key(tmp_path, capsys):
+    # The config once named a default output directory that metadata.txt
+    # recorded even when `--out` sent the files elsewhere.
+    path = _write_cfg(tmp_path, GOOD_CONFIG + "out_dir = x\n")
+    out = tmp_path / "out"
+    assert cli_io.main(["run", "--config", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: line 15: unknown key 'out_dir'\n"
+    assert not out.exists()
 
 
 def test_cli_run_byte_deterministic(tmp_path):
@@ -686,13 +695,13 @@ QUADRATIC_BLOCK = "problem = quadratic\nproblem.dim = 5\nproblem.cond = 10.0\npr
 LOGREG_BLOCK = "problem = logreg\nproblem.n = 40\nproblem.d = 3\n"
 
 
-def test_cli_compare_lets_the_sf_block_out_dir_and_theorem_case_differ(tmp_path):
+def test_cli_compare_lets_the_sf_block_and_theorem_case_differ(tmp_path):
     pa = _write_cfg(tmp_path, GOOD_CONFIG, "a.txt")
     b = GOOD_CONFIG.replace("sf = uniform_root\nsf.c1 = 0.3\nsf.c2 = 0.8", "sf = constant\nsf.value = 0.5") \
-                   .replace("theorem_case = case12", "theorem_case = case11a\nout_dir = elsewhere")
+                   .replace("theorem_case = case12", "theorem_case = case11a")
     pb_ = _write_cfg(tmp_path, b, "b.txt")
     a_cfg, b_cfg = cli_io.load_config(pa), cli_io.load_config(pb_)
-    assert (a_cfg.sf, a_cfg.out_dir, a_cfg.theorem_case) != (b_cfg.sf, b_cfg.out_dir, b_cfg.theorem_case)
+    assert a_cfg.sf != b_cfg.sf and a_cfg.theorem_case != b_cfg.theorem_case
     assert cli_io.main(["compare", "--config-a", pa, "--config-b", pb_, "--out", str(tmp_path / "cmp")]) == 0
     # And with no theorem_case in one arm.
     pc = _write_cfg(tmp_path, b.replace("theorem_case = case11a\n", ""), "c.txt")
@@ -884,6 +893,38 @@ def test_cli_envelope_gates_on_everything_validate_checks(tmp_path, capsys):
     assert rest.endswith(" | uncertified = 2\n")
 
 
+# This law's mean first fails to decrease at k = 123149, past the
+# 100,000 steps that `validate` once stopped at while `envelope` checked
+# every step: `validate` passed the config that `envelope` refused.
+PAST_THE_OLD_CAP = """\
+problem = quadratic
+problem.dim = 2
+problem.cond = 10
+schedule = inverse_k
+schedule.eta = 0.05
+sf = uniform_root
+sf.c1 = 1.0
+sf.c2 = 1.00001
+iterations = 130000
+eval_every = 1000
+n_seeds = 1
+master_seed = 0
+theorem_case = case11b
+"""
+
+
+def test_cli_validate_and_envelope_check_every_iteration(tmp_path, capsys):
+    path = _write_cfg(tmp_path, PAST_THE_OLD_CAP)
+    assert cli_io.main(["validate", "--config", path]) == 1
+    report = capsys.readouterr().out
+    assert "mean_decreasing | holds=no | first_violation_k=123149 |" in report
+    out = tmp_path / "env"
+    assert cli_io.main(["envelope", "--config", path, "--out", str(out)]) == 0
+    head, _, rest = capsys.readouterr().out.partition("\n\n")
+    assert head == "case = case11b\ncertified = no"
+    assert rest.rpartition("diagnostic = ")[0] == report
+
+
 ENVELOPE_SEEDS = GOOD_CONFIG.replace("iterations = 100", "iterations = 2000")
 
 
@@ -932,10 +973,9 @@ def test_cli_envelope_seed_zero_artifacts_do_not_depend_on_n_seeds(tmp_path):
 def test_cli_envelope_counts_a_diverged_seed_and_exits_zero(tmp_path, capsys):
     # Seed 1 of four diverges at k = 10; seed 0 does not.  eta = 3 breaks
     # the step bound, so no seed is certified.
-    cfg = DIVERGING_ARM.format(eta=3, sf="sf = uniform_root\nsf.c1 = 0.01\nsf.c2 = 2.0")
+    cfg = DIVERGING_ARM.format(eta=3, sf="sf = uniform_root\nsf.c1 = 0.01\nsf.c2 = 2.0") + "theorem_case = case12\n"
     out = tmp_path / "env"
-    assert cli_io.main(["envelope", "--config", _write_cfg(tmp_path, cfg), "--case", "case12",
-                        "--out", str(out)]) == 0
+    assert cli_io.main(["envelope", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
     tally = ("tally over 4 seeds: ConsistentWithLittleO = 3 | Inconclusive = 0 | Violation = 0 | "
              "diverged = 1 | uncertified = 4")
     assert capsys.readouterr().out.splitlines()[-1] == tally
@@ -1192,15 +1232,18 @@ def test_cli_gradient_norm_overflow_at_x0_is_a_divergence(tmp_path, capsys, comm
     assert np.isinf(cols["grad_norm_sq"]).all() and np.isnan(cols["g_k"]).all()
 
 
-def test_cli_envelope_case_flag_overrides_config(tmp_path):
-    cfg = GOOD_CONFIG.replace("theorem_case = case12\n", "")
-    path = _write_cfg(tmp_path, cfg)
-    out = tmp_path / "env2"
-    # without a case anywhere the command refuses
+def test_cli_envelope_takes_its_case_from_the_config_only(tmp_path, capsys):
+    # A --case flag once overrode the config's case, so `envelope`
+    # certified a case that `validate` never checked.
+    out = tmp_path / "env"
+    path = _write_cfg(tmp_path, GOOD_CONFIG.replace("theorem_case = case12\n", ""))
     assert cli_io.main(["envelope", "--config", path, "--out", str(out)]) == 1
-    assert cli_io.main(["envelope", "--config", path, "--case", "case12",
-                        "--out", str(out)]) == 0
-    assert "case = case12" in (out / "diagnostic.txt").read_text()
+    assert capsys.readouterr() == ("", "error: envelope: set theorem_case in the config\n")
+    # On a case11b config that `validate` fails, --case case12 once printed certified = yes.
+    path = _write_cfg(tmp_path, GOOD_CONFIG.replace("case12", "case11b"), "case11b.txt")
+    assert cli_io.main(["envelope", "--config", path, "--case", "case12", "--out", str(out)]) == 2
+    assert "unrecognized arguments: --case case12" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_plot_from_directory(tmp_path):

@@ -25,7 +25,7 @@ from slrlab.optimizer import SCHEDULE_FAMILIES, StepSizeSchedule, run_arms, spli
 from slrlab.validator import TheoremCase
 
 KEYS = ("problem", "schedule", "sf", "iterations", "eval_every", "n_seeds", "master_seed",
-        "checkpoints", "theorem_case", "out_dir")
+        "checkpoints", "theorem_case")
 # Causes an exit-1 message may name instead of a key.
 CAUSES = ("diverged", "no trajectory CSVs", "non-degenerate", "no plottable points", "malformed row")
 
@@ -127,9 +127,8 @@ def test_valid_configs_exit_zero_or_one_with_a_reason(cfg):
         assert code in (0, 1), (argv[0], text, stderr)
         if code == 1:
             assert _says_why(stdout, stderr), (argv[0], text, stdout, stderr)
-    # Every config has a case and at most 200 steps, within validate's
-    # horizon: `envelope`'s report block is `validate`'s stdout, and a seed
-    # is certified only where `validate` exits 0.
+    # Every config has a case: `envelope`'s report block is `validate`'s
+    # stdout, and a seed is certified only where `validate` exits 0.
     (validate_code, validate_out, _), (code, stdout, _) = results[0], results[3]
     if code == 0:
         lines = stdout.splitlines(keepends=True)

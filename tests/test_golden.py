@@ -25,6 +25,8 @@ AVX-512 routines; CI prints the SIMD level and the OpenBLAS core.  Its
 data fit in one chunk, so it does not exercise the BLAS thread count;
 ``tests/test_problems.py::test_logreg_eval_bits_do_not_depend_on_blas_threads``
 and its per-kernel twin do, on data large enough for BLAS to use threads.
+The two ``run`` commands' ``metadata.txt`` files each lost their
+``out_dir = out`` line when the config's ``out_dir`` key was removed.
 
 To re-record after an intended change of results, run from that
 directory (with no SLRLAB_SEED set)::
