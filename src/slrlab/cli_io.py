@@ -88,7 +88,7 @@ def _known(choices, what: str):
 # names, each with its parser and default (MISSING: the key is required).
 _PROBLEMS = {
     "quadratic": (problems.make_quadratic, {"dim": (_as_int, MISSING), "cond": (_as_float, 1.0),
-                                            "sigma": (_as_float, 0.0), "seed": (_as_int, 0)}),
+                                            "sigma": (_as_float, 0.0)}),
     "rosenbrock": (problems.make_rosenbrock, {"sigma": (_as_float, 0.0)}),
     "logreg": (problems.make_logreg_nonconvex, {"n": (_as_int, MISSING), "d": (_as_int, MISSING),
                                                 "reg": (_as_float, 0.0), "seed": (_as_int, 0)}),
@@ -232,10 +232,10 @@ def load_config(path: str | Path) -> ExperimentConfig:
     """Read and parse a config file, applying the SLRLAB_SEED override.
 
     Every error in the file is a ConfigError whose message starts with
-    the file's path.  The file is read as UTF-8: an undecodable byte
-    names its line.
+    the file's path.  The file is read as UTF-8, after a leading byte-order
+    mark if it has one: an undecodable byte names its line.
     """
-    raw = Path(path).read_bytes()
+    raw = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")
     try:
         cfg = parse_config(raw.decode("utf-8"))
     except UnicodeDecodeError as exc:
@@ -312,14 +312,15 @@ def write_trajectory_csv(traj, path: str | Path, schedule: StepSizeSchedule,
 def read_trajectory_csv(path: str | Path) -> dict[str, np.ndarray]:
     """Read a trajectory CSV back into column arrays.
 
-    The file is read as UTF-8 with undecodable bytes replaced, so a
-    binary file fails the header check and a bad byte fails its row.
+    The file is read as UTF-8 (a leading byte-order mark is dropped) with
+    undecodable bytes replaced, so a binary file fails the header check
+    and a bad byte fails its row.
     Raises :class:`NotTrajectoryCSVError` if the header is not the
     trajectory header, and ValueError naming the file and the first
     bad row if a row does not hold 10 numbers or its k is not an
     integer in [0, 2**63).
     """
-    lines = Path(path).read_text(encoding="utf-8", errors="replace").splitlines()
+    lines = Path(path).read_text(encoding="utf-8-sig", errors="replace").splitlines()
     if not lines or lines[0] != TRAJECTORY_HEADER:
         raise NotTrajectoryCSVError(f"{path}: not a trajectory CSV (bad header)")
     names = TRAJECTORY_HEADER.split(",")
@@ -365,21 +366,13 @@ def _as_count(raw: str) -> int:
     return value
 
 
-def _as_notes(raw: str) -> list[str]:
-    import json  # imported here: only a report's notes are JSON
-
-    notes = json.loads(raw)
-    if not (isinstance(notes, list) and all(isinstance(note, str) for note in notes)):
-        raise ValueError(f"expected a JSON list of strings, got {raw!r}")
-    return notes
-
-
 # report.csv's layout, which write_report writes and read_report reads back.
 # The metadata keys that read back, in order, each a ComparisonReport field
-# and its parser (the notes are written as JSON); the test's settings,
-# written after the metric, are fixed and not read back.
+# and its parser.  The test's settings, written after the metric, are fixed,
+# and the notes, written last as JSON, follow from the exclusion counts:
+# neither is read back.
 _REPORT_KEYS = (("metric", str), ("n_a", _as_count), ("n_b", _as_count), ("excluded_a", _as_count),
-                ("excluded_b", _as_count), ("config_digest_a", str), ("config_digest_b", str), ("notes", _as_notes))
+                ("excluded_b", _as_count), ("config_digest_a", str), ("config_digest_b", str))
 # The columns, in order: the header name, the ComparisonReport field, the
 # text of a value and its parser.
 _REPORT_COLUMNS = (
@@ -397,8 +390,7 @@ def write_report(report: ComparisonReport, path: str | Path) -> None:
 
     from . import stats  # imported here: only `compare` writes a report
 
-    meta = [(key, json.dumps(getattr(report, key)) if parse is _as_notes else getattr(report, key))
-            for key, parse in _REPORT_KEYS]
+    meta = [(key, getattr(report, key)) for key, _ in _REPORT_KEYS] + [("notes", json.dumps(report.notes))]
     settings = [("correction", "bonferroni"), ("fwer", repr(stats.FWER)), ("paired", "true")]
     lines = [f"# {k} = {v}" for k, v in meta[:1] + settings + meta[1:]]
     lines.append(REPORT_HEADER)

@@ -226,7 +226,8 @@ class Trajectory:
     gradient streams they stepped on, and the eval grid: ``eval_points``
     is a read-only view of one column (a truncated run's is a prefix).
     The CSV writer computes the schedule's columns (eta_k and the step
-    sums) and g_k; a run does not hold them.
+    sums) and g_k; a run does not hold them.  Every run draws with one
+    algorithm, so ``rng_algorithm`` is a class attribute, not a field.
     """
 
     eval_points: np.ndarray
@@ -240,7 +241,7 @@ class Trajectory:
     certified: bool
     truncated_at: int | None
     problem: pb.ProblemSpec
-    rng_algorithm: str = RNG_ALGORITHM
+    rng_algorithm = RNG_ALGORITHM
 
     @property
     def diverged(self) -> bool:

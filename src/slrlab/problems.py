@@ -264,14 +264,14 @@ class GradientSample:
     draw: Any
 
 
-def make_quadratic(dim: int, cond: float, sigma: float, seed: int = 0) -> Quadratic:
+def make_quadratic(dim: int, cond: float, sigma: float) -> Quadratic:
     """Diagonal quadratic with eigenvalues ``cond ** linspace(0, 1, dim)`` by :func:`sf.scalar_power`.
 
     They do not decrease and run from exactly 1 to exactly ``cond`` (dim = 1:
-    the one eigenvalue ``cond``), so L = cond bounds the spectrum.  ``seed``
-    is recorded for configuration digests but does not affect the construction.
+    the one eigenvalue ``cond``), so L = cond bounds the spectrum.  Its build
+    draws nothing, so it takes no seed: ``params`` are ``dim``, ``cond``, ``sigma``.
     """
-    _check_arguments(dim=dim, cond=cond, sigma=sigma, seed=seed)
+    _check_arguments(dim=dim, cond=cond, sigma=sigma)
     return Quadratic(
         dim=dim,
         L=float(cond),
@@ -279,7 +279,7 @@ def make_quadratic(dim: int, cond: float, sigma: float, seed: int = 0) -> Quadra
         A=0.0,
         B=1.0,
         C=float(sigma) ** 2 * dim,
-        params={"dim": int(dim), "cond": float(cond), "sigma": float(sigma), "seed": int(seed)},
+        params={"dim": int(dim), "cond": float(cond), "sigma": float(sigma)},
         eigs=np.array([float(cond)]) if dim == 1 else scalar_power(cond, np.linspace(0.0, 1.0, dim)),
         sigma=float(sigma),
     )

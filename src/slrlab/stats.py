@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -182,7 +182,7 @@ FWER = 0.05
 
 @dataclass
 class ComparisonReport:
-    """Checkpointed Welch/Bonferroni comparison of two paired sides of runs."""
+    """Checkpointed Welch/Bonferroni comparison of two paired sides of runs; ``notes`` derive from the counts."""
 
     metric: str
     checkpoints: list[int]
@@ -199,7 +199,13 @@ class ComparisonReport:
     excluded_b: int
     config_digest_a: str
     config_digest_b: str
-    notes: list[str] = field(default_factory=list)
+
+    @property
+    def notes(self) -> list[str]:
+        """The line that counts the diverged runs excluded from each side, when either side excluded one."""
+        if self.excluded_a or self.excluded_b:
+            return [f"excluded diverged runs: {self.excluded_a} from a, {self.excluded_b} from b"]
+        return []
 
 
 def compare(
@@ -248,9 +254,6 @@ def compare(
     col_a = {t.seed: i for i, t in enumerate(ok_a)}
     col_b = {t.seed: i for i, t in enumerate(ok_b)}
     shared = [(col_a[s], col_b[s]) for s in seeds if s in col_a and s in col_b]
-    notes: list[str] = []
-    if len(ok_a) < len(a) or len(ok_b) < len(b):
-        notes.append(f"excluded diverged runs: {len(a) - len(ok_a)} from a, {len(b) - len(ok_b)} from b")
     if len(ok_a) < 2 or len(ok_b) < 2:
         raise ValueError("fewer than 2 non-diverged runs on one side; nothing to test")
 
@@ -287,5 +290,4 @@ def compare(
         excluded_b=len(b) - len(ok_b),
         config_digest_a=a[0].config_digest,
         config_digest_b=b[0].config_digest,
-        notes=notes,
     )

@@ -406,7 +406,7 @@ def test_report_round_trip_lossless(tmp_path):
 
 
 # Each metadata key read_report reads back.
-REPORT_KEYS = ("metric", "n_a", "n_b", "excluded_a", "excluded_b", "config_digest_a", "config_digest_b", "notes")
+REPORT_KEYS = ("metric", "n_a", "n_b", "excluded_a", "excluded_b", "config_digest_a", "config_digest_b")
 
 
 @pytest.mark.parametrize("edit, error", [
@@ -416,17 +416,10 @@ REPORT_KEYS = ("metric", "n_a", "n_b", "excluded_a", "excluded_b", "config_diges
     *[(lambda lines, key=key: [line for line in lines if not line.startswith(f"# {key} = ")],
        f"metadata key {key!r} is missing") for key in REPORT_KEYS],
     (lambda lines: [line.replace("# n_a = 3", "# n_a = three") for line in lines], "metadata key 'n_a' is"),
-    (lambda lines: [re.sub("^# notes = .*", "# notes = [unquoted]", line) for line in lines],
-     "metadata key 'notes' is missing or malformed"),
     (lambda lines: [line for line in lines if line != cli_io.REPORT_HEADER], "not a comparison report CSV"),
-    (lambda lines: [re.sub("^# notes = .*", "# notes = 3", line) for line in lines],
-     "metadata key 'notes' is missing or malformed"),
-    (lambda lines: [re.sub("^# notes = .*", "# notes = [1, 2]", line) for line in lines],
-     "metadata key 'notes' is missing or malformed"),
     (lambda lines: [line.replace("# n_a = 3", "# n_a = -5") for line in lines], "metadata key 'n_a' is"),
 ], ids=["row-missing-two-fields", "trailing-blank-line", "significance-not-a-flag",
-        *[f"missing-{key}" for key in REPORT_KEYS], "n_a-not-an-integer", "notes-not-json", "no-header",
-        "notes-not-a-list", "notes-not-strings", "n_a-negative"])
+        *[f"missing-{key}" for key in REPORT_KEYS], "n_a-not-an-integer", "no-header", "n_a-negative"])
 def test_read_report_names_the_file_and_the_bad_line_or_key(tmp_path, edit, error):
     p = tmp_path / "report.csv"
     cli_io.write_report(_small_report(), p)
@@ -555,6 +548,35 @@ def test_cli_names_the_config_and_line_of_an_undecodable_byte(tmp_path, capsys, 
         configs = ["--config-a", _write_cfg(tmp_path), "--config-b", str(bad), "--out", str(tmp_path / "out")]
     assert cli_io.main([command, *configs]) == 1
     assert capsys.readouterr().err == f"error: {bad}: line 3: byte 0xff is not UTF-8 (invalid start byte)\n"
+
+
+def test_cli_reads_a_config_with_a_byte_order_mark_as_the_plain_file(tmp_path, capsys):
+    # Read with its mark, line 1 once held the key '\ufeffproblem', and
+    # the config failed for a missing 'problem'.
+    bom = tmp_path / "bom.txt"
+    bom.write_bytes(b"\xef\xbb\xbf" + GOOD_CONFIG.encode())
+    outcomes = []
+    for path in (_write_cfg(tmp_path), str(bom)):
+        outcomes.append((cli_io.main(["validate", "--config", path]), *capsys.readouterr()))
+    assert outcomes[1] == outcomes[0] and outcomes[0][0] == 0 and outcomes[0][2] == ""
+    # After the mark, an undecodable byte still names its line.
+    bom.write_bytes(b"\xef\xbb\xbf" + GOOD_CONFIG.replace("problem.cond = 10.0", "problem.cond = 10.0  # \xff")
+                    .encode("latin-1"))
+    assert cli_io.main(["validate", "--config", str(bom)]) == 1
+    assert capsys.readouterr().err == f"error: {bom}: line 3: byte 0xff is not UTF-8 (invalid start byte)\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "compare"])
+def test_cli_refuses_a_seed_for_the_quadratic(tmp_path, capsys, command):
+    # A quadratic's build draws nothing: problem.seed is not one of its keys.
+    bad = _write_cfg(tmp_path, GOOD_CONFIG.replace("problem.sigma = 0.1\n", "problem.sigma = 0.1\nproblem.seed = 0\n"),
+                     "b.txt")
+    out = tmp_path / "out"
+    argv = {"validate": ["validate", "--config", bad], "run": ["run", "--config", bad, "--out", str(out)],
+            "compare": ["compare", "--config-a", _write_cfg(tmp_path), "--config-b", bad, "--out", str(out)]}
+    assert cli_io.main(argv[command]) == 1
+    assert capsys.readouterr() == ("", f"error: {bad}: line 5: unknown key 'problem.seed'\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text, why", [
@@ -782,6 +804,10 @@ def test_cli_compare_excludes_seeds_with_a_diverged_arm(tmp_path):
     assert "excluded diverged runs: 1 from a, 0 from b" in txt
     rep = cli_io.read_report(out / "report.csv")
     assert (rep.n_a, rep.excluded_a, rep.n_b, rep.excluded_b) == (3, 1, 4, 0)
+    # The notes follow from the counts read back, and are written again byte for byte.
+    assert rep.notes == ["excluded diverged runs: 1 from a, 0 from b"]
+    cli_io.write_report(rep, tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == (out / "report.csv").read_bytes()
 
 
 def test_cli_compare_exits_two_when_an_arm_steps_on_another_seeds_draws(tmp_path, capsys, monkeypatch):
@@ -1057,8 +1083,8 @@ def test_cli_rejects_non_finite_numbers(tmp_path, capsys, base, line, raw, comma
 @pytest.mark.parametrize("command", ["run", "envelope"])
 def test_cli_rejects_a_negative_seed(tmp_path, capsys, monkeypatch, source, command):
     # numpy's seeding refuses a negative seed with a message that names no
-    # key, after `run` has made its output directory.  The quadratic only
-    # records its seed, which must be >= 0 all the same.
+    # key, after `run` has made its output directory.  The quadratic has no
+    # seed: its problem.seed is an unknown key.
     monkeypatch.delenv("SLRLAB_SEED", raising=False)
     if source == "config":
         path = _write_cfg(tmp_path, GOOD_CONFIG.replace("master_seed = 7", "master_seed = -1"))
@@ -1074,7 +1100,10 @@ def test_cli_rejects_a_negative_seed(tmp_path, capsys, monkeypatch, source, comm
         key = "seed"
     assert cli_io.main([command, "--config", path, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert key in err and ">= 0" in err
+    if source.endswith("quadratic"):
+        assert "unknown key 'problem.seed'" in err
+    else:
+        assert key in err and ">= 0" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -1087,13 +1116,12 @@ ROSENBROCK_CONFIG = GOOD_CONFIG.replace(
     (GOOD_CONFIG, "dim", "0"),
     (GOOD_CONFIG, "cond", "0.5"),
     (GOOD_CONFIG, "sigma", "-0.1"),
-    (GOOD_CONFIG, "seed", "-1"),
     (ROSENBROCK_CONFIG, "sigma", "-1.0"),
     (LOGREG_CONFIG, "n", "1"),
     (LOGREG_CONFIG, "d", "0"),
     (LOGREG_CONFIG, "reg", "-0.1"),
     (LOGREG_CONFIG, "seed", "-1"),
-], ids=["quadratic-dim", "quadratic-cond", "quadratic-sigma", "quadratic-seed", "rosenbrock-sigma",
+], ids=["quadratic-dim", "quadratic-cond", "quadratic-sigma", "rosenbrock-sigma",
         "logreg-n", "logreg-d", "logreg-reg", "logreg-seed"])
 def test_validate_and_run_reject_a_bad_problem_value_alike(tmp_path, capsys, base, key, raw):
     # validate never built the problem without a theorem_case, so it
@@ -1269,6 +1297,21 @@ def test_cli_plot_skips_the_seeds_csv_of_an_envelope(tmp_path):
     assert cli_io.main(["plot", "--in", str(out), "--out", str(dst)]) == 0
     # The trajectory, envelope_det and envelope_case.
     assert dst.read_text().count("<polyline") == 3
+
+
+def test_cli_plot_draws_a_trajectory_csv_with_a_byte_order_mark(tmp_path):
+    # plot once skipped it, with the mark read as part of the header, and
+    # found no trajectory in the directory.
+    path = _write_cfg(tmp_path, GOOD_CONFIG.replace("n_seeds = 3", "n_seeds = 1"))
+    out, bom = tmp_path / "runs", tmp_path / "bom"
+    assert cli_io.main(["run", "--config", path, "--out", str(out)]) == 0
+    bom.mkdir()
+    (bom / "run_seed000.csv").write_bytes(b"\xef\xbb\xbf" + (out / "run_seed000.csv").read_bytes())
+    plain, marked = (cli_io.read_trajectory_csv(d / "run_seed000.csv") for d in (out, bom))
+    assert list(marked) == list(plain) and all(marked[n].tobytes() == plain[n].tobytes() for n in plain)
+    dst = tmp_path / "fig.svg"
+    assert cli_io.main(["plot", "--in", str(bom), "--out", str(dst)]) == 0
+    assert dst.read_text().count("<polyline") == 2  # the run and the baseline envelope
 
 
 def test_cli_plot_skips_a_csv_that_is_not_utf8_text(tmp_path):

@@ -27,6 +27,10 @@ data fit in one chunk, so it does not exercise the BLAS thread count;
 and its per-kernel twin do, on data large enough for BLAS to use threads.
 The two ``run`` commands' ``metadata.txt`` files each lost their
 ``out_dir = out`` line when the config's ``out_dir`` key was removed.
+``compare/report.csv`` and ``compare/report.txt`` were re-recorded when
+the quadratic lost its ``seed`` parameter, which only its params (and so
+its config digest) held: the two ``config_digest`` values are all that
+moved.
 
 To re-record after an intended change of results, run from that
 directory (with no SLRLAB_SEED set)::

@@ -370,7 +370,7 @@ def test_config_digest_sensitivity():
 def test_long_run_regression():
     # frozen reference for the noisy quadratic workload; guards numerics
     # and stream layout against silent drift
-    pb = problems.make_quadratic(dim=10, cond=10.0, sigma=0.1, seed=0)
+    pb = problems.make_quadratic(dim=10, cond=10.0, sigma=0.1)
     traj = optimizer.run(pb, StepSizeSchedule("inverse_k", 0.1), sf.uniform_root(0.3, 0.8),
                          iterations=100_000, eval_every=100, seed=2024)
     assert traj.min_grad_sq[-1] == pytest.approx(0.34279713645709803, rel=1e-10)

@@ -21,13 +21,21 @@ def fd_gradient(pb, x, h=1e-5):
 
 
 def test_quadratic_constants():
-    pb = problems.make_quadratic(dim=2, cond=10.0, sigma=0.5, seed=1)
+    pb = problems.make_quadratic(dim=2, cond=10.0, sigma=0.5)
     assert pb.L == 10.0
     assert pb.A == 0.0 and pb.B == 1.0
     assert pb.C == pytest.approx(0.5**2 * 2, abs=0)
     assert pb.f_star == 0.0 and pb.f_lower == 0.0
     assert pb.domain_box is None
     np.testing.assert_allclose(pb.eigs, [1.0, 10.0])
+
+
+def test_quadratic_params_are_its_shape_and_noise_only():
+    # A quadratic's build draws nothing, so it takes no seed, and its params
+    # (and so its config digest) hold only what changes the problem.
+    assert problems.make_quadratic(dim=2, cond=10.0, sigma=0.5).params == {"dim": 2, "cond": 10.0, "sigma": 0.5}
+    with pytest.raises(TypeError, match="seed"):
+        problems.make_quadratic(dim=2, cond=10.0, sigma=0.5, seed=0)
 
 
 def test_quadratic_dim1_uses_cond_as_eigenvalue():

@@ -359,7 +359,7 @@ def test_compare_excludes_diverged_runs():
 
 def test_compare_golden_regression():
     # frozen end-to-end reference for the paired pipeline
-    pb = problems.make_quadratic(dim=5, cond=10.0, sigma=0.2, seed=0)
+    pb = problems.make_quadratic(dim=5, cond=10.0, sigma=0.2)
     sched = StepSizeSchedule("inverse_k", 0.2)
     a = stats.run_multi_seed(pb, sched, sf.uniform_root(0.3, 0.8), 400,
                              n_seeds=6, master_seed=11, eval_every=10)
