@@ -258,20 +258,12 @@ def _f17(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-# Rows formatted at once.  A trajectory's rows go through fmt17.rows and
-# the plot's points through one % operation, a chunk at a time, so no
-# per-value Python call is made and a long text is never held at once.
-# fmt17 holds ~1.5 kB of working arrays per row of 10 values: at 1024
-# rows, `envelope`'s own peak RSS on a 50,001-row trajectory is ~50.7 MB,
-# where the % formatter had it.
+# Trajectory rows formatted at once, through fmt17.rows, so no per-value
+# Python call is made and a long text is never held at once.  fmt17 holds
+# ~1.5 kB of working arrays per row of 10 values: at 1024 rows,
+# `envelope`'s own peak RSS on a 50,001-row trajectory is ~50.7 MB, where
+# a % formatter had it.
 _FORMAT_CHUNK = 1024
-
-
-def _format_chunks(fmt: str, sep: str, rows: np.ndarray):
-    """Yield each chunk of rows of a 2-d float array as text: ``fmt`` per row, joined by ``sep``."""
-    for i in range(0, len(rows), _FORMAT_CHUNK):
-        chunk = rows[i:i + _FORMAT_CHUNK]
-        yield sep.join([fmt] * len(chunk)) % tuple(chunk.ravel().tolist())
 
 
 class NotTrajectoryCSVError(ValueError):
@@ -319,23 +311,32 @@ def read_trajectory_csv(path: str | Path) -> dict[str, np.ndarray]:
     trajectory header, and ValueError naming the file and the first
     bad row if a row does not hold 10 numbers or its k is not an
     integer in [0, 2**63).
+
+    A plain file, ASCII with no line break but the newline, goes to one
+    ``np.loadtxt`` after its header line, and its rows are kept if there
+    is one per line (loadtxt skips a blank line).  Any other file, or one
+    that loadtxt refuses, is split into lines and parsed row by row, which
+    names the first bad row.
     """
-    lines = Path(path).read_text(encoding="utf-8-sig", errors="replace").splitlines()
-    if not lines or lines[0] != TRAJECTORY_HEADER:
+    text = Path(path).read_text(encoding="utf-8-sig", errors="replace")
+    if text[:len(TRAJECTORY_HEADER) + 1].splitlines()[:1] != [TRAJECTORY_HEADER]:
         raise NotTrajectoryCSVError(f"{path}: not a trajectory CSV (bad header)")
     names = TRAJECTORY_HEADER.split(",")
-    body = lines[1:]
+    body = text[len(TRAJECTORY_HEADER) + 1:]
+    n_rows = body.count("\n") + (body != "" and not body.endswith("\n"))
+    plain = text.isascii() and not any(c in text for c in "\v\f\x1c\x1d\x1e")
     data = None
-    if body:
+    if plain and n_rows and not body.isspace():  # loadtxt warns on a file with no row
+        # Given a path, loadtxt reads the file in chunks (a file object, it
+        # reads line by line), and opens a *.gz, *.bz2 or *.xz path as an
+        # archive: any refusal leaves the text already read to the rows below.
         try:
-            data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
+            data = np.loadtxt(path, delimiter=",", comments=None, skiprows=1, ndmin=2, encoding="utf-8-sig")
+        except (ValueError, OSError):
             pass
-    if data is None or data.shape != (len(body), len(names)):
-        # An empty body, or a row the one-call parse would not take (or
-        # skipped, as it does blank lines): parse row by row to name it.
+    if data is None or data.shape != (n_rows, len(names)):
         rows = []
-        for lineno, line in enumerate(body, start=2):
+        for lineno, line in enumerate(body.splitlines(), start=2):
             try:
                 row = [float(p) for p in line.split(",")]
             except ValueError:
@@ -347,7 +348,8 @@ def read_trajectory_csv(path: str | Path) -> dict[str, np.ndarray]:
     k = data[:, 0]
     bad = np.flatnonzero(~((k >= 0) & (k < 2.0**63) & (np.floor(k) == k)))  # nan fails each test
     if len(bad):
-        raise ValueError(f"{path}: line {bad[0] + 2}: k is not an integer in [0, 2**63) in row {body[bad[0]]!r}")
+        row = body.splitlines()[bad[0]]
+        raise ValueError(f"{path}: line {bad[0] + 2}: k is not an integer in [0, 2**63) in row {row!r}")
     out = {n: data[:, i].copy() for i, n in enumerate(names)}
     out["k"] = out["k"].astype(int)
     return out
@@ -402,13 +404,14 @@ def write_report(report: ComparisonReport, path: str | Path) -> None:
 def read_report(path: str | Path) -> ComparisonReport:
     """Inverse of write_report.
 
-    Raises ValueError naming the file and the line of the first row that
-    does not hold the report's 8 fields, or the metadata key that is
+    The file is read as UTF-8, after a leading byte-order mark if it has
+    one.  Raises ValueError naming the file and the line of the first row
+    that does not hold the report's 8 fields, or the metadata key that is
     missing or does not parse.
     """
     from . import stats  # imported here: no command reads a report back
 
-    lines = Path(path).read_text().splitlines()
+    lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     meta: dict[str, str] = {}
     i = 0
     while i < len(lines) and lines[i].startswith("#"):
@@ -462,6 +465,44 @@ def report_text(report: ComparisonReport) -> str:
 # ---------------------------------------------------------------------------
 # SVG rendering
 
+# Where fl(100 v) has a fraction this close to a half, '%.2f' % v decides
+# the rounding.  For v in [0, 1000), 100 v < 2**17, so fl(100 v) lies
+# within 2**-37 of 100 v and any other fraction rounds as 100 v does.
+_TIE_MARGIN = 1e-6
+
+
+def _hundredths(v: np.ndarray) -> np.ndarray:
+    """``'%.2f' % v`` for each v in [0, 1000), exactly, as an int64 count of hundredths."""
+    w = 100.0 * v
+    q = np.floor(w)
+    f = w - q  # exact
+    q = q.astype(np.int64) + (f > 0.5)
+    near = np.flatnonzero(np.abs(f - 0.5) < _TIE_MARGIN)
+    q[near] = [int(("%.2f" % x).replace(".", "")) for x in v[near].tolist()]
+    return q
+
+
+def _points_text(qx: np.ndarray, qy: np.ndarray) -> str:
+    """The polyline text ``x,y x,y ...`` of points given as counts of hundredths >= 0, each with two decimals.
+
+    Each point is one row of a byte matrix, a column per character: its
+    numbers' digits, as wide as the widest, their points and separators.
+    A leading zero is a NUL byte, removed from the matrix's bytes.
+    """
+    columns = []
+    for q, sep in ((qx, ","), (qy, " ")):
+        whole, frac = np.divmod(q, 100)
+        power = 10 ** (len(str(int(whole.max(initial=0)))) - 1)
+        while power > 1:
+            columns.append((whole // power % 10 + ord("0")) * (whole >= power))
+            power //= 10
+        columns += [whole % 10 + ord("0"), ord("."), frac // 10 + ord("0"), frac % 10 + ord("0"), ord(sep)]
+    chars = np.empty((len(qx), len(columns)), dtype=np.uint8)
+    for i, column in enumerate(columns):
+        chars[:, i] = column
+    return chars.tobytes().replace(b"\0", b"")[:-1].decode("ascii")
+
+
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf", "#7f7f7f"]
 _W, _H = 840, 520
 _ML, _MR, _MT, _MB = 72, 24, 40, 52
@@ -472,7 +513,11 @@ def render_svg(series: dict[str, tuple[np.ndarray, np.ndarray]], path: str | Pat
 
     The title and axis labels are fixed text, which needs no escaping;
     the series names are XML-escaped.  Points that are not finite and positive are dropped
-    per series.  Output is deterministic for identical inputs.
+    per series.  Each vertex is written as ``'%.2f,%.2f'`` of its pixel
+    coordinates, computed exactly from integer hundredths
+    (:func:`_hundredths`), and a vertex whose text equals the previous
+    one's is left out: it would only add a zero-length segment, so the
+    drawn path is the same.  Output is deterministic for identical inputs.
     """
     # Imported here: html.entities adds ~0.4 MB and ~2 ms to every command
     # that imports this module, and only plotting needs it.
@@ -541,7 +586,10 @@ def render_svg(series: dict[str, tuple[np.ndarray, np.ndarray]], path: str | Pat
     ]
     for i, (name, (xs, ys)) in enumerate(cleaned.items()):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(_format_chunks("%.2f,%.2f", " ", np.column_stack([px(xs), py(ys)])))
+        qx, qy = _hundredths(px(xs)), _hundredths(py(ys))
+        moved = np.ones(len(qx), dtype=bool)
+        moved[1:] = (qx[1:] != qx[:-1]) | (qy[1:] != qy[:-1])
+        pts = _points_text(qx[moved], qy[moved])
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>')
         ly = _MT + 16 + 16 * i
         parts.append(f'<line x1="{_ML + 10}" y1="{ly - 4}" x2="{_ML + 34}" y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')

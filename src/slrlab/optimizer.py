@@ -316,8 +316,12 @@ def run_arms(
     draws its factors from its own SF stream and is checked on its own.
     Each block guards that pairing: a row fed other draws raises
     RuntimeError, so every command that runs fails on a broken split.
-    The iterates at a block's eval points are buffered and evaluated in
-    one oracle call after the block's steps.  A row that diverges is
+    A block steps the stack in place, with one gradient buffer
+    (``problem.step_gradient(X, draws, out)``), and writes each iterate
+    at an eval point straight into its row of the block's eval buffer;
+    the rows are evaluated in one oracle call after the block's steps.
+    The same ufuncs run in the same order as on new arrays, so the bits
+    do not change.  A row that diverges is
     truncated at its earliest event and dropped from the stack at the
     end of the block while the others go on.  Trajectory ``[a][s]`` is
     therefore bitwise the one ``run(..., sf_specs[a], seed=seeds[s])``
@@ -391,17 +395,26 @@ def run_arms(
         u_at = u[:, e0 * eval_every - k0::eval_every]
         u_evals[live, e0:e0 + u_at.shape[1]] = u_at
         E = np.empty((e1 - e0, len(live), d))
-        X_start = X
+        # The block steps in place.  Step j writes iterate k0 + j + 1 into
+        # its row of E if that is an eval point, else into the block's own
+        # iterate buffer; only an eval point at k0 is copied.  The block's
+        # first iterate, X_start, is never written: the replay below
+        # starts from it.
+        X_start, grad, cur = X, np.empty_like(X), np.empty_like(X)
+        targets = [cur] * n
+        at_k0 = e0 * eval_every == k0
+        if at_k0:
+            E[0] = X
+        for e in range(e0 + at_k0, e1):
+            targets[e * eval_every - k0 - 1] = E[e - e0]
         with np.errstate(over="ignore", invalid="ignore"):
             # A step size beyond the largest double reads inf; the row then
             # stops at its first non-finite iterate.
             steps = step_buf[:n * len(live) * d].reshape(n, len(live), d)
             steps[...] = (step_sizes(schedule, k0 + n, k0) * u).T[:, :, None]
-            for j in range(n):
-                k = k0 + j
-                if k % eval_every == 0:
-                    E[k // eval_every - e0] = X
-                X = X - steps[j] * step_gradient(X, draws[j])
+            for draw, step, target in zip(draws, steps, targets):
+                step_gradient(X, draw, grad)
+                X = np.subtract(X, np.multiply(step, grad, out=grad), out=target)
                 if box is not None and ((X < box[0]).any() or (X > box[1]).any()):
                     certified[live[((X < box[0]) | (X > box[1])).any(axis=1)]] = False
             # First k whose iterate is non-finite, per row.  A non-finite
@@ -421,8 +434,6 @@ def run_arms(
                 hit = ~np.isfinite(Y).all(axis=1)
                 nonfinite_at[bad[hit]] = k0 + j + 1
                 bad, Y = bad[~hit], Y[~hit]
-            if last:
-                E[-1] = X
             # One oracle call for the block's eval points; each row's bits
             # do not depend on the stack.
             f, G = problem.value_and_gradient(E.reshape(-1, d))
@@ -446,7 +457,7 @@ def run_arms(
             truncated_at[r], certified[r] = k, False
             n_rec[r] = (k - 1) // eval_every + 1 if nonfinite_at[i] == k else k // eval_every + 1
             u_evals[r, -(-k // eval_every):] = np.nan  # no step was taken there
-        del draws  # freed before the next block's draws
+        del draws, draw  # freed, with the step loop's view of them, before the next block's draws
         if not keep.all():
             live, X = live[keep], X[keep]
             if not len(live):

@@ -95,10 +95,12 @@ class ProblemSpec:
         """
         raise NotImplementedError
 
-    def step_gradient(self, X: np.ndarray, draws: np.ndarray) -> np.ndarray:
-        """Stochastic gradient at each row of X given that row's draw, shape (S, d).
+    def step_gradient(self, X: np.ndarray, draws: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Stochastic gradient at each row of X given that row's draw, shape (S, d), into ``out`` if given.
 
         ``draws`` holds one step of :meth:`draw_block` output per row.
+        ``out``, an (S, d) array that is not ``X``, receives the result and
+        is returned; the bits are those of a new array.
         """
         raise NotImplementedError
 
@@ -111,8 +113,8 @@ class ProblemSpec:
 class _AdditiveNoise(ProblemSpec):
     """Exact gradient plus N(0, sigma^2 I) noise: the draws are (n, d) noise, or (n, 0) when sigma = 0.
 
-    A subclass gives the exact gradient alone as ``gradient(X)``: a step
-    does not need the value.
+    A subclass gives the exact gradient alone as ``gradient(X, out=None)``:
+    a step does not need the value.
     """
 
     sigma: float
@@ -123,9 +125,9 @@ class _AdditiveNoise(ProblemSpec):
             return np.empty((n, 0))
         return self.sigma * rng.standard_normal((n, self.dim))
 
-    def step_gradient(self, X: np.ndarray, draws: np.ndarray) -> np.ndarray:
-        g = self.gradient(X)
-        return g if not draws.size else g + draws
+    def step_gradient(self, X: np.ndarray, draws: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        g = self.gradient(X, out)
+        return g if not draws.size else np.add(g, draws, out=g)
 
 
 @dataclass(eq=False, kw_only=True)
@@ -137,10 +139,10 @@ class Quadratic(_AdditiveNoise):
     # every product is the same.  Tiled again when the height changes.
     _eigs_stack: np.ndarray = field(init=False, repr=False, default_factory=lambda: np.empty((0, 0)))
 
-    def gradient(self, X: np.ndarray) -> np.ndarray:
+    def gradient(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if self._eigs_stack.shape != X.shape:
             self._eigs_stack = np.tile(self.eigs, (len(X), 1))
-        return self._eigs_stack * X
+        return np.multiply(self._eigs_stack, X, out=out)
 
     def value_and_gradient(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         G = self.gradient(X)
@@ -151,10 +153,10 @@ class Quadratic(_AdditiveNoise):
 class Rosenbrock(_AdditiveNoise):
     family: ClassVar[str] = "rosenbrock"
 
-    def gradient(self, X: np.ndarray) -> np.ndarray:
+    def gradient(self, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         a = X[:, 0]
         r = X[:, 1] - a * a  # the valley residual
-        return np.stack([-2.0 * (1.0 - a) - 400.0 * a * r, 200.0 * r], axis=1)
+        return np.stack([-2.0 * (1.0 - a) - 400.0 * a * r, 200.0 * r], axis=1, out=out)
 
     def value_and_gradient(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         a = X[:, 0]
@@ -184,9 +186,10 @@ class LogReg(ProblemSpec):
     def draw_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.integers(len(self.y), size=n)
 
-    def step_gradient(self, X: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    def step_gradient(self, X: np.ndarray, draws: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         z = self.signed[draws]
-        return _expit(row_dot(z, X))[:, None] * z + _penalty_gradient(self.reg, X)
+        g = np.multiply(_expit(row_dot(z, X))[:, None], z, out=out)
+        return np.add(g, _penalty_gradient(self.reg, X), out=g)
 
     def value_and_gradient(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # The data go in fixed chunks of rows, and each batch of eval rows

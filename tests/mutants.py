@@ -41,11 +41,17 @@ class Mutant(NamedTuple):
 
 RUNNER_TESTS = ("tests/test_batching.py", "tests/test_optimizer.py")
 LOGREG_TESTS = ("tests/test_problems.py", "tests/test_batching.py")
+STATS_TESTS = ("tests/test_stats.py",)
+# The exhaustive tie test runs first: a failing hypothesis test spends its time shrinking.
+PLOT_TESTS = ("tests/test_cli_io.py::test_hundredths_text_at_every_tie_below_1000_and_its_neighbours",
+              "tests/test_cli_io.py::test_render_svg_drops_a_repeated_vertex_as_the_text_rule_does",
+              "tests/test_cli_io.py::test_hundredths_text_is_the_percent_2f_text")
 
 MUTANTS = (
-    # The runner (optimizer.run_arms).
+    # The runner (optimizer.run_arms).  An eval point's iterate is stepped
+    # into its row of the eval buffer.
     Mutant("eval-buffer-write-dropped", "optimizer.py",
-           "                    E[k // eval_every - e0] = X\n", "                    pass\n", RUNNER_TESTS),
+           "            targets[e * eval_every - k0 - 1] = E[e - e0]\n", "            pass\n", RUNNER_TESTS),
     Mutant("replay-event-one-step-early", "optimizer.py",
            "nonfinite_at[bad[hit]] = k0 + j + 1", "nonfinite_at[bad[hit]] = k0 + j", RUNNER_TESTS),
     Mutant("nonfinite-event-n-rec", "optimizer.py",
@@ -55,6 +61,9 @@ MUTANTS = (
            "certified[live[((X < box[0]) | (X > box[1])).any(axis=1)]] = False", "pass", RUNNER_TESTS),
     Mutant("loss-limit-x10", "optimizer.py",
            "LOSS_DIVERGENCE_LIMIT = 1e12", "LOSS_DIVERGENCE_LIMIT = 1e13", RUNNER_TESTS),
+    Mutant("step-loop-view-keeps-block-draws", "optimizer.py", "del draws, draw  #", "del draws  #", RUNNER_TESTS),
+    Mutant("pairing-guard-always-true", "optimizer.py",
+           "if not _paired(draws, seed_draws, pos, edges):", "if False:", RUNNER_TESTS),
     # A factor law's mean: 0.5 * (lo + hi) overflows at the top of the double range.
     Mutant("uniform-root-mean-sums-first", "sf.py",
            "0.5 * lo + 0.5 * hi", "0.5 * (lo + hi)", ("tests/test_sf.py",)),
@@ -79,6 +88,20 @@ MUTANTS = (
     Mutant("report-notes-need-both-sides-excluded", "stats.py",
            "if self.excluded_a or self.excluded_b:", "if self.excluded_a and self.excluded_b:",
            ("tests/test_cli_io.py",)),
+    # The statistics (stats).
+    Mutant("bonferroni-uncorrected", "stats.py", "thresh = fwer / m", "thresh = fwer", STATS_TESTS),
+    Mutant("bonferroni-boundary-exclusive", "stats.py",
+           "return [p <= thresh for p in p_values]", "return [p < thresh for p in p_values]", STATS_TESTS),
+    Mutant("welch-df-with-nb", "stats.py", "(vb / nb) ** 2 / (nb - 1))", "(vb / nb) ** 2 / nb)", STATS_TESTS),
+    Mutant("compare-one-problem-check-off", "stats.py", "if (fam_a, params_a) != (fam_b, params_b):", "if False:",
+           STATS_TESTS),
+    # A condition's first failing k (validator._first_failure).
+    Mutant("first-failure-neighbour-offset-dropped", "validator.py",
+           "k = int(np.argmax(~ok)) + int(pairs)", "k = int(np.argmax(~ok))", ("tests/test_validator.py",)),
+    # The plot's exact %.2f text and its repeat rule (cli_io.render_svg).
+    Mutant("svg-tie-fallback-dropped", "cli_io.py", "_TIE_MARGIN = 1e-6", "_TIE_MARGIN = 0.0", PLOT_TESTS),
+    Mutant("svg-repeat-rule-x-only", "cli_io.py", "moved[1:] = (qx[1:] != qx[:-1]) | (qy[1:] != qy[:-1])",
+           "moved[1:] = qx[1:] != qx[:-1]", PLOT_TESTS),
 )
 
 

@@ -12,6 +12,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slrlab import cli_io, harness, optimizer, problems, sf, stats
 from slrlab.cli_io import ConfigError
@@ -387,6 +389,39 @@ def test_read_trajectory_csv_with_no_rows(tmp_path):
     assert all(len(v) == 0 for v in cols.values()) and cols["k"].dtype == int
 
 
+def test_read_trajectory_csv_names_a_blank_row_of_a_body_with_no_numbers(tmp_path):
+    # loadtxt warns on a file with no row, and skips a blank line.
+    p = tmp_path / "t.csv"
+    p.write_text(cli_io.TRAJECTORY_HEADER + "\n\n  \n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="t.csv: line 2: malformed row ''"):
+            cli_io.read_trajectory_csv(p)
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r", "\f", "\x1e", "\u2028"])
+def test_read_trajectory_csv_splits_lines_as_splitlines_does(newline, tmp_path):
+    # Each line break that str.splitlines knows ends a row, whether or
+    # not loadtxt would read the file.
+    rows = ["0,1,1,1,1,1,1,1,inf,nan", "3,0.5,2,1,1,1,0.25,1,1,nan"]
+    p = tmp_path / "t.csv"
+    p.write_bytes(newline.join([cli_io.TRAJECTORY_HEADER, *rows, ""]).encode())
+    got, want = cli_io.read_trajectory_csv(p), _reference_read(p)
+    assert got["k"].tolist() == [0, 3]
+    for name in list(want)[1:]:
+        assert got[name].tobytes() == want[name].tobytes(), name
+    p.write_bytes(newline.join([cli_io.TRAJECTORY_HEADER, rows[0], rows[1].replace(",0.25,", newline)]).encode())
+    with pytest.raises(ValueError, match="t.csv: line 3: malformed row '3,0.5,2,1,1,1'"):
+        cli_io.read_trajectory_csv(p)
+
+
+def test_read_trajectory_csv_reads_a_plain_file_named_like_an_archive(tmp_path):
+    # np.loadtxt opens a *.gz path as gzip; the text read first still gives the rows.
+    p = tmp_path / "t.csv.gz"
+    p.write_text(cli_io.TRAJECTORY_HEADER + "\n0,1,1,1,1,1,1,1,inf,nan\n")
+    assert cli_io.read_trajectory_csv(p)["k"].tolist() == [0]
+
+
 def _small_report():
     pb = problems.make_quadratic(dim=2, cond=10.0, sigma=0.2)
     sched = StepSizeSchedule("inverse_k", 0.2)
@@ -403,6 +438,13 @@ def test_report_round_trip_lossless(tmp_path):
     assert back == rep
     cli_io.write_report(back, tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_bytes() == p.read_bytes()
+
+
+def test_read_report_reads_a_file_with_a_byte_order_mark_as_the_plain_file(tmp_path):
+    plain, marked = tmp_path / "report.csv", tmp_path / "bom.csv"
+    cli_io.write_report(_small_report(), plain)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert cli_io.read_report(marked) == cli_io.read_report(plain)
 
 
 # Each metadata key read_report reads back.
@@ -470,7 +512,8 @@ def test_render_svg_drops_nonpositive_on_log_axes(tmp_path):
 
 
 def _reference_points(xs, ys, bounds):
-    """Polyline points before the array form: scalar pixel maps, one f-string per point."""
+    """Polyline points before the array form: scalar pixel maps, one f-string per point, and a point
+    whose text repeats the one before it dropped."""
     x0, x1, y0, y1 = bounds
 
     def px(v):
@@ -479,12 +522,16 @@ def _reference_points(xs, ys, bounds):
     def py(v):
         return cli_io._H - cli_io._MB - (v - y0) / (y1 - y0) * (cli_io._H - cli_io._MT - cli_io._MB)
 
-    return " ".join(f"{px(v):.2f},{py(w):.2f}" for v, w in zip(xs, ys))
+    points = [f"{px(v):.2f},{py(w):.2f}" for v, w in zip(xs, ys)]
+    return " ".join(p for i, p in enumerate(points) if i == 0 or p != points[i - 1])
+
+
+def _polylines(path):
+    return re.findall(r'<polyline [^>]* points="([^"]*)"/>', Path(path).read_text())
 
 
 @pytest.mark.parametrize("n", [1, 6, 7, 8, 22])
-def test_render_svg_points_match_per_point_code(n, tmp_path, monkeypatch):
-    monkeypatch.setattr(cli_io, "_FORMAT_CHUNK", 7)
+def test_render_svg_points_match_per_point_code(n, tmp_path):
     # Two finite points pin the ranges; the rest are edge values over the
     # whole double range, of which render_svg keeps the finite positive ones.
     col = _edge_columns(n + 2, seed=n)
@@ -504,11 +551,59 @@ def test_render_svg_points_match_per_point_code(n, tmp_path, monkeypatch):
     all_x = np.concatenate([v[0] for v in kept.values()])
     all_y = np.concatenate([v[1] for v in kept.values()])
     bounds = (float(all_x.min()), float(all_x.max()), float(all_y.min()), float(all_y.max()))
-    got = re.findall(r'<polyline [^>]* points="([^"]*)"/>', p.read_text())
+    got = _polylines(p)
     assert got == [_reference_points(xs, ys, bounds) for xs, ys in kept.values()]
     coords = np.array([float(c) for pts in got for c in re.split("[ ,]", pts)]).reshape(-1, 2)
     assert ((coords[:, 0] >= cli_io._ML) & (coords[:, 0] <= cli_io._W - cli_io._MR)).all()
     assert ((coords[:, 1] >= cli_io._MT) & (coords[:, 1] <= cli_io._H - cli_io._MB)).all()
+
+
+def test_render_svg_drops_a_repeated_vertex_as_the_text_rule_does(tmp_path):
+    # A 50,000-step path recorded at every step: on log-x axes its late
+    # steps share pixel columns, and many repeat the vertex before them.
+    pb = problems.make_quadratic(dim=10, cond=10.0, sigma=0.1)
+    sched = StepSizeSchedule("inverse_k", 0.1)
+    traj = optimizer.run(pb, sched, sf.uniform_root(0.3, 0.8), iterations=50_000, eval_every=1, seed=0)
+    ks = traj.eval_points[1:].astype(float)  # k = 0 has no place on log axes
+    series = {"run": (ks, traj.min_grad_sq[1:]), "envelope_det": (ks, 1.0 / optimizer.step_sums(sched, 50_000)[1:])}
+    p = tmp_path / "plot.svg"
+    cli_io.render_svg(series, p)
+    kept = [np.log10(v) for xs, ys in series.values() for v in (xs, ys)]
+    bounds = (min(kept[0].min(), kept[2].min()), max(kept[0].max(), kept[2].max()),
+              min(kept[1].min(), kept[3].min()), max(kept[1].max(), kept[3].max()))
+    got = _polylines(p)
+    assert got == [_reference_points(kept[0], kept[1], bounds), _reference_points(kept[2], kept[3], bounds)]
+    # Vertices were dropped, and some kept ones share their x text with the
+    # one before: the rule compares both coordinates.
+    for pts in got:
+        xs = [v.split(",")[0] for v in pts.split(" ")]
+        assert len(xs) < 50_000
+        assert any(a == b for a, b in zip(xs, xs[1:]))
+
+
+# A pixel coordinate of the plot: any in [0, 1000), or a %.2f tie m + j/8
+# (a multiple of 1/200 that is a double), or a double next to one.
+_TIE_INDEX = st.integers(1, 7999)
+_PIXELS = st.one_of(
+    st.floats(0.0, 1000.0, exclude_max=True),
+    _TIE_INDEX.map(lambda i: i / 8),
+    st.tuples(_TIE_INDEX, st.sampled_from([-np.inf, np.inf])).map(lambda t: float(np.nextafter(t[0] / 8, t[1]))),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(points=st.lists(st.tuples(_PIXELS, _PIXELS), min_size=1, max_size=64))
+def test_hundredths_text_is_the_percent_2f_text(points):
+    xs, ys = (np.array(v) for v in zip(*points))
+    got = cli_io._points_text(cli_io._hundredths(xs), cli_io._hundredths(ys))
+    assert got == " ".join("%.2f,%.2f" % p for p in points)
+
+
+def test_hundredths_text_at_every_tie_below_1000_and_its_neighbours():
+    ties = np.arange(8000) / 8
+    v = np.concatenate([ties, np.nextafter(ties[1:], -np.inf), np.nextafter(ties, np.inf)])
+    got = cli_io._points_text(cli_io._hundredths(v), cli_io._hundredths(v[::-1]))
+    assert got == " ".join("%.2f,%.2f" % p for p in zip(v.tolist(), v[::-1].tolist()))
 
 
 def test_render_svg_escapes_text(tmp_path):

@@ -183,7 +183,8 @@ def test_paired_arms_share_gradient_stream(monkeypatch):
                     problems.make_logreg_nonconvex(n=30, d=3, reg=0.1, seed=2)):
         want = problem.draw_block(optimizer.stream_generator(5, optimizer.GRAD_STREAM), n)
         step, fed = problem.step_gradient, []
-        monkeypatch.setattr(problem, "step_gradient", lambda X, draws: fed.append(draws.copy()) or step(X, draws))
+        monkeypatch.setattr(problem, "step_gradient",
+                            lambda X, draws, out=None: fed.append(draws.copy()) or step(X, draws, out))
         a = optimizer.run(problem, sched, sf.uniform_root(0.3, 0.8), iterations=n, eval_every=10, seed=5)
         b = optimizer.run(problem, sched, sf.constant(1.0), iterations=n, eval_every=10, seed=5)
         assert not np.array_equal(a.u_eval, b.u_eval, equal_nan=True)
@@ -242,6 +243,28 @@ def test_run_memory_follows_the_eval_grid_not_the_step_count(dim, n_seeds, slack
             tracemalloc.stop()
 
     assert peak(20000, 100) <= peak(2000, 10) + slack
+
+
+def test_a_run_holds_one_block_of_draws_at_a_time():
+    # 2 arms x 40 seeds of dim 10: each block's draws are ~1 MB.  A run of
+    # three blocks peaks less than half of that above a run of one, both
+    # with two eval points per row: a block's draws are freed before the
+    # next block's are drawn.
+    pb = problems.make_quadratic(dim=10, cond=10.0, sigma=0.1)
+    args = (pb, StepSizeSchedule("inverse_k", 0.1), [sf.uniform_root(0.3, 0.8), sf.constant(1.0)])
+    seeds = list(range(40))
+    block = optimizer._BLOCK_VALUES // (2 * 40 * 10) - 1
+    optimizer.run_arms(*args, 20, 10, seeds=seeds)  # the first call's imports are not the run's
+
+    def peak(iterations):
+        tracemalloc.start()
+        try:
+            optimizer.run_arms(*args, iterations, iterations, seeds=seeds)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(3 * block) <= peak(block) + 500_000
 
 
 def test_run_holds_three_series_per_row():
