@@ -228,6 +228,16 @@ def build_sf(cfg: ExperimentConfig) -> sf.SFSpec:
     return cfg.sf
 
 
+def _read_utf8(path: str | Path, error: type[ValueError] = ValueError) -> str:
+    """A file's text as UTF-8, after a leading byte-order mark; a byte that is not UTF-8 raises ``error``."""
+    raw = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len((raw[:exc.start].decode("utf-8") + "_").splitlines())
+        raise error(f"{path}: line {lineno}: byte {raw[exc.start]:#04x} is not UTF-8 ({exc.reason})") from None
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
     """Read and parse a config file, applying the SLRLAB_SEED override.
 
@@ -235,12 +245,9 @@ def load_config(path: str | Path) -> ExperimentConfig:
     the file's path.  The file is read as UTF-8, after a leading byte-order
     mark if it has one: an undecodable byte names its line.
     """
-    raw = Path(path).read_bytes().removeprefix(b"\xef\xbb\xbf")
+    text = _read_utf8(path, ConfigError)
     try:
-        cfg = parse_config(raw.decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        lineno = len((raw[:exc.start].decode("utf-8") + "_").splitlines())
-        raise ConfigError(f"{path}: line {lineno}: byte {raw[exc.start]:#04x} is not UTF-8 ({exc.reason})") from None
+        cfg = parse_config(text)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     env = os.environ.get("SLRLAB_SEED")
@@ -405,13 +412,13 @@ def read_report(path: str | Path) -> ComparisonReport:
     """Inverse of write_report.
 
     The file is read as UTF-8, after a leading byte-order mark if it has
-    one.  Raises ValueError naming the file and the line of the first row
-    that does not hold the report's 8 fields, or the metadata key that is
-    missing or does not parse.
+    one.  Raises ValueError naming the file and the line of a byte that is
+    not UTF-8 or of a row that does not hold the report's 8 fields, or the
+    metadata key that is missing or does not parse.
     """
     from . import stats  # imported here: no command reads a report back
 
-    lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
+    lines = _read_utf8(path).splitlines()
     meta: dict[str, str] = {}
     i = 0
     while i < len(lines) and lines[i].startswith("#"):

@@ -317,16 +317,16 @@ def run_arms(
     Each block guards that pairing: a row fed other draws raises
     RuntimeError, so every command that runs fails on a broken split.
     A block steps the stack in place, with one gradient buffer
-    (``problem.step_gradient(X, draws, out)``), and writes each iterate
-    at an eval point straight into its row of the block's eval buffer;
-    the rows are evaluated in one oracle call after the block's steps.
-    The same ufuncs run in the same order as on new arrays, so the bits
-    do not change.  A row that diverges is
-    truncated at its earliest event and dropped from the stack at the
-    end of the block while the others go on.  Trajectory ``[a][s]`` is
-    therefore bitwise the one ``run(..., sf_specs[a], seed=seeds[s])``
-    returns, whatever the other rows are.  ``x0`` (default: ones) must
-    be finite.
+    (``problem.step_gradient(X, draws, out)``), each iterate overwriting
+    the step sizes that made it; the same ufuncs run in the same order as
+    on new arrays, so the bits do not change.  The block's iterates are
+    then read once: for the box, for each row's first non-finite iterate,
+    and for the eval points, which are evaluated in one oracle call.  A
+    row that diverges is truncated at its earliest event and dropped from
+    the stack at the end of the block while the others go on.  Trajectory
+    ``[a][s]`` is therefore bitwise the one ``run(..., sf_specs[a],
+    seed=seeds[s])`` returns, whatever the other rows are.  ``x0``
+    (default: ones) must be finite.
     """
     seeds = [int(s) for s in seeds]
     check_arguments(eval_every, iterations, n_seeds=len(seeds))
@@ -339,10 +339,10 @@ def run_arms(
     R = len(sf_specs) * S
     d = problem.dim
     n_evals = iterations // eval_every + 1
-    # A block's eval buffer holds up to block + 1 iterates per row (the
+    # A block's eval points are up to block + 1 iterates per row (the
     # final point rides on the last block).  Both stay within the cap unless
-    # R * d > _BLOCK_VALUES / 2: the 1-step block's buffer of 2 iterates per
-    # row then exceeds it, and past R * d = _BLOCK_VALUES a quadratic's draws do.
+    # R * d > _BLOCK_VALUES / 2: the 1-step block's 2 eval iterates per row
+    # then exceed it, and past R * d = _BLOCK_VALUES a quadratic's draws do.
     block = max(1, min(BLOCK_STEPS, _BLOCK_VALUES // (R * d) - 1))
     seed_of = np.tile(np.arange(S), len(sf_specs))
     grad_rngs = [stream_generator(s, GRAD_STREAM) for s in seeds]
@@ -365,8 +365,9 @@ def run_arms(
     never = iterations + 1
     step_gradient = problem.step_gradient
     # Each block's per-row step sizes, expanded to the iterates' shape in
-    # one buffer that every block reuses: on small stacks numpy multiplies
-    # same-shape operands faster than it broadcasts, with the same products.
+    # one buffer that every block reuses and its steps overwrite with their
+    # iterates: on small stacks numpy multiplies same-shape operands faster
+    # than it broadcasts, with the same products.
     step_buf = np.empty(block * R * d)
 
     for k0 in range(0, iterations, block):
@@ -385,57 +386,39 @@ def run_arms(
         for spec, lo, hi in zip(sf_specs, edges[:-1], edges[1:]):
             if hi > lo:
                 u[lo:hi] = sfmod.sample_block(spec, k0, n, [sf_rngs[r] for r in live[lo:hi]])
-        # The block's eval points k0 <= k < k0 + n, plus the final point
-        # on the last block.  Their iterates are buffered as the block
-        # steps and evaluated together after it; the factors drawn at
-        # them are kept (the final point takes no step).
+        # The block's eval points k0 <= k < k0 + n, and on the last block the
+        # final point, which takes no step; the factors drawn at them are kept.
         last = k0 + n == iterations
         e0 = -(-k0 // eval_every)
         e1 = (k0 + n - (not last)) // eval_every + 1
         u_at = u[:, e0 * eval_every - k0::eval_every]
         u_evals[live, e0:e0 + u_at.shape[1]] = u_at
         E = np.empty((e1 - e0, len(live), d))
-        # The block steps in place.  Step j writes iterate k0 + j + 1 into
-        # its row of E if that is an eval point, else into the block's own
-        # iterate buffer; only an eval point at k0 is copied.  The block's
-        # first iterate, X_start, is never written: the replay below
-        # starts from it.
-        X_start, grad, cur = X, np.empty_like(X), np.empty_like(X)
-        targets = [cur] * n
-        at_k0 = e0 * eval_every == k0
-        if at_k0:
-            E[0] = X
-        for e in range(e0 + at_k0, e1):
-            targets[e * eval_every - k0 - 1] = E[e - e0]
         with np.errstate(over="ignore", invalid="ignore"):
             # A step size beyond the largest double reads inf; the row then
             # stops at its first non-finite iterate.
             steps = step_buf[:n * len(live) * d].reshape(n, len(live), d)
             steps[...] = (step_sizes(schedule, k0 + n, k0) * u).T[:, :, None]
-            for draw, step, target in zip(draws, steps, targets):
+            # Step j reads its row of step sizes and writes iterate
+            # k0 + j + 1 over it: after the loop ``steps`` holds the iterates.
+            X_start, grad = X, np.empty_like(X)
+            for draw, step in zip(draws, steps):
                 step_gradient(X, draw, grad)
-                X = np.subtract(X, np.multiply(step, grad, out=grad), out=target)
-                if box is not None and ((X < box[0]).any() or (X > box[1]).any()):
-                    certified[live[((X < box[0]) | (X > box[1])).any(axis=1)]] = False
+                X = np.subtract(X, np.multiply(step, grad, out=grad), out=step)
+            X = X.copy()  # the next block's first iterate; ``step_buf`` is rewritten
+            if box is not None:
+                certified[live[((steps < box[0]) | (steps > box[1])).any(axis=(0, 2))]] = False
             # First k whose iterate is non-finite, per row.  A non-finite
-            # entry stays non-finite under x - s * g whatever g is, so a
-            # row finite at the block's end was finite at every step.  The
-            # others are replayed from the block's start on the same draws,
-            # checked every step; the oracles treat each row on its own, so
-            # the replay gives the same bits.  The steps a row took past
-            # its event are discarded.
+            # entry stays non-finite under x - s * g whatever g is, so only
+            # a row non-finite at the block's end has one in the block.
             nonfinite_at = np.full(len(live), never)
             bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
-            Y = X_start[bad]
-            for j in range(n):
-                if not len(bad):
-                    break
-                Y = Y - steps[j, bad] * step_gradient(Y, draws[j, bad])
-                hit = ~np.isfinite(Y).all(axis=1)
-                nonfinite_at[bad[hit]] = k0 + j + 1
-                bad, Y = bad[~hit], Y[~hit]
-            # One oracle call for the block's eval points; each row's bits
-            # do not depend on the stack.
+            nonfinite_at[bad] = k0 + 1 + (~np.isfinite(steps[:, bad]).all(axis=2)).argmax(axis=0)
+            # One oracle call for the eval points: the first iterate if k0 is one,
+            # then a strided slice of the iterates; a row's bits do not depend on the stack.
+            at = steps[eval_every - 1 - k0 % eval_every:n - (not last):eval_every]
+            E[:len(E) - len(at)] = X_start
+            E[len(E) - len(at):] = at
             f, G = problem.value_and_gradient(E.reshape(-1, d))
             g2 = pb.row_dot(G, G)
         loss_at = np.full(len(live), never)

@@ -48,17 +48,22 @@ PLOT_TESTS = ("tests/test_cli_io.py::test_hundredths_text_at_every_tie_below_100
               "tests/test_cli_io.py::test_hundredths_text_is_the_percent_2f_text")
 
 MUTANTS = (
-    # The runner (optimizer.run_arms).  An eval point's iterate is stepped
-    # into its row of the eval buffer.
-    Mutant("eval-buffer-write-dropped", "optimizer.py",
-           "            targets[e * eval_every - k0 - 1] = E[e - e0]\n", "            pass\n", RUNNER_TESTS),
-    Mutant("replay-event-one-step-early", "optimizer.py",
-           "nonfinite_at[bad[hit]] = k0 + j + 1", "nonfinite_at[bad[hit]] = k0 + j", RUNNER_TESTS),
+    # The runner (optimizer.run_arms).  A block's steps overwrite its
+    # step sizes with its iterates, which are then read once.
+    Mutant("eval-buffer-write-dropped", "optimizer.py", "            E[len(E) - len(at):] = at\n", "", RUNNER_TESTS),
+    Mutant("eval-at-block-start-dropped", "optimizer.py", "            E[:len(E) - len(at)] = X_start\n", "",
+           RUNNER_TESTS),
+    Mutant("block-end-iterate-not-copied", "optimizer.py", "X = X.copy()  #", "X = X  #", RUNNER_TESTS),
+    Mutant("nonfinite-event-one-step-early", "optimizer.py",
+           "nonfinite_at[bad] = k0 + 1 + (", "nonfinite_at[bad] = k0 + (", RUNNER_TESTS),
     Mutant("nonfinite-event-n-rec", "optimizer.py",
            "n_rec[r] = (k - 1) // eval_every + 1 if nonfinite_at[i] == k else k // eval_every + 1",
            "n_rec[r] = k // eval_every + 1", RUNNER_TESTS),
     Mutant("box-exit-never-uncertifies", "optimizer.py",
-           "certified[live[((X < box[0]) | (X > box[1])).any(axis=1)]] = False", "pass", RUNNER_TESTS),
+           "certified[live[((steps < box[0]) | (steps > box[1])).any(axis=(0, 2))]] = False", "pass", RUNNER_TESTS),
+    Mutant("box-check-block-end-only", "optimizer.py",
+           "((steps < box[0]) | (steps > box[1])).any(axis=(0, 2))", "((X < box[0]) | (X > box[1])).any(axis=1)",
+           RUNNER_TESTS),
     Mutant("loss-limit-x10", "optimizer.py",
            "LOSS_DIVERGENCE_LIMIT = 1e12", "LOSS_DIVERGENCE_LIMIT = 1e13", RUNNER_TESTS),
     Mutant("step-loop-view-keeps-block-draws", "optimizer.py", "del draws, draw  #", "del draws  #", RUNNER_TESTS),
@@ -92,6 +97,8 @@ MUTANTS = (
     Mutant("bonferroni-uncorrected", "stats.py", "thresh = fwer / m", "thresh = fwer", STATS_TESTS),
     Mutant("bonferroni-boundary-exclusive", "stats.py",
            "return [p <= thresh for p in p_values]", "return [p < thresh for p in p_values]", STATS_TESTS),
+    Mutant("welch-power-of-two-scaling-dropped", "stats.py", "    a, b = np.ldexp(a, -e), np.ldexp(b, -e)\n", "",
+           ("tests/test_stats.py::test_welch_t_is_unchanged_bit_for_bit_by_a_common_power_of_two_scale",)),
     Mutant("welch-df-with-nb", "stats.py", "(vb / nb) ** 2 / (nb - 1))", "(vb / nb) ** 2 / nb)", STATS_TESTS),
     Mutant("compare-one-problem-check-off", "stats.py", "if (fam_a, params_a) != (fam_b, params_b):", "if False:",
            STATS_TESTS),

@@ -362,12 +362,26 @@ def test_first_nonfinite_iterate_at_each_offset_of_a_block(monkeypatch):
     assert not any(tr.diverged for tr in arms[-1])
 
 
+def test_each_step_calls_the_gradient_once_when_rows_turn_nonfinite_mid_block(monkeypatch):
+    # Rows turn non-finite at the first, middle and last steps of 7-step
+    # blocks.  Each of the 21 steps calls step_gradient once, on the rows
+    # live in its block; no row is stepped again to find its event.
+    monkeypatch.setattr(optimizer, "BLOCK_STEPS", 7)
+    problem, schedule, x0 = BLOW_UP
+    step, heights = problem.step_gradient, []
+    monkeypatch.setattr(problem, "step_gradient",
+                        lambda X, draws, out=None: heights.append(len(X)) or step(X, draws, out))
+    arms = optimizer.run_arms(problem, schedule, blow_up_arms(), 21, 21, x0, seeds=SEEDS[:3])
+    assert [[t.truncated_at for t in arm] for arm in arms] == [[t] * 3 for t in BLOW_UP_AT] + [[None] * 3]
+    assert heights == [15] * 7 + [12] * 7 + [3] * 7
+
+
 def test_first_nonfinite_iterate_decided_by_each_seeds_own_draws(monkeypatch):
     # With a noise scale of 1e308 (past what make_quadratic certifies, so
     # set on the object) a draw overflows to inf when |xi| > 1.797, and
     # the iterate turns non-finite at that step: each seed's first event
-    # falls at its own offset of a 7-step block, so a replay that read
-    # another row's draws would find another k.
+    # falls at its own offset of a 7-step block, so a row that stepped
+    # on another row's draws would stop at another k.
     monkeypatch.setattr(optimizer, "BLOCK_STEPS", 7)
     problem = problems.make_quadratic(dim=1, cond=1.0, sigma=1.0)
     problem = dataclasses.replace(problem, sigma=1e308)

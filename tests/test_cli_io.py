@@ -447,6 +447,17 @@ def test_read_report_reads_a_file_with_a_byte_order_mark_as_the_plain_file(tmp_p
     assert cli_io.read_report(marked) == cli_io.read_report(plain)
 
 
+def test_read_report_names_the_file_and_the_line_of_a_byte_that_is_not_utf8(tmp_path):
+    # It once raised a bare UnicodeDecodeError, naming neither.
+    golden = (Path(__file__).parent / "data" / "golden" / "compare" / "report.csv").read_bytes()
+    assert golden.count(b"# metric") == 1
+    p = tmp_path / "report.csv"
+    p.write_bytes(golden.replace(b"# metric", b"# \xffetric"))
+    line = golden[:golden.index(b"# metric")].count(b"\n") + 1
+    with pytest.raises(ValueError, match=re.escape(f"{p}: line {line}: byte 0xff is not UTF-8 (invalid start byte)")):
+        cli_io.read_report(p)
+
+
 # Each metadata key read_report reads back.
 REPORT_KEYS = ("metric", "n_a", "n_b", "excluded_a", "excluded_b", "config_digest_a", "config_digest_b")
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slrlab import optimizer, problems, sf, stats
@@ -210,6 +210,7 @@ _WELCH_SAMPLES = st.lists(st.floats(-1e3, 1e3).filter(lambda x: x == 0 or abs(x)
 @pytest.mark.filterwarnings("ignore:welch_t. zero variances")
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(a=_WELCH_SAMPLES, b=_WELCH_SAMPLES, e=st.integers(-900, 900))
+@example(a=[0.1, 0.3], b=[0.2, 0.7], e=-900)  # unscaled, the variances underflow
 def test_welch_t_is_unchanged_bit_for_bit_by_a_common_power_of_two_scale(a, b, e):
     a, b = np.array(a), np.array(b)
     got = stats.welch_t(a * 2.0**e, b * 2.0**e)
