@@ -319,31 +319,25 @@ def read_trajectory_csv(path: str | Path) -> dict[str, np.ndarray]:
     bad row if a row does not hold 10 numbers or its k is not an
     integer in [0, 2**63).
 
-    A plain file, ASCII with no line break but the newline, goes to one
-    ``np.loadtxt`` after its header line, and its rows are kept if there
-    is one per line (loadtxt skips a blank line).  Any other file, or one
-    that loadtxt refuses, is split into lines and parsed row by row, which
-    names the first bad row.
+    The lines after the header go to one ``np.loadtxt``; if it refuses
+    them, or skips a blank one, the same lines are parsed row by row,
+    which names the first bad row.
     """
     text = Path(path).read_text(encoding="utf-8-sig", errors="replace")
     if text[:len(TRAJECTORY_HEADER) + 1].splitlines()[:1] != [TRAJECTORY_HEADER]:
         raise NotTrajectoryCSVError(f"{path}: not a trajectory CSV (bad header)")
+    body = text.splitlines()[1:]
+    del text
     names = TRAJECTORY_HEADER.split(",")
-    body = text[len(TRAJECTORY_HEADER) + 1:]
-    n_rows = body.count("\n") + (body != "" and not body.endswith("\n"))
-    plain = text.isascii() and not any(c in text for c in "\v\f\x1c\x1d\x1e")
     data = None
-    if plain and n_rows and not body.isspace():  # loadtxt warns on a file with no row
-        # Given a path, loadtxt reads the file in chunks (a file object, it
-        # reads line by line), and opens a *.gz, *.bz2 or *.xz path as an
-        # archive: any refusal leaves the text already read to the rows below.
+    if any(body):  # loadtxt warns on lines that are all empty
         try:
-            data = np.loadtxt(path, delimiter=",", comments=None, skiprows=1, ndmin=2, encoding="utf-8-sig")
-        except (ValueError, OSError):
+            data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
             pass
-    if data is None or data.shape != (n_rows, len(names)):
+    if data is None or data.shape != (len(body), len(names)):
         rows = []
-        for lineno, line in enumerate(body.splitlines(), start=2):
+        for lineno, line in enumerate(body, start=2):
             try:
                 row = [float(p) for p in line.split(",")]
             except ValueError:
@@ -355,8 +349,7 @@ def read_trajectory_csv(path: str | Path) -> dict[str, np.ndarray]:
     k = data[:, 0]
     bad = np.flatnonzero(~((k >= 0) & (k < 2.0**63) & (np.floor(k) == k)))  # nan fails each test
     if len(bad):
-        row = body.splitlines()[bad[0]]
-        raise ValueError(f"{path}: line {bad[0] + 2}: k is not an integer in [0, 2**63) in row {row!r}")
+        raise ValueError(f"{path}: line {bad[0] + 2}: k is not an integer in [0, 2**63) in row {body[bad[0]]!r}")
     out = {n: data[:, i].copy() for i, n in enumerate(names)}
     out["k"] = out["k"].astype(int)
     return out

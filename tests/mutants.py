@@ -46,6 +46,7 @@ STATS_TESTS = ("tests/test_stats.py",)
 PLOT_TESTS = ("tests/test_cli_io.py::test_hundredths_text_at_every_tie_below_1000_and_its_neighbours",
               "tests/test_cli_io.py::test_render_svg_drops_a_repeated_vertex_as_the_text_rule_does",
               "tests/test_cli_io.py::test_hundredths_text_is_the_percent_2f_text")
+READER_TESTS = ("tests/test_cli_io.py::test_read_trajectory_csv_names_the_file_and_the_bad_row",)
 
 MUTANTS = (
     # The runner (optimizer.run_arms).  A block's steps overwrite its
@@ -69,6 +70,29 @@ MUTANTS = (
     Mutant("step-loop-view-keeps-block-draws", "optimizer.py", "del draws, draw  #", "del draws  #", RUNNER_TESTS),
     Mutant("pairing-guard-always-true", "optimizer.py",
            "if not _paired(draws, seed_draws, pos, edges):", "if False:", RUNNER_TESTS),
+    # The runner's divergence events, eval indices and stack indexing.
+    Mutant("tie-won-by-loss-limit", "optimizer.py", "if nonfinite_at[i] == k else",
+           "if nonfinite_at[i] == k and loss_at[i] > k else", RUNNER_TESTS),
+    Mutant("loss-limit-beats-earlier-nonfinite", "optimizer.py", "stop = np.minimum(nonfinite_at, loss_at)",
+           "stop = np.where(loss_at < never, loss_at, nonfinite_at)", RUNNER_TESTS),
+    Mutant("final-point-dropped", "optimizer.py", "last = k0 + n == iterations", "last = False", RUNNER_TESTS),
+    Mutant("loss-event-one-eval-late", "optimizer.py", "eval_every * (e0 + over[:, hit].argmax(axis=0))",
+           "eval_every * (e0 + 1 + over[:, hit].argmax(axis=0))", RUNNER_TESTS),
+    Mutant("last-nonfinite-step", "optimizer.py", "(~np.isfinite(steps[:, bad]).all(axis=2)).argmax(axis=0)",
+           "(n - 1 - (~np.isfinite(steps[::-1, bad]).all(axis=2)).argmax(axis=0))", RUNNER_TESTS),
+    Mutant("running-minimum-keeps-nan", "optimizer.py", "np.fmin.accumulate(", "np.minimum.accumulate(",
+           RUNNER_TESTS),
+    Mutant("last-eval-index-of-a-middle-block", "optimizer.py", "e1 = (k0 + n - (not last)) // eval_every + 1",
+           "e1 = (k0 + n) // eval_every + 1", RUNNER_TESTS),
+    Mutant("block-end-finite-check-dropped", "optimizer.py", "bad = np.flatnonzero(~np.isfinite(X).all(axis=1))",
+           "bad = np.flatnonzero(np.zeros(len(X), dtype=bool))", RUNNER_TESTS),
+    Mutant("factor-streams-indexed-by-position", "optimizer.py", "[sf_rngs[r] for r in live[lo:hi]]",
+           "[sf_rngs[r] for r in range(lo, hi)]", RUNNER_TESTS),
+    Mutant("shared-draws-indexed-by-live-position", "optimizer.py",
+           "pos = np.searchsorted(live_seeds, seed_of[live])", "pos = np.searchsorted(live_seeds, seed_of[:len(live)])",
+           RUNNER_TESTS),
+    Mutant("arm-with-no-live-rows-sampled", "optimizer.py", "            if hi > lo:\n", "            if True:\n",
+           RUNNER_TESTS),
     # A factor law's mean: 0.5 * (lo + hi) overflows at the top of the double range.
     Mutant("uniform-root-mean-sums-first", "sf.py",
            "0.5 * lo + 0.5 * hi", "0.5 * (lo + hi)", ("tests/test_sf.py",)),
@@ -109,6 +133,12 @@ MUTANTS = (
     Mutant("svg-tie-fallback-dropped", "cli_io.py", "_TIE_MARGIN = 1e-6", "_TIE_MARGIN = 0.0", PLOT_TESTS),
     Mutant("svg-repeat-rule-x-only", "cli_io.py", "moved[1:] = (qx[1:] != qx[:-1]) | (qy[1:] != qy[:-1])",
            "moved[1:] = qx[1:] != qx[:-1]", PLOT_TESTS),
+    # The trajectory reader's fall-back to the row-by-row parse (cli_io.read_trajectory_csv).
+    Mutant("trajectory-blank-row-kept", "cli_io.py", "if data is None or data.shape != (len(body), len(names)):",
+           "if data is None:", READER_TESTS),
+    Mutant("trajectory-refused-rows-not-reparsed", "cli_io.py",
+           "ndmin=2)\n        except ValueError:\n            pass\n",
+           "ndmin=2)\n        except ValueError:\n            raise\n", READER_TESTS),
 )
 
 

@@ -415,11 +415,38 @@ def test_read_trajectory_csv_splits_lines_as_splitlines_does(newline, tmp_path):
         cli_io.read_trajectory_csv(p)
 
 
-def test_read_trajectory_csv_reads_a_plain_file_named_like_an_archive(tmp_path):
-    # np.loadtxt opens a *.gz path as gzip; the text read first still gives the rows.
-    p = tmp_path / "t.csv.gz"
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_read_trajectory_csv_reads_a_plain_file_named_like_an_archive(suffix, tmp_path):
+    # np.loadtxt given such a path would open it as an archive; the file is
+    # read as text whatever its name.
+    p = tmp_path / f"t.csv{suffix}"
     p.write_text(cli_io.TRAJECTORY_HEADER + "\n0,1,1,1,1,1,1,1,inf,nan\n")
     assert cli_io.read_trajectory_csv(p)["k"].tolist() == [0]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_read_trajectory_csv_reads_a_fifo(tmp_path, monkeypatch):
+    # A pipe can be read once: a second open would wait for a writer that has
+    # gone, so the read runs in a child that the timeout kills.
+    p = tmp_path / "t.csv"
+    os.mkfifo(p)
+    child = f"""
+import threading
+from slrlab import cli_io
+
+def write():
+    with open({str(p)!r}, "w") as f:
+        f.write(cli_io.TRAJECTORY_HEADER + "\\n0,1,1,1,1,1,1,1,inf,nan\\n3,0.5,2,1,1,1,0.25,1,1,nan\\n")
+
+threading.Thread(target=write, daemon=True).start()
+cols = cli_io.read_trajectory_csv({str(p)!r})
+print(cols["k"].tolist(), cols["u_k"].tolist())
+"""
+    src = str(Path(cli_io.__file__).resolve().parents[1])
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, timeout=20)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[0, 3] [1.0, 0.25]\n"
 
 
 def _small_report():
